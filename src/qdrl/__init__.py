@@ -38,7 +38,7 @@ from .rlenv import (
     RewardMode,
     single_qubit_env,
 )
-from .seeding import named_stream, spawn_seeds
+from .seeding import named_stream
 
 __all__ = [
     "DeviceParams",
@@ -62,7 +62,6 @@ __all__ = [
     "nlif",
     "phase_gate_target",
     "single_qubit_env",
-    "spawn_seeds",
     "train_loop",
 ]
 

@@ -8,6 +8,7 @@ diverges at runtime.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ..rlagent import DivergenceError
@@ -15,6 +16,18 @@ from . import commands
 from .config import ConfigError, load_config
 
 __all__ = ["main"]
+
+
+def _worker_count(text: str) -> int:
+    """--workers value: an integer from 1 to the number of usable cores."""
+    cores = len(os.sched_getaffinity(0))
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= n <= cores:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {cores} (usable cores), got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, nargs="+", default=None,
                        help="override the config seed list")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for independent cells")
         p.add_argument("--budget-override", type=int, default=None,
                        help="override budget_episodes")
         for flag, kwargs in extra_flags.items():
@@ -41,7 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("train", "train one agent per seed; write logs and checkpoints")
     add("evaluate", "dynamic vs frozen deterministic-policy evaluation",
         **{"--checkpoint": dict(required=True), "--episodes": dict(type=int, default=None)})
-    add("sweep", "grid of training runs over protocol time x segment count")
+    add("sweep", "grid of training runs over protocol time x segment count",
+        **{"--workers": dict(type=_worker_count, default=1,
+                             help="worker processes for independent cells")})
     add("scale-sweep", "fixed-protocol infidelity vs scale per noise contribution",
         **{"--protocol": dict(required=True),
            "--mode": dict(choices=["time_energy", "noise"], default=None)})

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from ..noise import NoiseConfig
-from ..qcore import step_propagator
+from ..pulse import ImpulseKernel
+from ..qcore import pauli_expectations, propagate, step_propagator
 from ..rlagent import SacAgent, evaluate_policy, train_loop
-from ..rlenv import GateSynthesisEnv
 from ..seeding import named_stream
 from ..tomography import calibrate_sigma_to_shots
 from .config import ConfigError, ExperimentConfig, config_from_dict
@@ -203,13 +203,7 @@ def _run_sweep_cell(resolved: dict, protocol_time: float, n_segments: int,
     config = config_from_dict(resolved)
     cell = {"protocol_time": protocol_time, "n_segments": n_segments, "seed": seed}
     try:
-        env_cfg = config.env_for(protocol_time, n_segments)
-        if config.device_type == "single_qubit":
-            from ..rlenv import single_qubit_env
-
-            env = single_qubit_env(env_cfg, b=config.resolved["device"]["b"], seed=seed)
-        else:
-            env = GateSynthesisEnv(env_cfg, seed=seed)
+        env = config.make_env(seed, env_override=config.env_for(protocol_time, n_segments))
         agent = config.make_agent(env, seed)
         train_loop(env, agent, budget, seed=seed)
         final = evaluate_policy(env, agent, n_eval)
@@ -288,7 +282,7 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
 
     time_energy mode at scale k multiplies every energy in the Hamiltonian by
     k (exchange prefactor and all gradients) and divides every time quantity
-    by k (protocol duration, integration step, kernel delay and width), so the
+    by k (protocol duration, integration step, the kernel's time axis), so the
     noise-free unitary is unchanged while the noise susceptibility shifts.
     noise mode leaves the dynamics alone and multiplies one contribution's
     amplitude by k, with an all-contributions-scaled curve alongside.
@@ -304,9 +298,7 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
     realizations = int(spec["realizations"])
     detunings, _ = read_protocol(protocol_path)
     actions = protocol_to_actions(detunings, config)
-    base_noise = config.build_noise()
-    if base_noise is None:
-        base_noise = NoiseConfig()
+    base_noise = config.env.noise or NoiseConfig()
     seed = config.seeds[0]
 
     clean_env = config.make_env(seed, env_override=dataclasses.replace(
@@ -340,22 +332,14 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
                 # multiplies them by j0, so scaling j0 alone scales every
                 # energy in the device uniformly.
                 device = dataclasses.replace(config.device, j0=k * config.device.j0)
-                time_scaled = dataclasses.replace(
+                kernel = config.env.kernel
+                if kernel is not None:
+                    # the same response compressed in time: same weights on a dt/k grid
+                    kernel = ImpulseKernel(kernel.samples * k, kernel.dt / k, kernel.delay / k)
+                env_cfg = dataclasses.replace(
                     config.env, device=device, reward_mode="sparse", noise=noise,
-                    protocol_time=config.env.protocol_time / k, kernel=None,
+                    protocol_time=config.env.protocol_time / k, kernel=kernel,
                 )
-                kernel_spec = config.resolved["kernel"]
-                if kernel_spec["type"] != "delta":
-                    from ..pulse import gaussian_kernel, load_kernel
-
-                    dt = time_scaled.protocol_time / time_scaled.n_segments / time_scaled.oversample
-                    if kernel_spec["type"] == "gaussian":
-                        kernel = gaussian_kernel(kernel_spec["mean_delay"] / k,
-                                                 kernel_spec["stddev"] / k, dt)
-                    else:
-                        kernel = load_kernel(kernel_spec["path"], dt)
-                    time_scaled = dataclasses.replace(time_scaled, kernel=kernel)
-                env_cfg = time_scaled
             env = config.make_env(seed, env_override=env_cfg)
             env.reset(seed)
             nlifs = np.array([env.rollout(actions).info["nlif"] for _ in range(realizations)])
@@ -397,26 +381,18 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
                           env_override=dataclasses.replace(config.env, reward_mode="sparse"))
     model = env.model
     nlif_final = float(env.rollout(actions, config.seeds[0]).info["nlif"])
-    shaped = env._final_shaped()
+    shaped = env.shaped_detunings()
     dt = env.config.dt
 
-    h = model.hamiltonians(shaped)
-    steps = step_propagator(h, dt)
+    cumulative = propagate(step_propagator(model.hamiltonians(shaped), dt), cumulative=True)
     dim = model.sim_dim
-    states = np.empty((steps.shape[0] + 1, dim), dtype=complex)
-    state0 = np.zeros(dim, dtype=complex)
-    state0[model.block_indices[_STATE_LABELS[label]]] = 1.0
-    states[0] = state0
-    for m in range(steps.shape[0]):
-        states[m + 1] = steps[m] @ states[m]
+    states = cumulative[:, :, model.block_indices[_STATE_LABELS[label]]]
 
     times = np.arange(states.shape[0]) * dt
     block = np.asarray(model.block_indices)
     amplitudes = states[:, block]
     norms = np.sum(np.abs(amplitudes) ** 2, axis=1)
     if dim == 6:
-        from ..qcore import pauli_expectations
-
         bloch = pauli_expectations(states).reshape(states.shape[0], 6)
         header = ["time_ns", "q1_x", "q1_y", "q1_z", "q2_x", "q2_y", "q2_z", "block_norm"]
     else:
@@ -499,7 +475,7 @@ def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
         obs, info = result.observation, result.info
 
     sequence = env.pulse_sequence()
-    shaped = env._final_shaped()
+    shaped = env.shaped_detunings()
     n_sub = env.config.n_substeps // env.config.n_segments
     preview = shaped[n_sub // 2 :: n_sub][: env.config.n_segments]
     meta = {

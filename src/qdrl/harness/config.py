@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from ..noise import NoiseConfig
-from ..pulse import delta_kernel, gaussian_kernel, load_kernel
+from ..pulse import ImpulseKernel, gaussian_kernel, load_kernel
 from ..qcore import DeviceParams
 from ..rlagent import SacAgent, SacConfig
 from ..rlenv import EnvConfig, GateSynthesisEnv, single_qubit_env
@@ -169,10 +169,6 @@ class ExperimentConfig:
     def hash(self) -> str:
         return experiment_hash(self.resolved)
 
-    @property
-    def n_channels(self) -> int:
-        return 1 if self.device_type == "single_qubit" else 3
-
     def section(self, name: str) -> dict:
         return dict(self.resolved[name])
 
@@ -191,31 +187,24 @@ class ExperimentConfig:
     def make_agent(self, env: GateSynthesisEnv, seed: int) -> SacAgent:
         return SacAgent(env.observation_size, env.config.n_channels, self.agent, seed=seed)
 
-    def build_kernel(self, dt: float):
-        """Kernel on a given integration grid, per the kernel section."""
-        spec = self.resolved["kernel"]
-        if spec["type"] == "delta":
-            return delta_kernel(dt)
-        if spec["type"] == "gaussian":
-            return gaussian_kernel(spec["mean_delay"], spec["stddev"], dt)
-        if spec["type"] == "file":
-            return load_kernel(spec["path"], dt)
-        raise ConfigError(f"unknown kernel type {spec['type']!r}")
-
-    def build_noise(self) -> NoiseConfig | None:
-        spec = self.resolved["noise"]
-        if not spec["enabled"]:
-            return None
-        fields = {k: v for k, v in spec.items() if k != "enabled"}
-        return NoiseConfig(**fields)
-
     def env_for(self, protocol_time: float, n_segments: int) -> EnvConfig:
         """The env config re-gridded for a sweep cell (kernel rebuilt on new dt)."""
         dt = protocol_time / n_segments / self.resolved["env"]["oversample"]
-        kernel = None if self.resolved["kernel"]["type"] == "delta" else self.build_kernel(dt)
         return dataclasses.replace(
-            self.env, protocol_time=protocol_time, n_segments=n_segments, kernel=kernel
+            self.env, protocol_time=protocol_time, n_segments=n_segments,
+            kernel=_make_kernel(self.resolved["kernel"], dt),
         )
+
+
+def _make_kernel(spec: dict, dt: float) -> ImpulseKernel | None:
+    """Kernel on a given integration grid, per the kernel section; None for delta."""
+    if spec["type"] == "delta":
+        return None
+    if spec["type"] == "gaussian":
+        return gaussian_kernel(spec["mean_delay"], spec["stddev"], dt)
+    if spec["type"] == "file":
+        return load_kernel(spec["path"], dt)
+    raise ConfigError(f"unknown kernel type {spec['type']!r}")
 
 
 def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
@@ -248,16 +237,7 @@ def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
     env_spec = resolved["env"]
     try:
         dt = env_spec["protocol_time"] / env_spec["n_segments"] / env_spec["oversample"]
-        kernel_spec = resolved["kernel"]
-        if kernel_spec["type"] == "delta":
-            kernel = None
-        elif kernel_spec["type"] == "gaussian":
-            kernel = gaussian_kernel(kernel_spec["mean_delay"], kernel_spec["stddev"], dt)
-        elif kernel_spec["type"] == "file":
-            kernel = load_kernel(kernel_spec["path"], dt)
-        else:
-            raise ConfigError(f"unknown kernel type {kernel_spec['type']!r}")
-
+        kernel = _make_kernel(resolved["kernel"], dt)
         noise_spec = resolved["noise"]
         noise = (
             NoiseConfig(**{k: v for k, v in noise_spec.items() if k != "enabled"})

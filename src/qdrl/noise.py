@@ -21,12 +21,9 @@ matching one-sided periodogram, so white noise of variance v comes out flat at
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .pulse import ShapedTrace
-from .qcore import DeviceParams
 
 __all__ = [
     "NoiseConfig",
@@ -34,8 +31,6 @@ __all__ = [
     "sample_quasistatic",
     "sample_fast_trace",
     "sample_realization",
-    "apply_noise",
-    "apply_drift_noise",
     "psd_estimate",
     "HZ_IN_INVERSE_NS",
     "MEASURED_ANCHOR_V2_PER_HZ",
@@ -111,12 +106,6 @@ class NoiseRealization:
     delta_eps: np.ndarray
     fast: np.ndarray
 
-    @classmethod
-    def silence(cls, n_substeps: int, n_gradients: int = 3, n_channels: int = 3):
-        return cls(
-            np.zeros(n_gradients), np.zeros(n_channels), np.zeros((n_substeps, n_channels))
-        )
-
 
 def sample_quasistatic(
     config: NoiseConfig,
@@ -185,26 +174,6 @@ def sample_realization(
     delta_b, delta_eps = sample_quasistatic(config, rng, n_gradients, n_channels)
     fast = sample_fast_trace(n_substeps, dt, config, rng, n_channels)
     return NoiseRealization(delta_b, delta_eps, fast)
-
-
-def apply_noise(shaped: ShapedTrace, realization: NoiseRealization) -> ShapedTrace:
-    """Add slow offsets and the fast trace to a shaped detuning trace."""
-    vals = shaped.values
-    if realization.fast.shape != vals.shape:
-        raise ValueError(
-            f"fast trace shape {realization.fast.shape} does not match trace {vals.shape}"
-        )
-    if realization.delta_eps.shape != (vals.shape[1],):
-        raise ValueError("per-channel offset count does not match trace channels")
-    return ShapedTrace(vals + realization.delta_eps[None, :] + realization.fast, shaped.dt)
-
-
-def apply_drift_noise(params: DeviceParams, delta_b: np.ndarray) -> DeviceParams:
-    """Device parameters with hyperfine-shifted gradients (delta in j0 units)."""
-    delta_b = np.asarray(delta_b, dtype=float)
-    if delta_b.shape != (3,):
-        raise ValueError(f"expected 3 gradient offsets, got shape {delta_b.shape}")
-    return params.with_gradients(params.gradients + delta_b)
 
 
 def psd_estimate(samples: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ not load bearing on faith alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +37,13 @@ __all__ = [
     "DeviceParams",
     "exchange_coupling",
     "sector_hamiltonian",
-    "build_hamiltonian",
-    "single_qubit_hamiltonian",
     "step_propagator",
-    "trotter_evolve",
+    "propagate",
     "computational_block",
     "gate_fidelity",
     "nlif",
     "nlif_from_infidelity",
     "pauli_expectations",
-    "state_leakage",
     "block_leakage",
     "is_unitary",
     "haar_unitary",
@@ -97,9 +94,6 @@ class DeviceParams:
         """(b12, b23, b34) in units of j0."""
         return np.array([self.b12, self.b23, self.b34])
 
-    def with_gradients(self, gradients: np.ndarray) -> "DeviceParams":
-        b12, b23, b34 = (float(g) for g in gradients)
-        return replace(self, b12=b12, b23=b23, b34=b34)
 
 
 def _coupler_matrices() -> np.ndarray:
@@ -153,38 +147,6 @@ def sector_hamiltonian(j_couplings: np.ndarray, b_gradients: np.ndarray) -> np.n
     return h
 
 
-def build_hamiltonian(detunings: np.ndarray, params: DeviceParams) -> np.ndarray:
-    """H for detunings (eps12, eps23, eps34), units of eps0, shape (..., 3).
-
-    The global field b_field commutes with everything and carries zero weight
-    in the S_z = 0 sector, so it does not appear.
-    """
-    detunings = np.asarray(detunings, dtype=float)
-    j = exchange_coupling(detunings, params)
-    return sector_hamiltonian(j, params.j0 * params.gradients)
-
-
-def single_qubit_hamiltonian(
-    eps: np.ndarray | float, b: float, params: DeviceParams
-) -> np.ndarray:
-    """Two-level H = J(eps)/2 sigma_z + b/2 sigma_x for one singlet-triplet qubit.
-
-    b in units of j0. eps may carry leading batch axes (or a trailing length-1
-    channel axis, which is squeezed).
-    """
-    eps = np.asarray(eps, dtype=float)
-    if eps.ndim and eps.shape[-1] == 1:
-        eps = eps[..., 0]
-    j = exchange_coupling(eps, params)
-    bx = params.j0 * b
-    h = np.zeros(eps.shape + (2, 2), dtype=float)
-    h[..., 0, 0] = j / 2.0
-    h[..., 1, 1] = -j / 2.0
-    h[..., 0, 1] = bx / 2.0
-    h[..., 1, 0] = bx / 2.0
-    return h
-
-
 def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) via eigendecomposition; h may be a stack (..., n, n)."""
     h = np.asarray(h)
@@ -199,49 +161,28 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     return (v * phases[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def trotter_evolve(shaped, params: DeviceParams, dt: float | None = None) -> np.ndarray:
-    """Cumulative propagators of a piecewise-constant drive.
+def propagate(steps: np.ndarray, *, cumulative: bool = False) -> np.ndarray:
+    """Time-ordered product of step propagators, batched over leading axes.
 
-    shaped : a ShapedTrace (has .values (M, 3) and .dt) or a plain (M, 3)
-        array of detunings with dt given explicitly. Each row is held for one
-        substep, read as the field at the substep midpoint.
-    returns (M+1, 6, 6); index 0 is the identity, index m is the propagator
-    through the first m substeps, so index t*n is the boundary after segment t.
+    steps : (..., M, n, n), step m acting after steps 0..m-1, M >= 1
+    returns the final propagator steps[M-1] ... steps[0], shape (..., n, n),
+    or with cumulative=True the (..., M+1, n, n) stack whose index 0 is the
+    identity and whose index m is the propagator through the first m steps.
     """
-    values = getattr(shaped, "values", None)
-    if values is None:
-        values = np.asarray(shaped, dtype=float)
-    else:
-        dt = shaped.dt
-    if dt is None:
-        raise ValueError("dt required when passing a bare array")
-    steps = step_propagator(build_hamiltonian(values, params), dt)
-    m = steps.shape[0]
-    out = np.empty((m + 1,) + steps.shape[1:], dtype=complex)
+    steps = np.asarray(steps)
+    # iterate over the step axis as the leading one; the per-step env fold
+    # passes (M, n, n) and skips the moveaxis call
+    seq = steps if steps.ndim == 3 else np.moveaxis(steps, -3, 0)
+    if not cumulative:
+        u = seq[0]
+        for step in seq[1:]:
+            u = step @ u
+        return u
+    out = np.empty((len(seq) + 1,) + seq.shape[1:], dtype=steps.dtype)
     out[0] = np.eye(steps.shape[-1])
-    for i in range(m):
-        out[i + 1] = steps[i] @ out[i]
-    return out
-
-
-def evolve_final(
-    detunings: np.ndarray, b_gradients: np.ndarray, dt: float, j0: float = 1.0
-) -> np.ndarray:
-    """Final propagator only, batched over realizations.
-
-    detunings : (..., M, 3) in units of eps0
-    b_gradients : (..., 3) in units of j0, broadcast over substeps
-    returns (..., 6, 6). Used for noise-averaged terminal rewards where the
-    intermediate unitaries are not needed.
-    """
-    detunings = np.asarray(detunings, dtype=float)
-    b = j0 * np.asarray(b_gradients, dtype=float)
-    h = sector_hamiltonian(j0 * np.exp(detunings), b[..., None, :])
-    steps = step_propagator(h, dt)
-    u = steps[..., 0, :, :]
-    for m in range(1, steps.shape[-3]):
-        u = steps[..., m, :, :] @ u
-    return u
+    for m, step in enumerate(seq):
+        out[m + 1] = step @ out[m]
+    return np.moveaxis(out, 0, -3)
 
 
 def computational_block(u: np.ndarray, indices=COMP_INDICES) -> np.ndarray:
@@ -304,13 +245,6 @@ def pauli_expectations(states: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected sector states of dim {SIM_DIM}")
     vals = np.einsum("...i,qaij,...j->...qa", np.conj(states), _PAULIS, states)
     return np.real(vals)
-
-
-def state_leakage(states: np.ndarray) -> np.ndarray | float:
-    """Population outside the computational subspace for states (..., 6)."""
-    states = np.asarray(states)
-    leak = np.sum(np.abs(states[..., list(LEAK_INDICES)]) ** 2, axis=-1)
-    return float(leak) if leak.ndim == 0 else leak
 
 
 def block_leakage(u: np.ndarray) -> np.ndarray | float:

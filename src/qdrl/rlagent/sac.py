@@ -10,8 +10,8 @@ temperature is also supported).
 `train_loop` interleaves acting, replay writes, and one gradient update per
 environment step, with a uniform-random warmup, periodic deterministic
 evaluation, per-episode metric records, a divergence guard that snapshots the
-agent before aborting, and retry-with-logging for episodes whose tomography
-reward fails reconstruction.
+agent before aborting, and a bounded retry of episodes whose tomography reward
+fails reconstruction (counted in TrainResult.anchor_retries).
 """
 from __future__ import annotations
 

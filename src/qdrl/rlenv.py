@@ -70,6 +70,7 @@ from .qcore import (
     is_unitary,
     nlif,
     phase_gate_target,
+    propagate,
     sector_hamiltonian,
     step_propagator,
 )
@@ -384,14 +385,26 @@ class GateSynthesisEnv:
 
     def pulse_sequence(self) -> PulseSequence:
         """The full assembled protocol; only valid once the episode is done."""
-        if not self._done:
-            raise RuntimeError("episode still running; the pulse table is incomplete")
+        self._require_done()
         return assemble_sequence(
             self._to_detunings(self.actions_normalized),
             self.model.params,
             self.config.n_segments,
             self.config.sample_period,
         )
+
+    def shaped_detunings(self) -> np.ndarray:
+        """Shaped substep detunings of the full protocol, (n_substeps, C).
+
+        What the device sees through the kernel, noise excluded; only valid
+        once the episode is done.
+        """
+        self._require_done()
+        return self._shaped_prefix(include_tail=True)
+
+    def _require_done(self) -> None:
+        if not self._done:
+            raise RuntimeError("episode still running; the pulse table is incomplete")
 
     # ------------------------------------------------------------ evolution
 
@@ -417,22 +430,19 @@ class GateSynthesisEnv:
         # the kernel is causal, so rows [0, lo) are unchanged from previous
         # steps and the product only needs the new substeps
         fresh = shaped[lo:hi]
-        self._u_clean = self._fold(self.model.hamiltonians(fresh), self._u_clean)
+        self._u_clean = self._evolve(fresh) @ self._u_clean
         if self._track_noisy:
             noisy = (
                 fresh
                 + self._realization.delta_eps[None, :]
                 + self._realization.fast[lo:hi]
             )
-            h = self.model.hamiltonians(noisy, self._realization.delta_b)
-            self._u_noisy = self._fold(h, self._u_noisy)
+            self._u_noisy = self._evolve(noisy, self._realization.delta_b) @ self._u_noisy
         self._substeps_done = hi
 
-    def _fold(self, hamiltonians: np.ndarray, u: np.ndarray) -> np.ndarray:
-        steps = step_propagator(hamiltonians, self.config.dt)
-        for m in range(steps.shape[0]):
-            u = steps[m] @ u
-        return u
+    def _evolve(self, dets: np.ndarray, delta_b: np.ndarray | None = None) -> np.ndarray:
+        """Propagator through detuning substeps (..., M, C) -> (..., dim, dim)."""
+        return propagate(step_propagator(self.model.hamiltonians(dets, delta_b), self.config.dt))
 
     def _block(self, u: np.ndarray) -> np.ndarray:
         if self.config.sector_payload:
@@ -499,21 +509,18 @@ class GateSynthesisEnv:
     def _final_block(self, u: np.ndarray) -> np.ndarray:
         return u[..., self._block_idx[:, None], self._block_idx[None, :]]
 
-    def _final_shaped(self) -> np.ndarray:
-        return self._shaped_prefix(include_tail=True)
-
     def _noisy_final_blocks(self, count: int) -> np.ndarray:
         """Computational blocks of `count` fresh-noise evolutions, (count, d, d)."""
-        shaped = self._final_shaped()
         if self._noise is None:
-            blocks = self._final_block(self._evolve_batch(shaped[None]))
-            return np.broadcast_to(blocks, (count,) + blocks.shape[1:])
+            block = self._final_block(self._u_clean)
+            return np.broadcast_to(block, (count,) + block.shape)
+        shaped = self.shaped_detunings()
         out = []
         for start in range(0, count, _REWARD_CHUNK):
             r = min(_REWARD_CHUNK, count - start)
             delta_b, delta_eps, fast = self._draw_noise_batch(r, shaped.shape[0])
             dets = shaped[None] + delta_eps[:, None, :] + fast
-            out.append(self._final_block(self._evolve_batch(dets, delta_b)))
+            out.append(self._final_block(self._evolve(dets, delta_b)))
         return np.concatenate(out)
 
     def _draw_noise_batch(self, r: int, m: int):
@@ -533,19 +540,10 @@ class GateSynthesisEnv:
         fast = np.stack([z.fast for z in realizations])
         return delta_b, delta_eps, fast
 
-    def _evolve_batch(self, dets: np.ndarray, delta_b: np.ndarray | None = None):
-        """Final propagators for detuning batches (..., M, C) -> (..., dim, dim)."""
-        steps = step_propagator(self.model.hamiltonians(dets, delta_b), self.config.dt)
-        u = steps[..., 0, :, :]
-        for m in range(1, steps.shape[-3]):
-            u = steps[..., m, :, :] @ u
-        return u
-
     def _sample_protocol_snapshots(self, n_shots: int) -> tomography.MeasurementRecord:
         if self._noise is None:
-            block = self._final_block(self._evolve_batch(self._final_shaped()[None]))[0]
             return tomography.sample_snapshots(
-                block, n_shots, self._povm, self._rng, self._probes
+                self._final_block(self._u_clean), n_shots, self._povm, self._rng, self._probes
             )
         counts = None
         leaks = None

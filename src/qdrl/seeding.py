@@ -11,7 +11,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["named_stream", "spawn_seeds"]
+__all__ = ["named_stream"]
 
 
 def named_stream(seed: int, name: str) -> np.random.Generator:
@@ -23,8 +23,3 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
     tag = zlib.crc32(name.encode("utf-8"))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), tag))))
 
-
-def spawn_seeds(seed: int, name: str, count: int) -> list[int]:
-    """Derive `count` child seeds for per-episode / per-cell use."""
-    rng = named_stream(seed, name)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]

@@ -241,26 +241,22 @@ def sample_snapshots(
     source, n_shots: int, povm: PovmSet, rng: np.random.Generator,
     probes: np.ndarray | None = None,
 ) -> MeasurementRecord:
-    """Collect n_shots single-shot snapshots.
+    """Collect n_shots single-shot snapshots of one fixed (d, d) matrix.
 
-    source may be a fixed matrix (d, d), a stack of per-shot matrices
-    (n_shots, d, d), or a zero-argument callable returning one matrix per call
-    (fresh noise realization per shot). For a fixed matrix the (probe,
-    outcome) tally is a single multinomial and is drawn in one go.
+    The (probe, outcome) tally is a single multinomial and is drawn in one go;
+    sample_snapshots_batch takes one matrix per shot instead.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     if probes is None:
         probes = probe_states(povm.dim)
     d = povm.dim
-    if callable(source):
-        mats = np.stack([np.asarray(source()) for _ in range(n_shots)])
-        return sample_snapshots_batch(mats, povm, rng, probes)
     source = np.asarray(source)
-    if source.ndim == 3:
-        if source.shape[0] != n_shots:
-            raise ValueError(f"need one matrix per shot, got {source.shape[0]} for {n_shots}")
-        return sample_snapshots_batch(source, povm, rng, probes)
+    if source.shape != (d, d):
+        raise ValueError(
+            f"expected one {(d, d)} matrix, got shape {source.shape}; "
+            "use sample_snapshots_batch for one matrix per shot"
+        )
     table, leak = _probability_table(source, povm, probes)
     cells = np.concatenate([table, leak[:, None]], axis=1) / d
     flat = cells.ravel()

@@ -2,16 +2,9 @@
 
 Each class pins one headline capability of the toolkit, with tolerances fixed
 up front: analytic fidelity values, integrator order, noise spectra, the
-tomography error budget, exact gradients, trained-agent performance on the
-benchmark control tasks, and the consistency of the measurement-limited reward
-with the exact one. Training-based checks run at desk scale (small networks,
-reduced budgets) and pin qualitative targets plus the concrete numbers those
-budgets were calibrated to reach; everything else is exact or statistical with
-explicit windows.
-
-The suite is intentionally slow (tens of minutes to hours for the training
-classes); run `pytest tests/test_acceptance.py -v` on its own when iterating
-elsewhere.
+tomography error budget, exact gradients, and the consistency of the
+measurement-limited reward with the exact one. Every check is exact or
+statistical with explicit windows.
 """
 from __future__ import annotations
 
@@ -32,7 +25,7 @@ from qdrl.rlagent.nets import (
     QuantileCritic,
     quantile_huber_loss,
 )
-from qdrl.rlenv import EnvConfig, GateSynthesisEnv, single_qubit_env
+from qdrl.rlenv import EnvConfig, GateSynthesisEnv, TwoQubitModel, single_qubit_env
 from qdrl.seeding import named_stream
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -69,9 +62,13 @@ class TestAnalyticFidelity:
 
 class TestTrotterOrder:
     def test_error_ratio_is_second_order(self):
-        params = qcore.DeviceParams()
+        model = TwoQubitModel(qcore.DeviceParams())
         total = 4.0
         ratios = []
+
+        def final(dets, dt):
+            return qcore.propagate(qcore.step_propagator(model.hamiltonians(dets), dt))
+
         for seed in range(12):
             rng = np.random.default_rng(1000 + seed)
             coeffs = rng.normal(size=(3, 3)) * 0.8
@@ -81,9 +78,9 @@ class TestTrotterOrder:
                 phases = 2 * np.pi * np.outer(t / total, [1, 2, 3])
                 return np.clip(np.sin(phases) @ coeffs.T - 1.0, -5.4, 2.4)
 
-            ref = qcore.trotter_evolve(trace(64 * 48), params, dt=total / (64 * 48))[-1]
+            ref = final(trace(64 * 48), dt=total / (64 * 48))
             errs = [
-                np.abs(qcore.trotter_evolve(trace(m), params, dt=total / m)[-1] - ref).max()
+                np.abs(final(trace(m), dt=total / m) - ref).max()
                 for m in (48, 96)
             ]
             ratios.append(errs[0] / errs[1])

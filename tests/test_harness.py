@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from qdrl.harness import (
     write_protocol,
     write_records,
 )
+from qdrl.harness.cli import _build_parser
 from qdrl.harness.cli import main as cli_main
 from qdrl.qcore import DeviceParams
 from qdrl.tomography import SigmaShotsMap
@@ -494,12 +499,23 @@ class TestScaleSweepCommand:
         rows = {row["scale"]: row for row in summary["rows"]}
         assert abs(rows[1.0]["hyperfine"] - nf) > abs(rows[4.0]["hyperfine"] - nf)
 
-    def test_time_energy_leaves_noise_free_gate_invariant(self, outdir):
+    @pytest.mark.parametrize("kernel_type", ["delta", "gaussian", "file"])
+    def test_time_energy_leaves_noise_free_gate_invariant(self, outdir, kernel_type):
         # with noise amplitudes ~0 every column measures the noise-free gate,
         # which the energy*k / time/k rescaling must not move (this covers the
-        # two-qubit device, whose gradient energies are stored in units of j0)
+        # two-qubit device, whose gradient energies are stored in units of j0,
+        # and each kernel source, whose response must be compressed in time)
+        kernel = {"type": kernel_type}
+        if kernel_type == "gaussian":
+            kernel.update(mean_delay=1.0, stddev=0.3)
+        elif kernel_type == "file":
+            t = np.linspace(0.0, 3.0, 31)
+            path = outdir / "kernel.txt"
+            path.write_text("".join(f"{x} {x * np.exp(-2.0 * x)}\n" for x in t))
+            kernel.update(path=str(path))
         cfg = config_from_dict(tiny_raw(
             device={"type": "two_qubit"},
+            kernel=kernel,
             noise={"enabled": True, "sigma_b": 1e-12, "sigma_eps": 1e-12,
                    "fast_amplitude": 0.0},
             scale_sweep={"scales": [1.0, 8.0], "mode": "time_energy",
@@ -542,6 +558,27 @@ class TestTomoCalibrateCommand:
 
 
 class TestCli:
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Experiment harness", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        lines = [l.split("#", 1)[0] for l in block.splitlines() if l.startswith("qdrl ")]
+        assert len(lines) == 7
+        for line in lines:
+            args = _build_parser().parse_args(shlex.split(line)[1:])
+            assert args.config == "config.yaml"
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--workers", "2"],
+        ["sweep", "--workers", "0"],
+        ["sweep", "--workers", str(len(os.sched_getaffinity(0)) + 1)],
+    ])
+    def test_workers_only_on_sweep_and_bounded_by_cores(self, argv):
+        # parsing alone: no command runs, so no process pool is started
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv + ["--config", "exp.yaml"])
+        assert exc.value.code == 2
+
     def _config_file(self, tmp_path, raw=None):
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(raw or tiny_raw(budget_episodes=1)))

@@ -1,0 +1,53 @@
+"""The physics stack does not know the agent exists, and neither knows the harness."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parents[1] / "src" / "qdrl"
+
+PHYSICS = ["qcore", "pulse", "noise", "tomography", "seeding", "rlenv"]
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Absolute names of the qdrl modules a source file imports."""
+    package = ["qdrl", *path.relative_to(SRC).parent.parts]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def files_of(layer: str) -> list[Path]:
+    return [SRC / f"{layer}.py"] if (SRC / f"{layer}.py").exists() else sorted(
+        (SRC / layer).glob("*.py")
+    )
+
+
+def test_imports_resolve_relative_to_the_package():
+    # rlagent/sac.py reaches tomography through "from ..tomography import ..."
+    assert "qdrl.tomography" in imported_modules(SRC / "rlagent" / "sac.py")
+    assert "qdrl.rlagent" in imported_modules(SRC / "harness" / "config.py")
+
+
+@pytest.mark.parametrize("layer,forbidden", [
+    *[(name, ("qdrl.rlagent", "qdrl.harness")) for name in PHYSICS],
+    ("rlagent", ("qdrl.harness",)),
+])
+def test_layer_does_not_import_upward(layer, forbidden):
+    files = files_of(layer)
+    assert files
+    for path in files:
+        bad = sorted(
+            name for name in imported_modules(path)
+            if any(name == f or name.startswith(f + ".") for f in forbidden)
+        )
+        assert not bad, f"{path.relative_to(SRC)} imports {bad}"

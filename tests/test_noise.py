@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from qdrl import noise
-from qdrl.pulse import ShapedTrace
-from qdrl.qcore import DeviceParams
 from qdrl.seeding import named_stream
 
 
@@ -147,37 +145,6 @@ class TestPsdEstimate:
             noise.psd_estimate(np.zeros((4, 4)), 0.1)
         with pytest.raises(ValueError):
             noise.psd_estimate(np.zeros(1), 0.1)
-
-
-class TestApplication:
-    def test_apply_noise_adds_components(self):
-        shaped = ShapedTrace(np.zeros((10, 3)), 0.5)
-        real = noise.NoiseRealization(
-            np.zeros(3), np.array([0.1, -0.2, 0.3]), np.full((10, 3), 0.01)
-        )
-        out = noise.apply_noise(shaped, real)
-        np.testing.assert_allclose(out.values[:, 0], 0.11)
-        np.testing.assert_allclose(out.values[:, 1], -0.19)
-        np.testing.assert_allclose(out.values[:, 2], 0.31)
-
-    def test_apply_noise_shape_checks(self):
-        shaped = ShapedTrace(np.zeros((10, 3)), 0.5)
-        bad = noise.NoiseRealization(np.zeros(3), np.zeros(3), np.zeros((9, 3)))
-        with pytest.raises(ValueError):
-            noise.apply_noise(shaped, bad)
-
-    def test_apply_drift_noise(self):
-        params = DeviceParams()
-        shifted = noise.apply_drift_noise(params, np.array([0.01, -0.02, 0.03]))
-        np.testing.assert_allclose(shifted.gradients, [1.01, 6.98, -0.97])
-        # original untouched
-        np.testing.assert_allclose(params.gradients, [1.0, 7.0, -1.0])
-
-    def test_silence_realization(self):
-        real = noise.NoiseRealization.silence(32)
-        shaped = ShapedTrace(np.random.default_rng(13).normal(size=(32, 3)), 0.1)
-        out = noise.apply_noise(shaped, real)
-        np.testing.assert_array_equal(out.values, shaped.values)
 
 
 def test_named_streams_are_uncorrelated():

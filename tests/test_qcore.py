@@ -1,6 +1,7 @@
 """Checks of the sector Hamiltonian against the full four-spin model."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdrl import qcore
+from qdrl.rlenv import TwoQubitModel
 
 # Full-space basis: |s1 s2 s3 s4>, s = 0 for up, 1 for down, dot 1 most
 # significant. The six S_z = 0 sector states in package order.
@@ -47,6 +49,17 @@ def full_space_hamiltonian(detunings, params: qcore.DeviceParams) -> np.ndarray:
     return h
 
 
+def hamiltonian(detunings, params: qcore.DeviceParams) -> np.ndarray:
+    return TwoQubitModel(params).hamiltonians(detunings)
+
+
+def trotter(detunings, params: qcore.DeviceParams, dt: float) -> np.ndarray:
+    """Cumulative propagators of a piecewise-constant drive, (M+1, 6, 6)."""
+    return qcore.propagate(
+        qcore.step_propagator(hamiltonian(detunings, params), dt), cumulative=True
+    )
+
+
 @pytest.fixture
 def params() -> qcore.DeviceParams:
     return qcore.DeviceParams()
@@ -58,7 +71,7 @@ def test_sector_matrices_match_full_space(params):
         dets = rng.uniform(params.eps_min, params.eps_max, size=3)
         full = full_space_hamiltonian(dets, params)
         restricted = full[np.ix_(SECTOR_INDICES, SECTOR_INDICES)]
-        small = qcore.build_hamiltonian(dets, params)
+        small = hamiltonian(dets, params)
         np.testing.assert_allclose(restricted, small, atol=1e-10)
 
 
@@ -67,7 +80,7 @@ def test_global_field_is_silent_in_sector():
     shifted = qcore.DeviceParams(b_field=1.7)
     dets = np.array([0.3, -1.0, 2.0])
     np.testing.assert_allclose(
-        qcore.build_hamiltonian(dets, base), qcore.build_hamiltonian(dets, shifted)
+        hamiltonian(dets, base), hamiltonian(dets, shifted)
     )
     # and in the full space it is a multiple of total S_z, zero on the sector
     full = full_space_hamiltonian(dets, shifted) - full_space_hamiltonian(dets, base)
@@ -108,10 +121,10 @@ def test_device_params_validation():
 def test_hamiltonian_is_hermitian_and_batched(params):
     rng = np.random.default_rng(11)
     dets = rng.uniform(-5.4, 2.4, size=(4, 5, 3))
-    h = qcore.build_hamiltonian(dets, params)
+    h = hamiltonian(dets, params)
     assert h.shape == (4, 5, 6, 6)
     np.testing.assert_allclose(h, np.swapaxes(h, -1, -2).conj(), atol=1e-14)
-    one = qcore.build_hamiltonian(dets[2, 3], params)
+    one = hamiltonian(dets[2, 3], params)
     np.testing.assert_allclose(one, h[2, 3])
 
 
@@ -120,7 +133,7 @@ class TestStepPropagator:
         rng = np.random.default_rng(5)
         for _ in range(10):
             dets = rng.uniform(-5.4, 2.4, size=3)
-            h = qcore.build_hamiltonian(dets, params)
+            h = hamiltonian(dets, params)
             dt = float(rng.uniform(0.01, 0.5))
             u = qcore.step_propagator(h, dt)
             ref = scipy.linalg.expm(-1j * dt * h)
@@ -128,7 +141,7 @@ class TestStepPropagator:
 
     def test_unitarity(self, params):
         rng = np.random.default_rng(6)
-        h = qcore.build_hamiltonian(rng.uniform(-5, 2, size=(30, 3)), params)
+        h = hamiltonian(rng.uniform(-5, 2, size=(30, 3)), params)
         u = qcore.step_propagator(h, 0.2)
         dev = np.abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(6)).max()
         assert dev < 1e-12
@@ -140,7 +153,7 @@ class TestStepPropagator:
             qcore.step_propagator(h, 0.1)
 
     def test_rejects_nonpositive_dt(self, params):
-        h = qcore.build_hamiltonian(np.zeros(3), params)
+        h = hamiltonian(np.zeros(3), params)
         with pytest.raises(ValueError):
             qcore.step_propagator(h, 0.0)
         with pytest.raises(ValueError):
@@ -151,15 +164,15 @@ class TestTrotterEvolve:
     def test_piecewise_constant_is_exact(self, params):
         # a single held value is just one matrix exponential
         dets = np.tile([[0.5, -2.0, 1.0]], (8, 1))
-        u = qcore.trotter_evolve(dets, params, dt=0.125)
-        h = qcore.build_hamiltonian(dets[0], params)
+        u = trotter(dets, params, dt=0.125)
+        h = hamiltonian(dets[0], params)
         ref = scipy.linalg.expm(-1j * 1.0 * h)
         np.testing.assert_allclose(u[-1], ref, atol=1e-10)
 
     def test_shape_identity_and_unitarity(self, params):
         rng = np.random.default_rng(9)
         dets = rng.uniform(-5.4, 2.4, size=(40, 3))
-        u = qcore.trotter_evolve(dets, params, dt=0.05)
+        u = trotter(dets, params, dt=0.05)
         assert u.shape == (41, 6, 6)
         np.testing.assert_allclose(u[0], np.eye(6), atol=0)
         dev = np.abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(6)).max()
@@ -178,10 +191,10 @@ class TestTrotterEvolve:
             phases = 2 * np.pi * np.outer(t / total, [1, 2, 3])
             return np.clip(np.sin(phases) @ coeffs.T - 1.0, -5.4, 2.4)
 
-        ref = qcore.trotter_evolve(trace(64 * 40), params, dt=total / (64 * 40))[-1]
+        ref = trotter(trace(64 * 40), params, dt=total / (64 * 40))[-1]
         errs = []
         for m in (40, 80):
-            u = qcore.trotter_evolve(trace(m), params, dt=total / m)[-1]
+            u = trotter(trace(m), params, dt=total / m)[-1]
             errs.append(np.abs(u - ref).max())
         ratio = errs[0] / errs[1]
         assert 3.0 < ratio < 5.0
@@ -189,11 +202,14 @@ class TestTrotterEvolve:
     def test_evolve_final_matches_cumulative(self, params):
         rng = np.random.default_rng(13)
         dets = rng.uniform(-5.4, 2.4, size=(6, 25, 3))
-        grads = params.gradients + rng.normal(0, 0.01, size=(6, 3))
-        batch = qcore.evolve_final(dets, grads, dt=0.1, j0=params.j0)
+        delta_b = rng.normal(0, 0.01, size=(6, 3))
+        h = TwoQubitModel(params).hamiltonians(dets, delta_b)
+        batch = qcore.propagate(qcore.step_propagator(h, 0.1))
         assert batch.shape == (6, 6, 6)
         for k in range(6):
-            u = qcore.trotter_evolve(dets[k], params.with_gradients(grads[k]), dt=0.1)
+            b12, b23, b34 = params.gradients + delta_b[k]
+            shifted = dataclasses.replace(params, b12=b12, b23=b23, b34=b34)
+            u = trotter(dets[k], shifted, dt=0.1)
             np.testing.assert_allclose(batch[k], u[-1], atol=1e-11)
 
 
@@ -277,7 +293,7 @@ class TestPauliExpectations:
             psi = rng.normal(size=6) + 1j * rng.normal(size=6)
             psi /= np.linalg.norm(psi)
             vals = qcore.pauli_expectations(psi)
-            pop = 1.0 - qcore.state_leakage(psi)
+            pop = 1.0 - np.sum(np.abs(psi[list(qcore.LEAK_INDICES)]) ** 2)
             norms = np.linalg.norm(vals, axis=-1)
             assert np.all(norms <= pop + 1e-9)
 

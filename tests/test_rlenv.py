@@ -18,7 +18,8 @@ from qdrl.qcore import (
     computational_block,
     nlif,
     phase_gate_target,
-    trotter_evolve,
+    propagate,
+    step_propagator,
 )
 from qdrl.rlenv import (
     EnvConfig,
@@ -26,6 +27,7 @@ from qdrl.rlenv import (
     ObservationMode,
     RewardMode,
     SingleQubitModel,
+    TwoQubitModel,
     single_qubit_env,
 )
 
@@ -41,6 +43,12 @@ def random_actions(env, seed=0):
     return rng.uniform(-1.0, 1.0, size=(env.config.n_actions, env.config.n_channels))
 
 
+def final_propagator(shaped, params):
+    """Ordered product of the exact substep exponentials of a shaped trace."""
+    h = TwoQubitModel(params).hamiltonians(shaped.values)
+    return propagate(step_propagator(h, shaped.dt))
+
+
 def standalone_nlif(actions_norm, config, kernel=None):
     """The reference qcore+pulse pipeline, assembled by hand."""
     params = config.device
@@ -48,7 +56,7 @@ def standalone_nlif(actions_norm, config, kernel=None):
     seq = assemble_sequence(eps, params, config.n_segments, config.sample_period)
     kernel = kernel if kernel is not None else delta_kernel(config.dt)
     shaped = convolve(oversample(seq, config.oversample), kernel, baseline=params.eps_min)
-    u = trotter_evolve(shaped, params)[-1]
+    u = final_propagator(shaped, params)
     return nlif(computational_block(u), cnot_target())
 
 
@@ -191,6 +199,20 @@ class TestEpisodeLifecycle:
         expected = p.eps_min + (acts + 1) / 2 * (p.eps_max - p.eps_min)
         np.testing.assert_allclose(seq.amplitudes[: -TAIL_SEGMENTS], expected)
 
+    def test_shaped_detunings_only_after_done(self):
+        kernel = gaussian_kernel(1.0, 0.3, EnvConfig(**QUIET).dt)
+        env = small_env(seed=6, kernel=kernel)
+        acts = random_actions(env, seed=6)
+        env.reset(seed=6)
+        env.step(acts[0])
+        with pytest.raises(RuntimeError, match="incomplete"):
+            env.shaped_detunings()
+        env.rollout(acts, seed=6)
+        params = env.config.device
+        shaped = convolve(oversample(env.pulse_sequence(), env.config.oversample), kernel,
+                          baseline=params.eps_min)
+        np.testing.assert_array_equal(env.shaped_detunings(), shaped.values)
+
 
 class TestPipelineEquivalence:
     def test_noise_free_matches_standalone_chain(self):
@@ -235,7 +257,7 @@ class TestPipelineEquivalence:
                 kernel,
                 baseline=params.eps_min,
             )
-            ref = computational_block(trotter_evolve(shaped, params)[-1])
+            ref = computational_block(final_propagator(shaped, params))
             np.testing.assert_allclose(payload, ref, atol=1e-10)
 
 

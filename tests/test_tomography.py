@@ -168,14 +168,6 @@ class TestSampledRecords:
         with pytest.raises(ValueError, match="one matrix per shot"):
             tomo.sample_snapshots(mats, 63, povm, rng)
 
-    def test_callable_source(self):
-        rng = np.random.default_rng(6)
-        povm = tomo.build_povm(2)
-        u = haar_unitary(2, rng)
-        record = tomo.sample_snapshots(lambda: u, 128, povm, rng)
-        assert record.n_shots == 128
-        assert record.counts.sum() == 128
-
     def test_sampled_reconstruction_accuracy_d2(self):
         rng = np.random.default_rng(8)
         povm = tomo.build_povm(2)
