@@ -24,7 +24,7 @@ from ..seeding import named_stream
 from ..tomography import calibrate_sigma_to_shots
 from .config import ConfigError, ExperimentConfig, config_from_dict
 from .protocol import read_protocol, write_protocol
-from .records import EpisodeRecord
+from .records import EpisodeRecord, write_records
 
 __all__ = [
     "cmd_train",
@@ -126,6 +126,14 @@ def cmd_train(config: ExperimentConfig, out: Path | None = None) -> dict:
 # ------------------------------------------------------------------ evaluate
 
 
+def _load_agent(config: ExperimentConfig, checkpoint: Path) -> SacAgent:
+    """Load a checkpoint saved under this config's agent settings."""
+    try:
+        return SacAgent.load(checkpoint, expected_config=config.agent)
+    except (ValueError, FileNotFoundError) as err:
+        raise ConfigError(f"incompatible or unreadable checkpoint {checkpoint}: {err}") from err
+
+
 def _percentiles(values: np.ndarray) -> dict:
     return {
         "mean": float(np.mean(values)),
@@ -145,22 +153,19 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path, episodes: int | Non
     """
     out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     episodes = episodes if episodes is not None else config.resolved["evaluate"]["episodes"]
-    try:
-        agent = SacAgent.load(checkpoint, expected_config=config.agent)
-    except (ValueError, FileNotFoundError) as err:
-        raise ConfigError(f"incompatible or unreadable checkpoint {checkpoint}: {err}") from err
+    agent = _load_agent(config, checkpoint)
 
     eval_env_cfg = dataclasses.replace(config.env, reward_mode="sparse")
     seed = config.seeds[0]
 
     # Frozen table: one noise-free closed-loop rollout of the deterministic policy.
-    clean_env = config.make_env(seed, noise_override=None, env_override=eval_env_cfg)
+    clean_env = config.make_env(seed, dataclasses.replace(eval_env_cfg, noise=None))
     obs = clean_env.reset(seed)
     while not clean_env.done:
         obs = clean_env.step(agent.act(obs, deterministic=True)).observation
     frozen_actions = clean_env.actions_normalized
 
-    env = config.make_env(seed, env_override=eval_env_cfg)
+    env = config.make_env(seed, eval_env_cfg)
     env.reset(seed)
     dynamic, frozen = [], []
     records = []
@@ -177,9 +182,7 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path, episodes: int | Non
             leakage=info["leakage"], wall_time_ms=0.0, config_hash=config.hash,
             extras={"frozen_nlif": frozen[-1]},
         ))
-    with open(out / "evaluate.jsonl", "w") as fh:
-        for record in records:
-            fh.write(record.to_json() + "\n")
+    write_records(out / "evaluate.jsonl", records)
 
     dynamic, frozen = np.array(dynamic), np.array(frozen)
     summary = {
@@ -203,7 +206,7 @@ def _run_sweep_cell(resolved: dict, protocol_time: float, n_segments: int,
     config = config_from_dict(resolved)
     cell = {"protocol_time": protocol_time, "n_segments": n_segments, "seed": seed}
     try:
-        env = config.make_env(seed, env_override=config.env_for(protocol_time, n_segments))
+        env = config.make_env(seed, config.env_for(protocol_time, n_segments))
         agent = config.make_agent(env, seed)
         train_loop(env, agent, budget, seed=seed)
         final = evaluate_policy(env, agent, n_eval)
@@ -259,14 +262,10 @@ def protocol_to_actions(detunings: np.ndarray, config: ExperimentConfig) -> np.n
     return 2.0 * (detunings[:-4] - device.eps_min) / span - 1.0
 
 
-def simulate_protocol(config: ExperimentConfig, detunings: np.ndarray,
-                      env_cfg=None, seed: int = 0) -> float:
-    """Terminal NLIF of a fixed protocol table on a fresh (noise-free) env."""
-    env_cfg = env_cfg if env_cfg is not None else dataclasses.replace(
-        config.env, reward_mode="sparse", noise=None
-    )
-    env = config.make_env(seed, env_override=env_cfg)
-    return float(env.rollout(protocol_to_actions(detunings, config), seed).info["nlif"])
+def simulate_protocol(config: ExperimentConfig, detunings: np.ndarray) -> float:
+    """Terminal NLIF of a fixed protocol table on a fresh noise-free env."""
+    env = config.make_env(0, dataclasses.replace(config.env, reward_mode="sparse", noise=None))
+    return float(env.rollout(protocol_to_actions(detunings, config), 0).info["nlif"])
 
 
 _NOISE_SUBSETS = {
@@ -301,10 +300,7 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
     base_noise = config.env.noise or NoiseConfig()
     seed = config.seeds[0]
 
-    clean_env = config.make_env(seed, env_override=dataclasses.replace(
-        config.env, reward_mode="sparse", noise=None))
-    clean_env.reset(seed)
-    noise_free = float(10.0 ** -clean_env.rollout(actions).info["nlif"])
+    noise_free = float(10.0 ** -simulate_protocol(config, detunings))
 
     curves = list(_NOISE_SUBSETS) + ["all"]
     rows = []
@@ -340,7 +336,7 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
                     config.env, device=device, reward_mode="sparse", noise=noise,
                     protocol_time=config.env.protocol_time / k, kernel=kernel,
                 )
-            env = config.make_env(seed, env_override=env_cfg)
+            env = config.make_env(seed, env_cfg)
             env.reset(seed)
             nlifs = np.array([env.rollout(actions).info["nlif"] for _ in range(realizations)])
             row[name] = float(np.mean(10.0 ** -nlifs))
@@ -377,8 +373,8 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
     detunings, _ = read_protocol(protocol_path)
     actions = protocol_to_actions(detunings, config)
 
-    env = config.make_env(config.seeds[0], noise_override=None,
-                          env_override=dataclasses.replace(config.env, reward_mode="sparse"))
+    env = config.make_env(config.seeds[0],
+                          dataclasses.replace(config.env, reward_mode="sparse", noise=None))
     model = env.model
     nlif_final = float(env.rollout(actions, config.seeds[0]).info["nlif"])
     shaped = env.shaped_detunings()
@@ -411,7 +407,7 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
     device = config.device
     span = device.eps_max - device.eps_min
     fluence = float(np.sum((shaped - device.eps_min) ** 2) * dt)
-    fluence_max = span**2 * env.config.protocol_time * env.config.n_channels
+    fluence_max = span**2 * env.config.protocol_time * env.n_channels
     summary = {
         "config_hash": config.hash,
         "initial_state": label,
@@ -457,16 +453,13 @@ def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
                         noise_seed: int | None = None, out: Path | None = None) -> dict:
     """Roll out the deterministic policy and write its pulse table in mV."""
     out = _ensure_dir(Path(out) if out is not None else config.output_dir)
-    try:
-        agent = SacAgent.load(checkpoint, expected_config=config.agent)
-    except (ValueError, FileNotFoundError) as err:
-        raise ConfigError(f"incompatible or unreadable checkpoint {checkpoint}: {err}") from err
+    agent = _load_agent(config, checkpoint)
     eval_cfg = dataclasses.replace(config.env, reward_mode="sparse")
     if noise_seed is None:
-        env = config.make_env(config.seeds[0], noise_override=None, env_override=eval_cfg)
+        env = config.make_env(config.seeds[0], dataclasses.replace(eval_cfg, noise=None))
         reset_seed = config.seeds[0]
     else:
-        env = config.make_env(noise_seed, env_override=eval_cfg)
+        env = config.make_env(noise_seed, eval_cfg)
         reset_seed = noise_seed
     obs = env.reset(reset_seed)
     info: dict = {}

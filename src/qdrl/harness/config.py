@@ -174,18 +174,19 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------ factories
 
-    def make_env(self, seed: int, *, noise_override: "NoiseConfig | None | str" = "keep",
-                 env_override: EnvConfig | None = None) -> GateSynthesisEnv:
-        """Fresh environment for one run; override noise with None to mute it."""
-        env_cfg = env_override if env_override is not None else self.env
-        if noise_override != "keep":
-            env_cfg = dataclasses.replace(env_cfg, noise=noise_override)
+    def make_env(self, seed: int, env: EnvConfig | None = None) -> GateSynthesisEnv:
+        """Fresh environment for one run on the configured device.
+
+        env replaces the configured EnvConfig (callers derive it with
+        dataclasses.replace, e.g. noise=None to mute noise).
+        """
+        env = env if env is not None else self.env
         if self.device_type == "single_qubit":
-            return single_qubit_env(env_cfg, b=self.resolved["device"]["b"], seed=seed)
-        return GateSynthesisEnv(env_cfg, seed=seed)
+            return single_qubit_env(env, b=self.resolved["device"]["b"], seed=seed)
+        return GateSynthesisEnv(env, seed=seed)
 
     def make_agent(self, env: GateSynthesisEnv, seed: int) -> SacAgent:
-        return SacAgent(env.observation_size, env.config.n_channels, self.agent, seed=seed)
+        return SacAgent(env.observation_size, env.n_channels, self.agent, seed=seed)
 
     def env_for(self, protocol_time: float, n_segments: int) -> EnvConfig:
         """The env config re-gridded for a sweep cell (kernel rebuilt on new dt)."""
@@ -232,7 +233,6 @@ def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
     if device_type not in ("two_qubit", "single_qubit"):
         raise ConfigError(f"device type must be two_qubit or single_qubit, got {device_type!r}")
     device = DeviceParams()
-    n_channels = 1 if device_type == "single_qubit" else 3
 
     env_spec = resolved["env"]
     try:
@@ -250,7 +250,6 @@ def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
             protocol_time=float(env_spec["protocol_time"]),
             n_segments=int(env_spec["n_segments"]),
             oversample=int(env_spec["oversample"]),
-            n_channels=n_channels,
             observation_mode=env_spec["observation_mode"],
             reward_mode=env_spec["reward_mode"],
             noise=noise,

@@ -82,11 +82,10 @@ def read_records(path) -> list[EpisodeRecord]:
     return out
 
 
-def records_equal(a: EpisodeRecord, b: EpisodeRecord,
-                  ignore: tuple[str, ...] = VOLATILE_FIELDS) -> bool:
-    """Field-wise equality, skipping volatile (timing) fields."""
+def records_equal(a: EpisodeRecord, b: EpisodeRecord) -> bool:
+    """Field-wise equality, skipping the volatile (timing) fields."""
     da, db = dict(a.__dict__), dict(b.__dict__)
-    for key in ignore:
+    for key in VOLATILE_FIELDS:
         da.pop(key, None)
         db.pop(key, None)
     return da == db

@@ -33,6 +33,9 @@ __all__ = [
 LOGVAR_MIN = -15.0
 LOGVAR_MAX = 4.0
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+# Adam moment decay rates and denominator offset
+_ADAM_BETA1, _ADAM_BETA2 = 0.9, 0.999
+_ADAM_EPS = 1e-8
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -342,10 +345,11 @@ class QuantileCritic:
         _zero_all(self.grads())
 
 
-def quantile_huber_loss(z: np.ndarray, targets: np.ndarray, kappa: float = 1.0):
+def quantile_huber_loss(z: np.ndarray, targets: np.ndarray):
     """Quantile Huber regression of predictions (B, K) onto targets (B, J).
 
-    Quantile levels are the midpoints tau_k = (k + 1/2)/K. Returns the scalar
+    Quantile levels are the midpoints tau_k = (k + 1/2)/K; the Huber loss
+    turns from quadratic to linear at |delta| = 1. Returns the scalar
     loss (mean over batch, prediction quantiles, and target atoms) and its
     gradient with respect to z.
     """
@@ -356,25 +360,25 @@ def quantile_huber_loss(z: np.ndarray, targets: np.ndarray, kappa: float = 1.0):
     taus = (np.arange(k) + 0.5) / k
     delta = targets[:, None, :] - z[:, :, None]  # (B, K, J)
     abs_delta = np.abs(delta)
-    quad = abs_delta <= kappa
-    huber = np.where(quad, 0.5 * delta**2, kappa * (abs_delta - 0.5 * kappa))
+    huber = np.where(abs_delta <= 1.0, 0.5 * delta**2, abs_delta - 0.5)
     weight = np.abs(taus[None, :, None] - (delta < 0.0))
     loss = float(np.mean(weight * huber))
-    # d huber / d delta = clip(delta, -kappa, kappa); d delta / dz = -1
-    dz = -(weight * np.clip(delta, -kappa, kappa)).sum(axis=2) / (b * k * j)
+    # d huber / d delta = clip(delta, -1, 1); d delta / dz = -1
+    dz = -(weight * np.clip(delta, -1.0, 1.0)).sum(axis=2) / (b * k * j)
     return loss, dz
 
 
 class Adam:
-    """Adam over a fixed list of parameter arrays, updated in place."""
+    """Adam over a fixed list of parameter arrays, updated in place.
 
-    def __init__(self, params, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    Moment decay rates (0.9, 0.999) and denominator offset 1e-8 are fixed.
+    """
+
+    def __init__(self, params, lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
@@ -384,12 +388,12 @@ class Adam:
         if len(grads) != len(self.params):
             raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        correct1 = 1.0 - _ADAM_BETA1**self.t
+        correct2 = 1.0 - _ADAM_BETA2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g**2
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            m[...] = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
+            v[...] = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g**2
+            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
 
     def state_arrays(self):
         """Optimizer state for checkpointing: moments plus the step counter."""

@@ -406,7 +406,9 @@ def train_loop(
     aborts training, saving a diagnostic checkpoint first if a path is given.
     `on_episode` receives each episode record as it is produced; returning a
     truthy value stops training after that episode (periodic evaluations and
-    the episode counter still run for it).
+    the episode counter still run for it). Periodic evaluations run on a copy
+    of `env` with its own seed, so evaluating leaves the training episodes
+    unchanged.
     """
     cfg = agent.config
     replay = ReplayBuffer(cfg.replay_capacity, agent.obs_dim, agent.act_dim)
@@ -415,6 +417,9 @@ def train_loop(
     result = TrainResult()
     global_step = 0
     consecutive_retries = 0
+    if eval_every:
+        eval_env = copy.deepcopy(env)
+        eval_env.reset(int(named_stream(seed, "eval").integers(2**63)))
 
     obs = env.reset(seed)
     episode = 0
@@ -475,7 +480,7 @@ def train_loop(
         stop = bool(on_episode(record)) if on_episode is not None else False
         episode += 1
         if eval_every and episode % eval_every == 0:
-            entry = evaluate_policy(env, agent, n_eval_episodes)
+            entry = evaluate_policy(eval_env, agent, n_eval_episodes)
             entry["episode"] = episode
             result.evals.append(entry)
         obs = env.reset()

@@ -27,7 +27,12 @@ first mode, the current pulse amplitudes):
 "Actual evolution" means noisy when a noise model is configured and clean
 otherwise. Unitary payloads are the flattened real and imaginary parts of the
 computational block (the full sector matrix behind `sector_payload`, for
-ablations).
+ablations); the per-step info NLIF and leakage always score the
+computational block.
+
+The device model fixes the channel count (`GateSynthesisEnv.n_channels`):
+three detuning channels for the two-qubit device, one for the single-qubit
+benchmark.
 
 Reward modes, all computed at the terminal step:
 
@@ -66,6 +71,7 @@ from .qcore import (
     DeviceParams,
     block_leakage,
     cnot_target,
+    computational_block,
     exchange_coupling,
     is_unitary,
     nlif,
@@ -191,7 +197,6 @@ class EnvConfig:
     protocol_time: float = 50.0
     n_segments: int = 50
     oversample: int = 10
-    n_channels: int = 3
     target: np.ndarray | None = None
     observation_mode: ObservationMode = ObservationMode.U_PLUS_PULSE
     reward_mode: RewardMode = RewardMode.SPARSE
@@ -212,8 +217,6 @@ class EnvConfig:
             raise ValueError(f"protocol_time must be positive, got {self.protocol_time}")
         if self.oversample < 1:
             raise ValueError(f"oversample must be >= 1, got {self.oversample}")
-        if self.n_channels < 1:
-            raise ValueError(f"n_channels must be >= 1, got {self.n_channels}")
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
         if self.n_snapshots < 1:
@@ -264,11 +267,7 @@ class GateSynthesisEnv:
     def __init__(self, config: EnvConfig, model=None, seed: int = 0):
         self.config = config
         self.model = model if model is not None else TwoQubitModel(config.device)
-        if config.n_channels != self.model.n_channels:
-            raise ValueError(
-                f"config has {config.n_channels} channels but the model "
-                f"drives {self.model.n_channels}"
-            )
+        self.n_channels = self.model.n_channels
         block_dim = len(self.model.block_indices)
         target = config.target if config.target is not None else self.model.default_target()
         target = np.asarray(target, dtype=complex)
@@ -303,11 +302,8 @@ class GateSynthesisEnv:
                     f"(2 d^2) to invert, got {config.n_snapshots}"
                 )
             self._povm = tomography.build_povm(block_dim)
-            self._probes = tomography.probe_states(block_dim)
         else:
             self._povm = None
-            self._probes = None
-        self._block_idx = np.asarray(self.model.block_indices)
         self.observation_size = len(self.reset(seed))
 
     # ------------------------------------------------------------------ API
@@ -327,7 +323,7 @@ class GateSynthesisEnv:
                 self.config.n_substeps,
                 self.config.dt,
                 n_gradients=self.model.n_gradients,
-                n_channels=self.config.n_channels,
+                n_channels=self.n_channels,
             )
         else:
             self._realization = None
@@ -337,18 +333,17 @@ class GateSynthesisEnv:
         if self._done:
             raise RuntimeError("episode is done; call reset() before stepping again")
         action = np.clip(np.asarray(action, dtype=float).reshape(-1), -1.0, 1.0)
-        if action.shape != (self.config.n_channels,):
+        if action.shape != (self.n_channels,):
             raise ValueError(
-                f"action must have {self.config.n_channels} channels, got shape {action.shape}"
+                f"action must have {self.n_channels} channels, got shape {action.shape}"
             )
         self._actions.append(action)
         terminal = len(self._actions) == self.config.n_actions
         self._advance_evolution(include_tail=terminal)
-        u_actual = self._u_noisy if self._track_noisy else self._u_clean
-        block = self._block(u_actual)
+        block = computational_block(self._u_actual, self.model.block_indices)
         info = {
             "nlif": nlif(block, self.target, self.config.nlif_cap),
-            "leakage": block_leakage(u_actual[self._block_idx[:, None], self._block_idx]),
+            "leakage": block_leakage(block),
         }
         reward = 0.0
         if terminal:
@@ -362,9 +357,9 @@ class GateSynthesisEnv:
         actions = np.asarray(actions, dtype=float)
         if actions.ndim == 1:
             actions = actions[:, None]
-        if actions.shape != (self.config.n_actions, self.config.n_channels):
+        if actions.shape != (self.config.n_actions, self.n_channels):
             raise ValueError(
-                f"expected actions of shape {(self.config.n_actions, self.config.n_channels)}, "
+                f"expected actions of shape {(self.config.n_actions, self.n_channels)}, "
                 f"got {actions.shape}"
             )
         self.reset(seed)
@@ -380,7 +375,7 @@ class GateSynthesisEnv:
     def actions_normalized(self) -> np.ndarray:
         """Actions taken so far, (k, C) in [-1, 1]."""
         if not self._actions:
-            return np.zeros((0, self.config.n_channels))
+            return np.zeros((0, self.n_channels))
         return np.stack(self._actions)
 
     def pulse_sequence(self) -> PulseSequence:
@@ -444,38 +439,37 @@ class GateSynthesisEnv:
         """Propagator through detuning substeps (..., M, C) -> (..., dim, dim)."""
         return propagate(step_propagator(self.model.hamiltonians(dets, delta_b), self.config.dt))
 
-    def _block(self, u: np.ndarray) -> np.ndarray:
-        if self.config.sector_payload:
-            return u
-        return u[..., self._block_idx[:, None], self._block_idx[None, :]]
+    @property
+    def _u_actual(self) -> np.ndarray:
+        """The episode's actual evolution: noisy when noise is tracked, else clean."""
+        return self._u_noisy if self._track_noisy else self._u_clean
 
     # ---------------------------------------------------------- observation
 
     def _observe(self) -> np.ndarray:
         cfg = self.config
+        n_ch = self.n_channels
         k = len(self._actions)
         parts = [np.array([(cfg.n_actions - k) / cfg.n_actions])]
         if cfg.observation_mode is not ObservationMode.U_EXACT:
             # the device parks at the low rail before the first action
-            current = self._actions[-1] if self._actions else -np.ones(cfg.n_channels)
+            current = self._actions[-1] if self._actions else -np.ones(n_ch)
             parts.append(current)
         if cfg.observation_mode is ObservationMode.PULSE_HISTORY:
-            history = np.zeros((cfg.n_actions, cfg.n_channels + 1))
+            history = np.zeros((cfg.n_actions, n_ch + 1))
             if k:
-                history[:k, : cfg.n_channels] = self.actions_normalized
-                history[:k, cfg.n_channels] = 1.0
+                history[:k, :n_ch] = self.actions_normalized
+                history[:k, n_ch] = 1.0
             parts.append(history.ravel())
         else:
             if cfg.observation_mode in (
-                ObservationMode.U_EXACT,
-                ObservationMode.U_PLUS_PULSE,
+                ObservationMode.U_NOISEFREE_PLUS_PULSE,
+                ObservationMode.U_TOMO_PLUS_PULSE,
             ):
-                u = self._u_noisy if self._track_noisy else self._u_clean
-            elif cfg.observation_mode is ObservationMode.U_NOISY_PLUS_PULSE:
-                u = self._u_noisy if self._track_noisy else self._u_clean
-            else:  # U_NOISEFREE_PLUS_PULSE, U_TOMO_PLUS_PULSE
                 u = self._u_clean
-            payload = self._block(u)
+            else:  # U_EXACT, U_PLUS_PULSE, U_NOISY_PLUS_PULSE
+                u = self._u_actual
+            payload = u if cfg.sector_payload else computational_block(u, self.model.block_indices)
             parts.append(payload.real.ravel())
             parts.append(payload.imag.ravel())
         return np.concatenate(parts)
@@ -485,8 +479,8 @@ class GateSynthesisEnv:
     def _terminal_reward(self) -> float:
         mode = self.config.reward_mode
         if mode is RewardMode.SPARSE:
-            u = self._u_noisy if self._track_noisy else self._u_clean
-            return float(nlif(self._final_block(u), self.target, self.config.nlif_cap))
+            block = computational_block(self._u_actual, self.model.block_indices)
+            return float(nlif(block, self.target, self.config.nlif_cap))
         if mode is RewardMode.ROBUST_AVG:
             blocks = self._noisy_final_blocks(self.config.n_realizations)
             return float(np.mean(nlif(blocks, self.target, self.config.nlif_cap)))
@@ -503,16 +497,13 @@ class GateSynthesisEnv:
             return float(np.mean(vals))
         # TOMO_SNAPSHOT: every shot measures a fresh noisy realization
         record = self._sample_protocol_snapshots(self.config.n_snapshots)
-        est = tomography.reconstruct_unitary(record, self._povm, self._probes)
+        est = tomography.reconstruct_unitary(record, self._povm)
         return float(nlif(est, self.target, self.config.nlif_cap))
-
-    def _final_block(self, u: np.ndarray) -> np.ndarray:
-        return u[..., self._block_idx[:, None], self._block_idx[None, :]]
 
     def _noisy_final_blocks(self, count: int) -> np.ndarray:
         """Computational blocks of `count` fresh-noise evolutions, (count, d, d)."""
         if self._noise is None:
-            block = self._final_block(self._u_clean)
+            block = computational_block(self._u_clean, self.model.block_indices)
             return np.broadcast_to(block, (count,) + block.shape)
         shaped = self.shaped_detunings()
         out = []
@@ -520,7 +511,7 @@ class GateSynthesisEnv:
             r = min(_REWARD_CHUNK, count - start)
             delta_b, delta_eps, fast = self._draw_noise_batch(r, shaped.shape[0])
             dets = shaped[None] + delta_eps[:, None, :] + fast
-            out.append(self._final_block(self._evolve(dets, delta_b)))
+            out.append(computational_block(self._evolve(dets, delta_b), self.model.block_indices))
         return np.concatenate(out)
 
     def _draw_noise_batch(self, r: int, m: int):
@@ -531,7 +522,7 @@ class GateSynthesisEnv:
                 m,
                 self.config.dt,
                 n_gradients=self.model.n_gradients,
-                n_channels=self.config.n_channels,
+                n_channels=self.n_channels,
             )
             for _ in range(r)
         ]
@@ -542,15 +533,14 @@ class GateSynthesisEnv:
 
     def _sample_protocol_snapshots(self, n_shots: int) -> tomography.MeasurementRecord:
         if self._noise is None:
-            return tomography.sample_snapshots(
-                self._final_block(self._u_clean), n_shots, self._povm, self._rng, self._probes
-            )
+            block = computational_block(self._u_clean, self.model.block_indices)
+            return tomography.sample_snapshots(block, n_shots, self._povm, self._rng)
         counts = None
         leaks = None
         for start in range(0, n_shots, _REWARD_CHUNK):
             r = min(_REWARD_CHUNK, n_shots - start)
             blocks = self._noisy_final_blocks(r)
-            rec = tomography.sample_snapshots_batch(blocks, self._povm, self._rng, self._probes)
+            rec = tomography.sample_snapshots_batch(blocks, self._povm, self._rng)
             counts = rec.counts if counts is None else counts + rec.counts
             leaks = rec.leak_counts if leaks is None else leaks + rec.leak_counts
         return tomography.MeasurementRecord(counts, leaks, n_shots)
@@ -561,18 +551,11 @@ def single_qubit_env(
 ) -> GateSynthesisEnv:
     """The one-qubit benchmark: 10 ns protocol, 20 actions, phase-gate target.
 
-    The default configuration is noise-free; robustness studies pass a
-    NoiseConfig with only the hyperfine channel enabled (drift on b), which is
-    the regime the benchmark is defined in. Charge-noise channels work too if
-    explicitly requested.
+    The default configuration is noise-free and targets the model's default
+    gate; robustness studies pass a NoiseConfig with only the hyperfine
+    channel enabled (drift on b), which is the regime the benchmark is defined
+    in. Charge-noise channels work too if explicitly requested.
     """
     if config is None:
-        config = EnvConfig(
-            protocol_time=10.0,
-            n_segments=20 + TAIL_SEGMENTS,
-            n_channels=1,
-            target=phase_gate_target(),
-        )
-    if config.n_channels != 1:
-        raise ValueError(f"the single-qubit device has 1 channel, got {config.n_channels}")
+        config = EnvConfig(protocol_time=10.0, n_segments=20 + TAIL_SEGMENTS)
     return GateSynthesisEnv(config, model=SingleQubitModel(config.device, b=b), seed=seed)

@@ -29,6 +29,9 @@ and POVM completeness estimates ||w||^2 as the non-leaked outcome fraction, so
 the same inversion applies. The scheme fails when a probe has no weight on the
 anchor (c_0 = 0), reported as DegenerateAnchorError.
 
+build_povm stores the probe vectors on the PovmSet (PovmSet.probes), so the
+probability, sampling and reconstruction functions take the POVM alone.
+
 The surrogate model replaces the whole measurement pipeline by additive
 i.i.d. complex Gaussian noise on the matrix entries followed by the same
 nearest-unitary projection; calibrate_sigma_to_shots fits the noise level
@@ -64,6 +67,10 @@ __all__ = [
 POVM_COMPLETENESS_TOL = 1e-10
 PSD_TOL = 1e-10
 DEFAULT_ANCHOR_THRESHOLD = 1e-6
+# Gauss-Newton iterations of the likelihood refinement for counted records
+REFINE_ITERS = 12
+# smallest singular value, relative to the largest, that nearest_unitary accepts
+SINGULAR_TOL = 1e-10
 
 
 class DegenerateAnchorError(ValueError):
@@ -96,12 +103,17 @@ def _frontier_b(dim: int, a: float) -> float:
 
 @dataclass(frozen=True)
 class PovmSet:
-    """The 2d POVM elements, ordered E_0, E_1..E_{d-1}, E~_1..E~_{d-1}, E_rest."""
+    """The 2d POVM elements, ordered E_0, E_1..E_{d-1}, E~_1..E~_{d-1}, E_rest.
+
+    probes holds the d probe vectors the POVM is read against (row n is
+    |psi_n>, see probe_states).
+    """
 
     dim: int
     a: float
     b: float
     elements: np.ndarray  # (2 dim, dim, dim)
+    probes: np.ndarray    # (dim, dim)
 
     @property
     def n_outcomes(self) -> int:
@@ -146,7 +158,7 @@ def build_povm(dim: int, a: float = 0.1, b: float | None = None) -> PovmSet:
     dev = np.abs(elements.sum(axis=0) - eye).max()
     if dev > POVM_COMPLETENESS_TOL:
         raise ValueError(f"POVM does not sum to identity (deviation {dev:.3e})")
-    return PovmSet(dim, a, b, elements)
+    return PovmSet(dim, a, b, elements, probe_states(dim))
 
 
 def probe_states(dim: int) -> np.ndarray:
@@ -159,29 +171,29 @@ def probe_states(dim: int) -> np.ndarray:
     return probes
 
 
-def _probability_table(mat: np.ndarray, povm: PovmSet, probes: np.ndarray):
+def _outcome_table(w: np.ndarray, povm: PovmSet) -> np.ndarray:
+    """Unclipped outcome probabilities (n, 2d) of the output states w (n, d)."""
+    return np.einsum("ni,kij,nj->nk", w.conj(), povm.elements, w).real
+
+
+def _probability_table(mat: np.ndarray, povm: PovmSet):
     """Outcome table (d, 2d) and per-probe leak residual for a general matrix."""
-    w = probes @ mat.T  # w[n] = mat @ probes[n]
-    table = np.einsum("ni,kij,nj->nk", w.conj(), povm.elements, w).real
-    table = np.clip(table, 0.0, None)
+    w = povm.probes @ mat.T  # w[n] = mat @ probes[n]
+    table = np.clip(_outcome_table(w, povm), 0.0, None)
     leak = np.clip(1.0 - np.einsum("ni,ni->n", w.conj(), w).real, 0.0, None)
     return table, leak
 
 
-def outcome_probabilities(
-    u: np.ndarray, povm: PovmSet, probes: np.ndarray | None = None
-) -> np.ndarray:
+def outcome_probabilities(u: np.ndarray, povm: PovmSet) -> np.ndarray:
     """Exact outcome probabilities (d, 2d) of a unitary; rows sum to 1."""
     u = np.asarray(u)
-    if probes is None:
-        probes = probe_states(povm.dim)
     dev = np.abs(u.conj().T @ u - np.eye(povm.dim)).max()
     if dev > 1e-9:
         raise ValueError(
             f"input is not unitary (deviation {dev:.3e}); use the snapshot path "
             "for sub-unitary blocks"
         )
-    table, _ = _probability_table(u, povm, probes)
+    table, _ = _probability_table(u, povm)
     return table
 
 
@@ -212,19 +224,15 @@ class MeasurementRecord:
 
 
 def sample_snapshots_batch(
-    mats: np.ndarray, povm: PovmSet, rng: np.random.Generator,
-    probes: np.ndarray | None = None,
+    mats: np.ndarray, povm: PovmSet, rng: np.random.Generator
 ) -> MeasurementRecord:
     """One snapshot per matrix in mats (S, d, d): uniform probe, one outcome."""
     mats = np.asarray(mats)
-    if probes is None:
-        probes = probe_states(povm.dim)
     d = povm.dim
     s = mats.shape[0]
     probe_idx = rng.integers(0, d, size=s)
-    w = np.einsum("sij,sj->si", mats, probes[probe_idx])
-    p = np.einsum("si,kij,sj->sk", w.conj(), povm.elements, w).real
-    p = np.clip(p, 0.0, None)
+    w = np.einsum("sij,sj->si", mats, povm.probes[probe_idx])
+    p = np.clip(_outcome_table(w, povm), 0.0, None)
     total = p.sum(axis=1)
     leak = np.clip(1.0 - total, 0.0, None)
     r = rng.random(s) * (total + leak)
@@ -238,8 +246,7 @@ def sample_snapshots_batch(
 
 
 def sample_snapshots(
-    source, n_shots: int, povm: PovmSet, rng: np.random.Generator,
-    probes: np.ndarray | None = None,
+    source, n_shots: int, povm: PovmSet, rng: np.random.Generator
 ) -> MeasurementRecord:
     """Collect n_shots single-shot snapshots of one fixed (d, d) matrix.
 
@@ -248,8 +255,6 @@ def sample_snapshots(
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    if probes is None:
-        probes = probe_states(povm.dim)
     d = povm.dim
     source = np.asarray(source)
     if source.shape != (d, d):
@@ -257,7 +262,7 @@ def sample_snapshots(
             f"expected one {(d, d)} matrix, got shape {source.shape}; "
             "use sample_snapshots_batch for one matrix per shot"
         )
-    table, leak = _probability_table(source, povm, probes)
+    table, leak = _probability_table(source, povm)
     cells = np.concatenate([table, leak[:, None]], axis=1) / d
     flat = cells.ravel()
     flat = flat / flat.sum()  # guard float drift; exact sum is 1
@@ -267,15 +272,16 @@ def sample_snapshots(
     )
 
 
-def nearest_unitary(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def nearest_unitary(a: np.ndarray) -> np.ndarray:
     """Polar projection: the unitary factor of the SVD, batched over (..., d, d)."""
     a = np.asarray(a)
     u, s, vh = np.linalg.svd(a)
-    if np.min(s[..., -1]) <= rel_tol * np.max(s[..., 0]):
+    if np.min(s[..., -1]) <= SINGULAR_TOL * np.max(s[..., 0]):
         raise ValueError("rank-deficient input has no well-defined nearest unitary")
     return u @ vh
 
 
+@functools.lru_cache(maxsize=None)
 def _hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal basis of d x d Hermitian matrices (Tr G_a G_b = delta_ab)."""
     basis = np.zeros((d * d, d, d), dtype=complex)
@@ -293,12 +299,8 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
 def _linear_inversion(
-    p: np.ndarray, norm_sq: np.ndarray, povm: PovmSet,
-    anchor_threshold: float, anchor_floor: float,
+    p: np.ndarray, norm_sq: np.ndarray, povm: PovmSet, anchor_floor: float
 ) -> np.ndarray:
     """Column estimate from the POVM identities; the starting point for refinement.
 
@@ -311,10 +313,10 @@ def _linear_inversion(
     c0_sq = p[:, 0] / povm.a
     if anchor_floor > 0.0:
         c0_sq = np.maximum(c0_sq, anchor_floor)
-    elif (c0_sq < anchor_threshold).any():
+    elif (c0_sq < DEFAULT_ANCHOR_THRESHOLD).any():
         bad = int(np.argmin(c0_sq))
         raise DegenerateAnchorError(
-            f"probe {bad} anchor weight {c0_sq[bad]:.2e} below {anchor_threshold:.0e}"
+            f"probe {bad} anchor weight {c0_sq[bad]:.2e} below {DEFAULT_ANCHOR_THRESHOLD:.0e}"
         )
     c0 = np.sqrt(c0_sq)
     re = (p[:, 1:d] / povm.b - norm_sq[:, None]) / 2.0
@@ -340,7 +342,7 @@ def _linear_inversion(
 
 def _refine_estimate(
     u: np.ndarray, p_hat: np.ndarray, weights: np.ndarray, scale: np.ndarray,
-    povm: PovmSet, probes: np.ndarray, max_iters: int,
+    povm: PovmSet,
 ) -> np.ndarray:
     """Damped Gauss-Newton on the unitary manifold.
 
@@ -350,18 +352,17 @@ def _refine_estimate(
     uniformly) contracted unitary model without bias.
     """
     d = povm.dim
-    gens = _BASIS_CACHE.setdefault(d, _hermitian_basis(d))
-    gpsi = np.einsum("aij,nj->ani", gens, probes)
+    gens = _hermitian_basis(d)
+    gpsi = np.einsum("aij,nj->ani", gens, povm.probes)
 
     def model(u):
-        w = probes @ u.T
-        q = np.einsum("ni,kij,nj->nk", w.conj(), povm.elements, w).real
-        return w, np.clip(q, 1e-14, None)
+        w = povm.probes @ u.T
+        return w, np.clip(_outcome_table(w, povm), 1e-14, None)
 
     w_out, q = model(u)
     cost = float(np.sum(weights * (p_hat - scale[:, None] * q) ** 2))
     lam = 1e-9
-    for _ in range(max_iters):
+    for _ in range(REFINE_ITERS):
         ugpsi = np.einsum("ij,anj->ani", u, gpsi)
         ew = np.einsum("kij,nj->kni", povm.elements, w_out)
         jac = 2.0 * np.real(np.einsum("kni,ani->nka", ew.conj(), 1j * ugpsi))
@@ -395,11 +396,7 @@ def _refine_estimate(
     return u
 
 
-def reconstruct_unitary(
-    record, povm: PovmSet, probes: np.ndarray | None = None,
-    anchor_threshold: float = DEFAULT_ANCHOR_THRESHOLD,
-    refine_iters: int = 12,
-) -> np.ndarray:
+def reconstruct_unitary(record, povm: PovmSet) -> np.ndarray:
     """Invert a measurement record (or probability table) to a unitary.
 
     Accepts a MeasurementRecord or a raw (d, 2d) table of probabilities whose
@@ -415,8 +412,6 @@ def reconstruct_unitary(
     ValueError when a probe received no shots.
     """
     d = povm.dim
-    if probes is None:
-        probes = probe_states(d)
     if isinstance(record, MeasurementRecord):
         totals = record.probe_totals
         if (totals == 0).any():
@@ -425,31 +420,26 @@ def reconstruct_unitary(
         norm_sq = p.sum(axis=1)
         est = nearest_unitary(
             _linear_inversion(
-                p, norm_sq, povm, anchor_threshold,
-                anchor_floor=float(np.min(0.25 / totals)) / povm.a,
+                p, norm_sq, povm, anchor_floor=float(np.min(0.25 / totals)) / povm.a
             )
         )
         # inverse multinomial variance of p_hat, var = q/totals, with a floor
         # so empty cells cannot dominate; the non-leak fraction scales the model
-        w_state = probes @ est.T
-        q0 = np.einsum("ni,kij,nj->nk", w_state.conj(), povm.elements, w_state).real
+        q0 = _outcome_table(povm.probes @ est.T, povm)
         weights = totals[:, None] / np.clip(q0, 1e-4, None)
-        est = _refine_estimate(
-            est, p, weights, norm_sq, povm, probes, max_iters=refine_iters
-        )
+        est = _refine_estimate(est, p, weights, norm_sq, povm)
     else:
         p = np.clip(np.asarray(record, dtype=float), 0.0, None)
         if p.shape != (d, 2 * d):
             raise ValueError(f"expected table of shape {(d, 2 * d)}, got {p.shape}")
         norm_sq = p.sum(axis=1)
-        est = nearest_unitary(
-            _linear_inversion(p, norm_sq, povm, anchor_threshold, anchor_floor=0.0)
-        )
-    anchors = np.abs(probes @ est[0, :]) ** 2
-    if (anchors < anchor_threshold).any():
+        est = nearest_unitary(_linear_inversion(p, norm_sq, povm, anchor_floor=0.0))
+    anchors = np.abs(povm.probes @ est[0, :]) ** 2
+    if (anchors < DEFAULT_ANCHOR_THRESHOLD).any():
         bad = int(np.argmin(anchors))
         raise DegenerateAnchorError(
-            f"probe {bad} anchor weight {anchors[bad]:.2e} below {anchor_threshold:.0e} "
+            f"probe {bad} anchor weight {anchors[bad]:.2e} below "
+            f"{DEFAULT_ANCHOR_THRESHOLD:.0e} "
             "in the fitted model; column phase unidentifiable"
         )
     return est
@@ -552,7 +542,6 @@ def calibrate_sigma_to_shots(
         if grid[-1] / grid[0] < 100.0:
             raise ValueError(f"{name} must span at least two decades")
     povm = build_povm(dim)
-    probes = probe_states(dim)
 
     targets = [haar_unitary(dim, rng) for _ in range(n_trials)]
 
@@ -560,9 +549,9 @@ def calibrate_sigma_to_shots(
     for i, n in enumerate(shots_grid):
         vals = []
         for u in targets:
-            record = sample_snapshots(u, int(n), povm, rng, probes)
+            record = sample_snapshots(u, int(n), povm, rng)
             try:
-                est = reconstruct_unitary(record, povm, probes)
+                est = reconstruct_unitary(record, povm)
             except DegenerateAnchorError:
                 continue
             vals.append(1.0 - gate_fidelity(est, u))

@@ -124,17 +124,16 @@ class TestTomographyScaling:
             for dim in (2, 4):
                 rng = named_stream(6, f"tomo-acceptance-d{dim}")
                 povm = tomography.build_povm(dim)
-                probes = tomography.probe_states(dim)
                 exact = []
                 per_shot = {n: [] for n in cls.SHOT_GRID}
                 for _ in range(25):
                     u = qcore.haar_unitary(dim, rng)
-                    table = tomography.outcome_probabilities(u, povm, probes)
-                    est = tomography.reconstruct_unitary(table, povm, probes)
+                    table = tomography.outcome_probabilities(u, povm)
+                    est = tomography.reconstruct_unitary(table, povm)
                     exact.append(1.0 - qcore.gate_fidelity(u, est))
                     for n_shots in cls.SHOT_GRID:
-                        rec = tomography.sample_snapshots(u, n_shots, povm, rng, probes)
-                        est = tomography.reconstruct_unitary(rec, povm, probes)
+                        rec = tomography.sample_snapshots(u, n_shots, povm, rng)
+                        est = tomography.reconstruct_unitary(rec, povm)
                         per_shot[n_shots].append(1.0 - qcore.gate_fidelity(u, est))
                 curves[dim] = (
                     np.array(exact),

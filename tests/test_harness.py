@@ -41,6 +41,7 @@ from qdrl.harness import (
 from qdrl.harness.cli import _build_parser
 from qdrl.harness.cli import main as cli_main
 from qdrl.qcore import DeviceParams
+from qdrl.rlagent import train_loop
 from qdrl.tomography import SigmaShotsMap
 
 
@@ -122,9 +123,9 @@ class TestConfigSchema:
             config_from_dict(tiny_raw(device={"type": "three_qubit"}))
 
     def test_channels_follow_device(self):
-        assert config_from_dict(tiny_raw()).env.n_channels == 1
+        assert config_from_dict(tiny_raw()).make_env(0).n_channels == 1
         two = config_from_dict({"schema_version": 1})
-        assert two.env.n_channels == 3
+        assert two.make_env(0).n_channels == 3
 
     def test_noise_section_builds_noise_config(self):
         cfg = config_from_dict(tiny_raw(noise={"enabled": True, "alpha": 0.5}))
@@ -308,6 +309,20 @@ class TestTrainCommand:
                     np.testing.assert_array_equal(da[name], db[name])
 
 
+    def test_periodic_evaluation_leaves_training_unchanged(self):
+        # observing a run must not change it: evaluation plays its own episodes
+        cfg = config_from_dict(tiny_raw(noise={"enabled": True}))
+
+        def returns(eval_every):
+            env = cfg.make_env(0)
+            result = train_loop(env, cfg.make_agent(env, 0), 6, seed=0,
+                                eval_every=eval_every, n_eval_episodes=2)
+            assert len(result.evals) == (6 // eval_every if eval_every else 0)
+            return result.returns
+
+        np.testing.assert_array_equal(returns(0), returns(2))
+
+
 @pytest.fixture()
 def trained(outdir):
     cfg = config_from_dict(tiny_raw())
@@ -379,7 +394,7 @@ class TestExportProtocol:
         cfg, ckpt = trained
         summary = cmd_export_protocol(cfg, ckpt, out=outdir / "ex")
         table, meta = read_protocol(outdir / "ex" / "protocol.tsv")
-        n, c = cfg.env.n_segments, cfg.env.n_channels
+        n, c = cfg.env.n_segments, cfg.make_env(0).n_channels
         assert table.shape == (n, c)
         device = DeviceParams()
         np.testing.assert_allclose(table[-4:], device.eps_min, atol=1e-12)
@@ -402,7 +417,7 @@ class TestExportProtocol:
 class TestAnalyzeCommand:
     def _protocol_file(self, tmp_path, cfg, fill=None):
         device = DeviceParams()
-        n, c = cfg.env.n_segments, cfg.env.n_channels
+        n, c = cfg.env.n_segments, cfg.make_env(0).n_channels
         table = np.full((n, c), device.eps_min)
         if fill is not None:
             table[: n - 4] = fill
@@ -460,7 +475,7 @@ class TestScaleSweepCommand:
 
     def _protocol_file(self, tmp_path, cfg):
         device = DeviceParams()
-        n, c = cfg.env.n_segments, cfg.env.n_channels
+        n, c = cfg.env.n_segments, cfg.make_env(0).n_channels
         rng = np.random.default_rng(3)
         table = np.full((n, c), device.eps_min)
         table[: n - 4] = rng.uniform(-2.0, 1.0, size=(n - 4, c))

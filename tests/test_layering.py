@@ -51,3 +51,27 @@ def test_layer_does_not_import_upward(layer, forbidden):
             if any(name == f or name.startswith(f + ".") for f in forbidden)
         )
         assert not bad, f"{path.relative_to(SRC)} imports {bad}"
+
+
+# the determinism contract's record comparison; only tests compare reruns
+TEST_ONLY_PUBLIC = {"records_equal"}
+
+
+def test_every_public_helper_has_a_non_test_caller():
+    root = SRC.parents[1]
+    defined = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.relative_to(SRC)
+    used = set()
+    for tree in ("src", "demos", "perfbench"):
+        for path in (root / tree).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    unused = sorted(f"{path}:{name}" for name, path in defined.items()
+                    if name not in used and name not in TEST_ONLY_PUBLIC)
+    assert not unused, f"public helpers without a caller outside tests: {unused}"

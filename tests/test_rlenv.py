@@ -40,7 +40,7 @@ def small_env(seed=0, **overrides):
 
 def random_actions(env, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.uniform(-1.0, 1.0, size=(env.config.n_actions, env.config.n_channels))
+    return rng.uniform(-1.0, 1.0, size=(env.config.n_actions, env.n_channels))
 
 
 def final_propagator(shaped, params):
@@ -70,7 +70,6 @@ class TestConfigValidation:
         [
             dict(protocol_time=0.0),
             dict(oversample=0),
-            dict(n_channels=0),
             dict(n_realizations=0),
             dict(n_snapshots=0),
             dict(sigma=-1.0),
@@ -85,10 +84,6 @@ class TestConfigValidation:
         cfg = EnvConfig(observation_mode="pulse_history", reward_mode="robust_avg")
         assert cfg.observation_mode is ObservationMode.PULSE_HISTORY
         assert cfg.reward_mode is RewardMode.ROBUST_AVG
-
-    def test_channel_mismatch_with_model(self):
-        with pytest.raises(ValueError, match="channels"):
-            GateSynthesisEnv(EnvConfig(**QUIET, n_channels=2))
 
     def test_non_unitary_target_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -314,6 +309,24 @@ class TestDeterminismAndNoise:
         env = small_env(sector_payload=True)
         assert env.observation_size == 1 + 3 + 2 * 36
 
+    def test_sector_payload_changes_only_the_observation(self):
+        # info and reward score the computational block whatever the payload
+        noise = NoiseConfig()
+        sector = small_env(seed=17, sector_payload=True, noise=noise)
+        block = small_env(seed=17, noise=noise)
+        acts = random_actions(block, seed=17)
+        sector.reset(17)
+        block.reset(17)
+        for row in acts:
+            rs, rb = sector.step(row), block.step(row)
+            assert rs.reward == rb.reward
+            assert rs.info == rb.info
+            payload = rs.observation[4:].reshape(2, 6, 6)
+            u = payload[0] + 1j * payload[1]
+            np.testing.assert_array_equal(computational_block(u).real.ravel(),
+                                          rb.observation[4:20])
+        assert sector.done and rs.done
+
 
 class TestRewardModes:
     def test_robust_equals_sparse_without_noise(self):
@@ -386,13 +399,12 @@ class TestRewardModes:
         # needs a leak-free block, so use the single-qubit device
         acts = np.linspace(-1, 0.5, 20)[:, None]
         base = EnvConfig(
-            protocol_time=10.0, n_segments=24, n_channels=1, target=phase_gate_target()
+            protocol_time=10.0, n_segments=24, target=phase_gate_target()
         )
         sparse = single_qubit_env(base, seed=21).rollout(acts, seed=21).reward
         tomo_cfg = EnvConfig(
             protocol_time=10.0,
             n_segments=24,
-            n_channels=1,
             target=phase_gate_target(),
             reward_mode=RewardMode.TOMO_SNAPSHOT,
             n_snapshots=1_000_000,
@@ -456,14 +468,10 @@ class TestSingleQubit:
         assert env.observation_size == 1 + 1 + 8
         assert env.model.sim_dim == 2
 
-    def test_channel_count_enforced(self):
-        with pytest.raises(ValueError, match="1 channel"):
-            single_qubit_env(EnvConfig(**QUIET))
-
     def test_pure_z_rotation_closed_form(self):
         # b = 0 and a constant drive leave H diagonal: U = exp(-i J T sigma_z / 2)
         cfg = EnvConfig(
-            protocol_time=10.0, n_segments=24, n_channels=1, target=phase_gate_target()
+            protocol_time=10.0, n_segments=24, target=phase_gate_target()
         )
         env = single_qubit_env(cfg, b=0.0, seed=27)
         result = env.rollout(-np.ones((20, 1)), seed=27)
@@ -485,7 +493,6 @@ class TestSingleQubit:
         cfg = EnvConfig(
             protocol_time=10.0,
             n_segments=24,
-            n_channels=1,
             target=phase_gate_target(),
             noise=noise,
         )

@@ -84,11 +84,10 @@ class TestExactRoundTrip:
     def test_exact_tables_invert_to_machine_precision(self, dim):
         rng = np.random.default_rng(dim)
         povm = tomo.build_povm(dim)
-        probes = tomo.probe_states(dim)
         for _ in range(10):
             u = haar_unitary(dim, rng)
-            table = tomo.outcome_probabilities(u, povm, probes)
-            est = tomo.reconstruct_unitary(table, povm, probes)
+            table = tomo.outcome_probabilities(u, povm)
+            est = tomo.reconstruct_unitary(table, povm)
             assert reconstruction_infidelity(u, est) < 1e-9
 
     def test_global_phase_is_irrelevant(self):
@@ -112,20 +111,19 @@ class TestExactRoundTrip:
         w = probes @ block.T
         table = np.einsum("ni,kij,nj->nk", w.conj(), povm.elements, w).real
         assert (table.sum(axis=1) < 0.95).all()
-        est = tomo.reconstruct_unitary(table, povm, probes)
+        est = tomo.reconstruct_unitary(table, povm)
         assert reconstruction_infidelity(u, est) < 1e-9
 
     def test_degenerate_anchor_raises_on_exact_tables(self):
         povm = tomo.build_povm(2)
-        probes = tomo.probe_states(2)
         # X gate: probe |0> maps to |1>, no anchor weight at all
         x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
         with pytest.raises(tomo.DegenerateAnchorError):
-            tomo.reconstruct_unitary(tomo.outcome_probabilities(x_gate, povm), povm, probes)
+            tomo.reconstruct_unitary(tomo.outcome_probabilities(x_gate, povm), povm)
         # column 0 fine, but probe 1 output orthogonal to the anchor
         h_like = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2)
         with pytest.raises(tomo.DegenerateAnchorError):
-            tomo.reconstruct_unitary(tomo.outcome_probabilities(h_like, povm), povm, probes)
+            tomo.reconstruct_unitary(tomo.outcome_probabilities(h_like, povm), povm)
 
     def test_wrong_table_shape_rejected(self):
         povm = tomo.build_povm(4)
@@ -171,26 +169,24 @@ class TestSampledRecords:
     def test_sampled_reconstruction_accuracy_d2(self):
         rng = np.random.default_rng(8)
         povm = tomo.build_povm(2)
-        probes = tomo.probe_states(2)
         vals = []
         for _ in range(10):
             u = haar_unitary(2, rng)
-            record = tomo.sample_snapshots(u, 100_000, povm, rng, probes)
-            est = tomo.reconstruct_unitary(record, povm, probes)
+            record = tomo.sample_snapshots(u, 100_000, povm, rng)
+            est = tomo.reconstruct_unitary(record, povm)
             vals.append(reconstruction_infidelity(u, est))
         assert np.mean(vals) < 1e-3
 
     def test_more_shots_give_better_reconstructions(self):
         rng = np.random.default_rng(9)
         povm = tomo.build_povm(4)
-        probes = tomo.probe_states(4)
         means = []
         for n_shots in (1000, 100_000):
             vals = []
             for k in range(8):
                 u = haar_unitary(4, np.random.default_rng(100 + k))
-                record = tomo.sample_snapshots(u, n_shots, povm, rng, probes)
-                est = tomo.reconstruct_unitary(record, povm, probes)
+                record = tomo.sample_snapshots(u, n_shots, povm, rng)
+                est = tomo.reconstruct_unitary(record, povm)
                 vals.append(reconstruction_infidelity(u, est))
             means.append(np.mean(vals))
         assert means[1] < 0.2 * means[0]
@@ -210,13 +206,12 @@ class TestSampledRecords:
         # initializer plus likelihood refinement must still return a unitary
         rng = np.random.default_rng(10)
         povm = tomo.build_povm(4)
-        probes = tomo.probe_states(4)
         successes = 0
         for _ in range(20):
             u = haar_unitary(4, rng)
-            record = tomo.sample_snapshots(u, 100, povm, rng, probes)
+            record = tomo.sample_snapshots(u, 100, povm, rng)
             try:
-                est = tomo.reconstruct_unitary(record, povm, probes)
+                est = tomo.reconstruct_unitary(record, povm)
             except tomo.DegenerateAnchorError:
                 continue
             assert np.abs(est.conj().T @ est - np.eye(4)).max() < 1e-9
