@@ -88,6 +88,7 @@ def cmd_train(config: ExperimentConfig, out: Path | None = None) -> dict:
                         "critic_loss": rec["critic_loss"],
                         "policy_loss": rec["policy_loss"],
                         "env_steps": rec["env_steps"],
+                        "update_ms": rec["update_ms"],
                     },
                 )
                 log.write(record.to_json() + "\n")
@@ -360,7 +361,8 @@ _SCALE_FIELD = {"hyperfine": "scale_b", "slow_charge": "scale_eps", "fast_charge
 # ------------------------------------------------------------------- analyze
 
 
-_STATE_LABELS = {"00": 0, "01": 1, "10": 2, "11": 3, "0": 0, "1": 1}
+# computational basis labels per device, in block_indices order
+_STATE_LABELS = {"single_qubit": ("0", "1"), "two_qubit": ("00", "01", "10", "11")}
 
 
 def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
@@ -368,8 +370,10 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
     """Per-substep logical Bloch vectors and the protocol's relative fluence."""
     out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     label = initial_state or config.resolved["analyze"]["initial_state"]
-    if label not in _STATE_LABELS:
-        raise ConfigError(f"unknown initial state {label!r}; use 00/01/10/11 (or 0/1)")
+    labels = _STATE_LABELS[config.device_type]
+    if label not in labels:
+        raise ConfigError(f"unknown initial state {label!r} for a {config.device_type} "
+                          f"device; use one of {', '.join(labels)}")
     detunings, _ = read_protocol(protocol_path)
     actions = protocol_to_actions(detunings, config)
 
@@ -382,7 +386,7 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
 
     cumulative = propagate(step_propagator(model.hamiltonians(shaped), dt), cumulative=True)
     dim = model.sim_dim
-    states = cumulative[:, :, model.block_indices[_STATE_LABELS[label]]]
+    states = cumulative[:, :, model.block_indices[labels.index(label)]]
 
     times = np.arange(states.shape[0]) * dt
     block = np.asarray(model.block_indices)

@@ -3,9 +3,10 @@
 Records carry the config hash so downstream analysis can refuse to mix
 artifacts from different configurations. Non-finite numbers are stored as
 null (episodes logged before the first gradient update have no losses yet),
-which keeps the files valid strict JSON. Wall time is recorded for budgeting
-but ignored by `records_equal`, since it is the one field that legitimately
-differs between bit-identical reruns.
+which keeps the files valid strict JSON. Timings (the `wall_time_ms` field and
+an `update_ms` extra) are recorded for budgeting but ignored by
+`records_equal`, since they are the values that legitimately differ between
+bit-identical reruns.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from typing import Iterable
 
 __all__ = ["EpisodeRecord", "write_records", "read_records", "records_equal"]
 
-VOLATILE_FIELDS = ("wall_time_ms",)
+# timing fields, skipped by records_equal among the core fields and the extras
+VOLATILE_FIELDS = ("wall_time_ms", "update_ms")
 
 
 @dataclass
@@ -84,8 +86,10 @@ def read_records(path) -> list[EpisodeRecord]:
 
 def records_equal(a: EpisodeRecord, b: EpisodeRecord) -> bool:
     """Field-wise equality, skipping the volatile (timing) fields."""
-    da, db = dict(a.__dict__), dict(b.__dict__)
-    for key in VOLATILE_FIELDS:
-        da.pop(key, None)
-        db.pop(key, None)
-    return da == db
+
+    def stable(record: EpisodeRecord) -> dict:
+        fields = {k: v for k, v in record.__dict__.items() if k not in VOLATILE_FIELDS}
+        fields["extras"] = {k: v for k, v in record.extras.items() if k not in VOLATILE_FIELDS}
+        return fields
+
+    return stable(a) == stable(b)

@@ -7,6 +7,9 @@ exact log-density of the squashed sample, quantile Huber regression for the
 distributional critics, and an Adam optimizer. Forward passes return caches;
 backward passes consume them and accumulate parameter gradients in place, so
 a caller zeroes gradients, runs forward/backward, and steps the optimizer.
+A backward pass with params=False returns the input gradient only and leaves
+the parameter gradients untouched, for callers that differentiate through a
+network they do not train (the policy step through the critics).
 
 All math is float64. The networks are deliberately tiny (two hidden layers),
 so explicit loops over layers cost nothing next to the matmuls.
@@ -39,13 +42,27 @@ _ADAM_EPS = 1e-8
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x), overflow-safe."""
-    return np.logaddexp(0.0, x)
+    """log(1 + e^x), overflow-safe, as max(x, 0) + log1p(e^-|x|).
+
+    Several times faster than np.logaddexp(0, x) and within 2 eps of it,
+    relative, wherever the result is a normal float; the last bits differ, so
+    runs are reproducible against this form, not against logaddexp.
+    """
+    out = np.abs(x, out=np.empty(np.shape(x)))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Derivative of softplus, overflow-safe."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    """Derivative of softplus, overflow-safe: 0.5 (1 + tanh(x / 2))."""
+    out = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 class Dense:
@@ -59,12 +76,15 @@ class Dense:
         self.db = np.zeros_like(self.b)
 
     def forward(self, x: np.ndarray):
-        return x @ self.w + self.b, x
+        y = x @ self.w
+        y += self.b
+        return y, x
 
-    def backward(self, dy: np.ndarray, cache) -> np.ndarray:
-        x = cache
-        self.dw += x.T @ dy
-        self.db += dy.sum(axis=0)
+    def backward(self, dy: np.ndarray, cache, params: bool = True) -> np.ndarray:
+        """Input gradient; with params=True also accumulates into dw and db."""
+        if params:
+            self.dw += cache.T @ dy
+            self.db += dy.sum(axis=0)
         return dy @ self.w.T
 
     def params(self):
@@ -86,27 +106,33 @@ class LayerNorm:
         self.dbeta = np.zeros_like(self.beta)
 
     def forward(self, x: np.ndarray):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x - mu) * inv
-        return self.gamma * xhat + self.beta, (xhat, inv)
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        y = xhat * xhat
+        inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + self.EPS)
+        xhat *= inv
+        np.multiply(xhat, self.gamma, out=y)
+        y += self.beta
+        return y, (xhat, inv)
 
-    def backward(self, dy: np.ndarray, cache) -> np.ndarray:
+    def backward(self, dy: np.ndarray, cache, params: bool = True) -> np.ndarray:
+        """Input gradient; with params=True also accumulates dgamma and dbeta."""
         xhat, inv = cache
         n = xhat.shape[-1]
-        self.dgamma += (dy * xhat).sum(axis=0)
-        self.dbeta += dy.sum(axis=0)
-        dxhat = dy * self.gamma
-        return (
-            inv
-            / n
-            * (
-                n * dxhat
-                - dxhat.sum(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-            )
-        )
+        dx = dy * self.gamma  # d xhat
+        tmp = dx * xhat
+        proj = tmp.sum(axis=-1, keepdims=True)
+        if params:
+            np.multiply(dy, xhat, out=tmp)
+            self.dgamma += tmp.sum(axis=0)
+            self.dbeta += dy.sum(axis=0)
+        # dx = (inv / n) (n dxhat - sum(dxhat) - xhat sum(dxhat xhat)), in place
+        total = dx.sum(axis=-1, keepdims=True)
+        dx *= n
+        dx -= total
+        np.multiply(xhat, proj, out=tmp)
+        dx -= tmp
+        dx *= inv / n
+        return dx
 
     def params(self):
         return [self.gamma, self.beta]
@@ -128,7 +154,8 @@ class Dropout:
             return x, None
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
-        mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
+        mask = rng.random(x.shape)
+        np.divide(mask >= self.p, 1.0 - self.p, out=mask)
         return x * mask, mask
 
     def backward(self, dy: np.ndarray, mask) -> np.ndarray:
@@ -173,17 +200,20 @@ class MlpTrunk:
             x = softplus(x)
         return x, caches
 
-    def backward(self, dy: np.ndarray, caches) -> np.ndarray:
+    def backward(self, dy: np.ndarray, caches, params: bool = True) -> np.ndarray:
+        """Input gradient; params=False skips every parameter gradient."""
         for dense, drop, norm, cache in zip(
             reversed(self.dense), reversed(self.drops), reversed(self.norms), reversed(caches)
         ):
             c_dense, c_drop, c_norm, pre_act = cache
-            dy = dy * sigmoid(pre_act)
+            gate = sigmoid(pre_act)
+            gate *= dy
+            dy = gate
             if norm is not None:
-                dy = norm.backward(dy, c_norm)
+                dy = norm.backward(dy, c_norm, params)
             if drop is not None:
                 dy = drop.backward(dy, c_drop)
-            dy = dense.backward(dy, c_dense)
+            dy = dense.backward(dy, c_dense, params)
         return dy
 
     def params(self):
@@ -328,11 +358,15 @@ class QuantileCritic:
         z, c_head = self.head.forward(h)
         return z, (trunk_cache, c_head)
 
-    def backward(self, dz: np.ndarray, cache):
-        """Accumulates gradients; returns (d_obs, d_act) of the input batch."""
+    def backward(self, dz: np.ndarray, cache, params: bool = True):
+        """(d_obs, d_act) of the input batch.
+
+        params=True also accumulates the parameter gradients; params=False
+        leaves them untouched, for a caller that only needs d_act.
+        """
         trunk_cache, c_head = cache
-        dh = self.head.backward(dz, c_head)
-        dx = self.trunk.backward(dh, trunk_cache)
+        dh = self.head.backward(dz, c_head, params)
+        dx = self.trunk.backward(dh, trunk_cache, params)
         return dx[:, : self.obs_dim], dx[:, self.obs_dim :]
 
     def params(self):
@@ -358,13 +392,23 @@ def quantile_huber_loss(z: np.ndarray, targets: np.ndarray):
     b, k = z.shape
     j = targets.shape[1]
     taus = (np.arange(k) + 0.5) / k
-    delta = targets[:, None, :] - z[:, :, None]  # (B, K, J)
-    abs_delta = np.abs(delta)
-    huber = np.where(abs_delta <= 1.0, 0.5 * delta**2, abs_delta - 0.5)
-    weight = np.abs(taus[None, :, None] - (delta < 0.0))
-    loss = float(np.mean(weight * huber))
+    # (B, K, J) temporaries are computed in place: fresh arrays of this size
+    # cost as much as the arithmetic on them
+    delta = targets[:, None, :] - z[:, :, None]
+    weight = np.subtract(taus[None, :, None], delta < 0.0)
+    np.abs(weight, out=weight)  # |tau - 1{delta < 0}|
+    huber = np.abs(delta)
+    quadratic = huber <= 1.0
+    huber -= 0.5
+    half_sq = delta * delta
+    half_sq *= 0.5
+    np.copyto(huber, half_sq, where=quadratic)
+    huber *= weight
+    loss = float(np.mean(huber))
     # d huber / d delta = clip(delta, -1, 1); d delta / dz = -1
-    dz = -(weight * np.clip(delta, -1.0, 1.0)).sum(axis=2) / (b * k * j)
+    np.clip(delta, -1.0, 1.0, out=delta)
+    delta *= weight
+    dz = -delta.sum(axis=2) / (b * k * j)
     return loss, dz
 
 
@@ -390,10 +434,24 @@ class Adam:
         self.t += 1
         correct1 = 1.0 - _ADAM_BETA1**self.t
         correct2 = 1.0 - _ADAM_BETA2**self.t
+        # in place, with the operands and rounding order of
+        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m[...] = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
-            v[...] = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g**2
-            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
+            buf = np.multiply(g, 1.0 - _ADAM_BETA1)
+            m *= _ADAM_BETA1
+            m += buf
+            np.multiply(g, g, out=buf)
+            buf *= 1.0 - _ADAM_BETA2
+            v *= _ADAM_BETA2
+            v += buf
+            np.divide(v, correct2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += _ADAM_EPS
+            step = m / correct1
+            step *= self.lr
+            step /= buf
+            p -= step
 
     def state_arrays(self):
         """Optimizer state for checkpointing: moments plus the step counter."""

@@ -9,9 +9,10 @@ temperature is also supported).
 
 `train_loop` interleaves acting, replay writes, and one gradient update per
 environment step, with a uniform-random warmup, periodic deterministic
-evaluation, per-episode metric records, a divergence guard that snapshots the
-agent before aborting, and a bounded retry of episodes whose tomography reward
-fails reconstruction (counted in TrainResult.anchor_retries).
+evaluation, per-episode metric records (including the wall time spent in
+updates), a divergence guard that snapshots the agent before aborting, and a
+bounded retry of episodes whose tomography reward fails reconstruction
+(counted in TrainResult.anchor_retries).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,7 +141,8 @@ class ReplayBuffer:
 def polyak_update(source_params, target_params, rho: float) -> None:
     """target <- rho * source + (1 - rho) * target, element-wise in place."""
     for src, tgt in zip(source_params, target_params, strict=True):
-        tgt[...] = rho * src + (1.0 - rho) * tgt
+        tgt *= 1.0 - rho
+        tgt += rho * src
 
 
 class DivergenceError(RuntimeError):
@@ -234,7 +237,9 @@ class SacAgent:
         for critic in self.critics:
             z, z_cache = critic.forward(obs, new_act)
             q_sum += z.sum(axis=1)
-            _, da = critic.backward(np.full_like(z, -1.0 / (n * total_atoms)), z_cache)
+            _, da = critic.backward(
+                np.full_like(z, -1.0 / (n * total_atoms)), z_cache, params=False
+            )
             d_act += da
         q_mean = q_sum / total_atoms
         policy_loss = float(np.mean(self.alpha * logp - q_mean))
@@ -408,7 +413,8 @@ def train_loop(
     truthy value stops training after that episode (periodic evaluations and
     the episode counter still run for it). Periodic evaluations run on a copy
     of `env` with its own seed, so evaluating leaves the training episodes
-    unchanged.
+    unchanged. Each record's `update_ms` is the wall time, in ms, spent in
+    `agent.update` during that episode (0 while warming up).
     """
     cfg = agent.config
     replay = ReplayBuffer(cfg.replay_capacity, agent.obs_dim, agent.act_dim)
@@ -426,6 +432,7 @@ def train_loop(
     while episode < n_episodes:
         transitions = []
         update_metrics: list[dict] = []
+        update_ms = 0.0
         total = 0.0
         info: dict = {}
         done = False
@@ -442,10 +449,10 @@ def train_loop(
                 global_step += 1
                 if global_step > cfg.warmup_steps and len(replay) >= cfg.batch_size:
                     for _ in range(cfg.updates_per_step):
+                        batch = replay.sample(cfg.batch_size, replay_rng)
+                        t_update = time.perf_counter()
                         try:
-                            update_metrics.append(
-                                agent.update(replay.sample(cfg.batch_size, replay_rng))
-                            )
+                            update_metrics.append(agent.update(batch))
                         except DivergenceError as err:
                             if diagnostic_path is not None:
                                 agent.save(diagnostic_path)
@@ -454,6 +461,7 @@ def train_loop(
                                 f"(episode {episode}): {err}",
                                 err.metrics,
                             ) from err
+                        update_ms += (time.perf_counter() - t_update) * 1e3
         except DegenerateAnchorError:
             result.anchor_retries += 1
             consecutive_retries += 1
@@ -475,6 +483,7 @@ def train_loop(
             "entropy": _mean_of(update_metrics, "entropy"),
             "critic_loss": _mean_of(update_metrics, "critic_loss"),
             "policy_loss": _mean_of(update_metrics, "policy_loss"),
+            "update_ms": update_ms,
         }
         result.episodes.append(record)
         stop = bool(on_episode(record)) if on_episode is not None else False

@@ -204,6 +204,12 @@ class TestEpisodeRecords:
         assert records_equal(a, b)
         c = EpisodeRecord(0, 0, 1.0, 1.1, 0.0, 10.0, "h")
         assert not records_equal(a, c)
+        # the update time among the extras is volatile too; other extras are not
+        d = EpisodeRecord(0, 0, 1.0, 1.0, 0.0, 10.0, "h", extras={"update_ms": 3.0, "alpha": 0.5})
+        e = EpisodeRecord(0, 0, 1.0, 1.0, 0.0, 10.0, "h", extras={"update_ms": 7.0, "alpha": 0.5})
+        assert records_equal(d, e)
+        f = EpisodeRecord(0, 0, 1.0, 1.0, 0.0, 10.0, "h", extras={"update_ms": 3.0, "alpha": 0.6})
+        assert not records_equal(d, f)
 
     def test_file_round_trip(self, tmp_path):
         records = [EpisodeRecord(k, 0, float(k), 0.5, 0.0, 1.0, "h") for k in range(4)]
@@ -301,6 +307,7 @@ class TestTrainCommand:
         rb = read_records(outdir / "b" / "train_seed0.jsonl")
         assert len(ra) == len(rb)
         assert all(records_equal(x, y) for x, y in zip(ra, rb))
+        assert all(r.extras["update_ms"] >= 0.0 for r in ra)
         with np.load(outdir / "a" / "agent_seed0.npz") as da, \
                 np.load(outdir / "b" / "agent_seed0.npz") as db:
             assert set(da.files) == set(db.files)
@@ -458,11 +465,17 @@ class TestAnalyzeCommand:
         assert len(summary["final_bloch"]) == 6
         assert summary["final_block_norm"] <= 1.0 + 1e-12
 
-    def test_unknown_initial_state_rejected(self, outdir):
-        cfg = config_from_dict(tiny_raw())
+    @pytest.mark.parametrize("device, label", [
+        ("single_qubit", "2"),
+        ("single_qubit", "10"),  # the resolved-config default
+        ("two_qubit", "0"),
+    ])
+    def test_unknown_initial_state_rejected(self, outdir, device, label):
+        valid = {"single_qubit": "0, 1", "two_qubit": "00, 01, 10, 11"}[device]
+        cfg = config_from_dict(tiny_raw(device={"type": device}))
         path = self._protocol_file(outdir, cfg)
-        with pytest.raises(ConfigError, match="initial state"):
-            cmd_analyze(cfg, path, initial_state="2")
+        with pytest.raises(ConfigError, match=f"initial state .*use one of {valid}$"):
+            cmd_analyze(cfg, path, initial_state=label)
 
 
 class TestScaleSweepCommand:

@@ -74,6 +74,14 @@ class TestActivations:
         assert y[0] == pytest.approx(0.0, abs=1e-12)
         assert y[1] == pytest.approx(1e4)
 
+    def test_softplus_within_eps_of_logaddexp(self):
+        # the one-pass form changes only the last bits against np.logaddexp
+        x = np.concatenate([np.linspace(-800.0, 800.0, 4001), [0.0, np.inf, -np.inf]])
+        info = np.finfo(float)
+        np.testing.assert_allclose(
+            softplus(x), np.logaddexp(0.0, x), rtol=4 * info.eps, atol=info.tiny
+        )
+
     def test_sigmoid_is_softplus_derivative(self):
         x = np.linspace(-5.0, 5.0, 21)
         eps = 1e-6
@@ -388,6 +396,23 @@ class TestQuantileCritic:
             ) / (2 * eps)
         np.testing.assert_allclose(d_act, fd, rtol=1e-4, atol=1e-8)
 
+    def test_input_only_backward_matches_and_leaves_grads_zero(self):
+        rng = np.random.default_rng(25)
+        critic = QuantileCritic(
+            rng, obs_dim=3, act_dim=2, hidden=(6, 5), n_quantiles=4, dropout=0.2
+        )
+        obs = rng.normal(size=(5, 3))
+        act = rng.uniform(-1, 1, size=(5, 2))
+        z, cache = critic.forward(obs, act, train=True, rng=np.random.default_rng(7))
+        dz = rng.normal(size=z.shape)
+        critic.zero_grads()
+        d_obs, d_act = critic.backward(dz, cache, params=False)
+        assert all(not np.any(g) for g in critic.grads())
+        ref_obs, ref_act = critic.backward(dz, cache)
+        assert np.any(flat_grads(critic))
+        np.testing.assert_array_equal(d_obs, ref_obs)
+        np.testing.assert_array_equal(d_act, ref_act)
+
     def test_dropout_off_outside_training_passes(self):
         rng = np.random.default_rng(24)
         critic = QuantileCritic(
@@ -503,6 +528,30 @@ class TestAdam:
         opt.step([g.copy()])
         opt2.step([g.copy()])
         np.testing.assert_array_equal(x, x2)
+
+    def test_step_equals_out_of_place_reference(self):
+        # reference: the textbook update with fresh arrays for every term
+        rng = np.random.default_rng(43)
+        shapes = [(6, 4), (4,), (1,)]
+        lr = 3e-3
+        # parameters start at zero, so they keep every bit of the steps taken
+        params = [np.zeros(s) for s in shapes]
+        ref_p = [p.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        opt = Adam(params, lr=lr)
+        for t in range(1, 8):
+            grads = [rng.normal(size=s) for s in shapes]
+            grads[0][0, 0] = 0.0
+            kept = [g.copy() for g in grads]
+            opt.step(grads)
+            c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for p, g, m, v in zip(ref_p, kept, ref_m, ref_v):
+                m[...] = 0.9 * m + (1.0 - 0.9) * g
+                v[...] = 0.999 * v + (1.0 - 0.999) * g**2
+                p -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+            for got, want in zip(params + opt.m + opt.v + grads, ref_p + ref_m + ref_v + kept):
+                np.testing.assert_array_equal(got, want)
 
     def test_load_rejects_wrong_count(self):
         opt = Adam([np.zeros(2)], lr=0.1)

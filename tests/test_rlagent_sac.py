@@ -225,6 +225,16 @@ class TestPolyakUpdate:
         with pytest.raises(ValueError):
             polyak_update([np.zeros(2)], [np.zeros(2), np.zeros(2)], 0.5)
 
+    def test_in_place_update_equals_out_of_place_reference(self):
+        rng = np.random.default_rng(12)
+        src = [rng.normal(size=(7, 5)), rng.normal(size=5)]
+        tgt = [rng.normal(size=(7, 5)), rng.normal(size=5)]
+        for rho in (0.005, 0.3):
+            reference = [rho * s + (1.0 - rho) * t for s, t in zip(src, tgt)]
+            polyak_update(src, tgt, rho)
+            for got, want in zip(tgt, reference):
+                np.testing.assert_array_equal(got, want)
+
 
 class TestUpdate:
     def test_targets_move_only_through_polyak(self):
@@ -347,9 +357,12 @@ class TestTrainLoop:
         assert len(result.evals) == 2  # after episodes 5 and 10
         rec = result.episodes[-1]
         assert set(rec) >= {"episode", "env_steps", "return", "nlif", "leakage",
-                            "alpha", "critic_loss", "policy_loss", "entropy"}
+                            "alpha", "critic_loss", "policy_loss", "entropy", "update_ms"}
         # updates were running by the end, so losses are real numbers
         assert np.isfinite(rec["critic_loss"])
+        # the first episode is all warmup (40 steps of 5-step episodes)
+        assert result.episodes[0]["update_ms"] == 0.0
+        assert rec["update_ms"] > 0.0
 
     def test_callback_truthy_return_stops_training(self):
         env = LineEnv()
