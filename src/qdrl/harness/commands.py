@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from ..noise import NoiseConfig
-from ..pulse import ImpulseKernel
+from ..pulse import TAIL_SEGMENTS, ImpulseKernel
 from ..qcore import pauli_expectations, propagate, step_propagator
-from ..rlagent import SacAgent, evaluate_policy, train_loop
+from ..rlagent import SacAgent, evaluate_policy, play_policy, train_loop
 from ..seeding import named_stream
 from ..tomography import calibrate_sigma_to_shots
 from .config import ConfigError, ExperimentConfig, config_from_dict
@@ -161,9 +161,7 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path, episodes: int | Non
 
     # Frozen table: one noise-free closed-loop rollout of the deterministic policy.
     clean_env = config.make_env(seed, dataclasses.replace(eval_env_cfg, noise=None))
-    obs = clean_env.reset(seed)
-    while not clean_env.done:
-        obs = clean_env.step(agent.act(obs, deterministic=True)).observation
+    play_policy(clean_env, agent, seed)
     frozen_actions = clean_env.actions_normalized
 
     env = config.make_env(seed, eval_env_cfg)
@@ -171,11 +169,7 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path, episodes: int | Non
     dynamic, frozen = [], []
     records = []
     for k in range(episodes):
-        obs = env.reset()
-        info: dict = {}
-        while not env.done:
-            result = env.step(agent.act(obs, deterministic=True))
-            obs, info = result.observation, result.info
+        _, info = play_policy(env, agent)
         dynamic.append(info["nlif"])
         frozen.append(env.rollout(frozen_actions).info["nlif"])
         records.append(EpisodeRecord(
@@ -225,7 +219,9 @@ def cmd_sweep(config: ExperimentConfig, out: Path | None = None, workers: int = 
     times, segments = spec["times"], spec["segments"]
     if not times or not segments:
         raise ConfigError("sweep requires non-empty 'times' and 'segments' lists")
-    budget = spec["budget_episodes"] or config.budget_episodes
+    budget = spec["budget_episodes"]
+    if budget is None:
+        budget = config.budget_episodes
     seed = config.seeds[0]
     cells = [(float(t), int(n)) for t in times for n in segments]
     args = [(config.resolved, t, n, seed, budget, config.n_eval_episodes) for t, n in cells]
@@ -251,16 +247,26 @@ def cmd_sweep(config: ExperimentConfig, out: Path | None = None, workers: int = 
 
 
 def protocol_to_actions(detunings: np.ndarray, config: ExperimentConfig) -> np.ndarray:
-    """Table rows (device units) -> normalized agent actions, tails stripped."""
+    """Table rows (device units) -> normalized agent actions, tails stripped.
+
+    The table needs one row per env segment and one column per device
+    channel, its tail rows on the minimum rail and every other value inside
+    [eps_min, eps_max]; anything else raises ConfigError.
+    """
     device = config.device
-    n = detunings.shape[0]
-    if n < 5:
-        raise ConfigError(f"protocol table has only {n} rows")
-    tail = detunings[-4:]
-    if not np.allclose(tail, device.eps_min, atol=1e-9):
+    shape = (config.env.n_segments, config.n_channels)
+    if detunings.shape != shape:
+        raise ConfigError(f"protocol table has shape {detunings.shape} (rows, channels), "
+                          f"the configured env needs {shape}")
+    tail = detunings[-TAIL_SEGMENTS:]
+    if not np.allclose(tail, device.eps_min, rtol=0.0, atol=1e-9):
         raise ConfigError("protocol tail rows must sit at the minimum detuning rail")
+    body = detunings[:-TAIL_SEGMENTS]
+    if body.min() < device.eps_min - 1e-9 or body.max() > device.eps_max + 1e-9:
+        raise ConfigError(f"protocol detunings must lie in [{device.eps_min}, {device.eps_max}] "
+                          f"eps0, got [{body.min()}, {body.max()}]")
     span = device.eps_max - device.eps_min
-    return 2.0 * (detunings[:-4] - device.eps_min) / span - 1.0
+    return 2.0 * (body - device.eps_min) / span - 1.0
 
 
 def simulate_protocol(config: ExperimentConfig, detunings: np.ndarray) -> float:
@@ -465,11 +471,7 @@ def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
     else:
         env = config.make_env(noise_seed, eval_cfg)
         reset_seed = noise_seed
-    obs = env.reset(reset_seed)
-    info: dict = {}
-    while not env.done:
-        result = env.step(agent.act(obs, deterministic=True))
-        obs, info = result.observation, result.info
+    _, info = play_policy(env, agent, reset_seed)
 
     sequence = env.pulse_sequence()
     shaped = env.shaped_detunings()

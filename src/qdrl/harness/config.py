@@ -21,7 +21,7 @@ from ..noise import NoiseConfig
 from ..pulse import ImpulseKernel, gaussian_kernel, load_kernel
 from ..qcore import DeviceParams
 from ..rlagent import SacAgent, SacConfig
-from ..rlenv import EnvConfig, GateSynthesisEnv, single_qubit_env
+from ..rlenv import EnvConfig, GateSynthesisEnv, SingleQubitModel, TwoQubitModel, single_qubit_env
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -171,6 +171,12 @@ class ExperimentConfig:
 
     def section(self, name: str) -> dict:
         return dict(self.resolved[name])
+
+    @property
+    def n_channels(self) -> int:
+        """Detuning channels of the configured device model."""
+        model = SingleQubitModel if self.device_type == "single_qubit" else TwoQubitModel
+        return model.n_channels
 
     # ------------------------------------------------------------ factories
 

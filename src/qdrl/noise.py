@@ -65,7 +65,6 @@ class NoiseConfig:
     scale_b: float = 1.0
     scale_eps: float = 1.0
     scale_fast: float = 1.0
-    one_sided: bool = True
 
     def __post_init__(self) -> None:
         for name in ("sigma_b", "sigma_eps", "fast_amplitude", "scale_b", "scale_eps", "scale_fast"):
@@ -95,11 +94,11 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class NoiseRealization:
-    """One episode's noise draws.
+    """A batch of independent noise realizations, one per row.
 
-    delta_b : (n_gradients,) additive gradient offsets, units of j0
-    delta_eps : (n_channels,) additive detuning offsets, units of eps0
-    fast : (n_substeps, n_channels) fast charge trace, units of eps0
+    delta_b : (count, n_gradients) additive gradient offsets, units of j0
+    delta_eps : (count, n_channels) additive detuning offsets, units of eps0
+    fast : (count, n_substeps, n_channels) fast charge traces, units of eps0
     """
 
     delta_b: np.ndarray
@@ -124,9 +123,6 @@ def sample_quasistatic(
 def _target_psd(freqs: np.ndarray, config: NoiseConfig) -> np.ndarray:
     """One-sided target S(f) on the positive frequency grid, eps0^2 ns."""
     amp = config.fast_amplitude * config.scale_fast**2
-    if not config.one_sided:
-        # quoted amplitude was two-sided; the one-sided synthesis target doubles
-        amp = 2.0 * amp
     return amp * (HZ_IN_INVERSE_NS / freqs) ** config.alpha
 
 
@@ -169,11 +165,23 @@ def sample_realization(
     dt: float,
     n_gradients: int = 3,
     n_channels: int = 3,
+    count: int = 1,
 ) -> NoiseRealization:
-    """All per-episode draws in a fixed order (quasi-static first, then fast)."""
-    delta_b, delta_eps = sample_quasistatic(config, rng, n_gradients, n_channels)
-    fast = sample_fast_trace(n_substeps, dt, config, rng, n_channels)
-    return NoiseRealization(delta_b, delta_eps, fast)
+    """`count` independent realizations, drawn quasi-static first, then fast.
+
+    One quasi-static draw covers all count * n_gradients gradient and
+    count * n_channels detuning offsets, and one fast synthesis covers
+    count * n_channels traces; row r takes the r-th block of each. With
+    count = 1 the generator is consumed exactly as by one quasi-static and
+    one fast draw of a single episode.
+    """
+    delta_b, delta_eps = sample_quasistatic(config, rng, count * n_gradients, count * n_channels)
+    fast = sample_fast_trace(n_substeps, dt, config, rng, count * n_channels)
+    return NoiseRealization(
+        delta_b.reshape(count, n_gradients),
+        delta_eps.reshape(count, n_channels),
+        fast.reshape(n_substeps, count, n_channels).swapaxes(0, 1),
+    )
 
 
 def psd_estimate(samples: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:

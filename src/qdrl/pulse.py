@@ -65,10 +65,6 @@ class PulseSequence:
     def n_channels(self) -> int:
         return self.amplitudes.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.n_segments * self.sample_period
-
 
 @dataclass(frozen=True)
 class ShapedTrace:
@@ -116,10 +112,6 @@ class ImpulseKernel:
         if abs(gain - 1.0) > DC_GAIN_TOL:
             raise ValueError(f"kernel DC gain {gain:.8f} differs from 1")
         object.__setattr__(self, "samples", s)
-
-    @property
-    def support(self) -> float:
-        return self.samples.size * self.dt
 
 
 def assemble_sequence(

@@ -289,9 +289,6 @@ class GaussianPolicy:
         mu, _, _ = self._heads(obs)
         return np.tanh(mu)
 
-    def log_prob(self, obs: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return self.sample_cached(obs, xi)[1]
-
     # ---------------------------------------------------------- backward
 
     def backward(self, d_action: np.ndarray, d_logp: np.ndarray, cache) -> None:

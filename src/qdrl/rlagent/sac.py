@@ -38,11 +38,17 @@ __all__ = [
     "polyak_update",
     "config_hash",
     "train_loop",
+    "play_policy",
     "evaluate_policy",
     "CHECKPOINT_VERSION",
+    "MAX_ANCHOR_RETRIES",
 ]
 
 CHECKPOINT_VERSION = 1
+
+# consecutive episodes train_loop drops for a degenerate tomography anchor
+# before it re-raises
+MAX_ANCHOR_RETRIES = 50
 
 
 @dataclass(frozen=True)
@@ -305,13 +311,11 @@ class SacAgent:
         np.savez(path, meta_json=np.array(json.dumps(meta)), **arrays)
 
     @classmethod
-    def load(cls, path, expected_config: SacConfig | None = None,
-             allow_config_mismatch: bool = False, seed: int = 0) -> "SacAgent":
+    def load(cls, path, expected_config: SacConfig | None = None, seed: int = 0) -> "SacAgent":
         """Rebuild an agent from a checkpoint.
 
         If `expected_config` is given, its hash must match the one stored in
-        the checkpoint; pass allow_config_mismatch=True to load anyway (the
-        stored config still wins, since it defines the array shapes).
+        the checkpoint.
         """
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta_json"][()]))
@@ -322,13 +326,11 @@ class SacAgent:
                 )
             stored = SacConfig(**{**meta["config"], "hidden": tuple(meta["config"]["hidden"])})
             if expected_config is not None and config_hash(expected_config) != meta["config_hash"]:
-                if not allow_config_mismatch:
-                    raise ValueError(
-                        "checkpoint was written with a different configuration "
-                        f"(stored hash {meta['config_hash'][:12]}..., expected "
-                        f"{config_hash(expected_config)[:12]}...); pass "
-                        "allow_config_mismatch=True to load it anyway"
-                    )
+                raise ValueError(
+                    "checkpoint was written with a different configuration "
+                    f"(stored hash {meta['config_hash'][:12]}..., expected "
+                    f"{config_hash(expected_config)[:12]}...)"
+                )
             agent = cls(meta["obs_dim"], meta["act_dim"], stored, seed=seed)
             agent.updates_done = int(meta["updates_done"])
             arrays = agent._named_arrays()
@@ -367,18 +369,24 @@ class TrainResult:
         return np.array([e["return"] for e in self.episodes])
 
 
+def play_policy(env, agent: SacAgent, seed: int | None = None) -> tuple[float, dict]:
+    """One deterministic-policy episode from env.reset(seed): (return, terminal info)."""
+    obs = env.reset(seed)
+    total = 0.0
+    info: dict = {}
+    done = False
+    while not done:
+        result = env.step(agent.act(obs, deterministic=True))
+        obs, done, info = result.observation, result.done, result.info
+        total += result.reward
+    return total, info
+
+
 def evaluate_policy(env, agent: SacAgent, n_episodes: int) -> dict[str, float]:
     """Deterministic-policy episodes on the env's continuing noise stream."""
     returns, nlifs, leaks = [], [], []
     for _ in range(n_episodes):
-        obs = env.reset()
-        total = 0.0
-        info: dict = {}
-        done = False
-        while not done:
-            result = env.step(agent.act(obs, deterministic=True))
-            obs, done, info = result.observation, result.done, result.info
-            total += result.reward
+        total, info = play_policy(env, agent)
         returns.append(total)
         nlifs.append(info.get("nlif", np.nan))
         leaks.append(info.get("leakage", np.nan))
@@ -400,15 +408,15 @@ def train_loop(
     n_eval_episodes: int = 4,
     diagnostic_path=None,
     on_episode=None,
-    max_anchor_retries: int = 50,
 ) -> TrainResult:
     """Train `agent` on `env` for `n_episodes` episodes.
 
     One environment step feeds the replay buffer; after the warmup period each
     step also triggers `updates_per_step` gradient updates. Episodes whose
     terminal tomography reconstruction degenerates are dropped and retried
-    with fresh noise (they never enter the replay buffer). A non-finite loss
-    aborts training, saving a diagnostic checkpoint first if a path is given.
+    with fresh noise (they never enter the replay buffer); more than
+    MAX_ANCHOR_RETRIES in a row re-raise. A non-finite loss aborts training,
+    saving a diagnostic checkpoint first if a path is given.
     `on_episode` receives each episode record as it is produced; returning a
     truthy value stops training after that episode (periodic evaluations and
     the episode counter still run for it). Periodic evaluations run on a copy
@@ -465,7 +473,7 @@ def train_loop(
         except DegenerateAnchorError:
             result.anchor_retries += 1
             consecutive_retries += 1
-            if consecutive_retries > max_anchor_retries:
+            if consecutive_retries > MAX_ANCHOR_RETRIES:
                 raise
             obs = env.reset()
             continue

@@ -13,22 +13,19 @@ gate as a capped negative log infidelity (NLIF).
 Observation modes (payload after the time-to-go entry and, except for the
 first mode, the current pulse amplitudes):
 
-    U_EXACT               the episode's actual evolution, no pulse entries
-    U_PLUS_PULSE          the episode's actual evolution
-    U_NOISY_PLUS_PULSE    the noisy evolution (equals the clean one when
-                          noise is off)
-    U_NOISEFREE_PLUS_PULSE, U_TOMO_PLUS_PULSE
-                          the noise-free evolution (step-wise tomography is
-                          not experimentally available, so tomographic
-                          training sees the clean payload and only the
-                          terminal reward uses reconstruction)
-    PULSE_HISTORY         all past actions, zero-padded, with a validity flag
+    U_EXACT                 the episode's actual evolution, no pulse entries
+    U_PLUS_PULSE            the episode's actual evolution
+    U_NOISEFREE_PLUS_PULSE  the noise-free evolution (step-wise tomography is
+                            not experimentally available, so tomographic
+                            training sees the clean payload and only the
+                            terminal reward uses reconstruction)
+    PULSE_HISTORY           all past actions, zero-padded, with a validity flag
 
-"Actual evolution" means noisy when a noise model is configured and clean
-otherwise. Unitary payloads are the flattened real and imaginary parts of the
-computational block (the full sector matrix behind `sector_payload`, for
-ablations); the per-step info NLIF and leakage always score the
-computational block.
+"Actual evolution" means noisy when a noise model is configured and something
+reads it (the observation or the sparse reward), and clean otherwise. Unitary
+payloads are the flattened real and imaginary parts of the computational block
+(the full sector matrix behind `sector_payload`, for ablations); the per-step
+info NLIF and leakage always score the computational block.
 
 The device model fixes the channel count (`GateSynthesisEnv.n_channels`):
 three detuning channels for the two-qubit device, one for the single-qubit
@@ -54,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tomography
-from .noise import NoiseConfig, sample_realization
+from .noise import NoiseConfig, NoiseRealization, sample_realization
 from .pulse import (
     TAIL_SEGMENTS,
     ImpulseKernel,
@@ -102,9 +99,7 @@ class ObservationMode(enum.Enum):
     U_EXACT = "u_exact"
     U_PLUS_PULSE = "u_plus_pulse"
     PULSE_HISTORY = "pulse_history"
-    U_NOISY_PLUS_PULSE = "u_noisy_plus_pulse"
     U_NOISEFREE_PLUS_PULSE = "u_noisefree_plus_pulse"
-    U_TOMO_PLUS_PULSE = "u_tomo_plus_pulse"
 
 
 class RewardMode(enum.Enum):
@@ -286,13 +281,10 @@ class GateSynthesisEnv:
             )
         self.kernel = kernel
         self._noise = config.noise if config.noise is not None and not config.noise.quiet else None
+        # the episode draws its own realization only when something reads the
+        # noisy evolution: the observation or the sparse reward
         self._track_noisy = self._noise is not None and (
-            config.observation_mode
-            in (
-                ObservationMode.U_EXACT,
-                ObservationMode.U_PLUS_PULSE,
-                ObservationMode.U_NOISY_PLUS_PULSE,
-            )
+            config.observation_mode in (ObservationMode.U_EXACT, ObservationMode.U_PLUS_PULSE)
             or config.reward_mode is RewardMode.SPARSE
         )
         if config.reward_mode is RewardMode.TOMO_SNAPSHOT:
@@ -312,21 +304,20 @@ class GateSynthesisEnv:
         if seed is not None:
             self._rng = named_stream(seed, "env")
         self._actions: list[np.ndarray] = []
-        self._u_clean = np.eye(self.model.sim_dim, dtype=complex)
-        self._u_noisy = np.eye(self.model.sim_dim, dtype=complex)
         self._substeps_done = 0
         self._done = False
+        self._realization = None
         if self._track_noisy:
-            self._realization = sample_realization(
-                self._noise,
-                self._rng,
-                self.config.n_substeps,
-                self.config.dt,
-                n_gradients=self.model.n_gradients,
-                n_channels=self.n_channels,
-            )
-        else:
-            self._realization = None
+            z = self._sample_noise(1)
+            if self.config.observation_mode is ObservationMode.U_NOISEFREE_PLUS_PULSE:
+                # a zero realization evolves the noise-free row the observation reads
+                z = NoiseRealization(*(
+                    np.concatenate([x, np.zeros_like(x)]) for x in (z.delta_b, z.delta_eps, z.fast)
+                ))
+            self._realization = z
+        # one evolution per realization row; row 0 is the episode's actual one
+        rows = 1 if self._realization is None else len(self._realization.delta_b)
+        self._u = np.tile(np.eye(self.model.sim_dim, dtype=complex), (rows, 1, 1))
         return self._observe()
 
     def step(self, action) -> StepResult:
@@ -340,7 +331,7 @@ class GateSynthesisEnv:
         self._actions.append(action)
         terminal = len(self._actions) == self.config.n_actions
         self._advance_evolution(include_tail=terminal)
-        block = computational_block(self._u_actual, self.model.block_indices)
+        block = computational_block(self._u[0], self.model.block_indices)
         info = {
             "nlif": nlif(block, self.target, self.config.nlif_cap),
             "leakage": block_leakage(block),
@@ -421,28 +412,39 @@ class GateSynthesisEnv:
 
     def _advance_evolution(self, include_tail: bool) -> None:
         shaped = self._shaped_prefix(include_tail)
-        lo, hi = self._substeps_done, shaped.shape[0]
+        lo = self._substeps_done
         # the kernel is causal, so rows [0, lo) are unchanged from previous
         # steps and the product only needs the new substeps
-        fresh = shaped[lo:hi]
-        self._u_clean = self._evolve(fresh) @ self._u_clean
-        if self._track_noisy:
-            noisy = (
-                fresh
-                + self._realization.delta_eps[None, :]
-                + self._realization.fast[lo:hi]
-            )
-            self._u_noisy = self._evolve(noisy, self._realization.delta_b) @ self._u_noisy
-        self._substeps_done = hi
+        self._u = self._evolve(shaped[lo:], self._realization, lo) @ self._u
+        self._substeps_done = shaped.shape[0]
 
-    def _evolve(self, dets: np.ndarray, delta_b: np.ndarray | None = None) -> np.ndarray:
-        """Propagator through detuning substeps (..., M, C) -> (..., dim, dim)."""
+    def _evolve(
+        self, dets: np.ndarray, z: NoiseRealization | None = None, lo: int = 0
+    ) -> np.ndarray:
+        """Propagators through detuning substeps (M, C), one per realization row.
+
+        Row r adds realization r's offsets to dets, its fast trace read from
+        substep lo on; without a realization the one row is noise-free.
+        Returns (rows, dim, dim).
+        """
+        if z is None:
+            dets, delta_b = dets[None], None
+        else:
+            dets = dets + z.delta_eps[:, None, :] + z.fast[:, lo : lo + len(dets)]
+            delta_b = z.delta_b
         return propagate(step_propagator(self.model.hamiltonians(dets, delta_b), self.config.dt))
 
-    @property
-    def _u_actual(self) -> np.ndarray:
-        """The episode's actual evolution: noisy when noise is tracked, else clean."""
-        return self._u_noisy if self._track_noisy else self._u_clean
+    def _sample_noise(self, count: int) -> NoiseRealization:
+        """`count` fresh realizations over the full substep grid."""
+        return sample_realization(
+            self._noise,
+            self._rng,
+            self.config.n_substeps,
+            self.config.dt,
+            n_gradients=self.model.n_gradients,
+            n_channels=self.n_channels,
+            count=count,
+        )
 
     # ---------------------------------------------------------- observation
 
@@ -462,13 +464,10 @@ class GateSynthesisEnv:
                 history[:k, n_ch] = 1.0
             parts.append(history.ravel())
         else:
-            if cfg.observation_mode in (
-                ObservationMode.U_NOISEFREE_PLUS_PULSE,
-                ObservationMode.U_TOMO_PLUS_PULSE,
-            ):
-                u = self._u_clean
-            else:  # U_EXACT, U_PLUS_PULSE, U_NOISY_PLUS_PULSE
-                u = self._u_actual
+            # the last row is noise-free: the zero realization's row, or row 0
+            # itself when no realization is tracked
+            noise_free = cfg.observation_mode is ObservationMode.U_NOISEFREE_PLUS_PULSE
+            u = self._u[-1] if noise_free else self._u[0]
             payload = u if cfg.sector_payload else computational_block(u, self.model.block_indices)
             parts.append(payload.real.ravel())
             parts.append(payload.imag.ravel())
@@ -479,22 +478,13 @@ class GateSynthesisEnv:
     def _terminal_reward(self) -> float:
         mode = self.config.reward_mode
         if mode is RewardMode.SPARSE:
-            block = computational_block(self._u_actual, self.model.block_indices)
+            block = computational_block(self._u[0], self.model.block_indices)
             return float(nlif(block, self.target, self.config.nlif_cap))
-        if mode is RewardMode.ROBUST_AVG:
+        if mode in (RewardMode.ROBUST_AVG, RewardMode.GAUSS_SURROGATE):
             blocks = self._noisy_final_blocks(self.config.n_realizations)
+            if mode is RewardMode.GAUSS_SURROGATE:
+                blocks = tomography.gaussian_surrogate(blocks, self.config.sigma, self._rng)
             return float(np.mean(nlif(blocks, self.target, self.config.nlif_cap)))
-        if mode is RewardMode.GAUSS_SURROGATE:
-            blocks = self._noisy_final_blocks(self.config.n_realizations)
-            vals = [
-                nlif(
-                    tomography.gaussian_surrogate(b, self.config.sigma, self._rng),
-                    self.target,
-                    self.config.nlif_cap,
-                )
-                for b in blocks
-            ]
-            return float(np.mean(vals))
         # TOMO_SNAPSHOT: every shot measures a fresh noisy realization
         record = self._sample_protocol_snapshots(self.config.n_snapshots)
         est = tomography.reconstruct_unitary(record, self._povm)
@@ -503,37 +493,18 @@ class GateSynthesisEnv:
     def _noisy_final_blocks(self, count: int) -> np.ndarray:
         """Computational blocks of `count` fresh-noise evolutions, (count, d, d)."""
         if self._noise is None:
-            block = computational_block(self._u_clean, self.model.block_indices)
+            block = computational_block(self._u[0], self.model.block_indices)
             return np.broadcast_to(block, (count,) + block.shape)
         shaped = self.shaped_detunings()
-        out = []
-        for start in range(0, count, _REWARD_CHUNK):
-            r = min(_REWARD_CHUNK, count - start)
-            delta_b, delta_eps, fast = self._draw_noise_batch(r, shaped.shape[0])
-            dets = shaped[None] + delta_eps[:, None, :] + fast
-            out.append(computational_block(self._evolve(dets, delta_b), self.model.block_indices))
-        return np.concatenate(out)
-
-    def _draw_noise_batch(self, r: int, m: int):
-        realizations = [
-            sample_realization(
-                self._noise,
-                self._rng,
-                m,
-                self.config.dt,
-                n_gradients=self.model.n_gradients,
-                n_channels=self.n_channels,
-            )
-            for _ in range(r)
+        out = [
+            self._evolve(shaped, self._sample_noise(min(_REWARD_CHUNK, count - start)))
+            for start in range(0, count, _REWARD_CHUNK)
         ]
-        delta_b = np.stack([z.delta_b for z in realizations])
-        delta_eps = np.stack([z.delta_eps for z in realizations])
-        fast = np.stack([z.fast for z in realizations])
-        return delta_b, delta_eps, fast
+        return computational_block(np.concatenate(out), self.model.block_indices)
 
     def _sample_protocol_snapshots(self, n_shots: int) -> tomography.MeasurementRecord:
         if self._noise is None:
-            block = computational_block(self._u_clean, self.model.block_indices)
+            block = computational_block(self._u[0], self.model.block_indices)
             return tomography.sample_snapshots(block, n_shots, self._povm, self._rng)
         counts = None
         leaks = None

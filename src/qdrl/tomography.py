@@ -115,10 +115,6 @@ class PovmSet:
     elements: np.ndarray  # (2 dim, dim, dim)
     probes: np.ndarray    # (dim, dim)
 
-    @property
-    def n_outcomes(self) -> int:
-        return 2 * self.dim
-
 
 def build_povm(dim: int, a: float = 0.1, b: float | None = None) -> PovmSet:
     """Construct and validate the POVM for dimension dim.
@@ -486,10 +482,6 @@ class SigmaShotsMap:
     def sigma_for_shots(self, n_shots: float) -> float:
         log_inf = self.shots_intercept + self.shots_slope * np.log10(n_shots)
         return float(10.0 ** ((log_inf - self.sigma_intercept) / self.sigma_slope))
-
-    def shots_for_sigma(self, sigma: float) -> float:
-        log_inf = self.sigma_intercept + self.sigma_slope * np.log10(sigma)
-        return float(10.0 ** ((log_inf - self.shots_intercept) / self.shots_slope))
 
     def save(self, path: str | Path) -> None:
         payload = {

@@ -123,9 +123,10 @@ class TestConfigSchema:
             config_from_dict(tiny_raw(device={"type": "three_qubit"}))
 
     def test_channels_follow_device(self):
-        assert config_from_dict(tiny_raw()).make_env(0).n_channels == 1
+        one = config_from_dict(tiny_raw())
+        assert one.n_channels == one.make_env(0).n_channels == 1
         two = config_from_dict({"schema_version": 1})
-        assert two.make_env(0).n_channels == 3
+        assert two.n_channels == two.make_env(0).n_channels == 3
 
     def test_noise_section_builds_noise_config(self):
         cfg = config_from_dict(tiny_raw(noise={"enabled": True, "alpha": 0.5}))
@@ -173,6 +174,14 @@ class TestConfigSchema:
         bad.write_text("a: [unclosed")
         with pytest.raises(ConfigError, match="malformed"):
             load_config(bad)
+
+    @pytest.mark.parametrize("mode", ["u_tomo_plus_pulse", "u_noisy_plus_pulse"])
+    def test_removed_observation_modes_rejected(self, tmp_path, mode):
+        # their payloads are those of u_noisefree_plus_pulse and u_plus_pulse
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(tiny_raw(env={"observation_mode": mode})))
+        with pytest.raises(ConfigError, match=mode):
+            load_config(path)
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -272,6 +281,25 @@ class TestProtocolTables:
         bad[-1] = 0.0
         with pytest.raises(ConfigError, match="tail"):
             protocol_to_actions(bad, cfg)
+
+    @pytest.mark.parametrize("fault,match", [
+        ("rows", "shape"), ("columns", "shape"), ("range", "must lie in"), ("tail", "tail"),
+    ])
+    def test_protocol_to_actions_rejects_table_faults(self, fault, match):
+        cfg = config_from_dict(tiny_raw())
+        device = DeviceParams()
+        table = np.full((8, 1), device.eps_min)
+        table[:4] = 1.0
+        if fault == "rows":
+            table = np.vstack([table[:1], table])
+        elif fault == "columns":
+            table = np.hstack([table, table])
+        elif fault == "range":
+            table[2] = device.eps_max + 3.0
+        else:
+            table[-1] += 1e-6  # off the rail by more than 1e-9, within allclose's default rtol
+        with pytest.raises(ConfigError, match=match):
+            protocol_to_actions(table, cfg)
 
 
 class TestTrainCommand:
@@ -383,6 +411,22 @@ class TestSweepCommand:
         assert by_segments[3]["mean_nlif"] is None
         lines = (outdir / "sw2" / "sweep.tsv").read_text().splitlines()
         assert len(lines) == 4
+
+    def test_zero_budget_trains_zero_episodes(self, outdir, monkeypatch):
+        # an explicit sweep budget of 0 must not fall back to the top-level budget
+        budgets = []
+
+        def recording_train_loop(env, agent, n_episodes, **kwargs):
+            budgets.append(n_episodes)
+            return train_loop(env, agent, n_episodes, **kwargs)
+
+        monkeypatch.setattr("qdrl.harness.commands.train_loop", recording_train_loop)
+        cfg = config_from_dict(
+            tiny_raw(sweep={"times": [8.0], "segments": [8], "budget_episodes": 0})
+        )
+        summary = cmd_sweep(cfg, out=outdir / "sw0")
+        assert budgets == [0]
+        assert summary["cells"][0]["status"] == "ok"
 
     def test_empty_grid_rejected(self, outdir):
         cfg = config_from_dict(tiny_raw())

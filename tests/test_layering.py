@@ -57,13 +57,21 @@ def test_layer_does_not_import_upward(layer, forbidden):
 TEST_ONLY_PUBLIC = {"records_equal"}
 
 
-def test_every_public_helper_has_a_non_test_caller():
-    root = SRC.parents[1]
-    defined = {}
+def public_definitions():
+    """(qualified name, name) of top-level functions and classes and of class members."""
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[node.name] = path.relative_to(SRC)
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in (node, *members):
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and item.name[0] != "_":
+                    owner = f"{node.name}." if item is not node else ""
+                    yield f"{path.relative_to(SRC)}:{owner}{item.name}", item.name
+
+
+def test_every_public_helper_has_a_non_test_caller():
+    # methods and properties count by name: a call on any object with that
+    # attribute name is a caller
+    root = SRC.parents[1]
     used = set()
     for tree in ("src", "demos", "perfbench"):
         for path in (root / tree).rglob("*.py"):
@@ -72,6 +80,6 @@ def test_every_public_helper_has_a_non_test_caller():
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-    unused = sorted(f"{path}:{name}" for name, path in defined.items()
+    unused = sorted(where for where, name in public_definitions()
                     if name not in used and name not in TEST_ONLY_PUBLIC)
     assert not unused, f"public helpers without a caller outside tests: {unused}"

@@ -86,13 +86,6 @@ class TestFastTrace:
         assert ratio.mean() == pytest.approx(1.0, abs=0.1)
         assert np.all(ratio > 1 / 1.5) and np.all(ratio < 1.5)
 
-    def test_two_sided_convention_doubles_power(self):
-        one = noise.NoiseConfig(alpha=0.0)
-        two = noise.NoiseConfig(alpha=0.0, one_sided=False)
-        _, p1 = averaged_psd(one, m=512, dt=0.5, n_avg=200, seed=7)
-        _, p2 = averaged_psd(two, m=512, dt=0.5, n_avg=200, seed=7)
-        assert p2[1:-1].mean() / p1[1:-1].mean() == pytest.approx(2.0, rel=0.05)
-
     def test_off_switch(self):
         config = noise.NoiseConfig(fast_charge_on=False)
         trace = noise.sample_fast_trace(64, 0.5, config, np.random.default_rng(8))
@@ -118,6 +111,38 @@ class TestFastTrace:
             noise.sample_fast_trace(1, 0.5, config, np.random.default_rng(0))
         with pytest.raises(ValueError):
             noise.sample_fast_trace(64, -0.5, config, np.random.default_rng(0))
+
+
+class TestRealization:
+    def test_single_realization_is_quasistatic_then_fast(self):
+        config = noise.NoiseConfig()
+        z = noise.sample_realization(config, np.random.default_rng(13), 100, 0.25)
+        rng = np.random.default_rng(13)
+        db, de = noise.sample_quasistatic(config, rng)
+        fast = noise.sample_fast_trace(100, 0.25, config, rng)
+        np.testing.assert_array_equal(z.delta_b, db[None])
+        np.testing.assert_array_equal(z.delta_eps, de[None])
+        np.testing.assert_array_equal(z.fast, fast[None])
+
+    def test_batch_shapes_and_per_channel_variances(self):
+        config = noise.NoiseConfig()
+        count, m, dt = 2000, 64, 0.25
+        z = noise.sample_realization(
+            config, np.random.default_rng(14), m, dt, n_gradients=3, n_channels=2, count=count
+        )
+        assert z.delta_b.shape == (count, 3)
+        assert z.delta_eps.shape == (count, 2)
+        assert z.fast.shape == (count, m, 2)
+        np.testing.assert_allclose(z.delta_b.std(axis=0), config.sigma_b, rtol=0.05)
+        np.testing.assert_allclose(z.delta_eps.std(axis=0), config.sigma_eps, rtol=0.05)
+        # variance of a trace: the one-sided PSD integrated over the band,
+        # the Nyquist bin of an even-length grid at half weight
+        freqs = np.fft.rfftfreq(m, dt)
+        psd = noise._target_psd(freqs[1:], config)
+        expected = (psd[:-1].sum() + 0.5 * psd[-1]) / (m * dt)
+        np.testing.assert_allclose(z.fast.var(axis=(0, 1)), expected, rtol=0.05)
+        # each row is one whole trace, so each has the zeroed DC bin
+        np.testing.assert_allclose(z.fast.mean(axis=1), 0.0, atol=1e-12)
 
 
 class TestPsdEstimate:

@@ -259,7 +259,7 @@ class TestGaussianPolicy:
         def density(a):
             u = np.arctanh(a)
             xi = (u - mu[0, 0]) / sigma
-            return float(np.exp(policy_1d.log_prob(obs, np.array([[xi]]))[0]))
+            return float(np.exp(policy_1d.sample_cached(obs, np.array([[xi]]))[1][0]))
 
         grid = np.tanh(np.linspace(-8.0, 8.0, 4001))  # dense near the edges
         values = np.array([density(a) for a in grid])

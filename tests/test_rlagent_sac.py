@@ -24,6 +24,7 @@ from qdrl.rlagent import (
     config_hash,
     evaluate_policy,
     polyak_update,
+    sac,
     train_loop,
 )
 from qdrl.tomography import DegenerateAnchorError
@@ -412,7 +413,7 @@ class TestTrainLoop:
         # initial reset + one retry + a fresh reset after each finished episode
         assert env.episodes_started == 12
 
-    def test_persistent_anchor_failure_eventually_raises(self):
+    def test_persistent_anchor_failure_eventually_raises(self, monkeypatch):
         class BrokenEnv(LineEnv):
             def step(self, action):
                 result = super().step(action)
@@ -422,8 +423,9 @@ class TestTrainLoop:
 
         env = BrokenEnv()
         agent = SacAgent(2, 1, SacConfig(**SMALL), seed=9)
+        monkeypatch.setattr(sac, "MAX_ANCHOR_RETRIES", 3)
         with pytest.raises(DegenerateAnchorError):
-            train_loop(env, agent, 5, seed=9, max_anchor_retries=3)
+            train_loop(env, agent, 5, seed=9)
 
 
 class TestBanditEntropy:
@@ -481,13 +483,11 @@ class TestCheckpoints:
         mb = b.update({k: v.copy() for k, v in batch.items()})
         assert ma == mb
 
-    def test_config_mismatch_rejected_unless_overridden(self, tmp_path):
+    def test_config_mismatch_rejected(self, tmp_path):
         _, path = self._trained_agent(tmp_path)
         other = SacConfig(**{**SMALL, "gamma": 0.9})
         with pytest.raises(ValueError, match="different configuration"):
             SacAgent.load(path, expected_config=other)
-        loaded = SacAgent.load(path, expected_config=other, allow_config_mismatch=True)
-        assert loaded.config.gamma == SacConfig(**SMALL).gamma  # stored config wins
 
     def test_matching_config_accepted(self, tmp_path):
         _, path = self._trained_agent(tmp_path)

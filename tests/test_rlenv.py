@@ -285,20 +285,45 @@ class TestDeterminismAndNoise:
             np.testing.assert_array_equal(a, b)
 
     def test_noisy_payload_varies_with_noise_seed(self):
-        env = small_env(noise=NoiseConfig(), observation_mode=ObservationMode.U_NOISY_PLUS_PULSE)
+        env = small_env(noise=NoiseConfig(), observation_mode=ObservationMode.U_PLUS_PULSE)
         acts = random_actions(env, seed=14)
         first = env.rollout(acts, seed=1).observation
         second = env.rollout(acts, seed=2).observation
         assert np.abs(first - second).max() > 1e-6
 
     def test_tomo_mode_intermediate_payload_is_noise_free(self):
+        # the observation tomographic training uses is the noise-free payload,
+        # while the sparse reward still scores the episode's own noisy evolution
         noise = NoiseConfig()
-        tomo_env = small_env(noise=noise, observation_mode=ObservationMode.U_TOMO_PLUS_PULSE)
+        tomo_env = small_env(noise=noise, observation_mode=ObservationMode.U_NOISEFREE_PLUS_PULSE)
         free_env = small_env(noise=None, observation_mode=ObservationMode.U_PLUS_PULSE)
+        noisy_env = small_env(noise=noise, observation_mode=ObservationMode.U_PLUS_PULSE)
         acts = random_actions(tomo_env, seed=15)
-        env_obs = tomo_env.rollout(acts, seed=15).observation
+        result = tomo_env.rollout(acts, seed=15)
         ref_obs = free_env.rollout(acts, seed=15).observation
-        np.testing.assert_allclose(env_obs, ref_obs, atol=1e-12)
+        np.testing.assert_allclose(result.observation, ref_obs, atol=1e-12)
+        assert result.reward == noisy_env.rollout(acts, seed=15).reward
+
+    @pytest.mark.parametrize("observation_mode", [
+        ObservationMode.U_PLUS_PULSE, ObservationMode.U_NOISEFREE_PLUS_PULSE,
+    ])
+    def test_one_step_propagator_call_per_step(self, monkeypatch, observation_mode):
+        # the noisy and the noise-free rows advance in one batched call
+        import qdrl.rlenv
+
+        calls = []
+
+        def counting(h, dt):
+            calls.append(h.shape)
+            return step_propagator(h, dt)
+
+        monkeypatch.setattr(qdrl.rlenv, "step_propagator", counting)
+        env = small_env(noise=NoiseConfig(), observation_mode=observation_mode)
+        env.reset(seed=16)
+        calls.clear()
+        for row in random_actions(env, seed=16):
+            env.step(row)
+        assert len(calls) == env.config.n_actions
 
     def test_u_exact_omits_pulse_entries(self):
         plain = small_env(observation_mode=ObservationMode.U_EXACT)
