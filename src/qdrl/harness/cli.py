@@ -18,14 +18,22 @@ from .config import ConfigError, load_config
 __all__ = ["main"]
 
 
-def _worker_count(text: str) -> int:
-    """--workers value: an integer from 1 to the number of usable cores."""
-    cores = len(os.sched_getaffinity(0))
+def _positive_int(text: str) -> int:
+    """An integer flag value of at least 1."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= n <= cores:
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _worker_count(text: str) -> int:
+    """--workers value: an integer from 1 to the number of usable cores."""
+    cores = len(os.sched_getaffinity(0))
+    n = _positive_int(text)
+    if n > cores:
         raise argparse.ArgumentTypeError(f"must be between 1 and {cores} (usable cores), got {n}")
     return n
 
@@ -51,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("train", "train one agent per seed; write logs and checkpoints")
     add("evaluate", "dynamic vs frozen deterministic-policy evaluation",
-        **{"--checkpoint": dict(required=True), "--episodes": dict(type=int, default=None)})
+        **{"--checkpoint": dict(required=True),
+           "--episodes": dict(type=_positive_int, default=None)})
     add("sweep", "grid of training runs over protocol time x segment count",
         **{"--workers": dict(type=_worker_count, default=1,
                              help="worker processes for independent cells")})

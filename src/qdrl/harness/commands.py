@@ -253,7 +253,7 @@ def protocol_to_actions(detunings: np.ndarray, config: ExperimentConfig) -> np.n
     channel, its tail rows on the minimum rail and every other value inside
     [eps_min, eps_max]; anything else raises ConfigError.
     """
-    device = config.device
+    device = config.env.device
     shape = (config.env.n_segments, config.n_channels)
     if detunings.shape != shape:
         raise ConfigError(f"protocol table has shape {detunings.shape} (rows, channels), "
@@ -301,7 +301,7 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
     scales = [float(k) for k in spec["scales"]]
     if not scales:
         raise ConfigError("scale_sweep.scales must be non-empty")
-    realizations = int(spec["realizations"])
+    realizations = spec["realizations"]
     detunings, _ = read_protocol(protocol_path)
     actions = protocol_to_actions(detunings, config)
     base_noise = config.env.noise or NoiseConfig()
@@ -334,7 +334,7 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
                 # Gradients are stored in units of j0 and the Hamiltonian
                 # multiplies them by j0, so scaling j0 alone scales every
                 # energy in the device uniformly.
-                device = dataclasses.replace(config.device, j0=k * config.device.j0)
+                device = dataclasses.replace(config.env.device, j0=k * config.env.device.j0)
                 kernel = config.env.kernel
                 if kernel is not None:
                     # the same response compressed in time: same weights on a dt/k grid
@@ -414,7 +414,7 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
         lines.append("\t".join(row))
     (out / "bloch.tsv").write_text("\n".join(lines) + "\n")
 
-    device = config.device
+    device = config.env.device
     span = device.eps_max - device.eps_min
     fluence = float(np.sum((shaped - device.eps_min) ** 2) * dt)
     fluence_max = span**2 * env.config.protocol_time * env.n_channels
@@ -440,7 +440,7 @@ def cmd_tomo_calibrate(config: ExperimentConfig, out: Path | None = None) -> dic
     spec = config.section("tomo")
     rng = named_stream(config.seeds[0], "tomo-calibrate")
     mapping = calibrate_sigma_to_shots(
-        int(spec["dim"]), spec["shots"], spec["sigmas"], rng, n_trials=int(spec["trials"])
+        spec["dim"], spec["shots"], spec["sigmas"], rng, n_trials=spec["trials"]
     )
     map_path = out / "sigma_shots.json"
     mapping.save(map_path)
@@ -484,7 +484,7 @@ def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
         "noise_seed": "none" if noise_seed is None else noise_seed,
     }
     path = out / "protocol.tsv"
-    write_protocol(path, sequence.amplitudes, config.device.eps0,
+    write_protocol(path, sequence.amplitudes, config.env.device.eps0,
                    sequence.sample_period, meta, shaped_preview=preview)
     summary = {"protocol": str(path), **meta}
     _write_json(out / "export_summary.json", summary)

@@ -1,10 +1,12 @@
 """Experiment configuration: YAML schema, strict validation, stable hashing.
 
 A config file fully determines a run: device, pulse-shaping kernel, noise,
-environment, agent, and budgets. Parsing merges user values over explicit
-defaults, rejects unknown keys at every level, and produces both constructed
-objects (env factory, agent config) and a canonical resolved dictionary whose
-SHA-256 digest is embedded in every output artifact.
+environment, agent, and budgets. Parsing merges user values over defaults
+(for env, noise and agent: the fields of EnvConfig, NoiseConfig, SacConfig),
+rejects unknown keys, values unlike their default's type (an int may stand
+for a float) and counts below their least value, and produces both
+constructed objects (env factory, agent config) and a canonical resolved
+dictionary whose SHA-256 digest is embedded in every output artifact.
 """
 from __future__ import annotations
 
@@ -13,13 +15,13 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import yaml
 
 from ..noise import NoiseConfig
 from ..pulse import ImpulseKernel, gaussian_kernel, load_kernel
-from ..qcore import DeviceParams
 from ..rlagent import SacAgent, SacConfig
 from ..rlenv import EnvConfig, GateSynthesisEnv, SingleQubitModel, TwoQubitModel, single_qubit_env
 
@@ -42,51 +44,29 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+# The env, noise and agent keys and defaults are the dataclass fields (enums as
+# values, tuples as lists), so a field added to EnvConfig, NoiseConfig or
+# SacConfig becomes a YAML key and moves every experiment hash. The fields
+# below are built from other sections or never configured.
+_NOT_YAML = {"device", "kernel", "target", "noise"}
+
+
+def _field_defaults(cls) -> dict:
+    defaults = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in _NOT_YAML:
+            value = f.default
+            defaults[f.name] = (value.value if isinstance(value, Enum)
+                                else list(value) if isinstance(value, tuple) else value)
+    return defaults
+
+
 _DEFAULTS: dict[str, dict] = {
     "device": {"type": "two_qubit", "b": 1.0},
-    "env": {
-        "protocol_time": 50.0,
-        "n_segments": 50,
-        "oversample": 10,
-        "observation_mode": "u_plus_pulse",
-        "reward_mode": "sparse",
-        "n_realizations": 10,
-        "n_snapshots": 100_000,
-        "sigma": 0.0,
-        "nlif_cap": 12.0,
-        "sector_payload": False,
-    },
+    "env": _field_defaults(EnvConfig),
     "kernel": {"type": "delta", "mean_delay": 0.0, "stddev": 0.0, "path": None},
-    "noise": {
-        "enabled": False,
-        "sigma_b": 0.0105,
-        "sigma_eps": 0.0294,
-        "fast_amplitude": 53.8,
-        "alpha": 0.7,
-        "hyperfine_on": True,
-        "slow_charge_on": True,
-        "fast_charge_on": True,
-        "scale_b": 1.0,
-        "scale_eps": 1.0,
-        "scale_fast": 1.0,
-    },
-    "agent": {
-        "hidden": [512, 512],
-        "gamma": 0.99,
-        "polyak": 0.005,
-        "learning_rate": 5e-4,
-        "batch_size": 256,
-        "replay_capacity": 100_000,
-        "warmup_steps": 1000,
-        "updates_per_step": 1,
-        "n_critics": 2,
-        "n_quantiles": 46,
-        "kept_quantiles": 25,
-        "dropout": 0.01,
-        "temperature": None,
-        "target_entropy": None,
-        "init_temperature": 1.0,
-    },
+    "noise": {"enabled": False, **_field_defaults(NoiseConfig)},
+    "agent": _field_defaults(SacConfig),
     "train": {"eval_every": 0, "n_eval_episodes": 10},
     "evaluate": {"episodes": 100},
     "sweep": {"times": [], "segments": [], "budget_episodes": None},
@@ -107,6 +87,23 @@ _TOP_DEFAULTS = {
 }
 
 
+def _check_type(key: str, value, default) -> None:
+    """Raise ConfigError unless value has its default's type.
+
+    An int passes for a float, list items must match the default's first item,
+    and a value whose default is None is left to its consumer to check.
+    """
+    if default is None:
+        return
+    expected = type(default)
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {expected.__name__}, got {value!r}")
+    if expected is list and default:
+        for i, item in enumerate(value):
+            _check_type(f"{key}[{i}]", item, default[0])
+
+
 def _merge_section(name: str, user: dict | None) -> dict:
     defaults = _DEFAULTS[name]
     if user is None:
@@ -116,6 +113,8 @@ def _merge_section(name: str, user: dict | None) -> dict:
     unknown = set(user) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in section '{name}': {sorted(unknown)}")
+    for key, value in user.items():
+        _check_type(f"{name}.{key}", value, defaults[key])
     return {**defaults, **user}
 
 
@@ -124,9 +123,7 @@ def _resolve(raw: dict) -> dict:
         raise ConfigError("config root must be a mapping")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
-        )
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
     known_top = set(_TOP_DEFAULTS) | set(_DEFAULTS) | {"schema_version"}
     unknown = set(raw) - known_top
     if unknown:
@@ -134,6 +131,7 @@ def _resolve(raw: dict) -> dict:
     resolved: dict = {"schema_version": SCHEMA_VERSION}
     for key, default in _TOP_DEFAULTS.items():
         resolved[key] = raw.get(key, default)
+        _check_type(key, resolved[key], default)
     for name in _DEFAULTS:
         resolved[name] = _merge_section(name, raw.get(name))
     return resolved
@@ -159,7 +157,6 @@ class ExperimentConfig:
     budget_episodes: int
     output_dir: Path
     device_type: str
-    device: DeviceParams
     env: EnvConfig
     agent: SacConfig
     eval_every: int
@@ -214,6 +211,22 @@ def _make_kernel(spec: dict, dt: float) -> ImpulseKernel | None:
     raise ConfigError(f"unknown kernel type {spec['type']!r}")
 
 
+def _fields_of(resolved: dict, name: str) -> dict:
+    """A section as keyword arguments for its dataclass: numbers for floats become floats."""
+    defaults = _DEFAULTS[name]
+    return {key: float(value) if isinstance(defaults[key], float) else value
+            for key, value in resolved[name].items()}
+
+
+# Counts with a least value; below it a command fails late or writes NaN.
+_LEAST = {
+    ("train", "eval_every"): 0,
+    ("train", "n_eval_episodes"): 1,
+    ("evaluate", "episodes"): 1,
+    ("scale_sweep", "realizations"): 1,
+}
+
+
 def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
                      out_override: str | None = None,
                      budget_override: int | None = None) -> ExperimentConfig:
@@ -227,68 +240,47 @@ def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
         resolved["budget_episodes"] = int(budget_override)
 
     seeds = resolved["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds
-    ):
-        raise ConfigError(f"seeds must be a non-empty list of integers, got {seeds!r}")
+    if not seeds:
+        raise ConfigError("seeds must be a non-empty list of integers")
     budget = resolved["budget_episodes"]
-    if not isinstance(budget, int) or budget < 0:
+    if budget < 0:
         raise ConfigError(f"budget_episodes must be a non-negative integer, got {budget!r}")
+
+    for (section, key), least in _LEAST.items():
+        if resolved[section][key] < least:
+            raise ConfigError(f"{section}.{key} must be at least {least}, "
+                              f"got {resolved[section][key]}")
 
     device_type = resolved["device"]["type"]
     if device_type not in ("two_qubit", "single_qubit"):
         raise ConfigError(f"device type must be two_qubit or single_qubit, got {device_type!r}")
-    device = DeviceParams()
 
     env_spec = resolved["env"]
     try:
         dt = env_spec["protocol_time"] / env_spec["n_segments"] / env_spec["oversample"]
         kernel = _make_kernel(resolved["kernel"], dt)
-        noise_spec = resolved["noise"]
-        noise = (
-            NoiseConfig(**{k: v for k, v in noise_spec.items() if k != "enabled"})
-            if noise_spec["enabled"]
-            else None
-        )
-        env = EnvConfig(
-            device=device,
-            kernel=kernel,
-            protocol_time=float(env_spec["protocol_time"]),
-            n_segments=int(env_spec["n_segments"]),
-            oversample=int(env_spec["oversample"]),
-            observation_mode=env_spec["observation_mode"],
-            reward_mode=env_spec["reward_mode"],
-            noise=noise,
-            n_realizations=int(env_spec["n_realizations"]),
-            n_snapshots=int(env_spec["n_snapshots"]),
-            sigma=float(env_spec["sigma"]),
-            nlif_cap=float(env_spec["nlif_cap"]),
-            sector_payload=bool(env_spec["sector_payload"]),
-        )
-        agent_spec = dict(resolved["agent"])
-        agent_spec["hidden"] = tuple(agent_spec["hidden"])
-        agent = SacConfig(**agent_spec)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
+        noise_spec = _fields_of(resolved, "noise")
+        enabled = noise_spec.pop("enabled")
+        noise = NoiseConfig(**noise_spec) if enabled else None
+        env = EnvConfig(kernel=kernel, noise=noise, **_fields_of(resolved, "env"))
+        agent = SacConfig(**_fields_of(resolved, "agent"))
+    except (TypeError, ValueError) as err:  # ConfigError included: rewrapped unchanged
         raise ConfigError(str(err)) from err
 
     out_dir = Path(resolved["output_dir"])
     if not out_dir.is_absolute():
         out_dir = output_root() / out_dir
 
-    train_spec = resolved["train"]
     return ExperimentConfig(
         resolved=resolved,
         seeds=list(seeds),
         budget_episodes=budget,
         output_dir=out_dir,
         device_type=device_type,
-        device=device,
         env=env,
         agent=agent,
-        eval_every=int(train_spec["eval_every"]),
-        n_eval_episodes=int(train_spec["n_eval_episodes"]),
+        eval_every=resolved["train"]["eval_every"],
+        n_eval_episodes=resolved["train"]["n_eval_episodes"],
     )
 
 

@@ -277,6 +277,14 @@ class SacAgent:
 
     # ----------------------------------------------------------- checkpoints
 
+    def _optimizers(self) -> list[tuple[str, Adam]]:
+        """Every optimizer with the prefix of its state arrays in a checkpoint."""
+        pairs = [("policy_opt", self.policy_opt)]
+        pairs += [(f"critic{c}_opt", opt) for c, opt in enumerate(self.critic_opts)]
+        if self.alpha_opt is not None:
+            pairs.append(("alpha_opt", self.alpha_opt))
+        return pairs
+
     def _named_arrays(self) -> dict[str, np.ndarray]:
         arrays: dict[str, np.ndarray] = {}
 
@@ -285,16 +293,12 @@ class SacAgent:
                 arrays[f"{prefix}.{i}"] = a
 
         put("policy", self.policy.params())
-        put("policy_opt", self.policy_opt.state_arrays())
-        for c, (critic, target, opt) in enumerate(
-            zip(self.critics, self.target_critics, self.critic_opts)
-        ):
+        for c, (critic, target) in enumerate(zip(self.critics, self.target_critics)):
             put(f"critic{c}", critic.params())
             put(f"target{c}", target.params())
-            put(f"critic{c}_opt", opt.state_arrays())
         arrays["log_alpha"] = self.log_alpha
-        if self.alpha_opt is not None:
-            put("alpha_opt", self.alpha_opt.state_arrays())
+        for prefix, opt in self._optimizers():
+            put(prefix, opt.state_arrays())
         return arrays
 
     def save(self, path) -> None:
@@ -324,7 +328,7 @@ class SacAgent:
                     f"unsupported checkpoint version {meta.get('version')!r}; "
                     f"this build reads version {CHECKPOINT_VERSION}"
                 )
-            stored = SacConfig(**{**meta["config"], "hidden": tuple(meta["config"]["hidden"])})
+            stored = SacConfig(**meta["config"])
             if expected_config is not None and config_hash(expected_config) != meta["config_hash"]:
                 raise ValueError(
                     "checkpoint was written with a different configuration "
@@ -341,16 +345,9 @@ class SacAgent:
                                      f"expected {dst.shape}")
                 dst[...] = src
             # optimizer step counters live inside the state arrays
-            agent.policy_opt.load_state_arrays(
-                [arrays[f"policy_opt.{i}"] for i in range(2 * len(agent.policy_opt.params) + 1)]
-            )
-            for c, opt in enumerate(agent.critic_opts):
+            for prefix, opt in agent._optimizers():
                 opt.load_state_arrays(
-                    [arrays[f"critic{c}_opt.{i}"] for i in range(2 * len(opt.params) + 1)]
-                )
-            if agent.alpha_opt is not None and "alpha_opt.0" in data:
-                agent.alpha_opt.load_state_arrays(
-                    [arrays[f"alpha_opt.{i}"] for i in range(2 * len(agent.alpha_opt.params) + 1)]
+                    [arrays[f"{prefix}.{i}"] for i in range(2 * len(opt.params) + 1)]
                 )
         return agent
 

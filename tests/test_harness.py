@@ -122,6 +122,43 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             config_from_dict(tiny_raw(device={"type": "three_qubit"}))
 
+    @pytest.mark.parametrize("overrides", [
+        # a value of the wrong type, once coerced or passed on silently
+        pytest.param({"noise": {"enabled": "false"}}, id="noise.enabled"),
+        pytest.param({"env": {"sector_payload": "false"}}, id="env.sector_payload"),
+        pytest.param({"env": {"n_segments": 24.7}}, id="env.n_segments"),
+        pytest.param({"agent": {"hidden": [64.7, 64]}}, id="agent.hidden"),
+        pytest.param({"agent": {"batch_size": 256.9}}, id="agent.batch_size"),
+        pytest.param({"budget_episodes": True}, id="budget_episodes"),
+        # a count below its least value, once a late crash or NaN output
+        pytest.param({"train": {"n_eval_episodes": 0}}, id="train.n_eval_episodes"),
+        pytest.param({"train": {"eval_every": -1}}, id="train.eval_every"),
+        pytest.param({"evaluate": {"episodes": 0}}, id="evaluate.episodes"),
+        pytest.param({"scale_sweep": {"realizations": 0}}, id="scale_sweep.realizations"),
+    ])
+    def test_wrong_types_and_counts_rejected(self, tmp_path, overrides):
+        raw = tiny_raw(**overrides)
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["train", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "train_summary.json").exists()
+
+    def test_ints_accepted_where_floats_expected(self):
+        cfg = config_from_dict(tiny_raw(env={"protocol_time": 8},
+                                        noise={"enabled": True, "sigma_b": 1}))
+        assert cfg.env.protocol_time == 8.0 and isinstance(cfg.env.protocol_time, float)
+        assert isinstance(cfg.env.noise.sigma_b, float)
+        assert cfg.resolved["env"]["protocol_time"] == 8  # hashed as written
+
+    def test_experiment_hashes_pinned(self):
+        # any change here moves every artifact's hash and orphans past checkpoints
+        assert config_from_dict({"schema_version": 1}).hash == (
+            "0494869add27556f21a1aacf7e70fbfa70adb33b239184a5301f0d1ce7d5cb05")
+        assert config_from_dict(tiny_raw()).hash == (
+            "a0fc1452783ca6527c84221add6fbc4f68e5a1d41df8f04e39f2a44cfdd38443")
+
     def test_channels_follow_device(self):
         one = config_from_dict(tiny_raw())
         assert one.n_channels == one.make_env(0).n_channels == 1
@@ -649,6 +686,13 @@ class TestCli:
         # parsing alone: no command runs, so no process pool is started
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args(argv + ["--config", "exp.yaml"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_episodes_flag_must_be_a_positive_int(self, value):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["evaluate", "--config", "exp.yaml",
+                                        "--checkpoint", "a.npz", "--episodes", value])
         assert exc.value.code == 2
 
     def _config_file(self, tmp_path, raw=None):
