@@ -1,13 +1,15 @@
 """
-Training walkthrough: a small agent learns a one-qubit phase gate
-=================================================================
+Training walkthrough: a small agent on a one-qubit phase gate
+=============================================================
 
 The full experiment pipeline on a problem small enough to watch live: train
 a soft actor-critic agent on the one-qubit device for a few hundred
 episodes, evaluate the deterministic policy, export its pulse table, and
-replay the exported protocol. Expect the terminal NLIF to climb well above
-the random-protocol baseline within a couple of minutes; converged
-high-fidelity protocols need longer budgets than a demo should take.
+replay the exported protocol. The run takes a few minutes. It walks through
+the commands and their artifacts; it does not show that the agent learns.
+At this budget the terminal NLIF has not been measured to rise above that of
+random protocol tables, and no test pins that it does (see the first open
+item of ROADMAP.md).
 """
 
 import tempfile

@@ -36,7 +36,6 @@ from .rlenv import (
     GateSynthesisEnv,
     ObservationMode,
     RewardMode,
-    single_qubit_env,
 )
 from .seeding import named_stream
 
@@ -61,7 +60,6 @@ __all__ = [
     "named_stream",
     "nlif",
     "phase_gate_target",
-    "single_qubit_env",
     "train_loop",
 ]
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from ..noise import NoiseConfig
 from ..pulse import TAIL_SEGMENTS, ImpulseKernel
-from ..qcore import pauli_expectations, propagate, step_propagator
 from ..rlagent import SacAgent, evaluate_policy, play_policy, train_loop
 from ..seeding import named_stream
 from ..tomography import calibrate_sigma_to_shots
@@ -152,8 +151,10 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path, episodes: int | Non
     Dynamic re-queries the policy every step under fresh noise; frozen replays
     one noise-free pulse table under the same fresh-noise episodes.
     """
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     episodes = episodes if episodes is not None else config.resolved["evaluate"]["episodes"]
+    if episodes < 1:
+        raise ConfigError(f"episodes must be at least 1, got {episodes}")
+    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     agent = _load_agent(config, checkpoint)
 
     eval_env_cfg = dataclasses.replace(config.env, reward_mode="sparse")
@@ -223,7 +224,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path | None = None, workers: int = 
     if budget is None:
         budget = config.budget_episodes
     seed = config.seeds[0]
-    cells = [(float(t), int(n)) for t in times for n in segments]
+    cells = [(float(t), n) for t in times for n in segments]
     args = [(config.resolved, t, n, seed, budget, config.n_eval_episodes) for t, n in cells]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -254,7 +255,7 @@ def protocol_to_actions(detunings: np.ndarray, config: ExperimentConfig) -> np.n
     [eps_min, eps_max]; anything else raises ConfigError.
     """
     device = config.env.device
-    shape = (config.env.n_segments, config.n_channels)
+    shape = (config.env.n_segments, config.make_model().n_channels)
     if detunings.shape != shape:
         raise ConfigError(f"protocol table has shape {detunings.shape} (rows, channels), "
                           f"the configured env needs {shape}")
@@ -367,44 +368,32 @@ _SCALE_FIELD = {"hyperfine": "scale_b", "slow_charge": "scale_eps", "fast_charge
 # ------------------------------------------------------------------- analyze
 
 
-# computational basis labels per device, in block_indices order
-_STATE_LABELS = {"single_qubit": ("0", "1"), "two_qubit": ("00", "01", "10", "11")}
-
-
 def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
                 initial_state: str | None = None, out: Path | None = None) -> dict:
     """Per-substep logical Bloch vectors and the protocol's relative fluence."""
     out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     label = initial_state or config.resolved["analyze"]["initial_state"]
-    labels = _STATE_LABELS[config.device_type]
-    if label not in labels:
+    model = config.make_model()
+    if label not in model.labels:
         raise ConfigError(f"unknown initial state {label!r} for a {config.device_type} "
-                          f"device; use one of {', '.join(labels)}")
+                          f"device; use one of {', '.join(model.labels)}")
     detunings, _ = read_protocol(protocol_path)
     actions = protocol_to_actions(detunings, config)
 
     env = config.make_env(config.seeds[0],
                           dataclasses.replace(config.env, reward_mode="sparse", noise=None))
-    model = env.model
     nlif_final = float(env.rollout(actions, config.seeds[0]).info["nlif"])
     shaped = env.shaped_detunings()
     dt = env.config.dt
 
-    cumulative = propagate(step_propagator(model.hamiltonians(shaped), dt), cumulative=True)
-    dim = model.sim_dim
-    states = cumulative[:, :, model.block_indices[labels.index(label)]]
+    states = env.trajectory()[:, :, model.block_indices[model.labels.index(label)]]
 
     times = np.arange(states.shape[0]) * dt
-    block = np.asarray(model.block_indices)
-    amplitudes = states[:, block]
-    norms = np.sum(np.abs(amplitudes) ** 2, axis=1)
-    if dim == 6:
-        bloch = pauli_expectations(states).reshape(states.shape[0], 6)
-        header = ["time_ns", "q1_x", "q1_y", "q1_z", "q2_x", "q2_y", "q2_z", "block_norm"]
-    else:
-        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-        bloch = np.real(np.einsum("mi,aij,mj->ma", np.conj(amplitudes), paulis, amplitudes))
-        header = ["time_ns", "q1_x", "q1_y", "q1_z", "block_norm"]
+    norms = np.sum(np.abs(states[:, np.asarray(model.block_indices)]) ** 2, axis=1)
+    bloch = model.bloch(states)  # (substeps + 1, qubits, 3)
+    qubits = [f"q{q + 1}_{axis}" for q in range(bloch.shape[1]) for axis in "xyz"]
+    header = ["time_ns", *qubits, "block_norm"]
+    bloch = bloch.reshape(states.shape[0], -1)
 
     lines = [f"# config_hash={config.hash}", f"# initial_state={label}",
              "\t".join(header)]

@@ -22,8 +22,9 @@ import yaml
 
 from ..noise import NoiseConfig
 from ..pulse import ImpulseKernel, gaussian_kernel, load_kernel
+from ..qcore import DeviceParams
 from ..rlagent import SacAgent, SacConfig
-from ..rlenv import EnvConfig, GateSynthesisEnv, SingleQubitModel, TwoQubitModel, single_qubit_env
+from ..rlenv import EnvConfig, GateSynthesisEnv, SingleQubitModel, TwoQubitModel
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -49,6 +50,12 @@ class ConfigError(ValueError):
 # SacConfig becomes a YAML key and moves every experiment hash. The fields
 # below are built from other sections or never configured.
 _NOT_YAML = {"device", "kernel", "target", "noise"}
+
+
+# device.type -> its model over (device params, device.b): the one place that
+# maps device names to device models, for validation and construction alike
+_MODELS = {"two_qubit": lambda device, b: TwoQubitModel(device),
+           "single_qubit": lambda device, b: SingleQubitModel(device, b=b)}
 
 
 def _field_defaults(cls) -> dict:
@@ -104,6 +111,12 @@ def _check_type(key: str, value, default) -> None:
             _check_type(f"{key}[{i}]", item, default[0])
 
 
+# Types a default cannot show: the items of an empty list, a value behind a
+# None default (None itself stays accepted there).
+_TYPE_OF = {("sweep", "times"): [0.0], ("sweep", "segments"): [0],
+            ("sweep", "budget_episodes"): 0}
+
+
 def _merge_section(name: str, user: dict | None) -> dict:
     defaults = _DEFAULTS[name]
     if user is None:
@@ -114,7 +127,8 @@ def _merge_section(name: str, user: dict | None) -> dict:
     if unknown:
         raise ConfigError(f"unknown keys in section '{name}': {sorted(unknown)}")
     for key, value in user.items():
-        _check_type(f"{name}.{key}", value, defaults[key])
+        if value is not None or defaults[key] is not None:
+            _check_type(f"{name}.{key}", value, _TYPE_OF.get((name, key), defaults[key]))
     return {**defaults, **user}
 
 
@@ -169,24 +183,22 @@ class ExperimentConfig:
     def section(self, name: str) -> dict:
         return dict(self.resolved[name])
 
-    @property
-    def n_channels(self) -> int:
-        """Detuning channels of the configured device model."""
-        model = SingleQubitModel if self.device_type == "single_qubit" else TwoQubitModel
-        return model.n_channels
-
     # ------------------------------------------------------------ factories
+
+    def make_model(self, device: DeviceParams | None = None):
+        """The configured device model over `device`, by default the env's."""
+        device = device if device is not None else self.env.device
+        return _MODELS[self.device_type](device, self.resolved["device"]["b"])
 
     def make_env(self, seed: int, env: EnvConfig | None = None) -> GateSynthesisEnv:
         """Fresh environment for one run on the configured device.
 
         env replaces the configured EnvConfig (callers derive it with
-        dataclasses.replace, e.g. noise=None to mute noise).
+        dataclasses.replace, e.g. noise=None to mute noise); the model is
+        built over its device, so a rescaled j0 reaches the Hamiltonian.
         """
         env = env if env is not None else self.env
-        if self.device_type == "single_qubit":
-            return single_qubit_env(env, b=self.resolved["device"]["b"], seed=seed)
-        return GateSynthesisEnv(env, seed=seed)
+        return GateSynthesisEnv(env, model=self.make_model(env.device), seed=seed)
 
     def make_agent(self, env: GateSynthesisEnv, seed: int) -> SacAgent:
         return SacAgent(env.observation_size, env.n_channels, self.agent, seed=seed)
@@ -224,6 +236,7 @@ _LEAST = {
     ("train", "n_eval_episodes"): 1,
     ("evaluate", "episodes"): 1,
     ("scale_sweep", "realizations"): 1,
+    ("sweep", "budget_episodes"): 0,
 }
 
 
@@ -247,13 +260,13 @@ def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
         raise ConfigError(f"budget_episodes must be a non-negative integer, got {budget!r}")
 
     for (section, key), least in _LEAST.items():
-        if resolved[section][key] < least:
-            raise ConfigError(f"{section}.{key} must be at least {least}, "
-                              f"got {resolved[section][key]}")
+        value = resolved[section][key]
+        if value is not None and value < least:
+            raise ConfigError(f"{section}.{key} must be at least {least}, got {value}")
 
     device_type = resolved["device"]["type"]
-    if device_type not in ("two_qubit", "single_qubit"):
-        raise ConfigError(f"device type must be two_qubit or single_qubit, got {device_type!r}")
+    if device_type not in _MODELS:
+        raise ConfigError(f"device type must be {' or '.join(_MODELS)}, got {device_type!r}")
 
     env_spec = resolved["env"]
     try:

@@ -33,16 +33,10 @@ __all__ = [
     "sample_realization",
     "psd_estimate",
     "HZ_IN_INVERSE_NS",
-    "MEASURED_ANCHOR_V2_PER_HZ",
 ]
 
 # 1 Hz expressed in 1/ns, the reference frequency of the PSD model.
 HZ_IN_INVERSE_NS = 1e-9
-
-# Quoted device-level extrapolation at 1 MHz, V^2/Hz. Kept as an
-# order-of-magnitude cross-check of the PSD model; the model constant below is
-# what the simulation uses.
-MEASURED_ANCHOR_V2_PER_HZ = 4e-20
 
 
 @dataclass(frozen=True)

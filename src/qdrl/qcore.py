@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_NLIF_CAP",
     "SIM_DIM",
     "COMP_INDICES",
-    "LEAK_INDICES",
     "DeviceParams",
     "exchange_coupling",
     "sector_hamiltonian",
@@ -57,7 +56,6 @@ HERMITICITY_TOL = 1e-12
 
 SIM_DIM = 6
 COMP_INDICES = (0, 1, 2, 3)
-LEAK_INDICES = (4, 5)
 
 
 @dataclass(frozen=True)
@@ -247,9 +245,9 @@ def pauli_expectations(states: np.ndarray) -> np.ndarray:
     return np.real(vals)
 
 
-def block_leakage(u: np.ndarray) -> np.ndarray | float:
+def block_leakage(block: np.ndarray) -> np.ndarray | float:
     """Mean leaked population over computational inputs, 1 - ||block||_F^2 / d."""
-    b = computational_block(np.asarray(u)) if np.asarray(u).shape[-1] == SIM_DIM else np.asarray(u)
+    b = np.asarray(block)
     d = b.shape[-1]
     leak = 1.0 - np.sum(np.abs(b) ** 2, axis=(-2, -1)) / d
     leak = np.clip(leak, 0.0, 1.0)

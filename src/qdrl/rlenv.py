@@ -27,9 +27,9 @@ payloads are the flattened real and imaginary parts of the computational block
 (the full sector matrix behind `sector_payload`, for ablations); the per-step
 info NLIF and leakage always score the computational block.
 
-The device model fixes the channel count (`GateSynthesisEnv.n_channels`):
-three detuning channels for the two-qubit device, one for the single-qubit
-benchmark.
+The device model owns the device facts: Hamiltonians, default target, basis
+labels, Bloch map and channel count (`GateSynthesisEnv.n_channels`: three
+detuning channels for the two-qubit device, one for the single-qubit one).
 
 Reward modes, all computed at the terminal step:
 
@@ -72,6 +72,7 @@ from .qcore import (
     exchange_coupling,
     is_unitary,
     nlif,
+    pauli_expectations,
     phase_gate_target,
     propagate,
     sector_hamiltonian,
@@ -87,7 +88,6 @@ __all__ = [
     "GateSynthesisEnv",
     "TwoQubitModel",
     "SingleQubitModel",
-    "single_qubit_env",
 ]
 
 # realizations evolved per batch in Monte Carlo rewards, bounding the
@@ -114,6 +114,7 @@ class TwoQubitModel:
 
     sim_dim = SIM_DIM
     block_indices = COMP_INDICES
+    labels = ("00", "01", "10", "11")
     n_channels = 3
     n_gradients = 3
 
@@ -138,6 +139,10 @@ class TwoQubitModel:
     def default_target(self) -> np.ndarray:
         return cnot_target()
 
+    def bloch(self, states: np.ndarray) -> np.ndarray:
+        """Logical (x, y, z) per qubit of sector states (..., 6) -> (..., 2, 3)."""
+        return pauli_expectations(states)
+
 
 class SingleQubitModel:
     """One singlet-triplet qubit: H = J(eps)/2 sigma_z + b/2 sigma_x.
@@ -149,6 +154,7 @@ class SingleQubitModel:
 
     sim_dim = 2
     block_indices = (0, 1)
+    labels = ("0", "1")
     n_channels = 1
     n_gradients = 1
 
@@ -174,6 +180,12 @@ class SingleQubitModel:
 
     def default_target(self) -> np.ndarray:
         return phase_gate_target()
+
+    def bloch(self, states: np.ndarray) -> np.ndarray:
+        """(x, y, z) of qubit states (..., 2) -> (..., 1, 3)."""
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        xyz = np.einsum("...i,aij,...j->...a", np.conj(states), paulis, states)
+        return np.real(xyz)[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,6 +400,11 @@ class GateSynthesisEnv:
         self._require_done()
         return self._shaped_prefix(include_tail=True)
 
+    def trajectory(self) -> np.ndarray:
+        """Noise-free propagators through the first m = 0..n_substeps substeps
+        of the full protocol, (n_substeps + 1, dim, dim); only once done."""
+        return self._evolve(self.shaped_detunings(), cumulative=True)[0]
+
     def _require_done(self) -> None:
         if not self._done:
             raise RuntimeError("episode still running; the pulse table is incomplete")
@@ -419,20 +436,22 @@ class GateSynthesisEnv:
         self._substeps_done = shaped.shape[0]
 
     def _evolve(
-        self, dets: np.ndarray, z: NoiseRealization | None = None, lo: int = 0
+        self, dets: np.ndarray, z: NoiseRealization | None = None, lo: int = 0,
+        cumulative: bool = False,
     ) -> np.ndarray:
         """Propagators through detuning substeps (M, C), one per realization row.
 
         Row r adds realization r's offsets to dets, its fast trace read from
         substep lo on; without a realization the one row is noise-free.
-        Returns (rows, dim, dim).
+        Returns (rows, dim, dim), or (rows, M + 1, dim, dim) if cumulative.
         """
         if z is None:
             dets, delta_b = dets[None], None
         else:
             dets = dets + z.delta_eps[:, None, :] + z.fast[:, lo : lo + len(dets)]
             delta_b = z.delta_b
-        return propagate(step_propagator(self.model.hamiltonians(dets, delta_b), self.config.dt))
+        steps = step_propagator(self.model.hamiltonians(dets, delta_b), self.config.dt)
+        return propagate(steps, cumulative=cumulative)
 
     def _sample_noise(self, count: int) -> NoiseRealization:
         """`count` fresh realizations over the full substep grid."""
@@ -516,17 +535,3 @@ class GateSynthesisEnv:
             leaks = rec.leak_counts if leaks is None else leaks + rec.leak_counts
         return tomography.MeasurementRecord(counts, leaks, n_shots)
 
-
-def single_qubit_env(
-    config: EnvConfig | None = None, b: float = 1.0, seed: int = 0
-) -> GateSynthesisEnv:
-    """The one-qubit benchmark: 10 ns protocol, 20 actions, phase-gate target.
-
-    The default configuration is noise-free and targets the model's default
-    gate; robustness studies pass a NoiseConfig with only the hyperfine
-    channel enabled (drift on b), which is the regime the benchmark is defined
-    in. Charge-noise channels work too if explicitly requested.
-    """
-    if config is None:
-        config = EnvConfig(protocol_time=10.0, n_segments=20 + TAIL_SEGMENTS)
-    return GateSynthesisEnv(config, model=SingleQubitModel(config.device, b=b), seed=seed)

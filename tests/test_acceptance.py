@@ -25,7 +25,7 @@ from qdrl.rlagent.nets import (
     QuantileCritic,
     quantile_huber_loss,
 )
-from qdrl.rlenv import EnvConfig, GateSynthesisEnv, TwoQubitModel, single_qubit_env
+from qdrl.rlenv import EnvConfig, GateSynthesisEnv, TwoQubitModel
 from qdrl.seeding import named_stream
 
 DATA_DIR = Path(__file__).parent / "data"

@@ -135,6 +135,11 @@ class TestConfigSchema:
         pytest.param({"train": {"eval_every": -1}}, id="train.eval_every"),
         pytest.param({"evaluate": {"episodes": 0}}, id="evaluate.episodes"),
         pytest.param({"scale_sweep": {"realizations": 0}}, id="scale_sweep.realizations"),
+        # sweep items and budget, once truncated, a bare ValueError or one episode
+        pytest.param({"sweep": {"times": [8.0], "segments": [8.7]}}, id="sweep.segments"),
+        pytest.param({"sweep": {"times": ["x"], "segments": [8]}}, id="sweep.times"),
+        pytest.param({"sweep": {"budget_episodes": True}}, id="sweep.budget_episodes"),
+        pytest.param({"sweep": {"budget_episodes": -1}}, id="sweep.budget_episodes_negative"),
     ])
     def test_wrong_types_and_counts_rejected(self, tmp_path, overrides):
         raw = tiny_raw(**overrides)
@@ -161,9 +166,9 @@ class TestConfigSchema:
 
     def test_channels_follow_device(self):
         one = config_from_dict(tiny_raw())
-        assert one.n_channels == one.make_env(0).n_channels == 1
+        assert one.make_model().n_channels == one.make_env(0).n_channels == 1
         two = config_from_dict({"schema_version": 1})
-        assert two.n_channels == two.make_env(0).n_channels == 3
+        assert two.make_model().n_channels == two.make_env(0).n_channels == 3
 
     def test_noise_section_builds_noise_config(self):
         cfg = config_from_dict(tiny_raw(noise={"enabled": True, "alpha": 0.5}))
@@ -418,6 +423,12 @@ class TestEvaluateCommand:
         other = config_from_dict(tiny_raw(agent={"hidden": [6, 6]}))
         with pytest.raises(ConfigError, match="checkpoint"):
             cmd_evaluate(other, ckpt, episodes=2, out=outdir / "ev2")
+
+    def test_zero_episodes_rejected_before_writing(self, outdir, trained):
+        cfg, ckpt = trained
+        with pytest.raises(ConfigError, match="episodes must be at least 1"):
+            cmd_evaluate(cfg, ckpt, episodes=0, out=outdir / "ev0")
+        assert not (outdir / "ev0").exists()
 
     def test_missing_checkpoint_rejected(self, outdir):
         cfg = config_from_dict(tiny_raw())

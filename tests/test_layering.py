@@ -58,9 +58,15 @@ TEST_ONLY_PUBLIC = {"records_equal"}
 
 
 def public_definitions():
-    """(qualified name, name) of top-level functions and classes and of class members."""
+    """(qualified name, name) of top-level functions, classes and UPPER_CASE
+    constants, and of class members."""
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper() and target.id[0] != "_":
+                    yield f"{path.relative_to(SRC)}:{target.id}", target.id
             members = node.body if isinstance(node, ast.ClassDef) else []
             for item in (node, *members):
                 if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and item.name[0] != "_":
@@ -70,13 +76,14 @@ def public_definitions():
 
 def test_every_public_helper_has_a_non_test_caller():
     # methods and properties count by name: a call on any object with that
-    # attribute name is a caller
+    # attribute name is a caller; a name counts where it is read, so a
+    # constant's own assignment is not its caller
     root = SRC.parents[1]
     used = set()
     for tree in ("src", "demos", "perfbench"):
         for path in (root / tree).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)

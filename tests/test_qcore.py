@@ -262,13 +262,13 @@ def test_computational_block_and_leakage():
     b = qcore.computational_block(u)
     assert b.shape == (4, 4)
     np.testing.assert_allclose(b, u[:4, :4])
-    leak = qcore.block_leakage(u)
+    leak = qcore.block_leakage(b)
     assert 0.0 <= leak <= 1.0
     # block-diagonal unitary leaks nothing
     u2 = np.zeros((6, 6), dtype=complex)
     u2[:4, :4] = qcore.haar_unitary(4, rng)
     u2[4:, 4:] = qcore.haar_unitary(2, rng)
-    assert qcore.block_leakage(u2) == pytest.approx(0.0, abs=1e-12)
+    assert qcore.block_leakage(qcore.computational_block(u2)) == pytest.approx(0.0, abs=1e-12)
     assert qcore.is_unitary(u2)
 
 
@@ -293,7 +293,7 @@ class TestPauliExpectations:
             psi = rng.normal(size=6) + 1j * rng.normal(size=6)
             psi /= np.linalg.norm(psi)
             vals = qcore.pauli_expectations(psi)
-            pop = 1.0 - np.sum(np.abs(psi[list(qcore.LEAK_INDICES)]) ** 2)
+            pop = np.sum(np.abs(psi[list(qcore.COMP_INDICES)]) ** 2)
             norms = np.linalg.norm(vals, axis=-1)
             assert np.all(norms <= pop + 1e-9)
 

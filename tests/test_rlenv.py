@@ -28,7 +28,6 @@ from qdrl.rlenv import (
     RewardMode,
     SingleQubitModel,
     TwoQubitModel,
-    single_qubit_env,
 )
 
 QUIET = dict(n_segments=16, protocol_time=16.0, oversample=4)
@@ -36,6 +35,12 @@ QUIET = dict(n_segments=16, protocol_time=16.0, oversample=4)
 
 def small_env(seed=0, **overrides):
     return GateSynthesisEnv(EnvConfig(**{**QUIET, **overrides}), seed=seed)
+
+
+def one_qubit_env(config=None, b=1.0, seed=0):
+    """The one-qubit benchmark: 10 ns, 24 segments (20 actions), phase-gate target."""
+    config = config if config is not None else EnvConfig(protocol_time=10.0, n_segments=24)
+    return GateSynthesisEnv(config, model=SingleQubitModel(config.device, b=b), seed=seed)
 
 
 def random_actions(env, seed=0):
@@ -426,7 +431,7 @@ class TestRewardModes:
         base = EnvConfig(
             protocol_time=10.0, n_segments=24, target=phase_gate_target()
         )
-        sparse = single_qubit_env(base, seed=21).rollout(acts, seed=21).reward
+        sparse = one_qubit_env(base, seed=21).rollout(acts, seed=21).reward
         tomo_cfg = EnvConfig(
             protocol_time=10.0,
             n_segments=24,
@@ -434,7 +439,7 @@ class TestRewardModes:
             reward_mode=RewardMode.TOMO_SNAPSHOT,
             n_snapshots=1_000_000,
         )
-        tomo = single_qubit_env(tomo_cfg, seed=21).rollout(acts, seed=21).reward
+        tomo = one_qubit_env(tomo_cfg, seed=21).rollout(acts, seed=21).reward
         assert tomo == pytest.approx(sparse, abs=0.05)
 
     def test_tomo_reward_noisy_path_runs(self):
@@ -485,9 +490,23 @@ class TestPulseHistoryMode:
             assert not hist[k:].any()
 
 
+@pytest.mark.parametrize(
+    "model",
+    [TwoQubitModel(DeviceParams()), SingleQubitModel(DeviceParams())],
+    ids=["two_qubit", "single_qubit"],
+)
+def test_bloch_of_basis_states_follows_labels(model):
+    # label bit 0 is z = +1, bit 1 is z = -1, with no transverse component
+    assert len(model.labels) == len(model.block_indices)
+    for index, label in zip(model.block_indices, model.labels):
+        state = np.eye(model.sim_dim, dtype=complex)[index]
+        expected = [[0.0, 0.0, 1.0 - 2.0 * int(bit)] for bit in label]
+        np.testing.assert_allclose(model.bloch(state), expected, atol=1e-12)
+
+
 class TestSingleQubit:
     def test_default_configuration(self):
-        env = single_qubit_env(seed=26)
+        env = one_qubit_env(seed=26)
         assert env.config.n_actions == 20
         assert env.config.protocol_time == pytest.approx(10.0)
         assert env.observation_size == 1 + 1 + 8
@@ -498,7 +517,7 @@ class TestSingleQubit:
         cfg = EnvConfig(
             protocol_time=10.0, n_segments=24, target=phase_gate_target()
         )
-        env = single_qubit_env(cfg, b=0.0, seed=27)
+        env = one_qubit_env(cfg, b=0.0, seed=27)
         result = env.rollout(-np.ones((20, 1)), seed=27)
         obs = result.observation
         payload = obs[2:6].reshape(2, 2) + 1j * obs[6:].reshape(2, 2)
@@ -509,7 +528,7 @@ class TestSingleQubit:
         np.testing.assert_allclose(payload, analytic, atol=1e-9)
 
     def test_leakage_is_identically_zero(self):
-        env = single_qubit_env(seed=28)
+        env = one_qubit_env(seed=28)
         result = env.rollout(np.zeros((20, 1)), seed=28)
         assert result.info["leakage"] == pytest.approx(0.0, abs=1e-12)
 
@@ -522,8 +541,8 @@ class TestSingleQubit:
             noise=noise,
         )
         acts = np.zeros((20, 1))
-        r1 = single_qubit_env(cfg, seed=1).rollout(acts, seed=1).reward
-        r2 = single_qubit_env(cfg, seed=2).rollout(acts, seed=2).reward
-        clean = single_qubit_env(seed=3).rollout(acts, seed=3).reward
+        r1 = one_qubit_env(cfg, seed=1).rollout(acts, seed=1).reward
+        r2 = one_qubit_env(cfg, seed=2).rollout(acts, seed=2).reward
+        clean = one_qubit_env(seed=3).rollout(acts, seed=3).reward
         assert r1 != r2
         assert r1 != clean
