@@ -18,6 +18,7 @@ import numpy as np
 
 from ..noise import NoiseConfig
 from ..pulse import TAIL_SEGMENTS, ImpulseKernel
+from ..qcore import evolve_serially
 from ..rlagent import SacAgent, evaluate_policy, play_policy, train_loop
 from ..seeding import named_stream
 from ..tomography import calibrate_sigma_to_shots
@@ -214,12 +215,16 @@ def _run_sweep_cell(resolved: dict, protocol_time: float, n_segments: int,
 
 
 def cmd_sweep(config: ExperimentConfig, out: Path | None = None, workers: int = 1) -> dict:
-    """Grid of training runs over protocol time x action count."""
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
+    """Grid of training runs over protocol time x action count.
+
+    With workers > 1 the cells run in that many processes, each of which
+    evolves its stacks on one thread.
+    """
     spec = config.section("sweep")
     times, segments = spec["times"], spec["segments"]
     if not times or not segments:
         raise ConfigError("sweep requires non-empty 'times' and 'segments' lists")
+    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     budget = spec["budget_episodes"]
     if budget is None:
         budget = config.budget_episodes
@@ -227,7 +232,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path | None = None, workers: int = 
     cells = [(float(t), n) for t in times for n in segments]
     args = [(config.resolved, t, n, seed, budget, config.n_eval_episodes) for t, n in cells]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=evolve_serially) as pool:
             results = list(pool.map(_run_sweep_cell, *zip(*args)))
     else:
         results = [_run_sweep_cell(*a) for a in args]
@@ -294,7 +299,6 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
     noise mode leaves the dynamics alone and multiplies one contribution's
     amplitude by k, with an all-contributions-scaled curve alongside.
     """
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     spec = config.section("scale_sweep")
     mode = mode or spec["mode"]
     if mode not in ("time_energy", "noise"):
@@ -302,9 +306,14 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
     scales = [float(k) for k in spec["scales"]]
     if not scales:
         raise ConfigError("scale_sweep.scales must be non-empty")
+    # time_energy divides times by k; noise mode multiplies amplitudes by k
+    if any(k < 0 or (k == 0 and mode == "time_energy") for k in scales):
+        raise ConfigError(f"scale_sweep.scales must be non-negative, and positive in "
+                          f"time_energy mode; got {scales} in {mode} mode")
     realizations = spec["realizations"]
     detunings, _ = read_protocol(protocol_path)
     actions = protocol_to_actions(detunings, config)
+    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     base_noise = config.env.noise or NoiseConfig()
     seed = config.seeds[0]
 
@@ -371,7 +380,6 @@ _SCALE_FIELD = {"hyperfine": "scale_b", "slow_charge": "scale_eps", "fast_charge
 def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
                 initial_state: str | None = None, out: Path | None = None) -> dict:
     """Per-substep logical Bloch vectors and the protocol's relative fluence."""
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     label = initial_state or config.resolved["analyze"]["initial_state"]
     model = config.make_model()
     if label not in model.labels:
@@ -379,6 +387,7 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
                           f"device; use one of {', '.join(model.labels)}")
     detunings, _ = read_protocol(protocol_path)
     actions = protocol_to_actions(detunings, config)
+    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
 
     env = config.make_env(config.seeds[0],
                           dataclasses.replace(config.env, reward_mode="sparse", noise=None))

@@ -12,6 +12,7 @@ import json
 import os
 import re
 import shlex
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from qdrl.harness import (
 )
 from qdrl.harness.cli import _build_parser
 from qdrl.harness.cli import main as cli_main
+from qdrl import qcore
 from qdrl.qcore import DeviceParams
 from qdrl.rlagent import train_loop
 from qdrl.tomography import SigmaShotsMap
@@ -479,13 +481,28 @@ class TestSweepCommand:
     def test_empty_grid_rejected(self, outdir):
         cfg = config_from_dict(tiny_raw())
         with pytest.raises(ConfigError, match="sweep"):
-            cmd_sweep(cfg)
+            cmd_sweep(cfg, out=outdir / "sw_bad")
+        assert not (outdir / "sw_bad").exists()
 
     def test_worker_pool_matches_serial(self, outdir):
         raw = tiny_raw(sweep={"times": [8.0], "segments": [8, 9], "budget_episodes": 1})
         serial = cmd_sweep(config_from_dict(raw), out=outdir / "s1", workers=1)
         pooled = cmd_sweep(config_from_dict(raw), out=outdir / "s2", workers=2)
         assert serial["cells"] == pooled["cells"]
+
+    def test_worker_processes_evolve_serially(self, outdir, monkeypatch):
+        # each worker shares the cores with its siblings: qcore runs it on one
+        options = {}
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                options.update(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("qdrl.harness.commands.ProcessPoolExecutor", Recording)
+        raw = tiny_raw(sweep={"times": [8.0], "segments": [8, 9], "budget_episodes": 0})
+        cmd_sweep(config_from_dict(raw), out=outdir / "s3", workers=2)
+        assert options["initializer"] is qcore.evolve_serially
 
 
 class TestExportProtocol:
@@ -567,7 +584,8 @@ class TestAnalyzeCommand:
         cfg = config_from_dict(tiny_raw(device={"type": device}))
         path = self._protocol_file(outdir, cfg)
         with pytest.raises(ConfigError, match=f"initial state .*use one of {valid}$"):
-            cmd_analyze(cfg, path, initial_state=label)
+            cmd_analyze(cfg, path, initial_state=label, out=outdir / "an_bad")
+        assert not (outdir / "an_bad").exists()
 
 
 class TestScaleSweepCommand:
@@ -653,7 +671,32 @@ class TestScaleSweepCommand:
         cfg = self._noisy_cfg()
         path = self._protocol_file(outdir, cfg)
         with pytest.raises(ConfigError, match="mode"):
-            cmd_scale_sweep(cfg, path, mode="sideways")
+            cmd_scale_sweep(cfg, path, mode="sideways", out=outdir / "ss_bad")
+        assert not (outdir / "ss_bad").exists()
+
+    @pytest.mark.parametrize("scales, mode", [
+        ([], "noise"),
+        ([1.0, -2.0], "noise"),
+        ([0.0], "time_energy"),
+    ])
+    def test_bad_scales_rejected_before_writing(self, outdir, scales, mode):
+        cfg = config_from_dict(tiny_raw(
+            noise={"enabled": True}, scale_sweep={"scales": scales, "mode": mode},
+        ))
+        path = self._protocol_file(outdir, cfg)
+        with pytest.raises(ConfigError, match="scales"):
+            cmd_scale_sweep(cfg, path, out=outdir / "ss_bad")
+        assert not (outdir / "ss_bad").exists()
+
+    def test_zero_noise_scale_is_noise_free(self, outdir):
+        cfg = config_from_dict(tiny_raw(
+            noise={"enabled": True},
+            scale_sweep={"scales": [0.0], "mode": "noise", "realizations": 2},
+        ))
+        summary = cmd_scale_sweep(cfg, self._protocol_file(outdir, cfg), out=outdir / "ss0")
+        row = summary["rows"][0]
+        for name in ("hyperfine", "slow_charge", "fast_charge", "all"):
+            assert row[name] == pytest.approx(summary["noise_free_infidelity"], abs=1e-12)
 
 
 class TestTomoCalibrateCommand:

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
+import sys
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -158,6 +161,109 @@ class TestStepPropagator:
             qcore.step_propagator(h, 0.0)
         with pytest.raises(ValueError):
             qcore.step_propagator(h, -0.1)
+
+
+def _evolve(h: np.ndarray) -> np.ndarray:
+    return qcore.step_propagator(h, 0.1)
+
+
+def _evolve_serial_worker(h: np.ndarray) -> tuple[int, np.ndarray]:
+    return qcore._usable_cores(), qcore.step_propagator(h, 0.1)
+
+
+class TestLargeStacks:
+    """Stacks longer than one piece: split, spread over threads, same bits."""
+
+    @pytest.fixture()
+    def stack(self, params):
+        # 8323 matrices over two leading axes: two full pieces and a partial one
+        rng = np.random.default_rng(31)
+        h = hamiltonian(rng.uniform(-5.4, 2.4, size=(7, 1189, 3)), params)
+        assert math.prod(h.shape[:-2]) % qcore._PIECE != 0
+        assert math.prod(h.shape[:-2]) > 2 * qcore._PIECE
+        return h
+
+    @staticmethod
+    def whole(h, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(qcore, "_PIECE", math.prod(h.shape[:-2]))
+            return qcore.step_propagator(h, 0.1)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_pieces_equal_the_whole_stack(self, stack, monkeypatch, cores):
+        whole = self.whole(stack, monkeypatch)
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+        split = qcore.step_propagator(stack, 0.1)
+        assert split.shape == whole.shape and split.dtype == whole.dtype
+        np.testing.assert_array_equal(split, whole)
+        if cores > 1:
+            assert qcore._pool is not None
+
+    def test_small_stacks_stay_on_the_calling_thread(self, params, monkeypatch):
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: pytest.fail("stack was split"))
+        h = hamiltonian(np.zeros((qcore._PIECE, 3)), params)
+        qcore.step_propagator(h, 0.1)
+
+    def test_concurrent_callers_share_one_lazily_started_pool(self, stack, monkeypatch):
+        whole = self.whole(stack, monkeypatch)
+        started = []
+
+        class Counting(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(qcore, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(qcore, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(6) as callers:
+                futures = [callers.submit(_evolve, stack) for _ in range(6)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in started:
+                pool.shutdown()
+        assert len(started) == 1
+        for got in results:
+            np.testing.assert_array_equal(got, whole)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_non_hermitian_matrix_in_the_last_piece_rejected(self, stack, monkeypatch, cores):
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+        bad = stack.copy()
+        bad[-1, -1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            qcore.step_propagator(bad, 0.1)
+
+    def test_hermiticity_judged_against_the_whole_stack(self, stack, monkeypatch):
+        # the largest entry sits in the first piece and sets the tolerance for
+        # an asymmetry in the last piece, as it does for an unsplit stack
+        h = stack.copy()
+        h[0, 0, 5, 5] = 1e4
+        h[-1, -1, 0, 1] += 1e-9
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: 2)
+        np.testing.assert_array_equal(qcore.step_propagator(h, 0.1), self.whole(h, monkeypatch))
+
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_child_forked_after_the_pool_started(self, stack, monkeypatch):
+        whole = self.whole(stack, monkeypatch)
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: 2)
+        qcore.step_propagator(stack, 0.1)
+        assert qcore._pool is not None
+        # the child inherits the started pool's state but not its threads
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(_evolve, (stack,)).get(timeout=120)
+        np.testing.assert_array_equal(got, whole)
+
+    def test_serial_worker_processes(self, stack, monkeypatch):
+        whole = self.whole(stack, monkeypatch)
+        with ProcessPoolExecutor(1, initializer=qcore.evolve_serially) as pool:
+            cores, got = pool.submit(_evolve_serial_worker, stack).result(timeout=120)
+        assert cores == 1
+        np.testing.assert_array_equal(got, whole)
 
 
 class TestTrotterEvolve:

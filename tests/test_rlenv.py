@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qdrl import qcore
 from qdrl.noise import NoiseConfig
 from qdrl.pulse import (
     TAIL_SEGMENTS,
@@ -467,6 +468,28 @@ class TestRewardModes:
             return np.mean([env.rollout(acts, seed=400 + i).reward for i in range(repeats)])
 
         assert mean_reward(4.0) < mean_reward(1.0)
+
+    @pytest.mark.parametrize("mode, extra", [
+        (RewardMode.TOMO_SNAPSHOT, dict(n_snapshots=600)),
+        (RewardMode.ROBUST_AVG, dict(n_realizations=40)),
+    ])
+    def test_split_stacks_leave_noisy_episodes_unchanged(self, monkeypatch, mode, extra):
+        # the terminal Monte Carlo stacks (600 and 40 realizations of 64
+        # substeps) split into 1000-matrix pieces, run in turn or on 2 threads
+        cfg = EnvConfig(**QUIET, noise=NoiseConfig(), reward_mode=mode, **extra)
+        acts = random_actions(small_env(), seed=24)
+
+        def episode(piece, cores):
+            monkeypatch.setattr(qcore, "_PIECE", piece)
+            monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+            return GateSynthesisEnv(cfg, seed=24).rollout(acts, seed=24)
+
+        whole = episode(10**9, 1)
+        for cores in (1, 2):
+            split = episode(1000, cores)
+            assert split.reward == whole.reward
+            np.testing.assert_equal(split.info, whole.info)
+            np.testing.assert_array_equal(split.observation, whole.observation)
 
     def test_leakage_diagnostic_in_range(self):
         env = small_env(seed=24)
