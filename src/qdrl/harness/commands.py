@@ -155,8 +155,8 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path, episodes: int | Non
     episodes = episodes if episodes is not None else config.resolved["evaluate"]["episodes"]
     if episodes < 1:
         raise ConfigError(f"episodes must be at least 1, got {episodes}")
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     agent = _load_agent(config, checkpoint)
+    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
 
     eval_env_cfg = dataclasses.replace(config.env, reward_mode="sparse")
     seed = config.seeds[0]
@@ -460,8 +460,8 @@ def cmd_tomo_calibrate(config: ExperimentConfig, out: Path | None = None) -> dic
 def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
                         noise_seed: int | None = None, out: Path | None = None) -> dict:
     """Roll out the deterministic policy and write its pulse table in mV."""
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     agent = _load_agent(config, checkpoint)
+    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     eval_cfg = dataclasses.replace(config.env, reward_mode="sparse")
     if noise_seed is None:
         env = config.make_env(config.seeds[0], dataclasses.replace(eval_cfg, noise=None))

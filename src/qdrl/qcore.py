@@ -22,11 +22,17 @@ written out explicitly below; a test rebuilds them from the full 16-dimensional
 four-spin model and checks the sector restriction, so the constants here are
 not load bearing on faith alone.
 
+Step propagators exp(-i dt H) come from a Taylor series of cos(dt H) and
+sin(dt H) with scaling and squaring: every device model builds a real
+symmetric H, so the whole evaluation runs in real matrix products. The
+series stops at X^17 for ||X|| <= 1, where the first term left out is below
+the float64 machine epsilon; `step_propagator` gives the details.
+
 Large stacks (the Monte Carlo rewards evolve tens of thousands of step
-matrices at once) are split into pieces of a few thousand matrices, and the
-pieces run across the cores this process may use. Every matrix goes through
-the same per-matrix eigendecomposition and products as in one whole-stack
-call, so the results are bit-identical to the serial ones. There is nothing
+matrices at once) are split into pieces of 1024 matrices, and the pieces run
+across the cores this process may use. Every matrix goes through the same
+products as in one whole-stack call, with the squaring count set by the whole
+stack, so the results are bit-identical to the serial ones. There is nothing
 to set: the piece size is fixed, the core count is read from the process's
 affinity mask, and with one usable core the pieces run in turn.
 """
@@ -131,10 +137,11 @@ def _gradient_matrices() -> np.ndarray:
     return np.stack([z12, z23, z34])
 
 
-_COUPLERS = _coupler_matrices()
-_GRADIENTS = _gradient_matrices()
-_COUPLERS.setflags(write=False)
-_GRADIENTS.setflags(write=False)
+# one flattened matrix per row, (3, 36): j @ rows is H reshaped to (..., 36)
+_COUPLER_ROWS = _coupler_matrices().reshape(3, SIM_DIM * SIM_DIM)
+_GRADIENT_ROWS = _gradient_matrices().reshape(3, SIM_DIM * SIM_DIM)
+_COUPLER_ROWS.setflags(write=False)
+_GRADIENT_ROWS.setflags(write=False)
 
 
 def exchange_coupling(eps: np.ndarray | float, params: DeviceParams) -> np.ndarray | float:
@@ -153,16 +160,16 @@ def sector_hamiltonian(j_couplings: np.ndarray, b_gradients: np.ndarray) -> np.n
     b = np.asarray(b_gradients, dtype=float)
     if j.shape[-1] != 3 or b.shape[-1] != 3:
         raise ValueError("expected 3 couplings and 3 gradients on the last axis")
-    h = np.einsum("...i,ijk->...jk", j, _COUPLERS)
-    h += np.einsum("...i,ijk->...jk", b, _GRADIENTS)
-    return h
+    h = j @ _COUPLER_ROWS
+    h += b @ _GRADIENT_ROWS
+    return h.reshape(h.shape[:-1] + (SIM_DIM, SIM_DIM))
 
 
-# Matrices per piece of a large stack; a piece's temporaries take a few MB.
-# On a 2-core Xeon host, pieces of 2048 to 8192 matrices evolved the
-# 123 120-matrix tomography stack equally fast, 512 and 16 384 slower. Stacks
-# up to this size, which covers every per-step call, are evolved whole.
-_PIECE = 4096
+# Matrices per piece of a large stack; a piece's temporaries take about 3 MB.
+# On a 2-core Xeon host, one thread evolved the 123 120-matrix tomography
+# stack fastest in pieces of 1024 matrices (256 to 16 384 tried). Stacks up
+# to this size, which covers every per-step call, are evolved whole.
+_PIECE = 1024
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -210,44 +217,104 @@ def _run_pieces(work, n: int) -> list:
     return list(pool.map(work, pieces))
 
 
-def _hermiticity(h: np.ndarray) -> tuple[float, float]:
-    """(max |h - h^dag|, max |h|) over a stack."""
-    return np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max(), np.abs(h).max()
+def _measure(h: np.ndarray) -> tuple[float, float, float]:
+    """(max |h - h^dag|, max |h|, max ||h||_1) over a stack.
+
+    ||h||_1, the largest column sum of |h|, equals ||h||_inf for a Hermitian
+    h. A NaN or inf entry makes it non-finite; the symmetry deviation is then
+    not computed, since inf - inf would be NaN with a warning.
+    """
+    a = np.abs(h)
+    norm = np.einsum("...ij->...j", a).max()
+    if not np.isfinite(norm):
+        return math.inf, math.inf, norm
+    return np.abs(h - np.swapaxes(h, -1, -2).conj()).max(), a.max(), norm
 
 
-def _check_hermitian(dev: float, top: float) -> None:
+def _squarings(dev: float, top: float, norm: float, dt: float) -> int:
+    """Accept a stack by its whole-stack measures and return s, the number of
+    squarings that brings dt ||h|| / 2^s to at most 1."""
+    if not np.isfinite(norm):
+        raise ValueError("non-finite entries in the Hamiltonian")
     if dev > HERMITICITY_TOL * max(1.0, top):
         raise ValueError(f"non-Hermitian input, symmetry deviation {dev:.3e}")
+    theta = dt * float(norm)
+    return math.ceil(math.log2(theta)) if theta > 1.0 else 0
 
 
-def _eigen_propagator(h: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * dt * w)
-    return np.matmul(v * phases[..., None, :], np.conj(np.swapaxes(v, -1, -2)), out=out)
+# Taylor coefficients of cos X = sum_k (-1)^k Y^k / (2k)! (row 0) and of
+# sin X / X = sum_k (-1)^k Y^k / (2k + 1)! (row 1) in Y = X^2, up to Y^8. The
+# first term left out, of norm at most theta^18 / 18! = 1.6e-16 for
+# ||X|| = theta <= 1, is below the float64 machine epsilon 2.2e-16.
+_TAYLOR_DEGREE = 8
+_TAYLOR = np.array([
+    [(-1) ** k / math.factorial(2 * k + odd) for k in range(_TAYLOR_DEGREE + 1)]
+    for odd in (0, 1)
+])
+_TAYLOR.setflags(write=False)
+
+
+def _taylor_propagator(h: np.ndarray, dt: float, squarings: int, out: np.ndarray) -> None:
+    """exp(-i dt h) = cos(dt h) - i sin(dt h) for a Hermitian stack (N, n, n),
+    written into out.
+
+    With X = dt h / 2^s and Y = X^2, cos X and sin X / X are Horner
+    polynomials in Y, evaluated side by side in one (2, N, n, n) array; then
+    cos 2x = C^2 - S^2 and sin 2x = 2 S C double the angle s times. A real h
+    keeps every product real.
+    """
+    x = h * (dt / 2.0**squarings)
+    y = x @ x
+    # (degree + 1, 2, 1, n, n): the two series' k-th coefficients times I
+    coef_eye = _TAYLOR.T[:, :, None, None, None] * np.eye(h.shape[-1])
+    cs = np.multiply.outer(_TAYLOR[:, -1], y)
+    for k in range(_TAYLOR_DEGREE - 1, -1, -1):
+        cs += coef_eye[k]
+        if k:
+            cs = cs @ y
+    cs[1] = cs[1] @ x
+    for _ in range(squarings):
+        doubled = cs @ cs[0]
+        doubled[0] -= cs[1] @ cs[1]
+        doubled[1] *= 2.0
+        cs = doubled
+    if np.iscomplexobj(cs):
+        np.subtract(cs[0], 1j * cs[1], out=out)
+    else:
+        out.real = cs[0]
+        np.negative(cs[1], out=out.imag)
 
 
 def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H) via eigendecomposition; h may be a stack (..., n, n).
+    """exp(-i dt H) for a Hermitian H; h may be a stack (..., n, n).
 
-    A stack of more than `_PIECE` matrices is evolved in pieces of that size,
-    spread across the usable cores. The result is bit-identical to evolving
-    it whole, and Hermiticity is judged over the whole stack either way.
+    Evaluated as cos(dt H) - i sin(dt H) by a Taylor series with scaling and
+    squaring (Moler & Van Loan, SIAM Rev. 45, 2003; Higham, SIAM J. Matrix
+    Anal. Appl. 26, 2005): X = dt H / 2^s with s = ceil(log2(dt ||H||_1)),
+    the largest norm over the whole stack, so ||X|| <= 1; cos X to X^16 and
+    sin X to X^17, whose truncation error theta^18 / 18! stays below the
+    float64 machine epsilon for theta <= 1; then s angle doublings. The real
+    symmetric H of every device model keeps all products real; a complex
+    Hermitian H runs the same steps in complex arithmetic.
+
+    A stack of more than `_PIECE` (1024) matrices is measured and then
+    evolved in pieces of that size, spread across the usable cores. The
+    whole-stack measures decide acceptance and s before any piece evolves, so
+    the result is bit-identical to evolving the stack whole. A non-Hermitian
+    or non-finite stack raises ValueError.
     """
     h = np.asarray(h)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if math.prod(h.shape[:-2]) <= _PIECE:
-        _check_hermitian(*_hermiticity(h))
-        return _eigen_propagator(h, dt)
-    flat = h.reshape((-1,) + h.shape[-2:])
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    n = h.shape[-1]
+    flat = h.reshape((-1, n, n))
     out = np.empty(flat.shape, dtype=np.result_type(h.dtype, np.complex64))
-
-    def piece(s: slice) -> tuple[float, float]:
-        _eigen_propagator(flat[s], dt, out=out[s])
-        return _hermiticity(flat[s])
-
-    checks = np.array(_run_pieces(piece, len(flat)))
-    _check_hermitian(checks[:, 0].max(), checks[:, 1].max())
+    if len(flat) <= _PIECE:
+        _taylor_propagator(flat, dt, _squarings(*_measure(flat), dt), out)
+        return out.reshape(h.shape)
+    checks = np.array(_run_pieces(lambda s: _measure(flat[s]), len(flat)))
+    squarings = _squarings(*checks.max(axis=0), dt)
+    _run_pieces(lambda s: _taylor_propagator(flat[s], dt, squarings, out[s]), len(flat))
     return out.reshape(h.shape)
 
 

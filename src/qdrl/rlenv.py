@@ -91,7 +91,7 @@ __all__ = [
 ]
 
 # realizations evolved per batch in Monte Carlo rewards, bounding the
-# (chunk * substeps, dim, dim) eigendecomposition workspace
+# (chunk * substeps, dim, dim) step-propagator stack
 _REWARD_CHUNK = 512
 
 
@@ -335,11 +335,14 @@ class GateSynthesisEnv:
     def step(self, action) -> StepResult:
         if self._done:
             raise RuntimeError("episode is done; call reset() before stepping again")
-        action = np.clip(np.asarray(action, dtype=float).reshape(-1), -1.0, 1.0)
+        action = np.asarray(action, dtype=float).reshape(-1)
         if action.shape != (self.n_channels,):
             raise ValueError(
                 f"action must have {self.n_channels} channels, got shape {action.shape}"
             )
+        if not np.isfinite(action).all():
+            raise ValueError(f"action must be finite, got {action}")
+        action = np.clip(action, -1.0, 1.0)
         self._actions.append(action)
         terminal = len(self._actions) == self.config.n_actions
         self._advance_evolution(include_tail=terminal)

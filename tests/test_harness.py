@@ -435,7 +435,8 @@ class TestEvaluateCommand:
     def test_missing_checkpoint_rejected(self, outdir):
         cfg = config_from_dict(tiny_raw())
         with pytest.raises(ConfigError, match="checkpoint"):
-            cmd_evaluate(cfg, outdir / "nope.npz", episodes=1)
+            cmd_evaluate(cfg, outdir / "nope.npz", episodes=1, out=outdir / "ev")
+        assert not (outdir / "ev").exists()
 
 
 class TestSweepCommand:
@@ -528,6 +529,12 @@ class TestExportProtocol:
         assert "shaped_ch1_mV" in header
         body = [l for l in lines if not l.startswith("#")][1:]
         assert len(body) == cfg.env.n_segments
+
+    def test_missing_checkpoint_rejected_before_writing(self, outdir):
+        cfg = config_from_dict(tiny_raw())
+        with pytest.raises(ConfigError, match="checkpoint"):
+            cmd_export_protocol(cfg, outdir / "nope.npz", out=outdir / "ex3")
+        assert not (outdir / "ex3").exists()
 
 
 class TestAnalyzeCommand:

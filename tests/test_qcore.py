@@ -131,7 +131,49 @@ def test_hamiltonian_is_hermitian_and_batched(params):
     np.testing.assert_allclose(one, h[2, 3])
 
 
+def test_hamiltonian_assembly_matches_the_einsum_form(params):
+    # per-realization gradients (R, 1, 3) broadcast against detunings (R, M, 3)
+    rng = np.random.default_rng(17)
+    j = qcore.exchange_coupling(rng.uniform(params.eps_min, params.eps_max, (9, 40, 3)), params)
+    b = params.gradients + rng.normal(0.0, 0.05, size=(9, 1, 3))
+    want = np.einsum("...i,ijk->...jk", j, qcore._coupler_matrices())
+    want += np.einsum("...i,ijk->...jk", b, qcore._gradient_matrices())
+    np.testing.assert_array_equal(qcore.sector_hamiltonian(j, b), want)
+
+
+def _expm_stack(h: np.ndarray, dt: float) -> np.ndarray:
+    flat = h.reshape((-1,) + h.shape[-2:])
+    return np.stack([scipy.linalg.expm(-1j * dt * m) for m in flat]).reshape(h.shape)
+
+
 class TestStepPropagator:
+    @pytest.mark.parametrize("dt, squarings", [(0.01, 0), (0.1, 1), (0.5, 3), (2.0, 5)])
+    def test_matches_scipy_expm_across_squarings(self, params, dt, squarings):
+        # detunings over the whole range with random gradient offsets; the
+        # step length sets how often the series result is squared
+        rng = np.random.default_rng(43)
+        dets = rng.uniform(params.eps_min, params.eps_max, size=(8, 8, 3))
+        h = TwoQubitModel(params).hamiltonians(dets, rng.normal(0.0, 0.5, size=(8, 3)))
+        assert qcore._squarings(*qcore._measure(h), dt) == squarings
+        u = qcore.step_propagator(h, dt)
+        assert u.dtype == np.complex128
+        assert np.abs(u - _expm_stack(h, dt)).max() <= 1e-13
+
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5, 2.0])
+    def test_complex_hermitian_stack_matches_scipy_expm(self, dt):
+        rng = np.random.default_rng(44)
+        a = rng.normal(size=(32, 6, 6)) + 1j * rng.normal(size=(32, 6, 6))
+        h = a + np.swapaxes(a, -1, -2).conj()
+        u = qcore.step_propagator(h, dt)
+        assert np.abs(u - _expm_stack(h, dt)).max() <= 1e-13
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, params, bad):
+        h = hamiltonian(np.zeros((5, 3)), params)
+        h[3, 2, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qcore.step_propagator(h, 0.1)
+
     def test_matches_scipy_expm(self, params):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -237,6 +279,24 @@ class TestLargeStacks:
         bad[-1, -1, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
             qcore.step_propagator(bad, 0.1)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_in_the_last_piece_rejected(self, stack, monkeypatch, cores, bad):
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+        h = stack.copy()
+        h[-1, -1, 3, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qcore.step_propagator(h, 0.1)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_squarings_set_by_the_whole_stack(self, stack, monkeypatch, cores):
+        # one large-norm matrix in the last piece sets the squaring count for
+        # every piece, as it does for an unsplit stack
+        h = stack.copy()
+        h[-1, -1] *= 300.0
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+        np.testing.assert_array_equal(qcore.step_propagator(h, 0.1), self.whole(h, monkeypatch))
 
     def test_hermiticity_judged_against_the_whole_stack(self, stack, monkeypatch):
         # the largest entry sits in the first piece and sets the tolerance for

@@ -181,6 +181,22 @@ class TestEpisodeLifecycle:
         with pytest.raises(ValueError, match="channels"):
             env.step([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_action_rejected_before_the_step(self, bad):
+        # the rejected step leaves the episode where it was: the next valid
+        # step matches an env that never saw the bad action
+        first, second = [0.5, -0.5, 0.0], [0.2, 0.3, -0.4]
+        env, fresh = small_env(seed=7), small_env(seed=7)
+        for e in (env, fresh):
+            e.reset(seed=7)
+            e.step(first)
+        with pytest.raises(ValueError, match="finite"):
+            env.step([0.1, bad, 0.0])
+        got, want = env.step(second), fresh.step(second)
+        np.testing.assert_array_equal(got.observation, want.observation)
+        assert got.info == want.info
+        np.testing.assert_array_equal(env.actions_normalized, fresh.actions_normalized)
+
     def test_rollout_shape_validation(self):
         env = small_env()
         with pytest.raises(ValueError, match="shape"):
