@@ -281,11 +281,8 @@ def simulate_protocol(config: ExperimentConfig, detunings: np.ndarray) -> float:
     return float(env.rollout(protocol_to_actions(detunings, config), 0).info["nlif"])
 
 
-_NOISE_SUBSETS = {
-    "hyperfine": dict(hyperfine_on=True, slow_charge_on=False, fast_charge_on=False),
-    "slow_charge": dict(hyperfine_on=False, slow_charge_on=True, fast_charge_on=False),
-    "fast_charge": dict(hyperfine_on=False, slow_charge_on=False, fast_charge_on=True),
-}
+# noise contribution -> the NoiseConfig amplitude that sets it
+_AMPLITUDE = {"hyperfine": "sigma_b", "slow_charge": "sigma_eps", "fast_charge": "fast_amplitude"}
 
 
 def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | None = None,
@@ -297,7 +294,9 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
     by k (protocol duration, integration step, the kernel's time axis), so the
     noise-free unitary is unchanged while the noise susceptibility shifts.
     noise mode leaves the dynamics alone and multiplies one contribution's
-    amplitude by k, with an all-contributions-scaled curve alongside.
+    amplitude by k, with an all-contributions-scaled curve alongside. In
+    both modes the curve of one contribution sets the other two amplitudes
+    to zero.
     """
     spec = config.section("scale_sweep")
     mode = mode or spec["mode"]
@@ -319,28 +318,23 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
 
     noise_free = float(10.0 ** -simulate_protocol(config, detunings))
 
-    curves = list(_NOISE_SUBSETS) + ["all"]
+    curves = list(_AMPLITUDE) + ["all"]
     rows = []
     for k in scales:
         row = {"scale": k}
         for name in curves:
+            noise = base_noise.scaled(k) if mode == "noise" else base_noise
+            if name != "all":
+                noise = dataclasses.replace(
+                    noise, **{field: 0.0 for other, field in _AMPLITUDE.items() if other != name})
             if mode == "noise":
-                if name == "all":
-                    noise = base_noise.scaled(k)
-                else:
-                    noise = dataclasses.replace(
-                        base_noise, **_NOISE_SUBSETS[name],
-                        **{_SCALE_FIELD[name]: k * getattr(base_noise, _SCALE_FIELD[name])},
-                    )
                 env_cfg = dataclasses.replace(config.env, reward_mode="sparse", noise=noise)
             else:
-                noise = (base_noise if name == "all"
-                         else dataclasses.replace(base_noise, **_NOISE_SUBSETS[name]))
                 # sigma_b is stored relative to the exchange prefactor; with the
                 # physical hyperfine field held fixed while every energy grows
                 # by k, the relative amplitude drops by k. Charge noise lives in
                 # detuning units, which the energy scaling does not touch.
-                noise = dataclasses.replace(noise, scale_b=noise.scale_b / k)
+                noise = dataclasses.replace(noise, sigma_b=noise.sigma_b * (1.0 / k))
                 # Gradients are stored in units of j0 and the Hamiltonian
                 # multiplies them by j0, so scaling j0 alone scales every
                 # energy in the device uniformly.
@@ -369,9 +363,6 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
                "noise_free_infidelity": noise_free, "rows": rows}
     _write_json(out / "scale_sweep_summary.json", summary)
     return summary
-
-
-_SCALE_FIELD = {"hyperfine": "scale_b", "slow_charge": "scale_eps", "fast_charge": "scale_fast"}
 
 
 # ------------------------------------------------------------------- analyze

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -97,8 +98,9 @@ _TOP_DEFAULTS = {
 def _check_type(key: str, value, default) -> None:
     """Raise ConfigError unless value has its default's type.
 
-    An int passes for a float, list items must match the default's first item,
-    and a value whose default is None is left to its consumer to check.
+    An int passes for a float, a float must be finite, list items must match
+    the default's first item, and a value whose default is None is left to
+    its consumer to check.
     """
     if default is None:
         return
@@ -106,6 +108,8 @@ def _check_type(key: str, value, default) -> None:
     accepted = (int, float) if expected is float else expected
     if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key} must be {expected.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     if expected is list and default:
         for i, item in enumerate(value):
             _check_type(f"{key}[{i}]", item, default[0])

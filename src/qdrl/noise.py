@@ -1,6 +1,7 @@
 """Noise channels of the device: hyperfine gradients and charge fluctuations.
 
-Three contributions, all switchable and scalable independently:
+Three contributions, each set by one amplitude; a zero amplitude turns that
+contribution off:
 
 * quasi-static hyperfine noise: one Gaussian draw per episode added to each
   magnetic gradient (units of j0),
@@ -21,6 +22,7 @@ matching one-sided periodogram, so white noise of variance v comes out flat at
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,48 +43,36 @@ HZ_IN_INVERSE_NS = 1e-9
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Strengths and switches for the three noise channels.
+    """Amplitudes of the three noise channels and the fast-noise exponent.
 
     sigma_b in units of j0, sigma_eps in units of eps0, fast_amplitude in
-    eps0^2 ns at 1 Hz. The scale_* factors multiply the respective noise
-    amplitude (for the fast channel: the trace, i.e. the PSD scales with the
-    square) and exist for robustness sweeps.
+    eps0^2 ns at 1 Hz (a PSD level, so it scales with the square of the
+    trace). A zero amplitude turns its channel off.
     """
 
     sigma_b: float = 0.0105
     sigma_eps: float = 0.0294
     fast_amplitude: float = 53.8
     alpha: float = 0.7
-    hyperfine_on: bool = True
-    slow_charge_on: bool = True
-    fast_charge_on: bool = True
-    scale_b: float = 1.0
-    scale_eps: float = 1.0
-    scale_fast: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("sigma_b", "sigma_eps", "fast_amplitude", "scale_b", "scale_eps", "scale_fast"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        for name in ("sigma_b", "sigma_eps", "fast_amplitude", "alpha"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     @property
     def quiet(self) -> bool:
-        """True when every channel is off or has zero amplitude."""
-        return (
-            (not self.hyperfine_on or self.sigma_b * self.scale_b == 0)
-            and (not self.slow_charge_on or self.sigma_eps * self.scale_eps == 0)
-            and (not self.fast_charge_on or self.fast_amplitude * self.scale_fast == 0)
-        )
+        """True when every channel has zero amplitude."""
+        return self.sigma_b == 0 and self.sigma_eps == 0 and self.fast_amplitude == 0
 
     def scaled(self, factor: float) -> "NoiseConfig":
-        """All channels scaled by one overall amplitude factor."""
+        """Every amplitude scaled by one factor (the fast PSD level by its square)."""
         return replace(
             self,
-            scale_b=self.scale_b * factor,
-            scale_eps=self.scale_eps * factor,
-            scale_fast=self.scale_fast * factor,
+            sigma_b=self.sigma_b * factor,
+            sigma_eps=self.sigma_eps * factor,
+            fast_amplitude=self.fast_amplitude * factor**2,
         )
 
 
@@ -106,9 +96,8 @@ def sample_quasistatic(
     n_gradients: int = 3,
     n_channels: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-episode gradient and detuning offsets (zero when switched off)."""
-    sig_b = config.sigma_b * config.scale_b if config.hyperfine_on else 0.0
-    sig_e = config.sigma_eps * config.scale_eps if config.slow_charge_on else 0.0
+    """Per-episode gradient and detuning offsets (zero at zero amplitude)."""
+    sig_b, sig_e = config.sigma_b, config.sigma_eps
     delta_b = rng.normal(0.0, sig_b, size=n_gradients) if sig_b > 0 else np.zeros(n_gradients)
     delta_eps = rng.normal(0.0, sig_e, size=n_channels) if sig_e > 0 else np.zeros(n_channels)
     return delta_b, delta_eps
@@ -116,8 +105,7 @@ def sample_quasistatic(
 
 def _target_psd(freqs: np.ndarray, config: NoiseConfig) -> np.ndarray:
     """One-sided target S(f) on the positive frequency grid, eps0^2 ns."""
-    amp = config.fast_amplitude * config.scale_fast**2
-    return amp * (HZ_IN_INVERSE_NS / freqs) ** config.alpha
+    return config.fast_amplitude * (HZ_IN_INVERSE_NS / freqs) ** config.alpha
 
 
 def sample_fast_trace(
@@ -137,8 +125,7 @@ def sample_fast_trace(
         raise ValueError(f"need at least 2 substeps, got {n_substeps}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    amp_on = config.fast_charge_on and config.fast_amplitude * config.scale_fast > 0
-    if not amp_on:
+    if config.fast_amplitude == 0:
         return np.zeros((n_substeps, n_channels))
     m = n_substeps
     freqs = np.fft.rfftfreq(m, dt)

@@ -17,6 +17,7 @@ renormalized to unit DC gain.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,10 +107,10 @@ class ImpulseKernel:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("kernel samples must be a non-empty 1-D array")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         gain = s.sum() * self.dt
-        if abs(gain - 1.0) > DC_GAIN_TOL:
+        if not abs(gain - 1.0) <= DC_GAIN_TOL:  # a NaN gain fails too
             raise ValueError(f"kernel DC gain {gain:.8f} differs from 1")
         object.__setattr__(self, "samples", s)
 
@@ -203,8 +204,8 @@ def load_kernel(path: str | Path, dt: float) -> ImpulseKernel:
     """Read a measured kernel file and resample it onto the dt grid.
 
     See the module docstring for the file format. Raises ValueError for
-    malformed content (short/empty file, non-monotone time, values that
-    normalize to nothing).
+    malformed content (short/empty file, non-numeric or non-finite values,
+    non-monotone time, values that normalize to nothing).
     """
     path = Path(path)
     times: list[float] = []
@@ -217,10 +218,13 @@ def load_kernel(path: str | Path, dt: float) -> ImpulseKernel:
         if len(fields) != 2:
             raise ValueError(f"{path}:{lineno}: expected two columns, got {len(fields)}")
         try:
-            times.append(float(fields[0]))
-            amps.append(float(fields[1]))
+            values = [float(field) for field in fields]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+        times.append(values[0])
+        amps.append(values[1])
     if len(times) < 2:
         raise ValueError(f"{path}: need at least two samples, got {len(times)}")
     t = np.asarray(times)

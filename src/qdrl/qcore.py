@@ -97,13 +97,13 @@ class DeviceParams:
     eps_max: float = 2.4
 
     def __post_init__(self) -> None:
-        if self.j0 <= 0:
-            raise ValueError(f"j0 must be positive, got {self.j0}")
-        if self.eps0 <= 0:
-            raise ValueError(f"eps0 must be positive, got {self.eps0}")
-        if not self.eps_min < self.eps_max:
+        if not 0 < self.j0 < math.inf:
+            raise ValueError(f"j0 must be positive and finite, got {self.j0}")
+        if not 0 < self.eps0 < math.inf:
+            raise ValueError(f"eps0 must be positive and finite, got {self.eps0}")
+        if not -math.inf < self.eps_min < self.eps_max < math.inf:
             raise ValueError(
-                f"need eps_min < eps_max, got [{self.eps_min}, {self.eps_max}]"
+                f"need finite eps_min < eps_max, got [{self.eps_min}, {self.eps_max}]"
             )
 
     @property

@@ -20,6 +20,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -79,8 +80,8 @@ class SacConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.polyak <= 1.0:
             raise ValueError(f"polyak rate must be in (0, 1], got {self.polyak}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.n_critics < 1 or self.n_quantiles < 1:
             raise ValueError("need at least one critic and one quantile")
         if not 1 <= self.kept_quantiles <= self.n_critics * self.n_quantiles:
@@ -90,10 +91,12 @@ class SacConfig:
             )
         if self.batch_size < 1 or self.batch_size > self.replay_capacity:
             raise ValueError("batch size must fit in the replay buffer")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ValueError("fixed temperature must be positive")
-        if self.init_temperature <= 0:
-            raise ValueError("initial temperature must be positive")
+        if self.temperature is not None and not 0 < self.temperature < math.inf:
+            raise ValueError("fixed temperature must be positive and finite")
+        if self.target_entropy is not None and not math.isfinite(self.target_entropy):
+            raise ValueError("target entropy must be finite")
+        if not 0 < self.init_temperature < math.inf:
+            raise ValueError("initial temperature must be positive and finite")
 
 
 def config_hash(config: SacConfig) -> str:

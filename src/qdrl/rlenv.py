@@ -45,6 +45,7 @@ Reward modes, all computed at the terminal step:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -220,18 +221,19 @@ class EnvConfig:
                 f"need n_segments >= {TAIL_SEGMENTS + 1} "
                 f"({TAIL_SEGMENTS} tail segments + at least one action), got {self.n_segments}"
             )
-        if self.protocol_time <= 0:
-            raise ValueError(f"protocol_time must be positive, got {self.protocol_time}")
+        if not 0 < self.protocol_time < math.inf:
+            raise ValueError(
+                f"protocol_time must be positive and finite, got {self.protocol_time}")
         if self.oversample < 1:
             raise ValueError(f"oversample must be >= 1, got {self.oversample}")
         if self.n_realizations < 1:
             raise ValueError(f"n_realizations must be >= 1, got {self.n_realizations}")
         if self.n_snapshots < 1:
             raise ValueError(f"n_snapshots must be >= 1, got {self.n_snapshots}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if self.nlif_cap <= 0:
-            raise ValueError(f"nlif_cap must be positive, got {self.nlif_cap}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
+        if not 0 < self.nlif_cap < math.inf:
+            raise ValueError(f"nlif_cap must be positive and finite, got {self.nlif_cap}")
         if not isinstance(self.observation_mode, ObservationMode):
             object.__setattr__(self, "observation_mode", ObservationMode(self.observation_mode))
         if not isinstance(self.reward_mode, RewardMode):

@@ -43,7 +43,8 @@ from qdrl.harness.cli import _build_parser
 from qdrl.harness.cli import main as cli_main
 from qdrl import qcore
 from qdrl.qcore import DeviceParams
-from qdrl.rlagent import train_loop
+from qdrl.rlagent import SacConfig, train_loop
+from qdrl.rlenv import EnvConfig
 from qdrl.tomography import SigmaShotsMap
 
 
@@ -142,6 +143,16 @@ class TestConfigSchema:
         pytest.param({"sweep": {"times": ["x"], "segments": [8]}}, id="sweep.times"),
         pytest.param({"sweep": {"budget_episodes": True}}, id="sweep.budget_episodes"),
         pytest.param({"sweep": {"budget_episodes": -1}}, id="sweep.budget_episodes_negative"),
+        # a non-finite float, once a silently dead noise channel or a late crash
+        pytest.param({"noise": {"enabled": True, "sigma_b": float("nan")}},
+                     id="noise.sigma_b_nan"),
+        pytest.param({"noise": {"enabled": True, "fast_amplitude": float("inf")}},
+                     id="noise.fast_amplitude_inf"),
+        pytest.param({"env": {"protocol_time": float("inf")}}, id="env.protocol_time_inf"),
+        pytest.param({"sweep": {"times": [8.0, float("nan")], "segments": [8]}},
+                     id="sweep.times_nan"),
+        pytest.param({"scale_sweep": {"scales": [1.0, -float("inf")]}},
+                     id="scale_sweep.scales_inf"),
     ])
     def test_wrong_types_and_counts_rejected(self, tmp_path, overrides):
         raw = tiny_raw(**overrides)
@@ -162,9 +173,9 @@ class TestConfigSchema:
     def test_experiment_hashes_pinned(self):
         # any change here moves every artifact's hash and orphans past checkpoints
         assert config_from_dict({"schema_version": 1}).hash == (
-            "0494869add27556f21a1aacf7e70fbfa70adb33b239184a5301f0d1ce7d5cb05")
+            "d37f785345a7ddfece020745782e6b7f8bf2ace38047a6eb9bf2a11adb48fb19")
         assert config_from_dict(tiny_raw()).hash == (
-            "a0fc1452783ca6527c84221add6fbc4f68e5a1d41df8f04e39f2a44cfdd38443")
+            "f254a3e901109a1a290eccdc856b501a72ad792ed99f94ba58dd1aaf75a5472a")
 
     def test_channels_follow_device(self):
         one = config_from_dict(tiny_raw())
@@ -177,6 +188,22 @@ class TestConfigSchema:
         assert cfg.env.noise is not None
         assert cfg.env.noise.alpha == 0.5
         assert cfg.env.noise.sigma_b == 0.0105  # untouched default
+        # one amplitude per channel: a zero amplitude is the only off switch
+        assert set(cfg.resolved["noise"]) == {
+            "enabled", "sigma_b", "sigma_eps", "fast_amplitude", "alpha"}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("cls, name", [
+        (EnvConfig, "protocol_time"), (EnvConfig, "sigma"), (EnvConfig, "nlif_cap"),
+        (DeviceParams, "j0"), (DeviceParams, "eps0"),
+        (DeviceParams, "eps_min"), (DeviceParams, "eps_max"),
+        (SacConfig, "learning_rate"), (SacConfig, "temperature"),
+        (SacConfig, "init_temperature"), (SacConfig, "target_entropy"),
+    ])
+    def test_library_configs_reject_non_finite_values(self, cls, name, bad):
+        # a range check written as `x <= 0` lets NaN through to the first step
+        with pytest.raises(ValueError):
+            cls(**{name: bad})
 
     def test_gaussian_kernel_built_on_env_grid(self):
         cfg = config_from_dict(

@@ -6,6 +6,8 @@ import pytest
 from qdrl import noise
 from qdrl.seeding import named_stream
 
+AMPLITUDES = ("sigma_b", "sigma_eps", "fast_amplitude")
+
 
 def fit_loglog_slope(freqs: np.ndarray, power: np.ndarray) -> float:
     """Least-squares slope of log10 power vs log10 frequency, mid band."""
@@ -42,9 +44,15 @@ class TestQuasistatic:
         assert de.std() == pytest.approx(config.sigma_eps, rel=0.05)
 
     def test_switches_give_exact_zeros(self):
-        config = noise.NoiseConfig(hyperfine_on=False, slow_charge_on=False)
+        # a zero amplitude draws nothing: the other channel sees a fresh stream
+        config = noise.NoiseConfig(sigma_b=0.0)
         db, de = noise.sample_quasistatic(config, np.random.default_rng(1))
-        assert not db.any() and not de.any()
+        assert not db.any()
+        fresh = np.random.default_rng(1).normal(0.0, config.sigma_eps, 3)
+        np.testing.assert_array_equal(de, fresh)
+        config = noise.NoiseConfig(sigma_eps=0.0)
+        db, de = noise.sample_quasistatic(config, np.random.default_rng(1))
+        assert db.all() and not de.any()
         zero_sigma = noise.NoiseConfig(sigma_b=0.0, sigma_eps=0.0)
         db, de = noise.sample_quasistatic(zero_sigma, np.random.default_rng(2))
         assert not db.any() and not de.any()
@@ -57,11 +65,18 @@ class TestQuasistatic:
         assert draws.std() == pytest.approx(3.0 * base.sigma_b, rel=0.05)
 
     def test_quiet_flag(self):
-        assert noise.NoiseConfig(
-            hyperfine_on=False, slow_charge_on=False, fast_charge_on=False
-        ).quiet
         assert noise.NoiseConfig(sigma_b=0, sigma_eps=0, fast_amplitude=0).quiet
+        assert noise.NoiseConfig().scaled(0.0).quiet
         assert not noise.NoiseConfig().quiet
+        # any one amplitude left on makes the config audible
+        for on in AMPLITUDES:
+            assert not noise.NoiseConfig(**{f: 0.0 for f in AMPLITUDES if f != on}).quiet
+
+    @pytest.mark.parametrize("name", AMPLITUDES + ("alpha",))
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_fields_must_be_finite_and_non_negative(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            noise.NoiseConfig(**{name: bad})
 
 
 class TestFastTrace:
@@ -87,9 +102,20 @@ class TestFastTrace:
         assert np.all(ratio > 1 / 1.5) and np.all(ratio < 1.5)
 
     def test_off_switch(self):
-        config = noise.NoiseConfig(fast_charge_on=False)
-        trace = noise.sample_fast_trace(64, 0.5, config, np.random.default_rng(8))
+        config = noise.NoiseConfig(fast_amplitude=0.0)
+        rng = np.random.default_rng(8)
+        trace = noise.sample_fast_trace(64, 0.5, config, rng)
         assert not trace.any()
+        # nothing drawn from the stream
+        assert rng.random() == np.random.default_rng(8).random()
+
+    @pytest.mark.parametrize("k", [0.5, 3.0])
+    def test_scaled_trace_is_k_times_the_trace(self, k):
+        # the PSD level scales with k^2, so the trace itself scales with k
+        base = noise.NoiseConfig()
+        trace = noise.sample_fast_trace(128, 0.25, base, np.random.default_rng(11))
+        scaled = noise.sample_fast_trace(128, 0.25, base.scaled(k), np.random.default_rng(11))
+        np.testing.assert_allclose(scaled, k * trace, rtol=1e-12)
 
     def test_determinism(self):
         config = noise.NoiseConfig()

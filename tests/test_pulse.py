@@ -75,6 +75,15 @@ class TestKernels:
         with pytest.raises(ValueError, match="gain"):
             pulse.ImpulseKernel(np.array([1.0, 1.0]), 1.0, 0.0)
 
+    def test_non_finite_gain_rejected(self):
+        # abs(nan - 1) > tol is False, so a NaN gain must fail the check as written
+        with pytest.raises(ValueError, match="gain"):
+            pulse.ImpulseKernel(np.array([np.nan]), 1.0, 0.0)
+        with pytest.raises(ValueError, match="gain"):
+            pulse.ImpulseKernel(np.array([1.0, np.inf]), 1.0, 0.0)
+        with pytest.raises(ValueError, match="dt"):
+            pulse.delta_kernel(np.inf)
+
 
 class TestConvolve:
     def test_constant_at_rail_stays_constant(self):
@@ -159,6 +168,10 @@ class TestLoadKernel:
             ("1.0 1.0\n0.5 1.0\n", "increasing"),
             ("-1.0 1.0\n0.5 1.0\n", "causal"),
             ("0.0 0.0\n1.0 0.0\n", "normalize"),
+            # a non-finite sample, once read into an all-NaN kernel
+            ("0.0 1.0\n0.5 nan\n", r"bad\.txt:2: non-finite"),
+            ("# t a\n0.0 1.0\ninf 1.0\n", r"bad\.txt:3: non-finite"),
+            ("0.0 -inf\n0.5 1.0\n", r"bad\.txt:1: non-finite"),
         ],
     )
     def test_malformed_files(self, tmp_path, content, msg):

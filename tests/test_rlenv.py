@@ -572,7 +572,7 @@ class TestSingleQubit:
         assert result.info["leakage"] == pytest.approx(0.0, abs=1e-12)
 
     def test_drift_noise_on_b_changes_reward(self):
-        noise = NoiseConfig(slow_charge_on=False, fast_charge_on=False)
+        noise = NoiseConfig(sigma_eps=0.0, fast_amplitude=0.0)
         cfg = EnvConfig(
             protocol_time=10.0,
             n_segments=24,
