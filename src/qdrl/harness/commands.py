@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..noise import NoiseConfig
 from ..pulse import TAIL_SEGMENTS, ImpulseKernel
 from ..qcore import evolve_serially
 from ..rlagent import SacAgent, evaluate_policy, play_policy, train_loop
 from ..seeding import named_stream
 from ..tomography import calibrate_sigma_to_shots
-from .config import ConfigError, ExperimentConfig, config_from_dict
+from .config import ConfigError, ExperimentConfig, _noise_config, config_from_dict
 from .protocol import read_protocol, write_protocol
 from .records import EpisodeRecord, write_records
 
@@ -104,7 +103,8 @@ def cmd_train(config: ExperimentConfig, out: Path | None = None) -> dict:
                 on_episode=emit,
             )
         entry = {"seed": seed, "episodes": len(result.episodes),
-                 "anchor_retries": result.anchor_retries, "log": str(log_path)}
+                 "anchor_retries": result.anchor_retries, "log": str(log_path),
+                 "evals": result.evals}
         if config.budget_episodes > 0:
             ckpt = out / f"agent_seed{seed}.npz"
             agent.save(ckpt)
@@ -158,15 +158,14 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path, episodes: int | Non
     agent = _load_agent(config, checkpoint)
     out = _ensure_dir(Path(out) if out is not None else config.output_dir)
 
-    eval_env_cfg = dataclasses.replace(config.env, reward_mode="sparse")
     seed = config.seeds[0]
 
     # Frozen table: one noise-free closed-loop rollout of the deterministic policy.
-    clean_env = config.make_env(seed, dataclasses.replace(eval_env_cfg, noise=None))
+    clean_env = config.make_env(seed, reward_mode="sparse", noise=None)
     play_policy(clean_env, agent, seed)
     frozen_actions = clean_env.actions_normalized
 
-    env = config.make_env(seed, eval_env_cfg)
+    env = config.make_env(seed, reward_mode="sparse")
     env.reset(seed)
     dynamic, frozen = [], []
     records = []
@@ -203,7 +202,7 @@ def _run_sweep_cell(resolved: dict, protocol_time: float, n_segments: int,
     config = config_from_dict(resolved)
     cell = {"protocol_time": protocol_time, "n_segments": n_segments, "seed": seed}
     try:
-        env = config.make_env(seed, config.env_for(protocol_time, n_segments))
+        env = config.make_env(seed, protocol_time=protocol_time, n_segments=n_segments)
         agent = config.make_agent(env, seed)
         train_loop(env, agent, budget, seed=seed)
         final = evaluate_policy(env, agent, n_eval)
@@ -277,7 +276,7 @@ def protocol_to_actions(detunings: np.ndarray, config: ExperimentConfig) -> np.n
 
 def simulate_protocol(config: ExperimentConfig, detunings: np.ndarray) -> float:
     """Terminal NLIF of a fixed protocol table on a fresh noise-free env."""
-    env = config.make_env(0, dataclasses.replace(config.env, reward_mode="sparse", noise=None))
+    env = config.make_env(0, reward_mode="sparse", noise=None)
     return float(env.rollout(protocol_to_actions(detunings, config), 0).info["nlif"])
 
 
@@ -285,10 +284,39 @@ def simulate_protocol(config: ExperimentConfig, detunings: np.ndarray) -> float:
 _AMPLITUDE = {"hyperfine": "sigma_b", "slow_charge": "sigma_eps", "fast_charge": "fast_amplitude"}
 
 
+def _scale_curves(config: ExperimentConfig, mode: str, k: float) -> dict[str, dict]:
+    """The EnvConfig changes of each curve at scale k: one per contribution, then all."""
+    noise = _noise_config(config.resolved)
+    rescaled = {}
+    if mode == "noise":
+        noise = noise.scaled(k)
+    else:
+        # sigma_b is stored relative to the exchange prefactor; with the
+        # physical hyperfine field held fixed while every energy grows by k,
+        # the relative amplitude drops by k. Charge noise lives in detuning
+        # units, which the energy scaling does not touch.
+        noise = dataclasses.replace(noise, sigma_b=noise.sigma_b * (1.0 / k))
+        # Gradients are stored in units of j0 and the Hamiltonian multiplies
+        # them by j0, so scaling j0 alone scales every energy in the device
+        # uniformly.
+        device, kernel = config.env.device, config.env.kernel
+        if kernel is not None:
+            # the same response compressed in time: same weights on a dt/k grid
+            kernel = ImpulseKernel(kernel.samples * k, kernel.dt / k, kernel.delay / k)
+        rescaled = {"device": dataclasses.replace(device, j0=k * device.j0), "kernel": kernel,
+                    "protocol_time": config.env.protocol_time / k}
+    curves = {name: dataclasses.replace(
+        noise, **{field: 0.0 for other, field in _AMPLITUDE.items() if other != name})
+        for name in _AMPLITUDE}
+    curves["all"] = noise
+    return {name: {"noise": curve, **rescaled} for name, curve in curves.items()}
+
+
 def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | None = None,
                     out: Path | None = None) -> dict:
     """Infidelity of a fixed protocol vs a scale factor, per noise contribution.
 
+    The base amplitudes are the noise section's, whether or not it is enabled.
     time_energy mode at scale k multiplies every energy in the Hamiltonian by
     k (exchange prefactor and all gradients) and divides every time quantity
     by k (protocol duration, integration step, the kernel's time axis), so the
@@ -312,47 +340,27 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
     realizations = spec["realizations"]
     detunings, _ = read_protocol(protocol_path)
     actions = protocol_to_actions(detunings, config)
+    try:
+        variants = [(k, _scale_curves(config, mode, k)) for k in scales]
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(f"scale_sweep.scales {scales} give no valid {mode}-mode "
+                          f"model: {err}") from err
     out = _ensure_dir(Path(out) if out is not None else config.output_dir)
-    base_noise = config.env.noise or NoiseConfig()
     seed = config.seeds[0]
 
     noise_free = float(10.0 ** -simulate_protocol(config, detunings))
 
-    curves = list(_AMPLITUDE) + ["all"]
     rows = []
-    for k in scales:
+    for k, changes_of in variants:
         row = {"scale": k}
-        for name in curves:
-            noise = base_noise.scaled(k) if mode == "noise" else base_noise
-            if name != "all":
-                noise = dataclasses.replace(
-                    noise, **{field: 0.0 for other, field in _AMPLITUDE.items() if other != name})
-            if mode == "noise":
-                env_cfg = dataclasses.replace(config.env, reward_mode="sparse", noise=noise)
-            else:
-                # sigma_b is stored relative to the exchange prefactor; with the
-                # physical hyperfine field held fixed while every energy grows
-                # by k, the relative amplitude drops by k. Charge noise lives in
-                # detuning units, which the energy scaling does not touch.
-                noise = dataclasses.replace(noise, sigma_b=noise.sigma_b * (1.0 / k))
-                # Gradients are stored in units of j0 and the Hamiltonian
-                # multiplies them by j0, so scaling j0 alone scales every
-                # energy in the device uniformly.
-                device = dataclasses.replace(config.env.device, j0=k * config.env.device.j0)
-                kernel = config.env.kernel
-                if kernel is not None:
-                    # the same response compressed in time: same weights on a dt/k grid
-                    kernel = ImpulseKernel(kernel.samples * k, kernel.dt / k, kernel.delay / k)
-                env_cfg = dataclasses.replace(
-                    config.env, device=device, reward_mode="sparse", noise=noise,
-                    protocol_time=config.env.protocol_time / k, kernel=kernel,
-                )
-            env = config.make_env(seed, env_cfg)
+        for name, changes in changes_of.items():
+            env = config.make_env(seed, reward_mode="sparse", **changes)
             env.reset(seed)
             nlifs = np.array([env.rollout(actions).info["nlif"] for _ in range(realizations)])
             row[name] = float(np.mean(10.0 ** -nlifs))
         rows.append(row)
 
+    curves = list(_AMPLITUDE) + ["all"]
     lines = [f"# config_hash={config.hash}", f"# mode={mode}",
              f"# noise_free_infidelity={noise_free!r}",
              "scale\t" + "\t".join(f"infidelity_{c}" for c in curves)]
@@ -380,8 +388,7 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
     actions = protocol_to_actions(detunings, config)
     out = _ensure_dir(Path(out) if out is not None else config.output_dir)
 
-    env = config.make_env(config.seeds[0],
-                          dataclasses.replace(config.env, reward_mode="sparse", noise=None))
+    env = config.make_env(config.seeds[0], reward_mode="sparse", noise=None)
     nlif_final = float(env.rollout(actions, config.seeds[0]).info["nlif"])
     shaped = env.shaped_detunings()
     dt = env.config.dt
@@ -453,13 +460,9 @@ def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
     """Roll out the deterministic policy and write its pulse table in mV."""
     agent = _load_agent(config, checkpoint)
     out = _ensure_dir(Path(out) if out is not None else config.output_dir)
-    eval_cfg = dataclasses.replace(config.env, reward_mode="sparse")
-    if noise_seed is None:
-        env = config.make_env(config.seeds[0], dataclasses.replace(eval_cfg, noise=None))
-        reset_seed = config.seeds[0]
-    else:
-        env = config.make_env(noise_seed, eval_cfg)
-        reset_seed = noise_seed
+    reset_seed = config.seeds[0] if noise_seed is None else noise_seed
+    muted = {"noise": None} if noise_seed is None else {}
+    env = config.make_env(reset_seed, reward_mode="sparse", **muted)
     _, info = play_policy(env, agent, reset_seed)
 
     sequence = env.pulse_sequence()

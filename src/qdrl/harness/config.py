@@ -22,7 +22,7 @@ from pathlib import Path
 import yaml
 
 from ..noise import NoiseConfig
-from ..pulse import ImpulseKernel, gaussian_kernel, load_kernel
+from ..pulse import gaussian_kernel, load_kernel
 from ..qcore import DeviceParams
 from ..rlagent import SacAgent, SacConfig
 from ..rlenv import EnvConfig, GateSynthesisEnv, SingleQubitModel, TwoQubitModel
@@ -194,37 +194,41 @@ class ExperimentConfig:
         device = device if device is not None else self.env.device
         return _MODELS[self.device_type](device, self.resolved["device"]["b"])
 
-    def make_env(self, seed: int, env: EnvConfig | None = None) -> GateSynthesisEnv:
+    def make_env(self, seed: int, **changes) -> GateSynthesisEnv:
         """Fresh environment for one run on the configured device.
 
-        env replaces the configured EnvConfig (callers derive it with
-        dataclasses.replace, e.g. noise=None to mute noise); the model is
-        built over its device, so a rescaled j0 reaches the Hamiltonian.
+        changes replace EnvConfig fields (noise=None mutes noise); a substep
+        grid they move without bringing a kernel gets the kernel section
+        sampled on it. The model is built over the env's device, so a
+        rescaled j0 reaches the Hamiltonian.
         """
-        env = env if env is not None else self.env
+        env = self.env
+        if changes:
+            env = dataclasses.replace(env, **changes)
+            if "kernel" not in changes and env.dt != self.env.dt:
+                env = _on_grid(env, self.resolved["kernel"])
         return GateSynthesisEnv(env, model=self.make_model(env.device), seed=seed)
 
     def make_agent(self, env: GateSynthesisEnv, seed: int) -> SacAgent:
         return SacAgent(env.observation_size, env.n_channels, self.agent, seed=seed)
 
-    def env_for(self, protocol_time: float, n_segments: int) -> EnvConfig:
-        """The env config re-gridded for a sweep cell (kernel rebuilt on new dt)."""
-        dt = protocol_time / n_segments / self.resolved["env"]["oversample"]
-        return dataclasses.replace(
-            self.env, protocol_time=protocol_time, n_segments=n_segments,
-            kernel=_make_kernel(self.resolved["kernel"], dt),
-        )
 
-
-def _make_kernel(spec: dict, dt: float) -> ImpulseKernel | None:
-    """Kernel on a given integration grid, per the kernel section; None for delta."""
-    if spec["type"] == "delta":
-        return None
+def _on_grid(env: EnvConfig, spec: dict) -> EnvConfig:
+    """env with the kernel section sampled on its substep grid; no kernel for delta."""
+    kernel = None
     if spec["type"] == "gaussian":
-        return gaussian_kernel(spec["mean_delay"], spec["stddev"], dt)
-    if spec["type"] == "file":
-        return load_kernel(spec["path"], dt)
-    raise ConfigError(f"unknown kernel type {spec['type']!r}")
+        kernel = gaussian_kernel(spec["mean_delay"], spec["stddev"], env.dt)
+    elif spec["type"] == "file":
+        kernel = load_kernel(spec["path"], env.dt)
+    elif spec["type"] != "delta":
+        raise ConfigError(f"unknown kernel type {spec['type']!r}")
+    return dataclasses.replace(env, kernel=kernel)
+
+
+def _noise_config(resolved: dict) -> NoiseConfig:
+    """The noise section's amplitudes, whatever its enabled flag says."""
+    return NoiseConfig(**{key: value for key, value in _fields_of(resolved, "noise").items()
+                          if key != "enabled"})
 
 
 def _fields_of(resolved: dict, name: str) -> dict:
@@ -272,14 +276,11 @@ def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
     if device_type not in _MODELS:
         raise ConfigError(f"device type must be {' or '.join(_MODELS)}, got {device_type!r}")
 
-    env_spec = resolved["env"]
     try:
-        dt = env_spec["protocol_time"] / env_spec["n_segments"] / env_spec["oversample"]
-        kernel = _make_kernel(resolved["kernel"], dt)
-        noise_spec = _fields_of(resolved, "noise")
-        enabled = noise_spec.pop("enabled")
-        noise = NoiseConfig(**noise_spec) if enabled else None
-        env = EnvConfig(kernel=kernel, noise=noise, **_fields_of(resolved, "env"))
+        # the amplitudes are checked even while disabled: scale-sweep reads them
+        noise = _noise_config(resolved)
+        env = _on_grid(EnvConfig(noise=noise if resolved["noise"]["enabled"] else None,
+                                 **_fields_of(resolved, "env")), resolved["kernel"])
         agent = SacConfig(**_fields_of(resolved, "agent"))
     except (TypeError, ValueError) as err:  # ConfigError included: rewrapped unchanged
         raise ConfigError(str(err)) from err

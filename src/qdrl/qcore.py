@@ -89,7 +89,6 @@ class DeviceParams:
 
     j0: float = 1.0          # exchange at eps = 0, 1/ns
     eps0: float = 0.272      # exchange lever arm, mV (bookkeeping only)
-    b_field: float = 0.0     # global field B_G, units of j0; zero in-sector
     b12: float = 1.0         # gradient between dots 1,2; units of j0
     b23: float = 7.0
     b34: float = -1.0

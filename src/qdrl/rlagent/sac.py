@@ -364,10 +364,6 @@ class TrainResult:
     evals: list[dict] = field(default_factory=list)
     anchor_retries: int = 0
 
-    @property
-    def returns(self) -> np.ndarray:
-        return np.array([e["return"] for e in self.episodes])
-
 
 def play_policy(env, agent: SacAgent, seed: int | None = None) -> tuple[float, dict]:
     """One deterministic-policy episode from env.reset(seed): (return, terminal info)."""

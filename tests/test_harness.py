@@ -212,6 +212,17 @@ class TestConfigSchema:
         assert cfg.env.kernel is not None
         assert cfg.env.kernel.dt == pytest.approx(cfg.env.dt)
 
+    def test_make_env_resamples_the_kernel_on_a_moved_grid(self):
+        cfg = config_from_dict(
+            tiny_raw(kernel={"type": "gaussian", "mean_delay": 1.0, "stddev": 0.3})
+        )
+        assert cfg.make_env(0, noise=None).config.kernel is cfg.env.kernel
+        moved = cfg.make_env(0, protocol_time=12.0, n_segments=10).config
+        assert moved.dt != cfg.env.dt
+        assert moved.kernel.dt == pytest.approx(moved.dt)
+        # a kernel among the changes is taken as given
+        assert cfg.make_env(0, protocol_time=12.0, kernel=None).config.kernel is None
+
     def test_hash_stable_and_sensitive(self):
         a = config_from_dict(tiny_raw())
         b = config_from_dict(tiny_raw())
@@ -415,6 +426,17 @@ class TestTrainCommand:
                     np.testing.assert_array_equal(da[name], db[name])
 
 
+    def test_periodic_evaluations_land_in_the_summary(self, outdir):
+        cfg = config_from_dict(tiny_raw(train={"eval_every": 1, "n_eval_episodes": 2}))
+        summaries = [cmd_train(cfg, out=outdir / name) for name in ("a", "b")]
+        saved = json.loads((outdir / "a" / "train_summary.json").read_text())
+        evals = saved["seeds"][0]["evals"]
+        assert [e["episode"] for e in evals] == [1, 2, 3]
+        assert all(np.isfinite(e["mean_nlif"]) for e in evals)
+        assert evals == summaries[0]["seeds"][0]["evals"] == summaries[1]["seeds"][0]["evals"]
+        ra, rb = (read_records(outdir / name / "train_seed0.jsonl") for name in ("a", "b"))
+        assert len(ra) == 3 and all(records_equal(x, y) for x, y in zip(ra, rb))
+
     def test_periodic_evaluation_leaves_training_unchanged(self):
         # observing a run must not change it: evaluation plays its own episodes
         cfg = config_from_dict(tiny_raw(noise={"enabled": True}))
@@ -424,7 +446,7 @@ class TestTrainCommand:
             result = train_loop(env, cfg.make_agent(env, 0), 6, seed=0,
                                 eval_every=eval_every, n_eval_episodes=2)
             assert len(result.evals) == (6 // eval_every if eval_every else 0)
-            return result.returns
+            return [e["return"] for e in result.episodes]
 
         np.testing.assert_array_equal(returns(0), returns(2))
 
@@ -712,6 +734,7 @@ class TestScaleSweepCommand:
         ([], "noise"),
         ([1.0, -2.0], "noise"),
         ([0.0], "time_energy"),
+        ([1e200], "noise"),  # the fast-noise PSD level k**2 overflows
     ])
     def test_bad_scales_rejected_before_writing(self, outdir, scales, mode):
         cfg = config_from_dict(tiny_raw(
@@ -721,6 +744,19 @@ class TestScaleSweepCommand:
         with pytest.raises(ConfigError, match="scales"):
             cmd_scale_sweep(cfg, path, out=outdir / "ss_bad")
         assert not (outdir / "ss_bad").exists()
+
+    def test_disabled_noise_section_sets_the_amplitudes(self, outdir):
+        # enabled only decides whether training and evaluation see noise; the
+        # sweep replays the protocol under the configured amplitudes either way
+        rows = []
+        for enabled in (False, True):
+            cfg = config_from_dict(tiny_raw(
+                noise={"enabled": enabled, "sigma_b": 0.05},
+                scale_sweep={"scales": [1.0, 2.0], "mode": "noise", "realizations": 3},
+            ))
+            path = self._protocol_file(outdir, cfg)
+            rows.append(cmd_scale_sweep(cfg, path, out=outdir / f"ss_{enabled}")["rows"])
+        assert rows[0] == rows[1]
 
     def test_zero_noise_scale_is_noise_free(self, outdir):
         cfg = config_from_dict(tiny_raw(

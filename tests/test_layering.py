@@ -57,36 +57,55 @@ def test_layer_does_not_import_upward(layer, forbidden):
 TEST_ONLY_PUBLIC = {"records_equal"}
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated with @dataclass, @dataclass(...) or @dataclasses.dataclass."""
+    return any(ast.unparse(deco).split("(")[0].split(".")[-1] == "dataclass"
+               for deco in node.decorator_list)
+
+
 def public_definitions():
-    """(qualified name, name) of top-level functions, classes and UPPER_CASE
-    constants, and of class members."""
+    """(qualified name, name, is a class member) of top-level functions,
+    classes and UPPER_CASE constants, and of class methods, properties,
+    nested classes and dataclass fields."""
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
             for target in targets:
                 if isinstance(target, ast.Name) and target.id.isupper() and target.id[0] != "_":
-                    yield f"{path.relative_to(SRC)}:{target.id}", target.id
-            members = node.body if isinstance(node, ast.ClassDef) else []
-            for item in (node, *members):
-                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and item.name[0] != "_":
-                    owner = f"{node.name}." if item is not node else ""
-                    yield f"{path.relative_to(SRC)}:{owner}{item.name}", item.name
+                    yield f"{path.relative_to(SRC)}:{target.id}", target.id, False
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name[0] != "_":
+                yield f"{path.relative_to(SRC)}:{node.name}", node.name, False
+            for item in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                    name = item.name
+                elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and _is_dataclass(node)):
+                    name = item.target.id
+                else:
+                    continue
+                if name[0] != "_":
+                    yield f"{path.relative_to(SRC)}:{node.name}.{name}", name, True
 
 
 def test_every_public_helper_has_a_non_test_caller():
-    # methods and properties count by name: a call on any object with that
-    # attribute name is a caller; a name counts where it is read, so a
-    # constant's own assignment is not its caller
+    # a top-level name counts where it is read, bare or as a module
+    # attribute, so a constant's own assignment is not its caller; a class
+    # member (method, property, dataclass field) counts only where some
+    # object's attribute of that name is read or called, not where a local
+    # variable happens to share its name
     root = SRC.parents[1]
-    used = set()
+    names, attributes = set(), set()
     for tree in ("src", "demos", "perfbench"):
         for path in (root / tree).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    used.add(node.id)
+                    names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-    unused = sorted(where for where, name in public_definitions()
-                    if name not in used and name not in TEST_ONLY_PUBLIC)
+                    attributes.add(node.attr)
+    unused = sorted(where for where, name, member in public_definitions()
+                    if name not in attributes and (member or name not in names)
+                    and name not in TEST_ONLY_PUBLIC)
     assert not unused, f"public helpers without a caller outside tests: {unused}"

@@ -35,8 +35,10 @@ def _embed(op: np.ndarray, site: int) -> np.ndarray:
     return out
 
 
-def full_space_hamiltonian(detunings, params: qcore.DeviceParams) -> np.ndarray:
-    """Independent 16-dim build of the four-spin Hamiltonian."""
+def full_space_hamiltonian(detunings, params: qcore.DeviceParams,
+                           b_field: float = 0.0) -> np.ndarray:
+    """Independent 16-dim build of the four-spin Hamiltonian; b_field is the
+    global field B_G in units of j0."""
     j = params.j0 * np.exp(np.asarray(detunings, dtype=float))
     h = np.zeros((16, 16), dtype=complex)
     for pair, jval in zip(((0, 1), (1, 2), (2, 3)), j):
@@ -44,7 +46,7 @@ def full_space_hamiltonian(detunings, params: qcore.DeviceParams) -> np.ndarray:
             h += (jval / 4.0) * _embed(s, pair[0]) @ _embed(s, pair[1])
     z = [_embed(SZ, i) for i in range(4)]
     b12, b23, b34 = params.j0 * params.gradients
-    bg = params.j0 * params.b_field
+    bg = params.j0 * b_field
     h += (bg / 2.0) * (z[0] + z[1] + z[2] + z[3])
     h += (b12 / 8.0) * (-3 * z[0] + z[1] + z[2] + z[3])
     h += (b23 / 4.0) * (-z[0] - z[1] + z[2] + z[3])
@@ -79,15 +81,16 @@ def test_sector_matrices_match_full_space(params):
 
 
 def test_global_field_is_silent_in_sector():
-    base = qcore.DeviceParams()
-    shifted = qcore.DeviceParams(b_field=1.7)
+    # the sector model has no global field: in the full space B_G adds a
+    # multiple of total S_z, which is zero on the sector
+    params = qcore.DeviceParams()
     dets = np.array([0.3, -1.0, 2.0])
-    np.testing.assert_allclose(
-        hamiltonian(dets, base), hamiltonian(dets, shifted)
-    )
-    # and in the full space it is a multiple of total S_z, zero on the sector
-    full = full_space_hamiltonian(dets, shifted) - full_space_hamiltonian(dets, base)
+    shifted = full_space_hamiltonian(dets, params, b_field=1.7)
+    full = shifted - full_space_hamiltonian(dets, params)
+    assert np.abs(full).max() > 0.1
     assert np.abs(full[np.ix_(SECTOR_INDICES, SECTOR_INDICES)]).max() < 1e-12
+    np.testing.assert_allclose(
+        shifted[np.ix_(SECTOR_INDICES, SECTOR_INDICES)], hamiltonian(dets, params), atol=1e-10)
 
 
 def test_full_space_conserves_total_sz(params):

@@ -336,16 +336,20 @@ class TestTrainLoop:
         def run():
             env = LineEnv()
             agent = SacAgent(env.observation_size, 1, SacConfig(**SMALL), seed=3)
-            return train_loop(env, agent, 30, seed=3).returns
+            result = train_loop(env, agent, 30, seed=3)
+            return [e["return"] for e in result.episodes]
 
         first, second = run(), run()
         np.testing.assert_array_equal(first, second)
 
     def test_different_seed_changes_trajectories(self):
         env = LineEnv()
-        a = train_loop(env, SacAgent(2, 1, SacConfig(**SMALL), seed=4), 20, seed=4).returns
-        b = train_loop(env, SacAgent(2, 1, SacConfig(**SMALL), seed=5), 20, seed=5).returns
-        assert not np.array_equal(a, b)
+
+        def returns(seed):
+            result = train_loop(env, SacAgent(2, 1, SacConfig(**SMALL), seed=seed), 20, seed=seed)
+            return [e["return"] for e in result.episodes]
+
+        assert not np.array_equal(returns(4), returns(5))
 
     def test_episode_records_and_callback(self):
         env = LineEnv()
