@@ -2,17 +2,19 @@
 
 The package stacks five layers, each usable on its own:
 
-- :mod:`qdrl.qcore` — Hamiltonians, Trotterized propagators, and fidelity
-  bookkeeping for the four-dot device (6-dim sector, 4-dim computational block).
+- :mod:`qdrl.qcore` — the four-dot device's operator tables (6-dim sector,
+  4-dim computational block), one Hamiltonian builder for any such tables,
+  Trotterized propagators, and fidelity bookkeeping.
 - :mod:`qdrl.pulse` — piecewise-constant control sequences, oversampling, and
   impulse-response shaping of what the device actually sees.
 - :mod:`qdrl.noise` — quasi-static hyperfine/charge offsets plus fast 1/f^a
   charge noise synthesized on the physical frequency grid.
 - :mod:`qdrl.tomography` — informationally complete POVM simulation and
   nearest-unitary reconstruction, the measurement-limited reward path.
-- :mod:`qdrl.rlenv` / :mod:`qdrl.rlagent` — the device models (the two-qubit
-  sector and its one-qubit reduction) and gate-synthesis episodes; the soft
-  actor-critic agent (truncated quantile critics) learns shaped protocols.
+- :mod:`qdrl.rlenv` / :mod:`qdrl.rlagent` — one device-model type, built for
+  the two-qubit sector or its one-qubit reduction, and gate-synthesis
+  episodes; the soft actor-critic agent (truncated quantile critics) learns
+  shaped protocols.
 
 :mod:`qdrl.harness` adds configs, seeded experiment commands, and the
 ``qdrl`` command-line entry point on top.

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -25,7 +26,7 @@ from ..noise import NoiseConfig
 from ..pulse import gaussian_kernel, load_kernel
 from ..qcore import DeviceParams
 from ..rlagent import SacAgent, SacConfig
-from ..rlenv import EnvConfig, GateSynthesisEnv, SingleQubitModel, TwoQubitModel
+from ..rlenv import DeviceModel, EnvConfig, GateSynthesisEnv
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -55,8 +56,8 @@ _NOT_YAML = {"device", "kernel", "target", "noise"}
 
 # device.type -> its model over (device params, device.b): the one place that
 # maps device names to device models, for validation and construction alike
-_MODELS = {"two_qubit": lambda device, b: TwoQubitModel(device),
-           "single_qubit": lambda device, b: SingleQubitModel(device, b=b)}
+_MODELS = {"two_qubit": lambda device, b: DeviceModel.two_qubit(device),
+           "single_qubit": DeviceModel.single_qubit}
 
 
 def _field_defaults(cls) -> dict:
@@ -302,13 +303,25 @@ def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML that also reads exponent floats without a dot or an exponent
+    sign (1e-2, 1.5e3, .5e1), which the YAML 1.1 resolver leaves as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path, **overrides) -> ExperimentConfig:
     """Read and validate a YAML experiment file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_Loader)
     except yaml.YAMLError as err:
         raise ConfigError(f"malformed YAML in {path}: {err}") from err
     if raw is None:

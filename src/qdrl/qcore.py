@@ -20,7 +20,9 @@ throughout, so J(eps) = j0 * exp(eps).
 The six-by-six matrices of the three couplers and the three gradient terms are
 written out explicitly below; a test rebuilds them from the full 16-dimensional
 four-spin model and checks the sector restriction, so the constants here are
-not load bearing on faith alone.
+not load bearing on faith alone. `sector_hamiltonian` assembles H from any
+such tables: `rlenv.DeviceModel` holds them, for this device and for its
+one-qubit reduction alike.
 
 Step propagators exp(-i dt H) come from a Taylor series of cos(dt H) and
 sin(dt H) with scaling and squaring: every device model builds a real
@@ -30,17 +32,17 @@ the float64 machine epsilon; `step_propagator` gives the details.
 
 Large stacks (the Monte Carlo rewards evolve tens of thousands of step
 matrices at once) are split into pieces of 1024 matrices, and the pieces run
-across the cores this process may use. Every matrix goes through the same
-products as in one whole-stack call, with the squaring count set by the whole
-stack, so the results are bit-identical to the serial ones. There is nothing
-to set: the piece size is fixed, the core count is read from the process's
-affinity mask, and with one usable core the pieces run in turn.
+across the cores this process may use, on a thread pool opened for the call
+and closed when it returns. Every matrix goes through the same products as in
+one whole-stack call, with the squaring count set by the whole stack, so the
+results are bit-identical to the serial ones. There is nothing to set: the
+piece size is fixed, the core count is read from the process's affinity mask,
+and with one usable core the pieces run in turn.
 """
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -49,7 +51,6 @@ import numpy as np
 __all__ = [
     "UNITARITY_TOL",
     "DEFAULT_NLIF_CAP",
-    "SIM_DIM",
     "COMP_INDICES",
     "DeviceParams",
     "exchange_coupling",
@@ -61,7 +62,6 @@ __all__ = [
     "gate_fidelity",
     "nlif",
     "nlif_from_infidelity",
-    "pauli_expectations",
     "block_leakage",
     "is_unitary",
     "haar_unitary",
@@ -73,7 +73,6 @@ UNITARITY_TOL = 1e-9
 DEFAULT_NLIF_CAP = 12.0
 HERMITICITY_TOL = 1e-12
 
-SIM_DIM = 6
 COMP_INDICES = (0, 1, 2, 3)
 
 
@@ -111,7 +110,6 @@ class DeviceParams:
         return np.array([self.b12, self.b23, self.b34])
 
 
-
 def _coupler_matrices() -> np.ndarray:
     """sigma.sigma/4 for pairs (1,2), (2,3), (3,4) in the sector basis."""
     a12 = np.diag([-1.0, -1, -1, -1, 1, 1]) / 4.0
@@ -136,32 +134,30 @@ def _gradient_matrices() -> np.ndarray:
     return np.stack([z12, z23, z34])
 
 
-# one flattened matrix per row, (3, 36): j @ rows is H reshaped to (..., 36)
-_COUPLER_ROWS = _coupler_matrices().reshape(3, SIM_DIM * SIM_DIM)
-_GRADIENT_ROWS = _gradient_matrices().reshape(3, SIM_DIM * SIM_DIM)
-_COUPLER_ROWS.setflags(write=False)
-_GRADIENT_ROWS.setflags(write=False)
-
-
 def exchange_coupling(eps: np.ndarray | float, params: DeviceParams) -> np.ndarray | float:
     """Exchange J(eps) = j0 exp(eps), eps in units of eps0, J in 1/ns."""
     return params.j0 * np.exp(eps)
 
 
-def sector_hamiltonian(j_couplings: np.ndarray, b_gradients: np.ndarray) -> np.ndarray:
+def sector_hamiltonian(j_couplings: np.ndarray, b_gradients: np.ndarray,
+                       coupler_rows: np.ndarray, gradient_rows: np.ndarray) -> np.ndarray:
     """Assemble H from physical couplings, broadcasting over leading axes.
 
-    j_couplings : (..., 3) exchange (J12, J23, J34) in 1/ns
-    b_gradients : (..., 3) gradients (b12, b23, b34) in 1/ns
-    returns (..., 6, 6), Hermitian (real symmetric).
+    j_couplings   : (..., C) exchange per coupler in 1/ns
+    b_gradients   : (..., G) gradients in 1/ns
+    coupler_rows  : (C, n * n) coupler matrices, one flattened per row
+    gradient_rows : (G, n * n) gradient matrices, likewise
+    returns (..., n, n), real symmetric for real symmetric tables.
     """
     j = np.asarray(j_couplings, dtype=float)
     b = np.asarray(b_gradients, dtype=float)
-    if j.shape[-1] != 3 or b.shape[-1] != 3:
-        raise ValueError("expected 3 couplings and 3 gradients on the last axis")
-    h = j @ _COUPLER_ROWS
-    h += b @ _GRADIENT_ROWS
-    return h.reshape(h.shape[:-1] + (SIM_DIM, SIM_DIM))
+    if j.shape[-1] != len(coupler_rows) or b.shape[-1] != len(gradient_rows):
+        raise ValueError(f"expected {len(coupler_rows)} couplings and "
+                         f"{len(gradient_rows)} gradients on the last axis")
+    h = j @ coupler_rows
+    h += b @ gradient_rows
+    n = math.isqrt(coupler_rows.shape[-1])
+    return h.reshape(h.shape[:-1] + (n, n))
 
 
 # Matrices per piece of a large stack; a piece's temporaries take about 3 MB.
@@ -170,8 +166,6 @@ def sector_hamiltonian(j_couplings: np.ndarray, b_gradients: np.ndarray) -> np.n
 # to this size, which covers every per-step call, are evolved whole.
 _PIECE = 1024
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 _serial = False
 
 
@@ -191,29 +185,15 @@ def evolve_serially() -> None:
     _serial = True
 
 
-def _forget_pool() -> None:
-    # a forked child inherits the executor but none of its threads; it builds
-    # its own on first use instead of queueing work that nothing would run
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _run_pieces(work, n: int) -> list:
     """work(piece) for consecutive `_PIECE`-long slices of range(n), in order,
     spread across the usable cores."""
-    global _pool
     pieces = [slice(lo, min(lo + _PIECE, n)) for lo in range(0, n, _PIECE)]
     cores = _usable_cores()
     if cores == 1:
         return [work(piece) for piece in pieces]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=cores, thread_name_prefix="qdrl-qcore")
-        pool = _pool
-    return list(pool.map(work, pieces))
+    with ThreadPoolExecutor(max_workers=cores, thread_name_prefix="qdrl-qcore") as pool:
+        return list(pool.map(work, pieces))
 
 
 def _measure(h: np.ndarray) -> tuple[float, float, float]:
@@ -371,36 +351,6 @@ def nlif_from_infidelity(infid, cap: float = DEFAULT_NLIF_CAP):
 def nlif(u: np.ndarray, target: np.ndarray, cap: float = DEFAULT_NLIF_CAP):
     """Negative log infidelity of u against target, capped."""
     return nlif_from_infidelity(1.0 - np.asarray(gate_fidelity(u, target)), cap)
-
-
-def _logical_paulis() -> np.ndarray:
-    """(qubit, axis, 6, 6) logical X/Y/Z, zero outside the computational block."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    eye = np.eye(2)
-    ops = np.zeros((2, 3, SIM_DIM, SIM_DIM), dtype=complex)
-    for ax, s in enumerate((sx, sy, sz)):
-        ops[0, ax, :4, :4] = np.kron(s, eye)
-        ops[1, ax, :4, :4] = np.kron(eye, s)
-    return ops
-
-
-_PAULIS = _logical_paulis()
-_PAULIS.setflags(write=False)
-
-
-def pauli_expectations(states: np.ndarray) -> np.ndarray:
-    """Logical <X>, <Y>, <Z> per qubit for sector states (..., 6) -> (..., 2, 3).
-
-    States need not be normalized within the computational subspace; leaked
-    population simply shrinks the Bloch vector.
-    """
-    states = np.asarray(states)
-    if states.shape[-1] != SIM_DIM:
-        raise ValueError(f"expected sector states of dim {SIM_DIM}")
-    vals = np.einsum("...i,qaij,...j->...qa", np.conj(states), _PAULIS, states)
-    return np.real(vals)
 
 
 def block_leakage(block: np.ndarray) -> np.ndarray | float:

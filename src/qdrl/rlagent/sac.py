@@ -413,11 +413,9 @@ def train_loop(
     with fresh noise (they never enter the replay buffer); more than
     MAX_ANCHOR_RETRIES in a row re-raise. A non-finite loss aborts training,
     saving a diagnostic checkpoint first if a path is given.
-    `on_episode` receives each episode record as it is produced; returning a
-    truthy value stops training after that episode (periodic evaluations and
-    the episode counter still run for it). Periodic evaluations run on a copy
-    of `env` with its own seed, so evaluating leaves the training episodes
-    unchanged. Each record's `update_ms` is the wall time, in ms, spent in
+    `on_episode` receives each episode record as it is produced. Periodic
+    evaluations run on a copy of `env` with its own seed, so evaluating leaves
+    the training episodes unchanged. Each record's `update_ms` is the wall time, in ms, spent in
     `agent.update` during that episode (0 while warming up).
     """
     cfg = agent.config
@@ -490,15 +488,14 @@ def train_loop(
             "update_ms": update_ms,
         }
         result.episodes.append(record)
-        stop = bool(on_episode(record)) if on_episode is not None else False
+        if on_episode is not None:
+            on_episode(record)
         episode += 1
         if eval_every and episode % eval_every == 0:
             entry = evaluate_policy(eval_env, agent, n_eval_episodes)
             entry["episode"] = episode
             result.evals.append(entry)
         obs = env.reset()
-        if stop:
-            break
     return result
 
 

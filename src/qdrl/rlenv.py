@@ -27,9 +27,13 @@ payloads are the flattened real and imaginary parts of the computational block
 (the full sector matrix behind `sector_payload`, for ablations); the per-step
 info NLIF and leakage always score the computational block.
 
-The device model owns the device facts: Hamiltonians, default target, basis
-labels, Bloch map and channel count (`GateSynthesisEnv.n_channels`: three
-detuning channels for the two-qubit device, one for the single-qubit one).
+The device model owns the device facts. A `DeviceModel` is its operator
+tables (one coupler matrix per detuning channel, one operator per field
+gradient, and the static gradients), its computational block, basis labels
+and default target; one builder makes the Hamiltonians and one the Bloch
+vectors of every model. `DeviceModel.two_qubit` is the four-dot device (three
+channels, CNOT), `DeviceModel.single_qubit` its one-qubit reduction (one
+channel, phase gate).
 
 Reward modes, all computed at the terminal step:
 
@@ -45,6 +49,7 @@ Reward modes, all computed at the terminal step:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -64,16 +69,16 @@ from .pulse import (
 )
 from .qcore import (
     DEFAULT_NLIF_CAP,
-    SIM_DIM,
     COMP_INDICES,
     DeviceParams,
+    _coupler_matrices,
+    _gradient_matrices,
     block_leakage,
     cnot_target,
     computational_block,
     exchange_coupling,
     is_unitary,
     nlif,
-    pauli_expectations,
     phase_gate_target,
     propagate,
     sector_hamiltonian,
@@ -87,8 +92,7 @@ __all__ = [
     "EnvConfig",
     "StepResult",
     "GateSynthesisEnv",
-    "TwoQubitModel",
-    "SingleQubitModel",
+    "DeviceModel",
 ]
 
 # realizations evolved per batch in Monte Carlo rewards, bounding the
@@ -110,83 +114,100 @@ class RewardMode(enum.Enum):
     GAUSS_SURROGATE = "gauss_surrogate"
 
 
-class TwoQubitModel:
-    """The four-dot device: 6-dim sector, 4-dim computational block, 3 channels."""
+# Pauli x, y, z of one qubit
+_SIGMAS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
-    sim_dim = SIM_DIM
-    block_indices = COMP_INDICES
-    labels = ("00", "01", "10", "11")
-    n_channels = 3
-    n_gradients = 3
 
-    def __init__(self, params: DeviceParams):
+def _frozen(table, dtype=None) -> np.ndarray:
+    table = np.array(table, dtype=dtype)
+    table.setflags(write=False)
+    return table
+
+
+# the four-dot device's coupler and gradient matrices, built once for every
+# two-qubit model
+_FOUR_DOT_TABLES = (_frozen(_coupler_matrices()), _frozen(_gradient_matrices()))
+
+
+def _logical_pauli_table(dim: int, block_indices: tuple) -> np.ndarray:
+    """(qubit, axis, dim, dim) logical X/Y/Z, zero outside the computational
+    block, whose states are the bit strings in order with qubit 1 leading."""
+    qubits = int(math.log2(len(block_indices)))
+    idx = np.asarray(block_indices)
+    table = np.zeros((qubits, 3, dim, dim), dtype=complex)
+    for q in range(qubits):
+        for axis, sigma in enumerate(_SIGMAS):
+            factors = [sigma if k == q else np.eye(2) for k in range(qubits)]
+            table[q, axis, idx[:, None], idx] = functools.reduce(np.kron, factors)
+    return table
+
+
+class DeviceModel:
+    """A device as operator tables over its simulated space (dimension n).
+
+        H = sum_c J(eps_c) couplers[c] + j0 sum_g (gradients[g] + delta_b_g) gradient_ops[g]
+
+    couplers (C, n, n) take one detuning channel each, gradient_ops (G, n, n)
+    one field gradient each, and gradients (G,) are the static gradients in
+    units of j0; the exchange map and detuning bounds come from params. The
+    computational states sit at block_indices, labelled by their bits, and
+    the logical Paulis acting there give the Bloch vectors.
+    """
+
+    def __init__(self, params: DeviceParams, couplers, gradient_ops, gradients,
+                 block_indices: tuple, labels: tuple, default_target: np.ndarray):
         self.params = params
+        self.n_channels, self.sim_dim, _ = np.shape(couplers)
+        self.n_gradients = len(gradient_ops)
+        self.gradients = _frozen(gradients, dtype=float)
+        self.block_indices = block_indices
+        self.labels = labels
+        self.default_target = default_target
+        # one flattened matrix per row: j @ rows is H reshaped to (..., n * n)
+        self._coupler_rows = _frozen(np.reshape(couplers, (self.n_channels, -1)))
+        self._gradient_rows = _frozen(np.reshape(gradient_ops, (self.n_gradients, -1)))
+
+    @classmethod
+    def two_qubit(cls, params: DeviceParams) -> "DeviceModel":
+        """The four-dot device: 6-dim sector, 4-dim computational block, 3 channels."""
+        return cls(params, *_FOUR_DOT_TABLES, params.gradients,
+                   COMP_INDICES, ("00", "01", "10", "11"), cnot_target())
+
+    @classmethod
+    def single_qubit(cls, params: DeviceParams, b: float = 1.0) -> "DeviceModel":
+        """One singlet-triplet qubit: H = J(eps)/2 sigma_z + b/2 sigma_x.
+
+        b is the transverse gradient in units of j0. Hyperfine noise offsets
+        b, charge noise offsets the detuning, exactly as in the two-qubit model.
+        """
+        sigma_x, _, sigma_z = _SIGMAS.real
+        return cls(params, [sigma_z / 2.0], [sigma_x / 2.0], (b,),
+                   (0, 1), ("0", "1"), phase_gate_target())
 
     def hamiltonians(self, detunings: np.ndarray, delta_b: np.ndarray | None = None):
-        """H stack for detunings (..., 3) with optional gradient offsets.
+        """H stack for detunings (..., C) with optional gradient offsets.
 
         delta_b, units of j0, broadcasts against the leading axes of
-        detunings minus the substep axis: a (R, 3) offset batch pairs with
-        (R, M, 3) detunings.
+        detunings minus the substep axis: a (R, G) offset batch pairs with
+        (R, M, C) detunings.
         """
         j = exchange_coupling(np.asarray(detunings, dtype=float), self.params)
-        grads = self.params.gradients
+        grads = self.gradients
         if delta_b is not None:
             grads = grads + np.asarray(delta_b, dtype=float)
         if grads.ndim > 1:
             grads = grads[..., None, :]
-        return sector_hamiltonian(j, self.params.j0 * grads)
-
-    def default_target(self) -> np.ndarray:
-        return cnot_target()
+        return sector_hamiltonian(
+            j, self.params.j0 * grads, self._coupler_rows, self._gradient_rows)
 
     def bloch(self, states: np.ndarray) -> np.ndarray:
-        """Logical (x, y, z) per qubit of sector states (..., 6) -> (..., 2, 3)."""
-        return pauli_expectations(states)
+        """Logical (x, y, z) per qubit of states (..., n) -> (..., qubits, 3).
 
-
-class SingleQubitModel:
-    """One singlet-triplet qubit: H = J(eps)/2 sigma_z + b/2 sigma_x.
-
-    The exchange map and detuning bounds come from the same DeviceParams;
-    b is the transverse gradient in units of j0. Hyperfine noise offsets b,
-    charge noise offsets the detuning, exactly as in the two-qubit model.
-    """
-
-    sim_dim = 2
-    block_indices = (0, 1)
-    labels = ("0", "1")
-    n_channels = 1
-    n_gradients = 1
-
-    def __init__(self, params: DeviceParams, b: float = 1.0):
-        self.params = params
-        self.b = b
-
-    def hamiltonians(self, detunings: np.ndarray, delta_b: np.ndarray | None = None):
-        eps = np.asarray(detunings, dtype=float)
-        if eps.shape[-1] != 1:
-            raise ValueError(f"single-qubit drive has 1 channel, got {eps.shape[-1]}")
-        j = exchange_coupling(eps[..., 0], self.params)
-        b_eff = np.asarray(self.b, dtype=float)
-        if delta_b is not None:
-            b_eff = b_eff + np.asarray(delta_b, dtype=float)[..., 0]
-        bx = self.params.j0 * np.broadcast_to(b_eff[..., None], j.shape)
-        h = np.zeros(j.shape + (2, 2))
-        h[..., 0, 0] = j / 2.0
-        h[..., 1, 1] = -j / 2.0
-        h[..., 0, 1] = bx / 2.0
-        h[..., 1, 0] = bx / 2.0
-        return h
-
-    def default_target(self) -> np.ndarray:
-        return phase_gate_target()
-
-    def bloch(self, states: np.ndarray) -> np.ndarray:
-        """(x, y, z) of qubit states (..., 2) -> (..., 1, 3)."""
-        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-        xyz = np.einsum("...i,aij,...j->...a", np.conj(states), paulis, states)
-        return np.real(xyz)[..., None, :]
+        States need not be normalized within the computational block; leaked
+        population simply shrinks the Bloch vector.
+        """
+        paulis = _logical_pauli_table(self.sim_dim, self.block_indices)
+        return np.real(np.einsum("...i,qaij,...j->...qa", np.conj(states), paulis, states))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,12 +294,12 @@ class GateSynthesisEnv:
     rewinds the stream, so two same-seed resets replay identically.
     """
 
-    def __init__(self, config: EnvConfig, model=None, seed: int = 0):
+    def __init__(self, config: EnvConfig, model: DeviceModel | None = None, seed: int = 0):
         self.config = config
-        self.model = model if model is not None else TwoQubitModel(config.device)
+        self.model = model if model is not None else DeviceModel.two_qubit(config.device)
         self.n_channels = self.model.n_channels
         block_dim = len(self.model.block_indices)
-        target = config.target if config.target is not None else self.model.default_target()
+        target = config.target if config.target is not None else self.model.default_target
         target = np.asarray(target, dtype=complex)
         if target.shape != (block_dim, block_dim):
             raise ValueError(

@@ -499,16 +499,6 @@ class SigmaShotsMap:
         }
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "SigmaShotsMap":
-        payload = json.loads(Path(path).read_text())
-        version = payload.pop("format_version", None)
-        if version != 1:
-            raise ValueError(f"unsupported calibration file version {version!r}")
-        for key in ("shots_grid", "shots_infidelity", "sigma_grid", "sigma_infidelity"):
-            payload[key] = np.asarray(payload[key], dtype=float)
-        return cls(**payload)
-
 
 def calibrate_sigma_to_shots(
     dim: int,

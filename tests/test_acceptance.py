@@ -25,7 +25,7 @@ from qdrl.rlagent.nets import (
     QuantileCritic,
     quantile_huber_loss,
 )
-from qdrl.rlenv import EnvConfig, GateSynthesisEnv, TwoQubitModel
+from qdrl.rlenv import DeviceModel, EnvConfig, GateSynthesisEnv
 from qdrl.seeding import named_stream
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -62,7 +62,7 @@ class TestAnalyticFidelity:
 
 class TestTrotterOrder:
     def test_error_ratio_is_second_order(self):
-        model = TwoQubitModel(qcore.DeviceParams())
+        model = DeviceModel.two_qubit(qcore.DeviceParams())
         total = 4.0
         ratios = []
 

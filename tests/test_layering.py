@@ -63,31 +63,40 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                for deco in node.decorator_list)
 
 
+def _is_classmethod(node: ast.FunctionDef) -> bool:
+    return any(ast.unparse(deco) == "classmethod" for deco in node.decorator_list)
+
+
 def public_definitions():
-    """(qualified name, name, is a class member) of top-level functions,
-    classes and UPPER_CASE constants, and of class methods, properties,
-    nested classes and dataclass fields."""
+    """(qualified name, name, how it is read) of top-level functions, classes
+    and UPPER_CASE constants, and of class methods, properties, nested
+    classes and dataclass fields. How it is read: None for a top-level name,
+    "" for a member read as any object's attribute, and the class's name for
+    a classmethod, read as `<Class>.<name>`."""
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, ast.AnnAssign) else [])
             for target in targets:
                 if isinstance(target, ast.Name) and target.id.isupper() and target.id[0] != "_":
-                    yield f"{path.relative_to(SRC)}:{target.id}", target.id, False
+                    yield f"{path.relative_to(SRC)}:{target.id}", target.id, None
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name[0] != "_":
-                yield f"{path.relative_to(SRC)}:{node.name}", node.name, False
+                yield f"{path.relative_to(SRC)}:{node.name}", node.name, None
             for item in node.body if isinstance(node, ast.ClassDef) else []:
+                owner = ""
                 if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
                     name = item.name
+                    if isinstance(item, ast.FunctionDef) and _is_classmethod(item):
+                        owner = node.name
                 elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                       and _is_dataclass(node)):
                     name = item.target.id
                 else:
                     continue
                 if name[0] != "_":
-                    yield f"{path.relative_to(SRC)}:{node.name}.{name}", name, True
+                    yield f"{path.relative_to(SRC)}:{node.name}.{name}", name, owner
 
 
 def test_every_public_helper_has_a_non_test_caller():
@@ -95,7 +104,9 @@ def test_every_public_helper_has_a_non_test_caller():
     # attribute, so a constant's own assignment is not its caller; a class
     # member (method, property, dataclass field) counts only where some
     # object's attribute of that name is read or called, not where a local
-    # variable happens to share its name
+    # variable happens to share its name; a classmethod counts only where it
+    # is read off its own class, not where another class's member shares
+    # its name
     root = SRC.parents[1]
     names, attributes = set(), set()
     for tree in ("src", "demos", "perfbench"):
@@ -105,7 +116,11 @@ def test_every_public_helper_has_a_non_test_caller():
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     attributes.add(node.attr)
-    unused = sorted(where for where, name, member in public_definitions()
-                    if name not in attributes and (member or name not in names)
+                    if isinstance(node.value, (ast.Name, ast.Attribute)):
+                        owner = ast.unparse(node.value).split(".")[-1]
+                        attributes.add(f"{owner}.{node.attr}")
+    unused = sorted(where for where, name, owner in public_definitions()
+                    if (f"{owner}.{name}" if owner else name) not in attributes
+                    and (owner is not None or name not in names)
                     and name not in TEST_ONLY_PUBLIC)
     assert not unused, f"public helpers without a caller outside tests: {unused}"

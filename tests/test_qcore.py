@@ -5,6 +5,7 @@ import dataclasses
 import math
 import multiprocessing
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdrl import qcore
-from qdrl.rlenv import TwoQubitModel
+from qdrl.rlenv import DeviceModel
 
 # Full-space basis: |s1 s2 s3 s4>, s = 0 for up, 1 for down, dot 1 most
 # significant. The six S_z = 0 sector states in package order.
@@ -55,7 +56,7 @@ def full_space_hamiltonian(detunings, params: qcore.DeviceParams,
 
 
 def hamiltonian(detunings, params: qcore.DeviceParams) -> np.ndarray:
-    return TwoQubitModel(params).hamiltonians(detunings)
+    return DeviceModel.two_qubit(params).hamiltonians(detunings)
 
 
 def trotter(detunings, params: qcore.DeviceParams, dt: float) -> np.ndarray:
@@ -139,9 +140,11 @@ def test_hamiltonian_assembly_matches_the_einsum_form(params):
     rng = np.random.default_rng(17)
     j = qcore.exchange_coupling(rng.uniform(params.eps_min, params.eps_max, (9, 40, 3)), params)
     b = params.gradients + rng.normal(0.0, 0.05, size=(9, 1, 3))
-    want = np.einsum("...i,ijk->...jk", j, qcore._coupler_matrices())
-    want += np.einsum("...i,ijk->...jk", b, qcore._gradient_matrices())
-    np.testing.assert_array_equal(qcore.sector_hamiltonian(j, b), want)
+    couplers, gradients = qcore._coupler_matrices(), qcore._gradient_matrices()
+    want = np.einsum("...i,ijk->...jk", j, couplers)
+    want += np.einsum("...i,ijk->...jk", b, gradients)
+    got = qcore.sector_hamiltonian(j, b, couplers.reshape(3, 36), gradients.reshape(3, 36))
+    np.testing.assert_array_equal(got, want)
 
 
 def _expm_stack(h: np.ndarray, dt: float) -> np.ndarray:
@@ -156,7 +159,7 @@ class TestStepPropagator:
         # step length sets how often the series result is squared
         rng = np.random.default_rng(43)
         dets = rng.uniform(params.eps_min, params.eps_max, size=(8, 8, 3))
-        h = TwoQubitModel(params).hamiltonians(dets, rng.normal(0.0, 0.5, size=(8, 3)))
+        h = DeviceModel.two_qubit(params).hamiltonians(dets, rng.normal(0.0, 0.5, size=(8, 3)))
         assert qcore._squarings(*qcore._measure(h), dt) == squarings
         u = qcore.step_propagator(h, dt)
         assert u.dtype == np.complex128
@@ -241,26 +244,15 @@ class TestLargeStacks:
         split = qcore.step_propagator(stack, 0.1)
         assert split.shape == whole.shape and split.dtype == whole.dtype
         np.testing.assert_array_equal(split, whole)
-        if cores > 1:
-            assert qcore._pool is not None
 
     def test_small_stacks_stay_on_the_calling_thread(self, params, monkeypatch):
         monkeypatch.setattr(qcore, "_usable_cores", lambda: pytest.fail("stack was split"))
         h = hamiltonian(np.zeros((qcore._PIECE, 3)), params)
         qcore.step_propagator(h, 0.1)
 
-    def test_concurrent_callers_share_one_lazily_started_pool(self, stack, monkeypatch):
+    def test_concurrent_callers_each_get_the_whole_stack_bits(self, stack, monkeypatch):
         whole = self.whole(stack, monkeypatch)
-        started = []
-
-        class Counting(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(qcore, "ThreadPoolExecutor", Counting)
         monkeypatch.setattr(qcore, "_usable_cores", lambda: 4)
-        monkeypatch.setattr(qcore, "_pool", None)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -269,11 +261,10 @@ class TestLargeStacks:
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-            for pool in started:
-                pool.shutdown()
-        assert len(started) == 1
         for got in results:
             np.testing.assert_array_equal(got, whole)
+        # each call closes the pool it opened
+        assert not [t for t in threading.enumerate() if t.name.startswith("qdrl-qcore")]
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_non_hermitian_matrix_in_the_last_piece_rejected(self, stack, monkeypatch, cores):
@@ -315,8 +306,7 @@ class TestLargeStacks:
         whole = self.whole(stack, monkeypatch)
         monkeypatch.setattr(qcore, "_usable_cores", lambda: 2)
         qcore.step_propagator(stack, 0.1)
-        assert qcore._pool is not None
-        # the child inherits the started pool's state but not its threads
+        # the child starts its own threads for the pieces
         with multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply_async(_evolve, (stack,)).get(timeout=120)
         np.testing.assert_array_equal(got, whole)
@@ -372,7 +362,7 @@ class TestTrotterEvolve:
         rng = np.random.default_rng(13)
         dets = rng.uniform(-5.4, 2.4, size=(6, 25, 3))
         delta_b = rng.normal(0, 0.01, size=(6, 3))
-        h = TwoQubitModel(params).hamiltonians(dets, delta_b)
+        h = DeviceModel.two_qubit(params).hamiltonians(dets, delta_b)
         batch = qcore.propagate(qcore.step_propagator(h, 0.1))
         assert batch.shape == (6, 6, 6)
         for k in range(6):
@@ -442,17 +432,21 @@ def test_computational_block_and_leakage():
 
 
 class TestPauliExpectations:
+    @staticmethod
+    def bloch(states):
+        return DeviceModel.two_qubit(qcore.DeviceParams()).bloch(states)
+
     def test_computational_states(self):
         e = np.eye(6, dtype=complex)
-        vals = qcore.pauli_expectations(e[0])  # |00>
+        vals = self.bloch(e[0])  # |00>
         np.testing.assert_allclose(vals, [[0, 0, 1], [0, 0, 1]], atol=1e-12)
-        vals = qcore.pauli_expectations(e[3])  # |11>
+        vals = self.bloch(e[3])  # |11>
         np.testing.assert_allclose(vals, [[0, 0, -1], [0, 0, -1]], atol=1e-12)
 
     def test_plus_state(self):
         psi = np.zeros(6, dtype=complex)
         psi[0] = psi[2] = 1 / math.sqrt(2)  # (|00> + |10>)/sqrt2 = |+0>
-        vals = qcore.pauli_expectations(psi)
+        vals = self.bloch(psi)
         np.testing.assert_allclose(vals[0], [1, 0, 0], atol=1e-12)
         np.testing.assert_allclose(vals[1], [0, 0, 1], atol=1e-12)
 
@@ -461,7 +455,7 @@ class TestPauliExpectations:
         for _ in range(20):
             psi = rng.normal(size=6) + 1j * rng.normal(size=6)
             psi /= np.linalg.norm(psi)
-            vals = qcore.pauli_expectations(psi)
+            vals = self.bloch(psi)
             pop = np.sum(np.abs(psi[list(qcore.COMP_INDICES)]) ** 2)
             norms = np.linalg.norm(vals, axis=-1)
             assert np.all(norms <= pop + 1e-9)
@@ -472,7 +466,7 @@ class TestPauliExpectations:
         psi[2] = 1.0
         u = np.eye(6, dtype=complex)
         u[:4, :4] = qcore.cnot_target()
-        out = qcore.pauli_expectations(u @ psi)
+        out = self.bloch(u @ psi)
         np.testing.assert_allclose(out[0], [0, 0, -1], atol=1e-12)
         np.testing.assert_allclose(out[1], [0, 0, -1], atol=1e-12)
 

@@ -369,13 +369,6 @@ class TestTrainLoop:
         assert result.episodes[0]["update_ms"] == 0.0
         assert rec["update_ms"] > 0.0
 
-    def test_callback_truthy_return_stops_training(self):
-        env = LineEnv()
-        agent = SacAgent(2, 1, SacConfig(**SMALL), seed=9)
-        result = train_loop(env, agent, 50, seed=9,
-                            on_episode=lambda rec: rec["episode"] == 6)
-        assert [r["episode"] for r in result.episodes] == list(range(7))
-
     def test_divergence_saves_diagnostic_checkpoint(self, tmp_path):
         env = LineEnv()
         agent = SacAgent(2, 1, SacConfig(**SMALL), seed=7)

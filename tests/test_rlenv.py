@@ -23,12 +23,11 @@ from qdrl.qcore import (
     step_propagator,
 )
 from qdrl.rlenv import (
+    DeviceModel,
     EnvConfig,
     GateSynthesisEnv,
     ObservationMode,
     RewardMode,
-    SingleQubitModel,
-    TwoQubitModel,
 )
 
 QUIET = dict(n_segments=16, protocol_time=16.0, oversample=4)
@@ -41,7 +40,7 @@ def small_env(seed=0, **overrides):
 def one_qubit_env(config=None, b=1.0, seed=0):
     """The one-qubit benchmark: 10 ns, 24 segments (20 actions), phase-gate target."""
     config = config if config is not None else EnvConfig(protocol_time=10.0, n_segments=24)
-    return GateSynthesisEnv(config, model=SingleQubitModel(config.device, b=b), seed=seed)
+    return GateSynthesisEnv(config, model=DeviceModel.single_qubit(config.device, b), seed=seed)
 
 
 def random_actions(env, seed=0):
@@ -51,7 +50,7 @@ def random_actions(env, seed=0):
 
 def final_propagator(shaped, params):
     """Ordered product of the exact substep exponentials of a shaped trace."""
-    h = TwoQubitModel(params).hamiltonians(shaped.values)
+    h = DeviceModel.two_qubit(params).hamiltonians(shaped.values)
     return propagate(step_propagator(h, shaped.dt))
 
 
@@ -531,7 +530,7 @@ class TestPulseHistoryMode:
 
 @pytest.mark.parametrize(
     "model",
-    [TwoQubitModel(DeviceParams()), SingleQubitModel(DeviceParams())],
+    [DeviceModel.two_qubit(DeviceParams()), DeviceModel.single_qubit(DeviceParams())],
     ids=["two_qubit", "single_qubit"],
 )
 def test_bloch_of_basis_states_follows_labels(model):
@@ -543,7 +542,65 @@ def test_bloch_of_basis_states_follows_labels(model):
         np.testing.assert_allclose(model.bloch(state), expected, atol=1e-12)
 
 
+def _pauli_table(dim: int, block: tuple) -> np.ndarray:
+    """(qubit, axis, dim, dim) logical X/Y/Z written out by hand, one or two qubits."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    idx = np.ix_(block, block)
+    if len(block) == 2:
+        table = np.zeros((1, 3, dim, dim), dtype=complex)
+        for ax, s in enumerate((sx, sy, sz)):
+            table[0, ax][idx] = s
+        return table
+    table = np.zeros((2, 3, dim, dim), dtype=complex)
+    for ax, s in enumerate((sx, sy, sz)):
+        table[0, ax][idx] = np.kron(s, np.eye(2))
+        table[1, ax][idx] = np.kron(np.eye(2), s)
+    return table
+
+
+@pytest.mark.parametrize("model", [DeviceModel.two_qubit(DeviceParams()),
+                                   DeviceModel.single_qubit(DeviceParams(), 0.6)],
+                         ids=["two_qubit", "single_qubit"])
+def test_bloch_matches_hand_written_pauli_tables(model):
+    rng = np.random.default_rng(40)
+    n = model.sim_dim
+    states = rng.normal(size=(30, n, n)) + 1j * rng.normal(size=(30, n, n))
+    table = _pauli_table(n, model.block_indices)
+    for psi in (states[:, :, 1], states[:, 0], states[0, 0]):  # strided, contiguous, one
+        want = np.real(np.einsum("...i,qaij,...j->...qa", np.conj(psi), table, psi))
+        np.testing.assert_array_equal(model.bloch(psi), want)
+
+
+def _closed_form_single_qubit(params, b, detunings, delta_b=None):
+    """H = J(eps)/2 sigma_z + (b + delta_b)/2 sigma_x, element by element."""
+    j = params.j0 * np.exp(np.asarray(detunings, dtype=float)[..., 0])
+    b_eff = np.asarray(b, dtype=float)
+    if delta_b is not None:
+        b_eff = b_eff + np.asarray(delta_b, dtype=float)[..., 0]
+    bx = params.j0 * np.broadcast_to(b_eff[..., None], j.shape)
+    h = np.zeros(j.shape + (2, 2))
+    h[..., 0, 0] = j / 2.0
+    h[..., 1, 1] = -j / 2.0
+    h[..., 0, 1] = bx / 2.0
+    h[..., 1, 0] = bx / 2.0
+    return h
+
+
 class TestSingleQubit:
+    @pytest.mark.parametrize("b", [1.0, 0.0, -0.7])
+    def test_hamiltonians_equal_the_closed_form(self, b):
+        params = DeviceParams(j0=1.3)
+        model = DeviceModel.single_qubit(params, b)
+        rng = np.random.default_rng(41)
+        dets = rng.uniform(params.eps_min, params.eps_max, size=(9, 40, 1))
+        delta_b = rng.normal(0.0, 0.3, size=(9, 1))
+        np.testing.assert_array_equal(model.hamiltonians(dets),
+                                      _closed_form_single_qubit(params, b, dets))
+        np.testing.assert_array_equal(model.hamiltonians(dets, delta_b),
+                                      _closed_form_single_qubit(params, b, dets, delta_b))
+
     def test_default_configuration(self):
         env = one_qubit_env(seed=26)
         assert env.config.n_actions == 20
