@@ -19,7 +19,7 @@ from qdrl import (
     exchange_coupling,
     gaussian_kernel,
 )
-from qdrl.pulse import assemble_sequence, convolve, oversample
+from qdrl.pulse import convolve, oversample
 
 # ----------------------------------------------------------------------
 # The exchange curve. Detunings live in units of eps0; J(eps) = j0 e^eps
@@ -38,10 +38,9 @@ for eps in (params.eps_min, -2.0, 0.0, params.eps_max):
 # has settled by protocol end.
 
 n_segments, t_sample = 12, 1.0
-actions = np.full((n_segments - 4, 1), params.eps_min)
-actions[3] = params.eps_max  # one hot segment
-seq = assemble_sequence(actions, params, n_segments, t_sample)
-trace = oversample(seq, n=8)
+table = np.full((n_segments, 1), params.eps_min)  # the last four rows are the tail
+table[3] = params.eps_max  # one hot segment
+trace = oversample(table, t_sample, n=8)
 kernel = gaussian_kernel(mean_delay=2.15, stddev=0.5, dt=trace.dt)
 shaped = convolve(trace, kernel, baseline=params.eps_min)
 

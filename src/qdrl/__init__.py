@@ -5,15 +5,16 @@ The package stacks five layers, each usable on its own:
 - :mod:`qdrl.qcore` — the four-dot device's operator tables (6-dim sector,
   4-dim computational block), one Hamiltonian builder for any such tables,
   Trotterized propagators, and fidelity bookkeeping.
-- :mod:`qdrl.pulse` — piecewise-constant control sequences, oversampling, and
-  impulse-response shaping of what the device actually sees.
+- :mod:`qdrl.pulse` — oversampling and impulse-response shaping of plain
+  detuning tables into what the device actually sees.
 - :mod:`qdrl.noise` — quasi-static hyperfine/charge offsets plus fast 1/f^a
   charge noise synthesized on the physical frequency grid.
 - :mod:`qdrl.tomography` — informationally complete POVM simulation and
   nearest-unitary reconstruction, the measurement-limited reward path.
 - :mod:`qdrl.rlenv` / :mod:`qdrl.rlagent` — one device-model type, built for
   the two-qubit sector or its one-qubit reduction, and gate-synthesis
-  episodes; the soft actor-critic agent (truncated quantile critics) learns
+  episodes, each one protocol table (rails and pinned tail included) written
+  row by row; the soft actor-critic agent (truncated quantile critics) learns
   shaped protocols.
 
 :mod:`qdrl.harness` adds configs, seeded experiment commands, and the
@@ -21,7 +22,7 @@ The package stacks five layers, each usable on its own:
 """
 
 from .noise import NoiseConfig, NoiseRealization
-from .pulse import PulseSequence, delta_kernel, gaussian_kernel
+from .pulse import delta_kernel, gaussian_kernel
 from .qcore import (
     DeviceParams,
     cnot_target,
@@ -47,7 +48,6 @@ __all__ = [
     "NoiseConfig",
     "NoiseRealization",
     "ObservationMode",
-    "PulseSequence",
     "RewardMode",
     "SacAgent",
     "SacConfig",

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..pulse import TAIL_SEGMENTS, ImpulseKernel
+from ..pulse import ImpulseKernel
 from ..qcore import evolve_serially
 from ..rlagent import SacAgent, evaluate_policy, play_policy, train_loop
+from ..rlenv import TAIL_SEGMENTS
 from ..seeding import named_stream
 from ..tomography import calibrate_sigma_to_shots
 from .config import ConfigError, ExperimentConfig, _noise_config, config_from_dict
@@ -465,7 +466,6 @@ def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
     env = config.make_env(reset_seed, reward_mode="sparse", **muted)
     _, info = play_policy(env, agent, reset_seed)
 
-    sequence = env.pulse_sequence()
     shaped = env.shaped_detunings()
     n_sub = env.config.n_substeps // env.config.n_segments
     preview = shaped[n_sub // 2 :: n_sub][: env.config.n_segments]
@@ -476,8 +476,8 @@ def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
         "noise_seed": "none" if noise_seed is None else noise_seed,
     }
     path = out / "protocol.tsv"
-    write_protocol(path, sequence.amplitudes, config.env.device.eps0,
-                   sequence.sample_period, meta, shaped_preview=preview)
+    write_protocol(path, env.pulse_sequence(), config.env.device.eps0,
+                   env.config.sample_period, meta, shaped_preview=preview)
     summary = {"protocol": str(path), **meta}
     _write_json(out / "export_summary.json", summary)
     return summary

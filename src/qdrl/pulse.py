@@ -1,14 +1,16 @@
-"""Piecewise-constant pulse assembly and finite-bandwidth shaping.
+"""Finite-bandwidth shaping of piecewise-constant detuning tables.
 
-The waveform generator holds each segment amplitude for a sample period T_s;
-the transmission line smears it with a causal impulse response of unit DC
-gain, so constants pass through unchanged but edges acquire a finite rise
-time and an overall delay. Discretely, a segment trace is oversampled to
-substeps of dt = T_s / n and convolved with the kernel sampled on the same
-grid. The convolution output at index m is read as the field at the midpoint
-of substep m (integer-grid kernel samples approximate bin-integrated weights
-to second order in dt), which is what keeps piecewise-constant propagation of
-the shaped trace second-order accurate.
+The waveform generator holds each row of a (segments, channels) table for a
+sample period T_s; the transmission line smears it with a causal impulse
+response of unit DC gain, so constants pass through unchanged but edges
+acquire a finite rise time and an overall delay. Discretely, the table is
+oversampled to substeps of dt = T_s / n and convolved with the kernel sampled
+on the same grid. The convolution output at index m is read as the field at
+the midpoint of substep m (integer-grid kernel samples approximate
+bin-integrated weights to second order in dt), which is what keeps
+piecewise-constant propagation of the shaped trace second-order accurate.
+The tables themselves, their rails and their pinned tail belong to the
+episode (`qdrl.rlenv`); this module only shapes plain arrays.
 
 Kernel files are plain text: two whitespace-separated columns, time in ns and
 amplitude, one sample per line, '#' starts a comment. The time grid may be
@@ -23,14 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .qcore import DeviceParams
-
 __all__ = [
-    "PulseSequence",
     "ShapedTrace",
     "ImpulseKernel",
-    "TAIL_SEGMENTS",
-    "assemble_sequence",
     "oversample",
     "convolve",
     "gaussian_kernel",
@@ -38,33 +35,8 @@ __all__ = [
     "load_kernel",
 ]
 
-TAIL_SEGMENTS = 4
 DC_GAIN_TOL = 1e-6
 _GRID_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Segment amplitudes (n_segments, n_channels) in eps0 units, held T_s each."""
-
-    amplitudes: np.ndarray
-    sample_period: float
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=float)
-        if amps.ndim != 2:
-            raise ValueError(f"amplitudes must be 2-D (segments, channels), got {amps.shape}")
-        if self.sample_period <= 0:
-            raise ValueError(f"sample_period must be positive, got {self.sample_period}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def n_segments(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.amplitudes.shape[1]
 
 
 @dataclass(frozen=True)
@@ -115,35 +87,12 @@ class ImpulseKernel:
         object.__setattr__(self, "samples", s)
 
 
-def assemble_sequence(
-    actions: np.ndarray,
-    params: DeviceParams,
-    n_segments: int,
-    sample_period: float,
-) -> PulseSequence:
-    """Build the full segment table from agent amplitude choices.
-
-    actions : (n_segments - 4, n_channels) amplitudes in eps0 units. Values are
-        clipped to [eps_min, eps_max]. The final four segments are pinned at
-        eps_min so the kernel response has settled by the end of the protocol.
-    """
-    actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    if n_segments < TAIL_SEGMENTS + 1:
-        raise ValueError(f"need at least {TAIL_SEGMENTS + 1} segments, got {n_segments}")
-    if actions.shape[0] != n_segments - TAIL_SEGMENTS:
-        raise ValueError(
-            f"expected {n_segments - TAIL_SEGMENTS} action rows, got {actions.shape[0]}"
-        )
-    body = np.clip(actions, params.eps_min, params.eps_max)
-    tail = np.full((TAIL_SEGMENTS, actions.shape[1]), params.eps_min)
-    return PulseSequence(np.vstack([body, tail]), sample_period)
-
-
-def oversample(seq: PulseSequence, n: int) -> ShapedTrace:
-    """Repeat each segment n times; dt = T_s / n."""
+def oversample(amplitudes: np.ndarray, sample_period: float, n: int) -> ShapedTrace:
+    """Hold each row of a (segments, channels) table for n substeps of
+    dt = sample_period / n."""
     if n < 1:
         raise ValueError(f"oversampling factor must be >= 1, got {n}")
-    return ShapedTrace(np.repeat(seq.amplitudes, n, axis=0), seq.sample_period / n)
+    return ShapedTrace(np.repeat(amplitudes, n, axis=0), sample_period / n)
 
 
 def convolve(trace: ShapedTrace, kernel: ImpulseKernel, baseline: float = 0.0) -> ShapedTrace:
@@ -154,13 +103,19 @@ def convolve(trace: ShapedTrace, kernel: ImpulseKernel, baseline: float = 0.0) -
     output = baseline + (trace - baseline) * kernel. With baseline = 0 the
     map is exactly linear. Output has the same length as the input; response
     beyond the last substep is discarded, which is why protocols park their
-    tail at the rail.
+    tail at the rail. Output row i depends on input rows 0..i alone, bit for
+    bit: shaping a prefix of a trace gives the leading rows of shaping the
+    whole trace.
     """
     if abs(kernel.dt - trace.dt) > _GRID_TOL * max(kernel.dt, trace.dt):
         raise ValueError(f"grid mismatch: trace dt {trace.dt}, kernel dt {kernel.dt}")
     weights = kernel.samples * kernel.dt
     m = trace.n_substeps
-    dev = trace.values - baseline
+    # a trace shorter than the kernel continues at the baseline up to the
+    # kernel's length: np.convolve swaps the arguments when the kernel is the
+    # longer one and then sums each row in another order
+    dev = np.zeros((max(m, weights.size), trace.n_channels))
+    dev[:m] = trace.values - baseline
     out = np.empty_like(trace.values)
     for c in range(trace.n_channels):
         out[:, c] = np.convolve(dev[:, c], weights)[:m]

@@ -41,6 +41,7 @@ and with one usable core the pieces run in turn.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -185,15 +186,17 @@ def evolve_serially() -> None:
     _serial = True
 
 
-def _run_pieces(work, n: int) -> list:
-    """work(piece) for consecutive `_PIECE`-long slices of range(n), in order,
-    spread across the usable cores."""
-    pieces = [slice(lo, min(lo + _PIECE, n)) for lo in range(0, n, _PIECE)]
+@contextlib.contextmanager
+def _piece_map():
+    """A map over the pieces of one stack, for every pass over it: on one
+    thread pool across the usable cores, open until the block ends, or in
+    turn on the calling thread when one core is usable."""
     cores = _usable_cores()
     if cores == 1:
-        return [work(piece) for piece in pieces]
+        yield map
+        return
     with ThreadPoolExecutor(max_workers=cores, thread_name_prefix="qdrl-qcore") as pool:
-        return list(pool.map(work, pieces))
+        yield pool.map
 
 
 def _measure(h: np.ndarray) -> tuple[float, float, float]:
@@ -277,10 +280,11 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     Hermitian H runs the same steps in complex arithmetic.
 
     A stack of more than `_PIECE` (1024) matrices is measured and then
-    evolved in pieces of that size, spread across the usable cores. The
-    whole-stack measures decide acceptance and s before any piece evolves, so
-    the result is bit-identical to evolving the stack whole. A non-Hermitian
-    or non-finite stack raises ValueError.
+    evolved in pieces of that size, spread across the usable cores on one
+    thread pool that serves both passes. The whole-stack measures decide
+    acceptance and s before any piece evolves, so the result is
+    bit-identical to evolving the stack whole. A non-Hermitian or
+    non-finite stack raises ValueError.
     """
     h = np.asarray(h)
     if not 0 < dt < math.inf:
@@ -291,9 +295,12 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     if len(flat) <= _PIECE:
         _taylor_propagator(flat, dt, _squarings(*_measure(flat), dt), out)
         return out.reshape(h.shape)
-    checks = np.array(_run_pieces(lambda s: _measure(flat[s]), len(flat)))
-    squarings = _squarings(*checks.max(axis=0), dt)
-    _run_pieces(lambda s: _taylor_propagator(flat[s], dt, squarings, out[s]), len(flat))
+    pieces = [slice(lo, lo + _PIECE) for lo in range(0, len(flat), _PIECE)]
+    with _piece_map() as run:
+        checks = np.array(list(run(lambda s: _measure(flat[s]), pieces)))
+        squarings = _squarings(*checks.max(axis=0), dt)
+        # list() waits for every piece's writes into out
+        list(run(lambda s: _taylor_propagator(flat[s], dt, squarings, out[s]), pieces))
     return out.reshape(h.shape)
 
 

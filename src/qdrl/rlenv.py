@@ -1,14 +1,20 @@
 """Episode environment for shaped-pulse gate synthesis on the simulated device.
 
-An episode is one protocol of N segments, each held for T_s = T/N. The agent
-chooses the first N - 4 segment amplitude vectors (one value per control
-channel, normalized to [-1, 1]); the final four segments are pinned to the low
-rail so the transmission-line response settles before the protocol ends. Every
-step re-shapes the full pulse prefix through the kernel and advances the
-Trotter product to the current segment boundary, so mid-episode unitary
-payloads include the ringing of earlier edges. Intermediate rewards are zero;
-the terminal reward scores the final computational block against the target
-gate as a capped negative log infidelity (NLIF).
+An episode is one protocol table: N segments, each held for T_s = T/N, one
+detuning per control channel, in device units. The env owns the table and its
+layout. reset() fills it with the idle rail eps_min, which is also the value
+of every row not yet chosen and of the final TAIL_SEGMENTS = 4 rows, pinned so
+the transmission-line response settles before the protocol ends. Step k maps
+the agent's action (one value per channel, normalized to [-1, 1]) linearly
+onto [eps_min, eps_max], clips it to those rails and writes it as row k; no
+other code clips or extends the table. Every step shapes the rows chosen so
+far, or at the terminal step the whole table, through the kernel
+(`qdrl.pulse`) and advances the Trotter product to the current segment
+boundary, so mid-episode unitary payloads include the ringing of earlier
+edges. The rewards, shaped_detunings(), trajectory() and pulse_sequence() read
+the same table. Intermediate rewards are zero; the terminal reward scores the
+final computational block against the target gate as a capped negative log
+infidelity (NLIF).
 
 Observation modes (payload after the time-to-go entry and, except for the
 first mode, the current pulse amplitudes):
@@ -58,15 +64,7 @@ import numpy as np
 
 from . import tomography
 from .noise import NoiseConfig, NoiseRealization, sample_realization
-from .pulse import (
-    TAIL_SEGMENTS,
-    ImpulseKernel,
-    PulseSequence,
-    assemble_sequence,
-    convolve,
-    delta_kernel,
-    oversample,
-)
+from .pulse import ImpulseKernel, convolve, delta_kernel, oversample
 from .qcore import (
     DEFAULT_NLIF_CAP,
     COMP_INDICES,
@@ -93,7 +91,11 @@ __all__ = [
     "StepResult",
     "GateSynthesisEnv",
     "DeviceModel",
+    "TAIL_SEGMENTS",
 ]
+
+# final segments of every protocol, pinned at the idle rail eps_min
+TAIL_SEGMENTS = 4
 
 # realizations evolved per batch in Monte Carlo rewards, bounding the
 # (chunk * substeps, dim, dim) step-propagator stack
@@ -338,9 +340,12 @@ class GateSynthesisEnv:
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
             self._rng = named_stream(seed, "env")
-        self._actions: list[np.ndarray] = []
-        self._substeps_done = 0
-        self._done = False
+        cfg = self.config
+        # the protocol table in device units, and the normalized actions
+        # behind its first k rows
+        self._table = np.full((cfg.n_segments, self.n_channels), self.model.params.eps_min)
+        self._normalized = np.zeros((cfg.n_actions, self.n_channels))
+        self._k = 0
         self._realization = None
         if self._track_noisy:
             z = self._sample_noise(1)
@@ -356,7 +361,7 @@ class GateSynthesisEnv:
         return self._observe()
 
     def step(self, action) -> StepResult:
-        if self._done:
+        if self.done:
             raise RuntimeError("episode is done; call reset() before stepping again")
         action = np.asarray(action, dtype=float).reshape(-1)
         if action.shape != (self.n_channels,):
@@ -366,9 +371,17 @@ class GateSynthesisEnv:
         if not np.isfinite(action).all():
             raise ValueError(f"action must be finite, got {action}")
         action = np.clip(action, -1.0, 1.0)
-        self._actions.append(action)
-        terminal = len(self._actions) == self.config.n_actions
-        self._advance_evolution(include_tail=terminal)
+        k = self._k
+        p = self.model.params
+        self._normalized[k] = action
+        self._table[k] = np.clip(self._to_detunings(action), p.eps_min, p.eps_max)
+        self._k = k + 1
+        terminal = self.done
+        shaped = self._shaped(self._table if terminal else self._table[: k + 1])
+        # the kernel is causal, so the substeps before row k are unchanged
+        # from previous steps and the product only needs the new ones
+        lo = k * self.config.oversample
+        self._u = self._evolve(shaped[lo:], self._realization, lo) @ self._u
         block = computational_block(self._u[0], self.model.block_indices)
         info = {
             "nlif": nlif(block, self.target, self.config.nlif_cap),
@@ -376,7 +389,6 @@ class GateSynthesisEnv:
         }
         reward = 0.0
         if terminal:
-            self._done = True
             reward = self._terminal_reward()
             info["terminal_reward"] = reward
         return StepResult(self._observe(), reward, terminal, info)
@@ -398,24 +410,19 @@ class GateSynthesisEnv:
 
     @property
     def done(self) -> bool:
-        return self._done
+        return self._k == self.config.n_actions
 
     @property
     def actions_normalized(self) -> np.ndarray:
-        """Actions taken so far, (k, C) in [-1, 1]."""
-        if not self._actions:
-            return np.zeros((0, self.n_channels))
-        return np.stack(self._actions)
+        """Actions taken so far, (k, C) in [-1, 1]; a view of the episode's
+        array, which the next reset replaces."""
+        return self._normalized[: self._k]
 
-    def pulse_sequence(self) -> PulseSequence:
-        """The full assembled protocol; only valid once the episode is done."""
+    def pulse_sequence(self) -> np.ndarray:
+        """A copy of the protocol table, (n_segments, C) in device units, tail
+        rows included; only valid once the episode is done."""
         self._require_done()
-        return assemble_sequence(
-            self._to_detunings(self.actions_normalized),
-            self.model.params,
-            self.config.n_segments,
-            self.config.sample_period,
-        )
+        return self._table.copy()
 
     def shaped_detunings(self) -> np.ndarray:
         """Shaped substep detunings of the full protocol, (n_substeps, C).
@@ -424,7 +431,7 @@ class GateSynthesisEnv:
         once the episode is done.
         """
         self._require_done()
-        return self._shaped_prefix(include_tail=True)
+        return self._shaped(self._table)
 
     def trajectory(self) -> np.ndarray:
         """Noise-free propagators through the first m = 0..n_substeps substeps
@@ -432,7 +439,7 @@ class GateSynthesisEnv:
         return self._evolve(self.shaped_detunings(), cumulative=True)[0]
 
     def _require_done(self) -> None:
-        if not self._done:
+        if not self.done:
             raise RuntimeError("episode still running; the pulse table is incomplete")
 
     # ------------------------------------------------------------ evolution
@@ -441,25 +448,10 @@ class GateSynthesisEnv:
         p = self.model.params
         return p.eps_min + (normalized + 1.0) * 0.5 * (p.eps_max - p.eps_min)
 
-    def _shaped_prefix(self, include_tail: bool) -> np.ndarray:
-        """Shaped substep detunings of everything chosen so far, (m, C)."""
-        eps = self._to_detunings(self.actions_normalized)
-        if include_tail:
-            seq = assemble_sequence(
-                eps, self.model.params, self.config.n_segments, self.config.sample_period
-            )
-        else:
-            seq = PulseSequence(eps, self.config.sample_period)
-        trace = oversample(seq, self.config.oversample)
+    def _shaped(self, rows: np.ndarray) -> np.ndarray:
+        """Shaped substep detunings of the leading table rows (k, C), (k n, C)."""
+        trace = oversample(rows, self.config.sample_period, self.config.oversample)
         return convolve(trace, self.kernel, baseline=self.model.params.eps_min).values
-
-    def _advance_evolution(self, include_tail: bool) -> None:
-        shaped = self._shaped_prefix(include_tail)
-        lo = self._substeps_done
-        # the kernel is causal, so rows [0, lo) are unchanged from previous
-        # steps and the product only needs the new substeps
-        self._u = self._evolve(shaped[lo:], self._realization, lo) @ self._u
-        self._substeps_done = shaped.shape[0]
 
     def _evolve(
         self, dets: np.ndarray, z: NoiseRealization | None = None, lo: int = 0,
@@ -496,17 +488,16 @@ class GateSynthesisEnv:
     def _observe(self) -> np.ndarray:
         cfg = self.config
         n_ch = self.n_channels
-        k = len(self._actions)
+        k = self._k
         parts = [np.array([(cfg.n_actions - k) / cfg.n_actions])]
         if cfg.observation_mode is not ObservationMode.U_EXACT:
             # the device parks at the low rail before the first action
-            current = self._actions[-1] if self._actions else -np.ones(n_ch)
+            current = self._normalized[k - 1] if k else -np.ones(n_ch)
             parts.append(current)
         if cfg.observation_mode is ObservationMode.PULSE_HISTORY:
             history = np.zeros((cfg.n_actions, n_ch + 1))
-            if k:
-                history[:k, :n_ch] = self.actions_normalized
-                history[:k, n_ch] = 1.0
+            history[:k, :n_ch] = self.actions_normalized
+            history[:k, n_ch] = 1.0
             parts.append(history.ravel())
         else:
             # the last row is noise-free: the zero realization's row, or row 0

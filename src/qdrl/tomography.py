@@ -27,7 +27,9 @@ matrix is projected to the nearest unitary. The ||w||^2 term matters: for the
 computational block of a leaky evolution the probe output is sub-normalized,
 and POVM completeness estimates ||w||^2 as the non-leaked outcome fraction, so
 the same inversion applies. The scheme fails when a probe has no weight on the
-anchor (c_0 = 0), reported as DegenerateAnchorError.
+anchor (c_0 = 0), reported as DegenerateAnchorError. A counted record too thin
+to invert (a probe that drew no shot, or a rank-deficient linear estimate) is
+reported the same way, so a training loop can drop the episode and retry.
 
 build_povm stores the probe vectors on the PovmSet (PovmSet.probes), so the
 probability, sampling and reconstruction functions take the POVM alone.
@@ -74,7 +76,9 @@ SINGULAR_TOL = 1e-10
 
 
 class DegenerateAnchorError(ValueError):
-    """A probe state carries (almost) no weight on the anchor |0>."""
+    """A record that does not determine the unitary: a probe state carries
+    (almost) no weight on the anchor |0>, or a counted record is too thin to
+    invert. The message gives the reason."""
 
 
 def _rest_lowest_eig(dim: int, a: float, b: float) -> float:
@@ -404,21 +408,25 @@ def reconstruct_unitary(record, povm: PovmSet) -> np.ndarray:
     and skip it).
 
     Raises DegenerateAnchorError when a probe carries (nearly) no anchor
-    weight, which makes the corresponding column phase unidentifiable, and
-    ValueError when a probe received no shots.
+    weight, which makes the corresponding column phase unidentifiable, and,
+    for a counted record, when a probe received no shots or the linear
+    estimate is rank-deficient; the message names the reason.
     """
     d = povm.dim
     if isinstance(record, MeasurementRecord):
         totals = record.probe_totals
         if (totals == 0).any():
-            raise ValueError(f"probe(s) {np.flatnonzero(totals == 0)} received no shots")
+            raise DegenerateAnchorError(
+                f"probe(s) {np.flatnonzero(totals == 0)} received no shots")
         p = record.counts / totals[:, None]
         norm_sq = p.sum(axis=1)
-        est = nearest_unitary(
-            _linear_inversion(
-                p, norm_sq, povm, anchor_floor=float(np.min(0.25 / totals)) / povm.a
-            )
+        linear = _linear_inversion(
+            p, norm_sq, povm, anchor_floor=float(np.min(0.25 / totals)) / povm.a
         )
+        try:
+            est = nearest_unitary(linear)
+        except ValueError as err:
+            raise DegenerateAnchorError(f"linear estimate from the record: {err}") from err
         # inverse multinomial variance of p_hat, var = q/totals, with a floor
         # so empty cells cannot dominate; the non-leak fraction scales the model
         q0 = _outcome_table(povm.probes @ est.T, povm)

@@ -11,41 +11,19 @@ from qdrl.qcore import DeviceParams
 PARAMS = DeviceParams()
 
 
-class TestAssembleSequence:
-    def test_tail_rule(self):
-        rng = np.random.default_rng(0)
-        actions = rng.uniform(-5.4, 2.4, size=(16, 3))
-        seq = pulse.assemble_sequence(actions, PARAMS, n_segments=20, sample_period=1.5)
-        assert seq.n_segments == 20
-        assert seq.sample_period == 1.5
-        np.testing.assert_allclose(seq.amplitudes[-4:], PARAMS.eps_min)
-        np.testing.assert_allclose(seq.amplitudes[:16], actions)
-
-    def test_clipping(self):
-        actions = np.array([[10.0, -10.0, 0.0]])
-        seq = pulse.assemble_sequence(actions, PARAMS, n_segments=5, sample_period=1.0)
-        assert seq.amplitudes[0, 0] == PARAMS.eps_max
-        assert seq.amplitudes[0, 1] == PARAMS.eps_min
-        assert seq.amplitudes[0, 2] == 0.0
-
-    def test_wrong_action_count(self):
-        with pytest.raises(ValueError):
-            pulse.assemble_sequence(np.zeros((3, 3)), PARAMS, n_segments=20, sample_period=1.0)
-
-    def test_too_few_segments(self):
-        with pytest.raises(ValueError):
-            pulse.assemble_sequence(np.zeros((0, 3)), PARAMS, n_segments=4, sample_period=1.0)
-
-
 def test_oversample_repeats_segments():
-    seq = pulse.PulseSequence(np.array([[1.0, 2.0], [3.0, 4.0]]), sample_period=1.0)
-    trace = pulse.oversample(seq, 4)
+    table = np.array([[1.0, 2.0], [3.0, 4.0]])
+    trace = pulse.oversample(table, 1.0, 4)
     assert trace.dt == pytest.approx(0.25)
     assert trace.n_substeps == 8
     np.testing.assert_allclose(trace.values[:4], np.tile([1.0, 2.0], (4, 1)))
     np.testing.assert_allclose(trace.values[4:], np.tile([3.0, 4.0], (4, 1)))
-    with pytest.raises(ValueError):
-        pulse.oversample(seq, 0)
+    with pytest.raises(ValueError, match="factor"):
+        pulse.oversample(table, 1.0, 0)
+    with pytest.raises(ValueError, match="positive"):
+        pulse.oversample(table, 0.0, 4)
+    with pytest.raises(ValueError, match="2-D"):
+        pulse.oversample(table[0], 1.0, 4)
 
 
 class TestKernels:
@@ -119,6 +97,20 @@ class TestConvolve:
         vals[10, 0] = 1.0
         out = pulse.convolve(pulse.ShapedTrace(vals, 0.1), k)
         assert np.abs(out.values[:10]).max() == 0.0
+
+    @pytest.mark.parametrize("delay, width", [(0.5, 0.1), (2.15, 0.5)])
+    def test_prefix_shapes_to_the_leading_rows_bit_for_bit(self, delay, width):
+        # every prefix, shorter or longer than the kernel, gives exactly the
+        # first rows of the whole trace's output
+        dt = 0.1
+        k = pulse.gaussian_kernel(delay, width, dt)
+        assert 1 < k.samples.size < 120
+        rng = np.random.default_rng(6)
+        vals = rng.uniform(PARAMS.eps_min, PARAMS.eps_max, size=(120, 3))
+        whole = pulse.convolve(pulse.ShapedTrace(vals, dt), k, baseline=PARAMS.eps_min).values
+        for m in range(1, len(vals)):
+            prefix = pulse.convolve(pulse.ShapedTrace(vals[:m], dt), k, baseline=PARAMS.eps_min)
+            np.testing.assert_array_equal(prefix.values, whole[:m])
 
     def test_step_response_half_amplitude_at_delay(self):
         dt = 0.05

@@ -266,6 +266,21 @@ class TestLargeStacks:
         # each call closes the pool it opened
         assert not [t for t in threading.enumerate() if t.name.startswith("qdrl-qcore")]
 
+    def test_one_thread_pool_per_call(self, stack, monkeypatch):
+        # measuring and evolving the pieces share one executor
+        opened = []
+
+        class Counting(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        whole = self.whole(stack, monkeypatch)
+        monkeypatch.setattr(qcore, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: 2)
+        np.testing.assert_array_equal(qcore.step_propagator(stack, 0.1), whole)
+        assert len(opened) == 1
+
     @pytest.mark.parametrize("cores", [1, 2])
     def test_non_hermitian_matrix_in_the_last_piece_rejected(self, stack, monkeypatch, cores):
         monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)

@@ -5,14 +5,7 @@ import pytest
 
 from qdrl import qcore
 from qdrl.noise import NoiseConfig
-from qdrl.pulse import (
-    TAIL_SEGMENTS,
-    assemble_sequence,
-    convolve,
-    delta_kernel,
-    gaussian_kernel,
-    oversample,
-)
+from qdrl.pulse import convolve, delta_kernel, gaussian_kernel, oversample
 from qdrl.qcore import (
     DeviceParams,
     cnot_target,
@@ -23,6 +16,7 @@ from qdrl.qcore import (
     step_propagator,
 )
 from qdrl.rlenv import (
+    TAIL_SEGMENTS,
     DeviceModel,
     EnvConfig,
     GateSynthesisEnv,
@@ -58,9 +52,11 @@ def standalone_nlif(actions_norm, config, kernel=None):
     """The reference qcore+pulse pipeline, assembled by hand."""
     params = config.device
     eps = params.eps_min + (actions_norm + 1.0) / 2.0 * (params.eps_max - params.eps_min)
-    seq = assemble_sequence(eps, params, config.n_segments, config.sample_period)
+    table = np.full((config.n_segments, eps.shape[1]), params.eps_min)
+    table[: config.n_actions] = np.clip(eps, params.eps_min, params.eps_max)
     kernel = kernel if kernel is not None else delta_kernel(config.dt)
-    shaped = convolve(oversample(seq, config.oversample), kernel, baseline=params.eps_min)
+    trace = oversample(table, config.sample_period, config.oversample)
+    shaped = convolve(trace, kernel, baseline=params.eps_min)
     u = final_propagator(shaped, params)
     return nlif(computational_block(u), cnot_target())
 
@@ -208,12 +204,12 @@ class TestEpisodeLifecycle:
             env.pulse_sequence()
         acts = random_actions(env, seed=6)
         env.rollout(acts, seed=6)
-        seq = env.pulse_sequence()
-        assert seq.n_segments == env.config.n_segments
+        table = env.pulse_sequence()
+        assert table.shape == (env.config.n_segments, 3)
         p = env.config.device
-        np.testing.assert_allclose(seq.amplitudes[-TAIL_SEGMENTS:], p.eps_min)
+        np.testing.assert_array_equal(table[-TAIL_SEGMENTS:], p.eps_min)
         expected = p.eps_min + (acts + 1) / 2 * (p.eps_max - p.eps_min)
-        np.testing.assert_allclose(seq.amplitudes[: -TAIL_SEGMENTS], expected)
+        np.testing.assert_allclose(table[: -TAIL_SEGMENTS], expected)
 
     def test_shaped_detunings_only_after_done(self):
         kernel = gaussian_kernel(1.0, 0.3, EnvConfig(**QUIET).dt)
@@ -225,9 +221,28 @@ class TestEpisodeLifecycle:
             env.shaped_detunings()
         env.rollout(acts, seed=6)
         params = env.config.device
-        shaped = convolve(oversample(env.pulse_sequence(), env.config.oversample), kernel,
-                          baseline=params.eps_min)
+        trace = oversample(env.pulse_sequence(), env.config.sample_period, env.config.oversample)
+        shaped = convolve(trace, kernel, baseline=params.eps_min)
         np.testing.assert_array_equal(env.shaped_detunings(), shaped.values)
+
+    def test_actions_map_onto_the_rails_and_no_further(self):
+        # +1 maps one rounding step above eps_max and is clipped back onto
+        # it; -1 lands on eps_min exactly
+        env = small_env(seed=6)
+        acts = np.tile([[1.0, -1.0, 0.0]], (env.config.n_actions, 1))
+        env.rollout(acts, seed=6)
+        p = env.config.device
+        table = env.pulse_sequence()
+        np.testing.assert_array_equal(table[: -TAIL_SEGMENTS, 0], p.eps_max)
+        np.testing.assert_array_equal(table[: -TAIL_SEGMENTS, 1], p.eps_min)
+        np.testing.assert_allclose(table[: -TAIL_SEGMENTS, 2], (p.eps_min + p.eps_max) / 2)
+
+    def test_pulse_sequence_is_a_copy(self):
+        env = small_env(seed=6)
+        env.rollout(random_actions(env, seed=6), seed=6)
+        shaped = env.shaped_detunings()
+        env.pulse_sequence()[:] = 0.0
+        np.testing.assert_array_equal(env.shaped_detunings(), shaped)
 
 
 class TestPipelineEquivalence:
@@ -266,15 +281,33 @@ class TestPipelineEquivalence:
             obs = env.step(acts[k]).observation
             payload = obs[4:20].reshape(4, 4) + 1j * obs[20:].reshape(4, 4)
             eps = params.eps_min + (acts[: k + 1] + 1) / 2 * (params.eps_max - params.eps_min)
-            from qdrl.pulse import PulseSequence
-
-            shaped = convolve(
-                oversample(PulseSequence(eps, env.config.sample_period), env.config.oversample),
-                kernel,
-                baseline=params.eps_min,
-            )
+            trace = oversample(eps, env.config.sample_period, env.config.oversample)
+            shaped = convolve(trace, kernel, baseline=params.eps_min)
             ref = computational_block(final_propagator(shaped, params))
             np.testing.assert_allclose(payload, ref, atol=1e-10)
+
+    def test_steps_evolve_the_shaped_table_bit_for_bit(self, monkeypatch):
+        # the rows the steps evolve, prefix by prefix, are the rows of the
+        # whole shaped table, on a kernel longer than the first prefixes and
+        # with rows at the +1 rail
+        import qdrl.rlenv
+
+        grid = dict(protocol_time=12.0, n_segments=12, oversample=4)
+        cfg = EnvConfig(**grid, kernel=gaussian_kernel(0.5, 0.3, EnvConfig(**grid).dt))
+        env = GateSynthesisEnv(cfg, seed=0)
+        assert env.kernel.samples.size > cfg.oversample
+        stacks = []
+
+        def spy(h, dt):
+            stacks.append(h)
+            return step_propagator(h, dt)
+
+        monkeypatch.setattr(qdrl.rlenv, "step_propagator", spy)
+        acts = np.where(np.arange(cfg.n_actions) % 2, 1.0, 0.3)[:, None].repeat(3, axis=1)
+        env.rollout(acts, seed=0)
+        assert len(stacks) == cfg.n_actions
+        evolved = np.concatenate([h[0] for h in stacks])
+        np.testing.assert_array_equal(evolved, env.model.hamiltonians(env.shaped_detunings()))
 
 
 class TestDeterminismAndNoise:

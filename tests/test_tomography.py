@@ -199,7 +199,19 @@ class TestSampledRecords:
             leak_counts=np.zeros(2, dtype=np.int64),
             n_shots=8,
         )
-        with pytest.raises(ValueError, match="no shots"):
+        with pytest.raises(tomo.DegenerateAnchorError, match="no shots"):
+            tomo.reconstruct_unitary(record, povm)
+
+    def test_rank_deficient_linear_estimate_is_degenerate(self):
+        # every shot on the rest outcome: the linear estimate has two
+        # parallel columns and no nearest unitary
+        povm = tomo.build_povm(2)
+        record = tomo.MeasurementRecord(
+            counts=np.array([[0, 0, 0, 4], [0, 0, 0, 4]], dtype=np.int64),
+            leak_counts=np.zeros(2, dtype=np.int64),
+            n_shots=8,
+        )
+        with pytest.raises(tomo.DegenerateAnchorError, match="rank-deficient"):
             tomo.reconstruct_unitary(record, povm)
 
     def test_refinement_handles_zero_anchor_counts(self):
