@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from ..noise import NoiseConfig
@@ -86,7 +87,8 @@ _DEFAULTS: dict[str, dict] = {
         "sigmas": [0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05],
         "trials": 32,
     },
-    "analyze": {"initial_state": "10"},
+    # None: the first computational state the device's default gate moves
+    "analyze": {"initial_state": None},
 }
 
 _TOP_DEFAULTS = {
@@ -119,7 +121,7 @@ def _check_type(key: str, value, default) -> None:
 # Types a default cannot show: the items of an empty list, a value behind a
 # None default (None itself stays accepted there).
 _TYPE_OF = {("sweep", "times"): [0.0], ("sweep", "segments"): [0],
-            ("sweep", "budget_episodes"): 0}
+            ("sweep", "budget_episodes"): 0, ("analyze", "initial_state"): ""}
 
 
 def _merge_section(name: str, user: dict | None) -> dict:
@@ -226,6 +228,14 @@ def _on_grid(env: EnvConfig, spec: dict) -> EnvConfig:
     return dataclasses.replace(env, kernel=kernel)
 
 
+def _moved_state(model: DeviceModel) -> str:
+    """Label of the first computational state the model's default gate
+    moves: 10 under CNOT, 1 under the phase gate."""
+    target = model.default_target
+    moved = np.any(target != np.eye(len(target)), axis=0)
+    return model.labels[int(np.argmax(moved))]
+
+
 def _noise_config(resolved: dict) -> NoiseConfig:
     """The noise section's amplitudes, whatever its enabled flag says."""
     return NoiseConfig(**{key: value for key, value in _fields_of(resolved, "noise").items()
@@ -290,7 +300,7 @@ def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
     if not out_dir.is_absolute():
         out_dir = output_root() / out_dir
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         resolved=resolved,
         seeds=list(seeds),
         budget_episodes=budget,
@@ -301,6 +311,9 @@ def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
         eval_every=resolved["train"]["eval_every"],
         n_eval_episodes=resolved["train"]["n_eval_episodes"],
     )
+    if resolved["analyze"]["initial_state"] is None:
+        resolved["analyze"]["initial_state"] = _moved_state(config.make_model())
+    return config
 
 
 class _Loader(yaml.SafeLoader):

@@ -47,8 +47,8 @@ __all__ = [
 
 CHECKPOINT_VERSION = 1
 
-# consecutive episodes train_loop drops for a degenerate tomography anchor
-# before it re-raises
+# consecutive episodes train_loop and evaluate_policy drop for a degenerate
+# tomography anchor before they re-raise
 MAX_ANCHOR_RETRIES = 50
 
 
@@ -379,10 +379,25 @@ def play_policy(env, agent: SacAgent, seed: int | None = None) -> tuple[float, d
 
 
 def evaluate_policy(env, agent: SacAgent, n_episodes: int) -> dict[str, float]:
-    """Deterministic-policy episodes on the env's continuing noise stream."""
+    """Deterministic-policy episodes on the env's continuing noise stream.
+
+    As in train_loop, an episode whose terminal tomography reconstruction
+    degenerates is dropped and played again on the stream's next draws, and
+    more than MAX_ANCHOR_RETRIES in a row re-raise; `eval_anchor_retries`
+    counts the dropped episodes.
+    """
     returns, nlifs, leaks = [], [], []
-    for _ in range(n_episodes):
-        total, info = play_policy(env, agent)
+    retries = consecutive_retries = 0
+    while len(returns) < n_episodes:
+        try:
+            total, info = play_policy(env, agent)
+        except DegenerateAnchorError:
+            retries += 1
+            consecutive_retries += 1
+            if consecutive_retries > MAX_ANCHOR_RETRIES:
+                raise
+            continue
+        consecutive_retries = 0
         returns.append(total)
         nlifs.append(info.get("nlif", np.nan))
         leaks.append(info.get("leakage", np.nan))
@@ -391,6 +406,7 @@ def evaluate_policy(env, agent: SacAgent, n_episodes: int) -> dict[str, float]:
         "max_return": float(np.max(returns)),
         "mean_nlif": float(np.mean(nlifs)),
         "mean_leakage": float(np.mean(leaks)),
+        "eval_anchor_retries": retries,
     }
 
 

@@ -80,7 +80,7 @@ from .qcore import (
     phase_gate_target,
     propagate,
     sector_hamiltonian,
-    step_propagator,
+    step_propagator,  # noqa: F401  # not called here; perfbench traces this global
 )
 from .seeding import named_stream
 
@@ -98,7 +98,7 @@ __all__ = [
 TAIL_SEGMENTS = 4
 
 # realizations evolved per batch in Monte Carlo rewards, bounding the
-# (chunk * substeps, dim, dim) step-propagator stack
+# (substeps, chunk, dim, dim) Hamiltonian stack
 _REWARD_CHUNK = 512
 
 
@@ -189,16 +189,15 @@ class DeviceModel:
     def hamiltonians(self, detunings: np.ndarray, delta_b: np.ndarray | None = None):
         """H stack for detunings (..., C) with optional gradient offsets.
 
-        delta_b, units of j0, broadcasts against the leading axes of
-        detunings minus the substep axis: a (R, G) offset batch pairs with
-        (R, M, C) detunings.
+        Stacks are time-major, as `qcore.propagate` takes them: substeps on
+        the first axis, rows after it. delta_b (..., G), units of j0,
+        broadcasts against the leading axes of detunings as they are, so a
+        (R, G) offset batch pairs with (M, R, C) detunings, one offset per row.
         """
         j = exchange_coupling(np.asarray(detunings, dtype=float), self.params)
         grads = self.gradients
         if delta_b is not None:
             grads = grads + np.asarray(delta_b, dtype=float)
-        if grads.ndim > 1:
-            grads = grads[..., None, :]
         return sector_hamiltonian(
             j, self.params.j0 * grads, self._coupler_rows, self._gradient_rows)
 
@@ -436,7 +435,7 @@ class GateSynthesisEnv:
     def trajectory(self) -> np.ndarray:
         """Noise-free propagators through the first m = 0..n_substeps substeps
         of the full protocol, (n_substeps + 1, dim, dim); only once done."""
-        return self._evolve(self.shaped_detunings(), cumulative=True)[0]
+        return self._evolve(self.shaped_detunings(), cumulative=True)[:, 0]
 
     def _require_done(self) -> None:
         if not self.done:
@@ -461,15 +460,17 @@ class GateSynthesisEnv:
 
         Row r adds realization r's offsets to dets, its fast trace read from
         substep lo on; without a realization the one row is noise-free.
-        Returns (rows, dim, dim), or (rows, M + 1, dim, dim) if cumulative.
+        Returns (rows, dim, dim), or (M + 1, rows, dim, dim) if cumulative.
         """
+        # the Hamiltonian stack is time-major, (M, rows, dim, dim)
+        dets = dets[:, None]
         if z is None:
-            dets, delta_b = dets[None], None
+            delta_b = None
         else:
-            dets = dets + z.delta_eps[:, None, :] + z.fast[:, lo : lo + len(dets)]
+            dets = dets + z.delta_eps + z.fast[:, lo : lo + len(dets)].swapaxes(0, 1)
             delta_b = z.delta_b
-        steps = step_propagator(self.model.hamiltonians(dets, delta_b), self.config.dt)
-        return propagate(steps, cumulative=cumulative)
+        return propagate(self.model.hamiltonians(dets, delta_b), self.config.dt,
+                         cumulative=cumulative)
 
     def _sample_noise(self, count: int) -> NoiseRealization:
         """`count` fresh realizations over the full substep grid."""

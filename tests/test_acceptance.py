@@ -67,7 +67,7 @@ class TestTrotterOrder:
         ratios = []
 
         def final(dets, dt):
-            return qcore.propagate(qcore.step_propagator(model.hamiltonians(dets), dt))
+            return qcore.propagate(model.hamiltonians(dets), dt)
 
         for seed in range(12):
             rng = np.random.default_rng(1000 + seed)

@@ -89,6 +89,7 @@ class TestConfigSchema:
     def test_defaults_fill_missing_sections(self):
         cfg = config_from_dict({"schema_version": 1})
         assert cfg.seeds == [0]
+        assert cfg.resolved["analyze"]["initial_state"] == "10"
         assert cfg.env.n_segments == 50
         assert cfg.agent.hidden == (512, 512)
         assert cfg.device_type == "two_qubit"
@@ -142,6 +143,7 @@ class TestConfigSchema:
         pytest.param({"sweep": {"times": ["x"], "segments": [8]}}, id="sweep.times"),
         pytest.param({"sweep": {"budget_episodes": True}}, id="sweep.budget_episodes"),
         pytest.param({"sweep": {"budget_episodes": -1}}, id="sweep.budget_episodes_negative"),
+        pytest.param({"analyze": {"initial_state": 10}}, id="analyze.initial_state"),
         # a non-finite float, once a silently dead noise channel or a late crash
         pytest.param({"noise": {"enabled": True, "sigma_b": float("nan")}},
                      id="noise.sigma_b_nan"),
@@ -170,11 +172,13 @@ class TestConfigSchema:
         assert cfg.resolved["env"]["protocol_time"] == 8  # hashed as written
 
     def test_experiment_hashes_pinned(self):
-        # any change here moves every artifact's hash and orphans past checkpoints
+        # any change here moves every artifact's hash and orphans past checkpoints;
+        # the single-qubit one moved once, when analyze.initial_state began to
+        # default to the device's state 1 instead of the two-qubit label 10
         assert config_from_dict({"schema_version": 1}).hash == (
             "d37f785345a7ddfece020745782e6b7f8bf2ace38047a6eb9bf2a11adb48fb19")
         assert config_from_dict(tiny_raw()).hash == (
-            "f254a3e901109a1a290eccdc856b501a72ad792ed99f94ba58dd1aaf75a5472a")
+            "f97a567d5392d36c84640b4d2b1591faf09fa34ec15db8d64c7a682addddff89")
 
     def test_channels_follow_device(self):
         one = config_from_dict(tiny_raw())
@@ -649,7 +653,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("device, label", [
         ("single_qubit", "2"),
-        ("single_qubit", "10"),  # the resolved-config default
+        ("single_qubit", "10"),  # the two-qubit default
         ("two_qubit", "0"),
     ])
     def test_unknown_initial_state_rejected(self, outdir, device, label):
@@ -881,3 +885,16 @@ class TestCli:
         assert cli_main(["analyze", "--config", str(path), "--protocol", str(proto),
                          "--initial-state", "0", "--out", str(out)]) == 0
         assert (out / "bloch.tsv").exists()
+
+    def test_analyze_defaults_to_a_state_of_the_device(self, outdir):
+        # a single-qubit config that does not name analyze.initial_state
+        path = self._config_file(outdir, tiny_raw())
+        proto = outdir / "proto.tsv"
+        cfg = config_from_dict(tiny_raw())
+        write_protocol(proto, np.full((8, 1), cfg.env.device.eps_min),
+                       cfg.env.device.eps0, cfg.env.sample_period)
+        out = outdir / "default_state"
+        assert cli_main(["analyze", "--config", str(path), "--protocol", str(proto),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "analyze_summary.json").read_text())
+        assert summary["initial_state"] == "1"

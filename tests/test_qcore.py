@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdrl import qcore
+from qdrl.noise import NoiseConfig, sample_realization
 from qdrl.rlenv import DeviceModel
 
 # Full-space basis: |s1 s2 s3 s4>, s = 0 for up, 1 for down, dot 1 most
@@ -61,9 +62,7 @@ def hamiltonian(detunings, params: qcore.DeviceParams) -> np.ndarray:
 
 def trotter(detunings, params: qcore.DeviceParams, dt: float) -> np.ndarray:
     """Cumulative propagators of a piecewise-constant drive, (M+1, 6, 6)."""
-    return qcore.propagate(
-        qcore.step_propagator(hamiltonian(detunings, params), dt), cumulative=True
-    )
+    return qcore.propagate(hamiltonian(detunings, params), dt, cumulative=True)
 
 
 @pytest.fixture
@@ -215,6 +214,26 @@ def _evolve(h: np.ndarray) -> np.ndarray:
     return qcore.step_propagator(h, 0.1)
 
 
+def noisy_protocol(rows: int, params: qcore.DeviceParams, seed: int = 0) -> np.ndarray:
+    """Time-major H (240, rows, 6, 6) of a random 24-segment protocol held for
+    10 substeps of dt = 0.1 ns each, one realization of the default noise
+    model per row."""
+    rng = np.random.default_rng(seed)
+    dets = np.repeat(rng.uniform(params.eps_min, params.eps_max, size=(24, 3)), 10, axis=0)
+    z = sample_realization(NoiseConfig(), rng, len(dets), 0.1, count=rows)
+    dets = dets[:, None] + z.delta_eps + z.fast.swapaxes(0, 1)
+    return DeviceModel.two_qubit(params).hamiltonians(dets, z.delta_b)
+
+
+def complex_fold(h: np.ndarray, dt: float) -> np.ndarray:
+    """The step propagators of a time-major stack, multiplied one by one."""
+    steps = qcore.step_propagator(h, dt)
+    u = steps[0]
+    for step in steps[1:]:
+        u = step @ u
+    return u
+
+
 def _evolve_serial_worker(h: np.ndarray) -> tuple[int, np.ndarray]:
     return qcore._usable_cores(), qcore.step_propagator(h, 0.1)
 
@@ -333,6 +352,72 @@ class TestLargeStacks:
         assert cores == 1
         np.testing.assert_array_equal(got, whole)
 
+    @pytest.mark.parametrize("rows", [32, 100])
+    def test_pair_fold_the_same_on_any_pieces_and_cores(self, params, monkeypatch, rows):
+        # 100 rows: 10 steps to a 1000-matrix piece, so each 30-step block
+        # spans three pieces; 32 rows: 31 steps to a piece, one piece a block
+        h = noisy_protocol(rows, params)
+        results = []
+        for piece, cores in [(10**9, 1), (10**9, 2), (1000, 1), (1000, 2)]:
+            monkeypatch.setattr(qcore, "_PIECE", piece)
+            monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+            results.append(qcore.propagate(h, 0.1))
+        for got in results[1:]:
+            np.testing.assert_array_equal(got, results[0])
+
+
+class TestPairFold:
+    """Stacks of at least 32 rows fold in real (cos, sin) pairs, in 8 time blocks."""
+
+    @pytest.mark.parametrize("rows", [32, 64, 512])
+    def test_matches_the_complex_fold(self, params, rows):
+        h = noisy_protocol(rows, params, seed=rows)
+        u = qcore.propagate(h, 0.1)
+        assert u.shape == (rows, 6, 6) and u.dtype == np.complex128
+        assert np.abs(u - complex_fold(h, 0.1)).max() <= 1e-13
+
+    def test_31_and_32_rows_agree(self, params):
+        h = noisy_protocol(32, params, seed=3)
+        below = qcore.propagate(h[:, :31], 0.1)
+        # 31 rows are the complex fold itself, bit for bit
+        np.testing.assert_array_equal(below, complex_fold(h[:, :31], 0.1))
+        assert np.abs(qcore.propagate(h, 0.1)[:31] - below).max() <= 1e-13
+
+    @pytest.mark.parametrize("steps", [1, 3, 8, 9])
+    def test_fewer_steps_than_blocks(self, params, steps):
+        h = noisy_protocol(40, params, seed=steps)[:steps]
+        assert np.abs(qcore.propagate(h, 0.1) - complex_fold(h, 0.1)).max() <= 1e-13
+
+    def test_rows_over_several_axes(self, params):
+        h = noisy_protocol(48, params, seed=4)
+        u = qcore.propagate(h.reshape((240, 6, 8, 6, 6)), 0.1)
+        np.testing.assert_array_equal(u, qcore.propagate(h, 0.1).reshape((6, 8, 6, 6)))
+
+    def test_cumulative_and_complex_stacks_keep_the_complex_fold(self, params):
+        h = noisy_protocol(32, params, seed=5)[:20]
+        cumulative = qcore.propagate(h, 0.1, cumulative=True)
+        assert cumulative.shape == (21, 32, 6, 6)
+        np.testing.assert_array_equal(cumulative[0], np.broadcast_to(np.eye(6), (32, 6, 6)))
+        np.testing.assert_array_equal(cumulative[-1], complex_fold(h, 0.1))
+        hc = h.astype(complex)
+        np.testing.assert_array_equal(qcore.propagate(hc, 0.1), complex_fold(hc, 0.1))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_bad_stacks_rejected(self, params, monkeypatch, cores):
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+        h = noisy_protocol(32, params, seed=6)
+        asymmetric = h.copy()
+        asymmetric[-1, -1, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            qcore.propagate(asymmetric, 0.1)
+        h[-1, -1, 3, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            qcore.propagate(h, 0.1)
+        with pytest.raises(ValueError, match="dt"):
+            qcore.propagate(h, 0.0)
+        with pytest.raises(ValueError, match="M >= 1"):
+            qcore.propagate(h[:0], 0.1)
+
 
 class TestTrotterEvolve:
     def test_piecewise_constant_is_exact(self, params):
@@ -375,15 +460,16 @@ class TestTrotterEvolve:
 
     def test_evolve_final_matches_cumulative(self, params):
         rng = np.random.default_rng(13)
-        dets = rng.uniform(-5.4, 2.4, size=(6, 25, 3))
+        # time-major: 25 substeps of 6 rows, one gradient offset per row
+        dets = rng.uniform(-5.4, 2.4, size=(25, 6, 3))
         delta_b = rng.normal(0, 0.01, size=(6, 3))
         h = DeviceModel.two_qubit(params).hamiltonians(dets, delta_b)
-        batch = qcore.propagate(qcore.step_propagator(h, 0.1))
+        batch = qcore.propagate(h, 0.1)
         assert batch.shape == (6, 6, 6)
         for k in range(6):
             b12, b23, b34 = params.gradients + delta_b[k]
             shifted = dataclasses.replace(params, b12=b12, b23=b23, b34=b34)
-            u = trotter(dets[k], shifted, dt=0.1)
+            u = trotter(dets[:, k], shifted, dt=0.1)
             np.testing.assert_allclose(batch[k], u[-1], atol=1e-11)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qdrl.rlenv import StepResult
+from qdrl.rlenv import DeviceModel, EnvConfig, GateSynthesisEnv, RewardMode, StepResult
 from qdrl.rlagent import (
     DivergenceError,
     ReplayBuffer,
@@ -423,6 +423,60 @@ class TestTrainLoop:
         monkeypatch.setattr(sac, "MAX_ANCHOR_RETRIES", 3)
         with pytest.raises(DegenerateAnchorError):
             train_loop(env, agent, 5, seed=9)
+
+
+class RandomTableAgent:
+    """Plays a fresh uniform random action table every episode."""
+
+    def __init__(self, n_actions: int, seed: int):
+        self.n_actions = n_actions
+        self.rng = np.random.default_rng(seed)
+        self.tables = []
+
+    def act(self, obs, deterministic=False):
+        k = round((1.0 - obs[0]) * self.n_actions)  # actions taken so far
+        if k == 0:
+            self.tables.append(self.rng.uniform(-1.0, 1.0, size=(self.n_actions, 1)))
+        return self.tables[-1][k]
+
+
+class TestEvaluatePolicy:
+    def test_degenerate_anchor_episode_retried(self):
+        # a one-qubit tomographic reward at 8 snapshots, too thin to invert
+        # now and then: on this stream the 7th table's record is rank
+        # deficient, which used to end the evaluation
+        cfg = EnvConfig(n_segments=8, oversample=2, reward_mode=RewardMode.TOMO_SNAPSHOT,
+                        n_snapshots=8)
+        env = GateSynthesisEnv(cfg, model=DeviceModel.single_qubit(cfg.device), seed=0)
+        agent = RandomTableAgent(cfg.n_actions, seed=0)
+        scores = evaluate_policy(env, agent, 10)
+        assert scores["eval_anchor_retries"] == 1
+        assert len(agent.tables) == 11
+        assert all(np.isfinite(v) for v in scores.values())
+
+        # the same tables on a fresh env of the same seed: only the 7th raises
+        probe = GateSynthesisEnv(cfg, model=DeviceModel.single_qubit(cfg.device), seed=0)
+        failed = []
+        for k, table in enumerate(agent.tables):
+            try:
+                probe.rollout(table)
+            except DegenerateAnchorError:
+                failed.append(k)
+        assert failed == [6]
+
+    def test_persistent_anchor_failure_eventually_raises(self, monkeypatch):
+        class BrokenEnv(LineEnv):
+            def step(self, action):
+                result = super().step(action)
+                if result.done:
+                    raise DegenerateAnchorError("always broken")
+                return result
+
+        agent = SacAgent(2, 1, SacConfig(**SMALL), seed=9)
+        monkeypatch.setattr(sac, "MAX_ANCHOR_RETRIES", 3)
+        env = BrokenEnv()
+        with pytest.raises(DegenerateAnchorError):
+            evaluate_policy(env, agent, 2)
 
 
 class TestBanditEntropy:

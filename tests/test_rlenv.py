@@ -13,7 +13,6 @@ from qdrl.qcore import (
     nlif,
     phase_gate_target,
     propagate,
-    step_propagator,
 )
 from qdrl.rlenv import (
     TAIL_SEGMENTS,
@@ -44,8 +43,7 @@ def random_actions(env, seed=0):
 
 def final_propagator(shaped, params):
     """Ordered product of the exact substep exponentials of a shaped trace."""
-    h = DeviceModel.two_qubit(params).hamiltonians(shaped.values)
-    return propagate(step_propagator(h, shaped.dt))
+    return propagate(DeviceModel.two_qubit(params).hamiltonians(shaped.values), shaped.dt)
 
 
 def standalone_nlif(actions_norm, config, kernel=None):
@@ -298,15 +296,15 @@ class TestPipelineEquivalence:
         assert env.kernel.samples.size > cfg.oversample
         stacks = []
 
-        def spy(h, dt):
+        def spy(h, dt, **kwargs):
             stacks.append(h)
-            return step_propagator(h, dt)
+            return propagate(h, dt, **kwargs)
 
-        monkeypatch.setattr(qdrl.rlenv, "step_propagator", spy)
+        monkeypatch.setattr(qdrl.rlenv, "propagate", spy)
         acts = np.where(np.arange(cfg.n_actions) % 2, 1.0, 0.3)[:, None].repeat(3, axis=1)
         env.rollout(acts, seed=0)
         assert len(stacks) == cfg.n_actions
-        evolved = np.concatenate([h[0] for h in stacks])
+        evolved = np.concatenate([h[:, 0] for h in stacks])
         np.testing.assert_array_equal(evolved, env.model.hamiltonians(env.shaped_detunings()))
 
 
@@ -367,11 +365,11 @@ class TestDeterminismAndNoise:
 
         calls = []
 
-        def counting(h, dt):
+        def counting(h, dt, **kwargs):
             calls.append(h.shape)
-            return step_propagator(h, dt)
+            return propagate(h, dt, **kwargs)
 
-        monkeypatch.setattr(qdrl.rlenv, "step_propagator", counting)
+        monkeypatch.setattr(qdrl.rlenv, "propagate", counting)
         env = small_env(noise=NoiseConfig(), observation_mode=observation_mode)
         env.reset(seed=16)
         calls.clear()
@@ -612,7 +610,7 @@ def _closed_form_single_qubit(params, b, detunings, delta_b=None):
     b_eff = np.asarray(b, dtype=float)
     if delta_b is not None:
         b_eff = b_eff + np.asarray(delta_b, dtype=float)[..., 0]
-    bx = params.j0 * np.broadcast_to(b_eff[..., None], j.shape)
+    bx = params.j0 * np.broadcast_to(b_eff, j.shape)
     h = np.zeros(j.shape + (2, 2))
     h[..., 0, 0] = j / 2.0
     h[..., 1, 1] = -j / 2.0
@@ -627,7 +625,8 @@ class TestSingleQubit:
         params = DeviceParams(j0=1.3)
         model = DeviceModel.single_qubit(params, b)
         rng = np.random.default_rng(41)
-        dets = rng.uniform(params.eps_min, params.eps_max, size=(9, 40, 1))
+        # time-major: 40 substeps of 9 rows, one gradient offset per row
+        dets = rng.uniform(params.eps_min, params.eps_max, size=(40, 9, 1))
         delta_b = rng.normal(0.0, 0.3, size=(9, 1))
         np.testing.assert_array_equal(model.hamiltonians(dets),
                                       _closed_form_single_qubit(params, b, dets))
