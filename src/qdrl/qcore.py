@@ -28,7 +28,10 @@ Step propagators exp(-i dt H) come from a Taylor series of cos(dt H) and
 sin(dt H) with scaling and squaring: every device model builds a real
 symmetric H, so the whole evaluation runs in real matrix products. The
 series stops at X^17 for ||X|| <= 1, where the first term left out is below
-the float64 machine epsilon; `step_propagator` gives the details.
+the float64 machine epsilon. Both series are evaluated at once in
+Paterson-Stockmeyer form: 7 matrix products per matrix before the squarings
+(Y = X^2 and its powers to Y^4, two for the blocks' Y^4 products, one for
+sin X); `step_propagator` gives the details.
 
 Large stacks (the Monte Carlo rewards evolve tens of thousands of step
 matrices at once) are split into pieces of 1024 matrices, and the pieces run
@@ -53,6 +56,7 @@ products and complex input keep `step_propagator` and the complex product.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -211,18 +215,33 @@ def _piece_map(matrices: int):
         yield pool.map
 
 
+@functools.cache
+def _pair_indices(n: int) -> np.ndarray:
+    """Flat indices of the entries (i, j) and then (j, i) for all i <= j of an
+    (n, n) matrix, n (n + 1) / 2 of each."""
+    i, j = np.triu_indices(n)
+    flat = np.concatenate([i * n + j, j * n + i])
+    flat.setflags(write=False)
+    return flat
+
+
 def _measure(h: np.ndarray) -> tuple[float, float, float]:
     """(max |h - h^dag|, max |h|, max ||h||_1) over a stack.
 
     ||h||_1, the largest column sum of |h|, equals ||h||_inf for a Hermitian
-    h. A NaN or inf entry makes it non-finite; the symmetry deviation is then
-    not computed, since inf - inf would be NaN with a warning.
+    h. The symmetry deviation is read from the pairs i <= j alone, the
+    diagonal included, which gives the same maximum as all pairs. A NaN or
+    inf entry makes the norm non-finite; the deviation is then not computed,
+    since inf - inf would be NaN with a warning.
     """
     a = np.abs(h)
     norm = np.einsum("...ij->...j", a).max()
     if not np.isfinite(norm):
         return math.inf, math.inf, norm
-    return np.abs(h - np.swapaxes(h, -1, -2).conj()).max(), a.max(), norm
+    n = h.shape[-1]
+    pairs = h.reshape((-1, n * n))[:, _pair_indices(n)]
+    half = pairs.shape[1] // 2
+    return np.abs(pairs[:, :half] - pairs[:, half:].conj()).max(), a.max(), norm
 
 
 def _squarings(dev: float, top: float, norm: float, dt: float) -> int:
@@ -259,25 +278,45 @@ _TAYLOR = np.array([
 ])
 _TAYLOR.setflags(write=False)
 
+# The same series as Paterson-Stockmeyer blocks in Y^4 (Paterson & Stockmeyer,
+# SIAM J. Comput. 2, 1973): p = B0 + Y^4 B1 with B0 = c0 I + c1 Y + c2 Y^2 +
+# c3 Y^3 and B1 = c4 I + c5 Y + c6 Y^2 + c7 Y^3 + c8 Y^4. Row 2 b + odd weighs
+# (I, Y, Y^2, Y^3, Y^4) in block b of series odd. I sits in the product with
+# the powers: on a 1024-matrix piece (one thread of a 2-core host), adding
+# the constants to the blocks' diagonals in place took ~115 us, filling I and
+# the product's fifth row ~35 us.
+_BLOCKS_OF_POWERS = np.zeros((2, 2, 5))
+_BLOCKS_OF_POWERS[0, :, :4] = _TAYLOR[:, :4]
+_BLOCKS_OF_POWERS[1] = _TAYLOR[:, 4:]
+_BLOCKS_OF_POWERS = _BLOCKS_OF_POWERS.reshape((4, 5))
+_BLOCKS_OF_POWERS.setflags(write=False)
+
 
 def _cos_sin(h: np.ndarray, dt: float, squarings: int) -> np.ndarray:
     """cos(dt h) and sin(dt h) of a Hermitian stack (N, n, n), as one
     (2, N, n, n) array; exp(-i dt h) = cos(dt h) - i sin(dt h).
 
-    With X = dt h / 2^s and Y = X^2, cos X and sin X / X are Horner
-    polynomials in Y, evaluated side by side; then cos 2x = C^2 - S^2 and
-    sin 2x = 2 S C double the angle s times. A real h keeps every product
+    With X = dt h / 2^s and Y = X^2, cos X and sin X / X are evaluated side
+    by side in Paterson-Stockmeyer form, in 7 matrix products per matrix:
+    Y, Y^2, Y^3 and Y^4 (4 products); the blocks B0 and B1 of both series as
+    one (4, 5) x (5, N n n) product with the stacked I, Y, ..., Y^4,
+    which combines each entry on its own, so a matrix gets the same bits
+    wherever it sits in a stack; p = B0 + Y^4 B1 (2 products) and
+    sin X = (sin X / X) X (1). Then cos 2x = C^2 - S^2 and sin 2x = 2 S C
+    double the angle s times, 3 products each. A real h keeps every product
     real.
     """
     x = h * (dt / 2.0**squarings)
-    y = x @ x
-    # (degree + 1, 2, 1, n, n): the two series' k-th coefficients times I
-    coef_eye = _TAYLOR.T[:, :, None, None, None] * np.eye(h.shape[-1])
-    cs = np.multiply.outer(_TAYLOR[:, -1], y)
-    for k in range(_TAYLOR_DEGREE - 1, -1, -1):
-        cs += coef_eye[k]
-        if k:
-            cs = cs @ y
+    powers = np.empty((5,) + x.shape, dtype=x.dtype)
+    eye, y, y2, y3, y4 = powers
+    eye[...] = np.eye(x.shape[-1])
+    np.matmul(x, x, out=y)
+    np.matmul(y, y, out=y2)
+    np.matmul(y2, y, out=y3)
+    np.matmul(y2, y2, out=y4)
+    blocks = (_BLOCKS_OF_POWERS @ powers.reshape((5, -1))).reshape((2, 2) + x.shape)
+    cs = y4 @ blocks[1]
+    cs += blocks[0]
     cs[1] = cs[1] @ x
     for _ in range(squarings):
         doubled = cs @ cs[0]
@@ -305,9 +344,14 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     Anal. Appl. 26, 2005): X = dt H / 2^s with s = ceil(log2(dt ||H||_1)),
     the largest norm over the whole stack, so ||X|| <= 1; cos X to X^16 and
     sin X to X^17, whose truncation error theta^18 / 18! stays below the
-    float64 machine epsilon for theta <= 1; then s angle doublings. The real
-    symmetric H of every device model keeps all products real; a complex
-    Hermitian H runs the same steps in complex arithmetic.
+    float64 machine epsilon for theta <= 1; then s angle doublings. Both
+    series are Paterson-Stockmeyer polynomials in Y = X^2 with Y^4 as the
+    block step (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973): Y to Y^4,
+    the blocks as one weighted sum of those powers, the two blocks' Y^4
+    products and sin X = (sin X / X) X, 7 matrix products per matrix before
+    the s doublings of 3 products each. The real symmetric H of every
+    device model keeps all products real; a complex Hermitian H runs the
+    same steps in complex arithmetic.
 
     A stack of more than `_PIECE` (1024) matrices is measured and then
     evolved in pieces of that size, spread across the usable cores on one

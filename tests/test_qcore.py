@@ -152,17 +152,26 @@ def _expm_stack(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 class TestStepPropagator:
-    @pytest.mark.parametrize("dt, squarings", [(0.01, 0), (0.1, 1), (0.5, 3), (2.0, 5)])
-    def test_matches_scipy_expm_across_squarings(self, params, dt, squarings):
+    @pytest.mark.parametrize("dt, squarings, bound", [
+        pytest.param(0.01, 0, 1e-13, id="0.01-0"),
+        pytest.param(0.1, 1, 1e-13, id="0.1-1"),
+        pytest.param(0.5, 3, 1e-13, id="0.5-3"),
+        pytest.param(2.0, 5, 1e-13, id="2.0-5"),
+        # the series alone at theta = 0.96, truncated below machine epsilon
+        pytest.param(0.08, 0, 1e-15, id="series-alone"),
+    ])
+    def test_matches_scipy_expm_across_squarings(self, params, dt, squarings, bound):
         # detunings over the whole range with random gradient offsets; the
         # step length sets how often the series result is squared
         rng = np.random.default_rng(43)
         dets = rng.uniform(params.eps_min, params.eps_max, size=(8, 8, 3))
         h = DeviceModel.two_qubit(params).hamiltonians(dets, rng.normal(0.0, 0.5, size=(8, 3)))
         assert qcore._squarings(*qcore._measure(h), dt) == squarings
+        if bound < 1e-13:
+            assert 0.5 < dt * qcore._measure(h)[2] <= 1.0
         u = qcore.step_propagator(h, dt)
         assert u.dtype == np.complex128
-        assert np.abs(u - _expm_stack(h, dt)).max() <= 1e-13
+        assert np.abs(u - _expm_stack(h, dt)).max() <= bound
 
     @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5, 2.0])
     def test_complex_hermitian_stack_matches_scipy_expm(self, dt):
@@ -199,6 +208,13 @@ class TestStepPropagator:
     def test_rejects_non_hermitian(self):
         h = np.eye(6, dtype=complex)
         h[0, 1] = 1.0  # no conjugate partner
+        with pytest.raises(ValueError, match="Hermitian"):
+            qcore.step_propagator(h, 0.1)
+
+    def test_rejects_imaginary_diagonal(self):
+        # the only asymmetry is Im h_22: h - h^dag is 2i Im h_22 on the diagonal
+        h = np.stack([np.diag(np.arange(1.0, 7.0)).astype(complex)] * 5)
+        h[3, 2, 2] += 1e-6j
         with pytest.raises(ValueError, match="Hermitian"):
             qcore.step_propagator(h, 0.1)
 
@@ -307,6 +323,26 @@ class TestLargeStacks:
         bad[-1, -1, 0, 1] += 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
             qcore.step_propagator(bad, 0.1)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_matrix_alone_equals_its_place_in_a_stack(self, monkeypatch, cores, dtype):
+        # the series' coefficient step is one product over a whole piece; a
+        # matrix gets the same bits alone as at either side of a piece
+        # boundary. Every ||h||_1 is 1, so dt = 3 sets 2 squarings alone and
+        # in the stack.
+        rng = np.random.default_rng(33)
+        a = rng.normal(size=(3000, 6, 6)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=a.shape)
+        h = a + np.swapaxes(a, -1, -2).conj()
+        h /= np.abs(h).sum(axis=-2).max(axis=-1)[:, None, None]
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+        stack = qcore.step_propagator(h, 3.0)
+        for k in (0, 1022, 1023, 1024, 1025, 2047, 2048, 2999):
+            alone = qcore.step_propagator(h[k], 3.0)
+            assert qcore._squarings(*qcore._measure(h[k]), 3.0) == 2
+            np.testing.assert_array_equal(alone, stack[k])
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
