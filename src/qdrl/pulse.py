@@ -103,9 +103,10 @@ def convolve(trace: ShapedTrace, kernel: ImpulseKernel, baseline: float = 0.0) -
     output = baseline + (trace - baseline) * kernel. With baseline = 0 the
     map is exactly linear. Output has the same length as the input; response
     beyond the last substep is discarded, which is why protocols park their
-    tail at the rail. Output row i depends on input rows 0..i alone, bit for
-    bit: shaping a prefix of a trace gives the leading rows of shaping the
-    whole trace.
+    tail at the rail. Output row i depends on input rows i - K + 1..i alone
+    (K kernel samples), bit for bit: shaping a prefix of a trace gives the
+    leading rows of shaping the whole trace, and shaping the rows from s on
+    gives its rows from s + K - 1 on.
     """
     if abs(kernel.dt - trace.dt) > _GRID_TOL * max(kernel.dt, trace.dt):
         raise ValueError(f"grid mismatch: trace dt {trace.dt}, kernel dt {kernel.dt}")

@@ -43,15 +43,21 @@ piece size is fixed, the core count is read from the process's affinity mask,
 and with one usable core the pieces run in turn.
 
 `propagate` multiplies the steps of a time-major stack (M, R, n, n), M steps
-of R rows, into the R final propagators. The row rule: a real stack of
-R >= 32 rows never builds its complex step stack. Its steps split into 8 time
-blocks, one task each on the same pool; a block evaluates the cos/sin series
-piece by piece and folds each step into its product V = Vr + i Vi at once, in
-real pairs, (C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr); the block
-products are then multiplied in time order. That result is independent of
-the piece size and the core count, and differs from the step-by-step complex
-product at roundoff. Fewer rows (every per-step call of the env), cumulative
-products and complex input keep `step_propagator` and the complex product.
+of R rows, into the R final propagators. It reads the stack only through
+h.shape, h.dtype and time slices h[lo:hi], so the stack may be an ndarray or
+an object that assembles each slice when it is asked for (the env's
+Monte Carlo stacks are such objects, and the whole stack then never exists).
+The row rule: a real stack of R >= 32 rows never builds its complex step
+stack, and reads its steps one piece at a time. It is measured piece by
+piece; then its steps split into 8 time blocks, one task each on the same
+pool, and a block takes its pieces again, evaluates their cos/sin series and
+folds each step into its product V = Vr + i Vi at once, in real pairs,
+(C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr); the block products are
+then multiplied in time order. That result is independent of the piece size
+and the core count, and differs from the step-by-step complex product at
+roundoff. Fewer rows (every per-step call of the env), cumulative products
+and complex input take the whole stack h[0:M] and keep `step_propagator`
+and the complex product.
 """
 from __future__ import annotations
 
@@ -255,10 +261,10 @@ def _squarings(dev: float, top: float, norm: float, dt: float) -> int:
     return math.ceil(math.log2(theta)) if theta > 1.0 else 0
 
 
-def _stack_squarings(flat: np.ndarray, dt: float, run) -> int:
-    """_squarings of a flat stack (N, n, n), measured in pieces with run."""
-    pieces = [slice(lo, lo + _PIECE) for lo in range(0, len(flat), _PIECE)]
-    checks = np.array(list(run(lambda s: _measure(flat[s]), pieces)))
+def _stack_squarings(h, pieces: list[slice], dt: float, run) -> int:
+    """_squarings of a stack measured slice by slice with run; the pieces
+    h[s] cover the stack, and each is read only while it is measured."""
+    checks = np.array(list(run(lambda s: _measure(h[s]), pieces)))
     return _squarings(*checks.max(axis=0), dt)
 
 
@@ -370,7 +376,7 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
         return out.reshape(h.shape)
     pieces = [slice(lo, lo + _PIECE) for lo in range(0, len(flat), _PIECE)]
     with _piece_map(len(flat)) as run:
-        squarings = _stack_squarings(flat, dt, run)
+        squarings = _stack_squarings(flat, pieces, dt, run)
         # list() waits for every piece's writes into out
         list(run(lambda s: _taylor_propagator(flat[s], dt, squarings, out[s]), pieces))
     return out.reshape(h.shape)
@@ -386,20 +392,27 @@ _PAIR_ROWS = 32
 _BLOCKS = 8
 
 
-def _fold_block(h: np.ndarray, dt: float, squarings: int, steps: range) -> np.ndarray:
-    """Propagator through one time block of a real stack (M, R, n, n).
+def _steps_per_piece(rows: int) -> int:
+    """Whole steps of `rows` rows in one piece: at most `_PIECE` matrices, one
+    step at least."""
+    return max(1, _PIECE // rows)
 
-    The block's cos/sin pairs come in pieces of whole steps, at most `_PIECE`
-    matrices (one step at least), and each step folds into V = Vr + i Vi as
-    it comes: (C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr).
+
+def _fold_block(h, dt: float, squarings: int, steps: range) -> np.ndarray:
+    """Propagator through one time block of a real stack (M, ..., n, n), as
+    (R, n, n) over its R rows.
+
+    The block reads its steps in pieces of `_steps_per_piece` steps, one slice
+    h[lo:hi] at a time; each piece's cos/sin pairs fold step by step into
+    V = Vr + i Vi as they come: (C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr).
     """
-    rows, n = h.shape[1], h.shape[-1]
-    per_piece = max(1, _PIECE // rows)
+    rows, n = math.prod(h.shape[1:-2]), h.shape[-1]
+    per_piece = _steps_per_piece(rows)
     v = None
     for lo in steps[::per_piece]:
-        piece = h[lo : min(lo + per_piece, steps.stop)]
-        cs = _cos_sin(piece.reshape((-1, n, n)), dt, squarings)
-        for pair in cs.reshape((2, len(piece), rows, n, n)).swapaxes(0, 1):
+        hi = min(lo + per_piece, steps.stop)
+        cs = _cos_sin(h[lo:hi].reshape((-1, n, n)), dt, squarings)
+        for pair in cs.reshape((2, hi - lo, rows, n, n)).swapaxes(0, 1):
             if v is None:
                 v = np.stack([pair[0], -pair[1]])
                 continue
@@ -410,56 +423,66 @@ def _fold_block(h: np.ndarray, dt: float, squarings: int, steps: range) -> np.nd
     return v[0] + 1j * v[1]
 
 
-def propagate(h: np.ndarray, dt: float, *, cumulative: bool = False) -> np.ndarray:
+def propagate(h, dt: float, *, cumulative: bool = False) -> np.ndarray:
     """Time-ordered product of the step propagators exp(-i dt H_m).
 
     h : (M, ..., n, n) Hamiltonians, time-major: step m acts after steps
         0..m-1, M >= 1, and the axes after the first are rows (noise
-        realizations, say), each evolved on its own.
+        realizations, say), each evolved on its own. h is read only through
+        h.shape, h.dtype and time slices h[lo:hi], which must return the
+        (hi - lo, ..., n, n) array of those steps: an ndarray serves, and so
+        does an object that assembles each slice when it is asked for.
     returns the final propagators exp(-i dt H_{M-1}) ... exp(-i dt H_0),
     shape (..., n, n), or with cumulative=True the (M+1, ..., n, n) stack
     whose index 0 is the identity and whose index m is the propagator through
     the first m steps.
 
     The row rule: a real stack of at least `_PAIR_ROWS` (32) rows, final
-    propagators only, never builds its complex step stack. Its steps split
-    into `_BLOCKS` (8) time blocks, spread across the usable cores; each
-    block evaluates the cos/sin series of `step_propagator` in pieces and
-    folds every step at once in real pairs, and the block products are then
-    multiplied in time order. Acceptance and the squaring count come from
-    the whole stack, and the blocks are fixed by M alone, so the result does
-    not depend on the piece size or the core count; it differs from the
-    step-by-step complex fold at roundoff (a few 1e-15 on protocols of
-    hundreds of steps). Every other stack, among them every per-step call of
-    the env, is `step_propagator` followed by the complex fold.
+    propagators only, never builds its complex step stack, nor asks for more
+    than a piece of steps (`_steps_per_piece`) at a time. The pieces are
+    measured first, for acceptance and the squaring count of the whole
+    stack; then its steps split into `_BLOCKS` (8) time blocks, spread
+    across the usable cores, and each block takes its pieces again,
+    evaluates the cos/sin series of `step_propagator` and folds every step
+    at once in real pairs; the block products are then multiplied in time
+    order. The blocks are fixed by M alone, so the result does not depend on
+    the piece size or the core count; it differs from the step-by-step
+    complex fold at roundoff (a few 1e-15 on protocols of hundreds of
+    steps). Every other stack, among them every per-step call of the env,
+    is read whole, h[0:M], and is `step_propagator` followed by the complex
+    fold.
     """
-    h = np.asarray(h)
+    if not hasattr(h, "dtype"):
+        h = np.asarray(h)
     _check_dt(dt)
-    if h.ndim < 3 or len(h) == 0:
-        raise ValueError(f"need a (M, ..., n, n) stack with M >= 1, got shape {h.shape}")
-    n = h.shape[-1]
-    seq = h.reshape((len(h), -1, n, n))
-    if cumulative or seq.shape[1] < _PAIR_ROWS or np.iscomplexobj(h):
-        steps = step_propagator(seq, dt)
+    shape = h.shape
+    if len(shape) < 3 or shape[0] == 0:
+        raise ValueError(f"need a (M, ..., n, n) stack with M >= 1, got shape {shape}")
+    m, n = shape[0], shape[-1]
+    rows = math.prod(shape[1:-2])
+    if cumulative or rows < _PAIR_ROWS or np.iscomplexobj(h):
+        steps = step_propagator(np.asarray(h[0:m]).reshape((m, rows, n, n)), dt)
         if not cumulative:
             u = steps[0]
             for step in steps[1:]:
                 u = step @ u
-            return u.reshape(h.shape[1:])
-        out = np.empty((len(steps) + 1,) + steps.shape[1:], dtype=steps.dtype)
+            return u.reshape(shape[1:])
+        out = np.empty((m + 1,) + steps.shape[1:], dtype=steps.dtype)
         out[0] = np.eye(n)
-        for m, step in enumerate(steps):
-            out[m + 1] = step @ out[m]
-        return out.reshape((len(out),) + h.shape[1:])
-    bounds = sorted({len(seq) * b // _BLOCKS for b in range(_BLOCKS + 1)})
+        for k, step in enumerate(steps):
+            out[k + 1] = step @ out[k]
+        return out.reshape((m + 1,) + shape[1:])
+    per_piece = _steps_per_piece(rows)
+    pieces = [slice(lo, min(lo + per_piece, m)) for lo in range(0, m, per_piece)]
+    bounds = sorted({m * b // _BLOCKS for b in range(_BLOCKS + 1)})
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    with _piece_map(seq.shape[0] * seq.shape[1]) as run:
-        squarings = _stack_squarings(seq.reshape((-1, n, n)), dt, run)
-        products = list(run(lambda steps: _fold_block(seq, dt, squarings, steps), blocks))
+    with _piece_map(m * rows) as run:
+        squarings = _stack_squarings(h, pieces, dt, run)
+        products = list(run(lambda steps: _fold_block(h, dt, squarings, steps), blocks))
     u = products[0]
     for v in products[1:]:
         u = v @ u
-    return u.reshape(h.shape[1:])
+    return u.reshape(shape[1:])
 
 
 def computational_block(u: np.ndarray, indices=COMP_INDICES) -> np.ndarray:

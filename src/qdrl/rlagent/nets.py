@@ -286,7 +286,9 @@ class GaussianPolicy:
         return a, logp, cache
 
     def deterministic(self, obs: np.ndarray) -> np.ndarray:
-        mu, _, _ = self._heads(obs)
+        """tanh of the mean; the log-variance head is not evaluated."""
+        h, _ = self.trunk.forward(obs)
+        mu, _ = self.mean_head.forward(h)
         return np.tanh(mu)
 
     # ---------------------------------------------------------- backward
@@ -392,20 +394,19 @@ def quantile_huber_loss(z: np.ndarray, targets: np.ndarray):
     # (B, K, J) temporaries are computed in place: fresh arrays of this size
     # cost as much as the arithmetic on them
     delta = targets[:, None, :] - z[:, :, None]
-    weight = np.subtract(taus[None, :, None], delta < 0.0)
-    np.abs(weight, out=weight)  # |tau - 1{delta < 0}|
-    huber = np.abs(delta)
-    quadratic = huber <= 1.0
-    huber -= 0.5
-    half_sq = delta * delta
-    half_sq *= 0.5
-    np.copyto(huber, half_sq, where=quadratic)
+    taus = taus[None, :, None]
+    weight = np.where(delta < 0.0, 1.0 - taus, taus)  # |tau - 1{delta < 0}|
+    # with c = clip(delta, -1, 1), c (delta - c / 2) is delta^2 / 2 for
+    # |delta| <= 1 and |delta| - 1/2 beyond, bit for bit (halving is exact)
+    c = np.clip(delta, -1.0, 1.0)
+    huber = c * -0.5
+    huber += delta
+    huber *= c
     huber *= weight
     loss = float(np.mean(huber))
-    # d huber / d delta = clip(delta, -1, 1); d delta / dz = -1
-    np.clip(delta, -1.0, 1.0, out=delta)
-    delta *= weight
-    dz = -delta.sum(axis=2) / (b * k * j)
+    # d huber / d delta = c; d delta / dz = -1
+    c *= weight
+    dz = -c.sum(axis=2) / (b * k * j)
     return loss, dz
 
 

@@ -98,7 +98,7 @@ __all__ = [
 TAIL_SEGMENTS = 4
 
 # realizations evolved per batch in Monte Carlo rewards, bounding the
-# (substeps, chunk, dim, dim) Hamiltonian stack
+# (substeps, chunk, channels) detunings and the noise draws held at once
 _REWARD_CHUNK = 512
 
 
@@ -209,6 +209,31 @@ class DeviceModel:
         """
         paulis = _logical_pauli_table(self.sim_dim, self.block_indices)
         return np.real(np.einsum("...i,qaij,...j->...qa", np.conj(states), paulis, states))
+
+
+class _HamiltonianStack:
+    """The time-major stack (M, R..., n, n) of a model's Hamiltonians over
+    detunings (M, R..., C) and gradient offsets (R..., G) or None, as
+    `qcore.propagate` reads it: shape, dtype and time slices stack[lo:hi],
+    each assembled by `DeviceModel.hamiltonians` when it is asked for.
+
+    A plain object with no reference cycles: its detunings go with the last
+    reference to it, not at the next cyclic garbage collection.
+    """
+
+    __slots__ = ("_model", "_detunings", "_delta_b", "shape", "dtype")
+
+    def __init__(self, model: DeviceModel, detunings: np.ndarray, delta_b: np.ndarray | None):
+        self._model = model
+        self._detunings = detunings
+        self._delta_b = delta_b
+        self.shape = detunings.shape[:-1] + (model.sim_dim, model.sim_dim)
+        self.dtype = np.result_type(float, model._coupler_rows, model._gradient_rows)
+
+    def __getitem__(self, steps: slice) -> np.ndarray:
+        if not isinstance(steps, slice):
+            raise TypeError(f"a Hamiltonian stack takes time slices only, got {steps!r}")
+        return self._model.hamiltonians(self._detunings[steps], self._delta_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,15 +397,19 @@ class GateSynthesisEnv:
         action = np.clip(action, -1.0, 1.0)
         k = self._k
         p = self.model.params
+        n = self.config.oversample
         self._normalized[k] = action
         self._table[k] = np.clip(self._to_detunings(action), p.eps_min, p.eps_max)
         self._k = k + 1
         terminal = self.done
-        shaped = self._shaped(self._table if terminal else self._table[: k + 1])
         # the kernel is causal, so the substeps before row k are unchanged
-        # from previous steps and the product only needs the new ones
-        lo = k * self.config.oversample
-        self._u = self._evolve(shaped[lo:], self._realization, lo) @ self._u
+        # from previous steps and the product only needs the new ones, from
+        # lo on; those read the K - 1 substeps before lo and no earlier ones,
+        # so shaping starts at the row holding substep lo - (K - 1)
+        lo = k * n
+        first = max(0, lo - (self.kernel.samples.size - 1)) // n
+        shaped = self._shaped(self._table[first:] if terminal else self._table[first : k + 1])
+        self._u = self._evolve(shaped[lo - first * n :], self._realization, lo) @ self._u
         block = computational_block(self._u[0], self.model.block_indices)
         info = {
             "nlif": nlif(block, self.target, self.config.nlif_cap),
@@ -461,15 +490,21 @@ class GateSynthesisEnv:
         Row r adds realization r's offsets to dets, its fast trace read from
         substep lo on; without a realization the one row is noise-free.
         Returns (rows, dim, dim), or (M + 1, rows, dim, dim) if cumulative.
+
+        `propagate` gets the time-major Hamiltonian stack (M, rows, dim, dim)
+        as a `_HamiltonianStack`, which holds only the (M, rows, C)
+        detunings and the (rows, G) offsets and assembles the time slices
+        propagate asks for: a Monte Carlo chunk of many rows is assembled one
+        piece of steps at a time and never whole, while few rows and
+        cumulative products take the whole stack in one slice.
         """
-        # the Hamiltonian stack is time-major, (M, rows, dim, dim)
         dets = dets[:, None]
         if z is None:
             delta_b = None
         else:
             dets = dets + z.delta_eps + z.fast[:, lo : lo + len(dets)].swapaxes(0, 1)
             delta_b = z.delta_b
-        return propagate(self.model.hamiltonians(dets, delta_b), self.config.dt,
+        return propagate(_HamiltonianStack(self.model, dets, delta_b), self.config.dt,
                          cumulative=cumulative)
 
     def _sample_noise(self, count: int) -> NoiseRealization:

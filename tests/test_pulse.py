@@ -112,6 +112,22 @@ class TestConvolve:
             prefix = pulse.convolve(pulse.ShapedTrace(vals[:m], dt), k, baseline=PARAMS.eps_min)
             np.testing.assert_array_equal(prefix.values, whole[:m])
 
+    @pytest.mark.parametrize("delay, width", [(0.5, 0.1), (2.15, 0.5)])
+    def test_window_shapes_to_the_rows_past_its_first_kernel_length(self, delay, width):
+        # a window that starts K - 1 rows or more before row i gives row i on
+        # exactly as the whole trace does, whatever the rows before it hold
+        dt = 0.1
+        k = pulse.gaussian_kernel(delay, width, dt)
+        reach = k.samples.size - 1
+        rng = np.random.default_rng(7)
+        vals = rng.uniform(PARAMS.eps_min, PARAMS.eps_max, size=(120, 3))
+        whole = pulse.convolve(pulse.ShapedTrace(vals, dt), k, baseline=PARAMS.eps_min).values
+        for start in range(1, len(vals) - reach):
+            for stop in (start + reach + 1, len(vals)):
+                window = pulse.convolve(pulse.ShapedTrace(vals[start:stop], dt), k,
+                                        baseline=PARAMS.eps_min)
+                np.testing.assert_array_equal(window.values[reach:], whole[start + reach : stop])
+
     def test_step_response_half_amplitude_at_delay(self):
         dt = 0.05
         k = pulse.gaussian_kernel(2.0, 0.4, dt)

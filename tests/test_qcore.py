@@ -402,6 +402,51 @@ class TestLargeStacks:
             np.testing.assert_array_equal(got, results[0])
 
 
+class _RecordingStack:
+    """A stack that hands out time slices of an array and records each one."""
+
+    def __init__(self, h: np.ndarray):
+        self._h = h
+        self.shape, self.dtype = h.shape, h.dtype
+        self.slices: list[tuple[int, int]] = []
+
+    def __getitem__(self, steps: slice) -> np.ndarray:
+        self.slices.append((steps.start, steps.stop))
+        return self._h[steps]
+
+
+class TestStackContract:
+    """propagate reads a stack through shape, dtype and time slices alone."""
+
+    @pytest.mark.parametrize("rows, piece", [(32, 1024), (100, 1000), (100, 64), (512, 1024)])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_pair_path_reads_one_piece_of_steps_at_a_time(self, params, monkeypatch,
+                                                          rows, piece, cores):
+        h = noisy_protocol(rows, params, seed=rows)
+        whole = qcore.propagate(h, 0.1)
+        monkeypatch.setattr(qcore, "_PIECE", piece)
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+        stack = _RecordingStack(h)
+        np.testing.assert_array_equal(qcore.propagate(stack, 0.1), whole)
+        per_piece = max(1, piece // rows)
+        assert max(hi - lo for lo, hi in stack.slices) <= per_piece
+        # every step is read twice: once measured, once evolved
+        reads = np.zeros(len(h), dtype=int)
+        for lo, hi in stack.slices:
+            reads[lo:hi] += 1
+        np.testing.assert_array_equal(reads, 2)
+
+    @pytest.mark.parametrize("rows, cumulative, dtype", [
+        (31, False, float), (32, True, float), (32, False, complex),
+    ])
+    def test_other_paths_read_the_whole_stack_once(self, params, rows, cumulative, dtype):
+        h = noisy_protocol(rows, params, seed=1)[:20].astype(dtype)
+        stack = _RecordingStack(h)
+        got = qcore.propagate(stack, 0.1, cumulative=cumulative)
+        assert stack.slices == [(0, 20)]
+        np.testing.assert_array_equal(got, qcore.propagate(h, 0.1, cumulative=cumulative))
+
+
 class TestPairFold:
     """Stacks of at least 32 rows fold in real (cos, sin) pairs, in 8 time blocks."""
 

@@ -319,11 +319,14 @@ class TestGaussianPolicy:
         # but the mean head still learns
         assert np.any(policy.mean_head.dw != 0.0)
 
-    def test_deterministic_is_tanh_of_mean(self):
+    def test_deterministic_is_tanh_of_mean(self, monkeypatch):
         policy, rng = self._small_policy(17)
         obs = rng.normal(size=(6, 3))
         mu, _, _ = policy._heads(obs)
-        np.testing.assert_allclose(policy.deterministic(obs), np.tanh(mu), rtol=1e-14)
+        # the log-variance head plays no part in the deterministic action
+        monkeypatch.setattr(policy.logvar_head, "forward",
+                            lambda h: pytest.fail("log-variance head evaluated"))
+        np.testing.assert_array_equal(policy.deterministic(obs), np.tanh(mu))
 
 
 class TestQuantileCritic:
@@ -464,6 +467,26 @@ class TestQuantileHuberLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="incompatible"):
             quantile_huber_loss(np.zeros((2, 3)), np.zeros((3, 3)))
+
+    def test_bit_equal_to_the_two_branch_huber_loss(self):
+        # quarter-unit grids give differences of exactly 0 and +-1, on both
+        # sides of the branch point; the normal draws give everything else
+        rng = np.random.default_rng(31)
+        z = rng.normal(size=(256, 46))
+        y = rng.normal(size=(256, 25)) * 2.0
+        z[:128, :20] = rng.integers(-8, 9, size=(128, 20)) * 0.25
+        y[:128, :10] = rng.integers(-8, 9, size=(128, 10)) * 0.25
+        b, k = z.shape
+        j = y.shape[1]
+        delta = y[:, None, :] - z[:, :, None]
+        assert (delta == 0.0).any() and (delta == 1.0).any() and (delta == -1.0).any()
+        taus = (np.arange(k) + 0.5) / k
+        weight = np.abs(taus[None, :, None] - (delta < 0.0))
+        huber = np.where(np.abs(delta) <= 1.0, 0.5 * delta**2, np.abs(delta) - 0.5)
+        dz = -(np.clip(delta, -1.0, 1.0) * weight).sum(axis=2) / (b * k * j)
+        loss, got_dz = quantile_huber_loss(z, y)
+        assert loss == float(np.mean(huber * weight))
+        np.testing.assert_array_equal(got_dz, dz)
 
     def test_quadratic_core_linear_tail(self):
         # Inside |delta| <= 1 the loss is quadratic, outside it grows linearly.

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import gc
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from qdrl import qcore
-from qdrl.noise import NoiseConfig
+from qdrl.noise import NoiseConfig, sample_realization
 from qdrl.pulse import convolve, delta_kernel, gaussian_kernel, oversample
 from qdrl.qcore import (
     DeviceParams,
@@ -21,6 +26,7 @@ from qdrl.rlenv import (
     GateSynthesisEnv,
     ObservationMode,
     RewardMode,
+    _HamiltonianStack,
 )
 
 QUIET = dict(n_segments=16, protocol_time=16.0, oversample=4)
@@ -304,8 +310,128 @@ class TestPipelineEquivalence:
         acts = np.where(np.arange(cfg.n_actions) % 2, 1.0, 0.3)[:, None].repeat(3, axis=1)
         env.rollout(acts, seed=0)
         assert len(stacks) == cfg.n_actions
-        evolved = np.concatenate([h[:, 0] for h in stacks])
+        # the env's stacks give their steps as time slices
+        evolved = np.concatenate([h[0 : h.shape[0]][:, 0] for h in stacks])
         np.testing.assert_array_equal(evolved, env.model.hamiltonians(env.shaped_detunings()))
+
+
+    def test_steps_shape_a_window_with_the_whole_prefix_bits(self):
+        # each step shapes only the rows its new substeps read through the
+        # kernel; the observations and the product equal those of shaping
+        # the whole prefix at every step
+        grid = dict(protocol_time=12.0, n_segments=12, oversample=4)
+        cfg = EnvConfig(**grid, kernel=gaussian_kernel(1.125, 0.225, EnvConfig(**grid).dt),
+                        noise=NoiseConfig())
+        env, ref = GateSynthesisEnv(cfg, seed=0), GateSynthesisEnv(cfg, seed=0)
+        # the kernel reaches back two rows and one substep, so a window one
+        # row shorter would miss a substep its new substeps read
+        assert env.kernel.samples.size - 1 == 2 * cfg.oversample + 1
+        env.reset(seed=5)
+        ref.reset(seed=5)
+        u = ref._u
+        for k, action in enumerate(random_actions(env, seed=5)):
+            obs = env.step(action).observation
+            rows = env._table if env.done else env._table[: k + 1]
+            lo = k * cfg.oversample
+            u = ref._evolve(ref._shaped(rows)[lo:], ref._realization, lo) @ u
+            ref._u, ref._k, ref._normalized = u, env._k, env._normalized
+            np.testing.assert_array_equal(obs, ref._observe())
+        np.testing.assert_array_equal(env._u, u)
+
+
+def noisy_detunings(rows: int, seed: int = 0):
+    """Time-major detunings (240, rows, 3) of a random 24-segment protocol on
+    10 substeps of 0.1 ns each with one noise realization per row, and the
+    rows' gradient offsets (rows, 3)."""
+    params = DeviceParams()
+    rng = np.random.default_rng(seed)
+    dets = np.repeat(rng.uniform(params.eps_min, params.eps_max, size=(24, 3)), 10, axis=0)
+    z = sample_realization(NoiseConfig(), rng, len(dets), 0.1, count=rows)
+    return dets[:, None] + z.delta_eps + z.fast.swapaxes(0, 1), z.delta_b
+
+
+class TestHamiltonianStack:
+    """The env's stacks assemble the time slices propagate asks for."""
+
+    @pytest.mark.parametrize("rows, offsets", [(1, False), (1, True), (31, True), (32, True)])
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_same_bits_as_the_built_stack(self, rows, offsets, cumulative):
+        model = DeviceModel.two_qubit(DeviceParams())
+        dets, delta_b = noisy_detunings(rows, seed=rows)
+        delta_b = delta_b if offsets else None
+        stack = _HamiltonianStack(model, dets, delta_b)
+        built = model.hamiltonians(dets, delta_b)
+        assert stack.shape == built.shape and stack.dtype == built.dtype
+        np.testing.assert_array_equal(propagate(stack, 0.1, cumulative=cumulative),
+                                      propagate(built, 0.1, cumulative=cumulative))
+
+    @pytest.mark.parametrize("piece, cores", [(1024, 1), (1024, 2), (1000, 2), (64, 1), (64, 2)])
+    def test_same_bits_on_any_pieces_and_cores(self, monkeypatch, piece, cores):
+        model = DeviceModel.two_qubit(DeviceParams())
+        dets, delta_b = noisy_detunings(100, seed=7)
+        built = propagate(model.hamiltonians(dets, delta_b), 0.1)
+        monkeypatch.setattr(qcore, "_PIECE", piece)
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+        np.testing.assert_array_equal(
+            propagate(_HamiltonianStack(model, dets, delta_b), 0.1), built)
+
+    def test_concurrent_callers_get_the_built_stack_bits(self, monkeypatch):
+        # more threads than cores, each assembling slices of its own stack
+        # while the shared model's tables are read by all
+        model = DeviceModel.two_qubit(DeviceParams())
+        dets, delta_b = noisy_detunings(100, seed=8)
+        built = propagate(model.hamiltonians(dets, delta_b), 0.1)
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(6) as callers:
+                futures = [callers.submit(propagate, _HamiltonianStack(model, dets, delta_b), 0.1)
+                           for _ in range(6)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            np.testing.assert_array_equal(got, built)
+
+    def test_an_episode_leaves_no_reference_cycles(self):
+        # a stack caught in a cycle would keep its chunk's detunings until
+        # the cyclic collector ran, and memory would creep from op to op
+        cfg = EnvConfig(**QUIET, noise=NoiseConfig(), reward_mode=RewardMode.ROBUST_AVG,
+                        n_realizations=40)
+        env = GateSynthesisEnv(cfg, seed=26)
+        acts = random_actions(env, seed=26)
+        gc.collect()
+        gc.disable()
+        try:
+            env.rollout(acts, seed=26)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
+
+    def test_only_time_slices(self):
+        model = DeviceModel.two_qubit(DeviceParams())
+        stack = _HamiltonianStack(model, *noisy_detunings(2))
+        with pytest.raises(TypeError, match="time slices"):
+            stack[:, 0]
+
+    def test_a_reward_chunk_never_holds_its_hamiltonian_stack(self, monkeypatch):
+        # one 512-row chunk on a 240-substep grid, on one core; its whole
+        # (240, 512, 6, 6) Hamiltonian stack alone would take 35 MB
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: 1)
+        cfg = EnvConfig(protocol_time=24.0, n_segments=24, noise=NoiseConfig(),
+                        reward_mode=RewardMode.ROBUST_AVG, n_realizations=1)
+        env = GateSynthesisEnv(cfg, seed=0)
+        env.rollout(random_actions(env, seed=0), seed=0)
+        tracemalloc.start()
+        try:
+            blocks = env._noisy_final_blocks(512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks.shape == (512, 4, 4)
+        assert peak < 20e6
 
 
 class TestDeterminismAndNoise:
