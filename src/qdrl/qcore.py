@@ -31,16 +31,18 @@ series stops at X^17 for ||X|| <= 1, where the first term left out is below
 the float64 machine epsilon. Both series are evaluated at once in
 Paterson-Stockmeyer form: 7 matrix products per matrix before the squarings
 (Y = X^2 and its powers to Y^4, two for the blocks' Y^4 products, one for
-sin X); `step_propagator` gives the details.
+sin X); `step_propagator` gives the details. Each matrix is accepted or
+rejected, and takes its squaring count, by its own entries alone, so its
+propagator has the same bits wherever it sits in a stack and whatever its
+neighbours are.
 
 Large stacks (the Monte Carlo rewards evolve tens of thousands of step
 matrices at once) are split into pieces of 1024 matrices, and the pieces run
 across the cores this process may use, on a thread pool opened for the call
-and closed when it returns. Every matrix goes through the same products as in
-one whole-stack call, with the squaring count set by the whole stack, so the
-results are bit-identical to the serial ones. There is nothing to set: the
-piece size is fixed, the core count is read from the process's affinity mask,
-and with one usable core the pieces run in turn.
+and closed when it returns; a piece is checked and evolved in one task, and
+is read once. There is nothing to set: the piece size is fixed, the core
+count is read from the process's affinity mask, and with one usable core the
+pieces run in turn.
 
 `propagate` multiplies the steps of a time-major stack (M, R, n, n), M steps
 of R rows, into the R final propagators. It reads the stack only through
@@ -48,20 +50,18 @@ h.shape, h.dtype and time slices h[lo:hi], so the stack may be an ndarray or
 an object that assembles each slice when it is asked for (the env's
 Monte Carlo stacks are such objects, and the whole stack then never exists).
 The row rule: a real stack of R >= 32 rows never builds its complex step
-stack, and reads its steps one piece at a time. It is measured piece by
-piece; then its steps split into 8 time blocks, one task each on the same
-pool, and a block takes its pieces again, evaluates their cos/sin series and
-folds each step into its product V = Vr + i Vi at once, in real pairs,
+stack. Its steps split into 8 time blocks, one task each on the same pool,
+and a block reads each of its pieces once, evaluates their cos/sin series
+and folds each step into its product V = Vr + i Vi at once, in real pairs,
 (C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr); the block products are
-then multiplied in time order. That result is independent of the piece size
-and the core count, and differs from the step-by-step complex product at
-roundoff. Fewer rows (every per-step call of the env), cumulative products
-and complex input take the whole stack h[0:M] and keep `step_propagator`
-and the complex product.
+then multiplied in time order. That result is independent of the piece
+size, the core count and the other rows, and differs from the step-by-step
+complex product at roundoff. Fewer rows (every per-step call of the env),
+cumulative products and complex input take the whole stack h[0:M] and keep
+`step_propagator` and the complex product.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -207,18 +207,16 @@ def evolve_serially() -> None:
     _serial = True
 
 
-@contextlib.contextmanager
-def _piece_map(matrices: int):
-    """A map over the tasks of one stack of `matrices` matrices, for every pass
-    over it: on one thread pool across the usable cores, open until the block
-    ends, or in turn on the calling thread when the stack fits in one piece or
-    one core is usable."""
+def _piece_map(fn, tasks, matrices: int) -> list:
+    """[fn(task) for task in tasks] over the tasks of one stack of `matrices`
+    matrices: on a thread pool across the usable cores, opened for the call
+    and closed when it returns, or in turn on the calling thread when the
+    stack fits in one piece or one core is usable."""
     cores = 1 if matrices <= _PIECE else _usable_cores()
     if cores == 1:
-        yield map
-        return
+        return list(map(fn, tasks))
     with ThreadPoolExecutor(max_workers=cores, thread_name_prefix="qdrl-qcore") as pool:
-        yield pool.map
+        return list(pool.map(fn, tasks))
 
 
 @functools.cache
@@ -231,41 +229,36 @@ def _pair_indices(n: int) -> np.ndarray:
     return flat
 
 
-def _measure(h: np.ndarray) -> tuple[float, float, float]:
-    """(max |h - h^dag|, max |h|, max ||h||_1) over a stack.
+def _squarings(h: np.ndarray, dt: float) -> np.ndarray:
+    """Accept each matrix of a stack (N, n, n) on its own and return its s, the
+    fewest squarings that bring dt ||h||_1 / 2^s below 1, as (N,).
 
     ||h||_1, the largest column sum of |h|, equals ||h||_inf for a Hermitian
-    h. The symmetry deviation is read from the pairs i <= j alone, the
-    diagonal included, which gives the same maximum as all pairs. A NaN or
-    inf entry makes the norm non-finite; the deviation is then not computed,
-    since inf - inf would be NaN with a warning.
+    h. A matrix with a NaN or inf entry is rejected, and so is one whose
+    symmetry deviation exceeds HERMITICITY_TOL max(1, ||h||_1), its own
+    scale; the deviation is read from the pairs i <= j alone, the diagonal
+    included. So a matrix is accepted, and gets its s, as it would alone.
     """
-    a = np.abs(h)
-    norm = np.einsum("...ij->...j", a).max()
-    if not np.isfinite(norm):
-        return math.inf, math.inf, norm
     n = h.shape[-1]
+    columns = np.einsum("...ij->...j", np.abs(h))
+    # the maximum over a short trailing axis is fastest across a leading one
+    norm = np.ascontiguousarray(columns.T).max(axis=0)
+    theta = dt * norm
+    # the largest theta is NaN or inf when any is
+    if not theta.max(initial=0.0) < math.inf:
+        raise ValueError("non-finite entries in the Hamiltonian, or in dt ||H||")
     pairs = h.reshape((-1, n * n))[:, _pair_indices(n)]
     half = pairs.shape[1] // 2
-    return np.abs(pairs[:, :half] - pairs[:, half:].conj()).max(), a.max(), norm
-
-
-def _squarings(dev: float, top: float, norm: float, dt: float) -> int:
-    """Accept a stack by its whole-stack measures and return s, the number of
-    squarings that brings dt ||h|| / 2^s to at most 1."""
-    if not np.isfinite(norm):
-        raise ValueError("non-finite entries in the Hamiltonian")
-    if dev > HERMITICITY_TOL * max(1.0, top):
-        raise ValueError(f"non-Hermitian input, symmetry deviation {dev:.3e}")
-    theta = dt * float(norm)
-    return math.ceil(math.log2(theta)) if theta > 1.0 else 0
-
-
-def _stack_squarings(h, pieces: list[slice], dt: float, run) -> int:
-    """_squarings of a stack measured slice by slice with run; the pieces
-    h[s] cover the stack, and each is read only while it is measured."""
-    checks = np.array(list(run(lambda s: _measure(h[s]), pieces)))
-    return _squarings(*checks.max(axis=0), dt)
+    dev = np.abs(pairs[:, :half] - pairs[:, half:].conj())
+    # every tolerance is at least HERMITICITY_TOL, so a stack whose largest
+    # deviation is within it needs no matrix's own scale
+    if dev.max(initial=0.0) > HERMITICITY_TOL:
+        bad = dev > HERMITICITY_TOL * np.maximum(1.0, norm)[:, None]
+        if bad.any():
+            raise ValueError(f"non-Hermitian input, symmetry deviation {dev[bad].max():.3e}")
+    # theta = m 2^e with 0.5 <= m < 1 (e = 0 at theta = 0), so theta / 2^e < 1
+    # and theta / 2^(e - 1) >= 1: s is e, read exactly and with no logarithm
+    return np.maximum(np.frexp(theta)[1], 0)
 
 
 def _check_dt(dt: float) -> None:
@@ -298,21 +291,32 @@ _BLOCKS_OF_POWERS = _BLOCKS_OF_POWERS.reshape((4, 5))
 _BLOCKS_OF_POWERS.setflags(write=False)
 
 
-def _cos_sin(h: np.ndarray, dt: float, squarings: int) -> np.ndarray:
+def _cos_sin(h: np.ndarray, dt: float) -> np.ndarray:
     """cos(dt h) and sin(dt h) of a Hermitian stack (N, n, n), as one
     (2, N, n, n) array; exp(-i dt h) = cos(dt h) - i sin(dt h).
 
-    With X = dt h / 2^s and Y = X^2, cos X and sin X / X are evaluated side
+    With X = dt h / 2^s, s each matrix's own count (`_squarings`, which also
+    checks the stack), and Y = X^2, cos X and sin X / X are evaluated side
     by side in Paterson-Stockmeyer form, in 7 matrix products per matrix:
     Y, Y^2, Y^3 and Y^4 (4 products); the blocks B0 and B1 of both series as
     one (4, 5) x (5, N n n) product with the stacked I, Y, ..., Y^4,
     which combines each entry on its own, so a matrix gets the same bits
     wherever it sits in a stack; p = B0 + Y^4 B1 (2 products) and
     sin X = (sin X / X) X (1). Then cos 2x = C^2 - S^2 and sin 2x = 2 S C
-    double the angle s times, 3 products each. A real h keeps every product
-    real.
+    double each matrix's angle s times, 3 products each; with every s = 0
+    nothing is halved or doubled. A real h keeps every product real.
     """
-    x = h * (dt / 2.0**squarings)
+    squarings = _squarings(h, dt)
+    # the matrices halved and doubled in round k, those with s > k: a slice
+    # when that is all of them (a step of a piecewise-constant drive), which
+    # indexes them without a copy
+    live = []
+    for k in range(squarings.max(initial=0)):
+        more = squarings > k
+        live.append(slice(None) if more.all() else np.flatnonzero(more))
+    x = h * dt
+    for rows in live:
+        x[rows] *= 0.5  # exact, so x ends with the bits of h (dt / 2^s)
     powers = np.empty((5,) + x.shape, dtype=x.dtype)
     eye, y, y2, y3, y4 = powers
     eye[...] = np.eye(x.shape[-1])
@@ -324,17 +328,18 @@ def _cos_sin(h: np.ndarray, dt: float, squarings: int) -> np.ndarray:
     cs = y4 @ blocks[1]
     cs += blocks[0]
     cs[1] = cs[1] @ x
-    for _ in range(squarings):
-        doubled = cs @ cs[0]
-        doubled[0] -= cs[1] @ cs[1]
+    for rows in live:
+        pair = cs[:, rows]
+        doubled = pair @ pair[0]
+        doubled[0] -= pair[1] @ pair[1]
         doubled[1] *= 2.0
-        cs = doubled
+        cs[:, rows] = doubled
     return cs
 
 
-def _taylor_propagator(h: np.ndarray, dt: float, squarings: int, out: np.ndarray) -> None:
+def _taylor_propagator(h: np.ndarray, dt: float, out: np.ndarray) -> None:
     """exp(-i dt h) for a Hermitian stack (N, n, n), written into out."""
-    cs = _cos_sin(h, dt, squarings)
+    cs = _cos_sin(h, dt)
     if np.iscomplexobj(cs):
         np.subtract(cs[0], 1j * cs[1], out=out)
     else:
@@ -347,38 +352,35 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
 
     Evaluated as cos(dt H) - i sin(dt H) by a Taylor series with scaling and
     squaring (Moler & Van Loan, SIAM Rev. 45, 2003; Higham, SIAM J. Matrix
-    Anal. Appl. 26, 2005): X = dt H / 2^s with s = ceil(log2(dt ||H||_1)),
-    the largest norm over the whole stack, so ||X|| <= 1; cos X to X^16 and
-    sin X to X^17, whose truncation error theta^18 / 18! stays below the
-    float64 machine epsilon for theta <= 1; then s angle doublings. Both
-    series are Paterson-Stockmeyer polynomials in Y = X^2 with Y^4 as the
-    block step (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973): Y to Y^4,
-    the blocks as one weighted sum of those powers, the two blocks' Y^4
-    products and sin X = (sin X / X) X, 7 matrix products per matrix before
-    the s doublings of 3 products each. The real symmetric H of every
-    device model keeps all products real; a complex Hermitian H runs the
-    same steps in complex arithmetic.
+    Anal. Appl. 26, 2005): X = dt H / 2^s with s the fewest squarings that
+    bring dt ||H||_1 / 2^s below 1, taken for each matrix from its own norm,
+    so ||X|| < 1; cos X to X^16 and sin X to X^17, whose truncation error
+    theta^18 / 18! stays below the float64 machine epsilon for theta <= 1;
+    then s angle doublings of that matrix alone. Both series are Paterson-Stockmeyer polynomials in Y = X^2
+    with Y^4 as the block step (Paterson & Stockmeyer, SIAM J. Comput. 2,
+    1973): Y to Y^4, the blocks as one weighted sum of those powers, the two
+    blocks' Y^4 products and sin X = (sin X / X) X, 7 matrix products per
+    matrix before its s doublings of 3 products each. The real symmetric H
+    of every device model keeps all products real; a complex Hermitian H
+    runs the same steps in complex arithmetic.
 
-    A stack of more than `_PIECE` (1024) matrices is measured and then
-    evolved in pieces of that size, spread across the usable cores on one
-    thread pool that serves both passes. The whole-stack measures decide
-    acceptance and s before any piece evolves, so the result is
-    bit-identical to evolving the stack whole. A non-Hermitian or
-    non-finite stack raises ValueError.
+    The stack is checked and evolved in pieces of `_PIECE` (1024) matrices,
+    one task each, spread across the usable cores on one thread pool when
+    there is more than one piece. A matrix with a NaN or inf entry, or whose
+    symmetry deviation exceeds HERMITICITY_TOL times max(1, ||H||_1), raises
+    ValueError; each matrix is judged, and gets its s, as it would be alone,
+    so the result is bit-identical to evolving every matrix on its own.
     """
     h = np.asarray(h)
     _check_dt(dt)
     n = h.shape[-1]
     flat = h.reshape((-1, n, n))
     out = np.empty(flat.shape, dtype=np.result_type(h.dtype, np.complex64))
-    if len(flat) <= _PIECE:
-        _taylor_propagator(flat, dt, _squarings(*_measure(flat), dt), out)
-        return out.reshape(h.shape)
-    pieces = [slice(lo, lo + _PIECE) for lo in range(0, len(flat), _PIECE)]
-    with _piece_map(len(flat)) as run:
-        squarings = _stack_squarings(flat, pieces, dt, run)
-        # list() waits for every piece's writes into out
-        list(run(lambda s: _taylor_propagator(flat[s], dt, squarings, out[s]), pieces))
+
+    def piece(lo: int) -> None:
+        _taylor_propagator(flat[lo : lo + _PIECE], dt, out[lo : lo + _PIECE])
+
+    _piece_map(piece, range(0, len(flat), _PIECE), len(flat))
     return out.reshape(h.shape)
 
 
@@ -392,26 +394,22 @@ _PAIR_ROWS = 32
 _BLOCKS = 8
 
 
-def _steps_per_piece(rows: int) -> int:
-    """Whole steps of `rows` rows in one piece: at most `_PIECE` matrices, one
-    step at least."""
-    return max(1, _PIECE // rows)
-
-
-def _fold_block(h, dt: float, squarings: int, steps: range) -> np.ndarray:
+def _fold_block(h, dt: float, steps: range) -> np.ndarray:
     """Propagator through one time block of a real stack (M, ..., n, n), as
     (R, n, n) over its R rows.
 
-    The block reads its steps in pieces of `_steps_per_piece` steps, one slice
-    h[lo:hi] at a time; each piece's cos/sin pairs fold step by step into
-    V = Vr + i Vi as they come: (C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr).
+    The block reads its steps in pieces of whole steps, at most `_PIECE`
+    matrices and one step at least, one slice h[lo:hi] at a time and each
+    once; each piece is checked, and its cos/sin pairs fold step by step
+    into V = Vr + i Vi as they come:
+    (C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr).
     """
     rows, n = math.prod(h.shape[1:-2]), h.shape[-1]
-    per_piece = _steps_per_piece(rows)
+    per_piece = max(1, _PIECE // rows)
     v = None
     for lo in steps[::per_piece]:
         hi = min(lo + per_piece, steps.stop)
-        cs = _cos_sin(h[lo:hi].reshape((-1, n, n)), dt, squarings)
+        cs = _cos_sin(h[lo:hi].reshape((-1, n, n)), dt)
         for pair in cs.reshape((2, hi - lo, rows, n, n)).swapaxes(0, 1):
             if v is None:
                 v = np.stack([pair[0], -pair[1]])
@@ -439,18 +437,17 @@ def propagate(h, dt: float, *, cumulative: bool = False) -> np.ndarray:
 
     The row rule: a real stack of at least `_PAIR_ROWS` (32) rows, final
     propagators only, never builds its complex step stack, nor asks for more
-    than a piece of steps (`_steps_per_piece`) at a time. The pieces are
-    measured first, for acceptance and the squaring count of the whole
-    stack; then its steps split into `_BLOCKS` (8) time blocks, spread
-    across the usable cores, and each block takes its pieces again,
-    evaluates the cos/sin series of `step_propagator` and folds every step
-    at once in real pairs; the block products are then multiplied in time
-    order. The blocks are fixed by M alone, so the result does not depend on
-    the piece size or the core count; it differs from the step-by-step
-    complex fold at roundoff (a few 1e-15 on protocols of hundreds of
-    steps). Every other stack, among them every per-step call of the env,
-    is read whole, h[0:M], and is `step_propagator` followed by the complex
-    fold.
+    than a piece of steps (see `_fold_block`) at a time. Its steps split
+    into `_BLOCKS` (8) time blocks, spread across the usable cores, and each
+    block reads each of its pieces once: it checks each matrix as
+    `step_propagator` does, evaluates the same cos/sin series and folds
+    every step at once in real pairs; the block products are then
+    multiplied in time order. The blocks are fixed by M alone, so the result
+    does not depend on the piece size, the core count or the other rows; it
+    differs from the step-by-step complex fold at roundoff (a few 1e-15 on
+    protocols of hundreds of steps). Every other stack, among them every
+    per-step call of the env, is read whole, h[0:M], and is
+    `step_propagator` followed by the complex fold.
     """
     if not hasattr(h, "dtype"):
         h = np.asarray(h)
@@ -472,13 +469,9 @@ def propagate(h, dt: float, *, cumulative: bool = False) -> np.ndarray:
         for k, step in enumerate(steps):
             out[k + 1] = step @ out[k]
         return out.reshape((m + 1,) + shape[1:])
-    per_piece = _steps_per_piece(rows)
-    pieces = [slice(lo, min(lo + per_piece, m)) for lo in range(0, m, per_piece)]
     bounds = sorted({m * b // _BLOCKS for b in range(_BLOCKS + 1)})
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    with _piece_map(m * rows) as run:
-        squarings = _stack_squarings(h, pieces, dt, run)
-        products = list(run(lambda steps: _fold_block(h, dt, squarings, steps), blocks))
+    products = _piece_map(lambda steps: _fold_block(h, dt, steps), blocks, m * rows)
     u = products[0]
     for v in products[1:]:
         u = v @ u

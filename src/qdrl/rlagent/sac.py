@@ -384,8 +384,10 @@ def evaluate_policy(env, agent: SacAgent, n_episodes: int) -> dict[str, float]:
     As in train_loop, an episode whose terminal tomography reconstruction
     degenerates is dropped and played again on the stream's next draws, and
     more than MAX_ANCHOR_RETRIES in a row re-raise; `eval_anchor_retries`
-    counts the dropped episodes.
+    counts the dropped episodes. n_episodes must be at least 1.
     """
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be at least 1, got {n_episodes}")
     returns, nlifs, leaks = [], [], []
     retries = consecutive_retries = 0
     while len(returns) < n_episodes:
@@ -433,7 +435,13 @@ def train_loop(
     evaluations run on a copy of `env` with its own seed, so evaluating leaves
     the training episodes unchanged. Each record's `update_ms` is the wall time, in ms, spent in
     `agent.update` during that episode (0 while warming up).
+    eval_every = 0 turns periodic evaluation off; a positive period needs
+    n_eval_episodes >= 1, and both are checked before anything runs.
     """
+    if eval_every < 0:
+        raise ValueError(f"eval_every must be >= 0 (0 turns evaluation off), got {eval_every}")
+    if eval_every and n_eval_episodes < 1:
+        raise ValueError(f"periodic evaluation needs n_eval_episodes >= 1, got {n_eval_episodes}")
     cfg = agent.config
     replay = ReplayBuffer(cfg.replay_capacity, agent.obs_dim, agent.act_dim)
     warmup_rng = named_stream(seed, "warmup")

@@ -58,7 +58,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -216,6 +216,7 @@ class _HamiltonianStack:
     detunings (M, R..., C) and gradient offsets (R..., G) or None, as
     `qcore.propagate` reads it: shape, dtype and time slices stack[lo:hi],
     each assembled by `DeviceModel.hamiltonians` when it is asked for.
+    propagate asks for every step once, so each Hamiltonian is built once.
 
     A plain object with no reference cycles: its detunings go with the last
     reference to it, not at the next cyclic garbage collection.
@@ -495,8 +496,9 @@ class GateSynthesisEnv:
         as a `_HamiltonianStack`, which holds only the (M, rows, C)
         detunings and the (rows, G) offsets and assembles the time slices
         propagate asks for: a Monte Carlo chunk of many rows is assembled one
-        piece of steps at a time and never whole, while few rows and
-        cumulative products take the whole stack in one slice.
+        piece of steps at a time, each piece once and the whole stack never,
+        while few rows and cumulative products take the whole stack in one
+        slice.
         """
         dets = dets[:, None]
         if z is None:
@@ -553,7 +555,7 @@ class GateSynthesisEnv:
             block = computational_block(self._u[0], self.model.block_indices)
             return float(nlif(block, self.target, self.config.nlif_cap))
         if mode in (RewardMode.ROBUST_AVG, RewardMode.GAUSS_SURROGATE):
-            blocks = self._noisy_final_blocks(self.config.n_realizations)
+            blocks = np.concatenate(list(self._noisy_final_blocks(self.config.n_realizations)))
             if mode is RewardMode.GAUSS_SURROGATE:
                 blocks = tomography.gaussian_surrogate(blocks, self.config.sigma, self._rng)
             return float(np.mean(nlif(blocks, self.target, self.config.nlif_cap)))
@@ -562,29 +564,26 @@ class GateSynthesisEnv:
         est = tomography.reconstruct_unitary(record, self._povm)
         return float(nlif(est, self.target, self.config.nlif_cap))
 
-    def _noisy_final_blocks(self, count: int) -> np.ndarray:
-        """Computational blocks of `count` fresh-noise evolutions, (count, d, d)."""
+    def _noisy_final_blocks(self, count: int) -> Iterator[np.ndarray]:
+        """Computational blocks of `count` fresh-noise evolutions, yielded in
+        chunks of at most `_REWARD_CHUNK`, (chunk, d, d) each; the table is
+        shaped once, and each chunk draws its noise when it is asked for."""
         if self._noise is None:
             block = computational_block(self._u[0], self.model.block_indices)
-            return np.broadcast_to(block, (count,) + block.shape)
+            yield np.broadcast_to(block, (count,) + block.shape)
+            return
         shaped = self.shaped_detunings()
-        out = [
-            self._evolve(shaped, self._sample_noise(min(_REWARD_CHUNK, count - start)))
-            for start in range(0, count, _REWARD_CHUNK)
-        ]
-        return computational_block(np.concatenate(out), self.model.block_indices)
+        for start in range(0, count, _REWARD_CHUNK):
+            z = self._sample_noise(min(_REWARD_CHUNK, count - start))
+            yield computational_block(self._evolve(shaped, z), self.model.block_indices)
 
     def _sample_protocol_snapshots(self, n_shots: int) -> tomography.MeasurementRecord:
         if self._noise is None:
             block = computational_block(self._u[0], self.model.block_indices)
             return tomography.sample_snapshots(block, n_shots, self._povm, self._rng)
-        counts = None
-        leaks = None
-        for start in range(0, n_shots, _REWARD_CHUNK):
-            r = min(_REWARD_CHUNK, n_shots - start)
-            blocks = self._noisy_final_blocks(r)
-            rec = tomography.sample_snapshots_batch(blocks, self._povm, self._rng)
-            counts = rec.counts if counts is None else counts + rec.counts
-            leaks = rec.leak_counts if leaks is None else leaks + rec.leak_counts
+        records = [tomography.sample_snapshots_batch(blocks, self._povm, self._rng)
+                   for blocks in self._noisy_final_blocks(n_shots)]
+        counts = sum(rec.counts for rec in records)
+        leaks = sum(rec.leak_counts for rec in records)
         return tomography.MeasurementRecord(counts, leaks, n_shots)
 

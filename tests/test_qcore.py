@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
@@ -166,9 +167,9 @@ class TestStepPropagator:
         rng = np.random.default_rng(43)
         dets = rng.uniform(params.eps_min, params.eps_max, size=(8, 8, 3))
         h = DeviceModel.two_qubit(params).hamiltonians(dets, rng.normal(0.0, 0.5, size=(8, 3)))
-        assert qcore._squarings(*qcore._measure(h), dt) == squarings
+        assert qcore._squarings(h.reshape((-1, 6, 6)), dt).max() == squarings
         if bound < 1e-13:
-            assert 0.5 < dt * qcore._measure(h)[2] <= 1.0
+            assert 0.5 < dt * np.abs(h).sum(axis=-2).max() <= 1.0
         u = qcore.step_propagator(h, dt)
         assert u.dtype == np.complex128
         assert np.abs(u - _expm_stack(h, dt)).max() <= bound
@@ -217,6 +218,14 @@ class TestStepPropagator:
         h[3, 2, 2] += 1e-6j
         with pytest.raises(ValueError, match="Hermitian"):
             qcore.step_propagator(h, 0.1)
+
+    def test_zero_stack_is_the_identity_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = qcore.step_propagator(np.zeros((5, 6, 6)), 0.1)
+            final = qcore.propagate(np.zeros((10, 32, 6, 6)), 0.1)
+        np.testing.assert_array_equal(u, np.broadcast_to(np.eye(6), u.shape))
+        np.testing.assert_array_equal(final, np.broadcast_to(np.eye(6), final.shape))
 
     def test_rejects_nonpositive_dt(self, params):
         h = hamiltonian(np.zeros(3), params)
@@ -302,7 +311,7 @@ class TestLargeStacks:
         assert not [t for t in threading.enumerate() if t.name.startswith("qdrl-qcore")]
 
     def test_one_thread_pool_per_call(self, stack, monkeypatch):
-        # measuring and evolving the pieces share one executor
+        # every piece of the call runs on one executor
         opened = []
 
         class Counting(ThreadPoolExecutor):
@@ -329,19 +338,20 @@ class TestLargeStacks:
     def test_a_matrix_alone_equals_its_place_in_a_stack(self, monkeypatch, cores, dtype):
         # the series' coefficient step is one product over a whole piece; a
         # matrix gets the same bits alone as at either side of a piece
-        # boundary. Every ||h||_1 is 1, so dt = 3 sets 2 squarings alone and
-        # in the stack.
+        # boundary. Norms of 0.1, 1, 5 and 40 at dt = 3 take 0, 2, 4 and 7
+        # squarings, mixed within every piece.
         rng = np.random.default_rng(33)
         a = rng.normal(size=(3000, 6, 6)).astype(dtype)
         if dtype is complex:
             a += 1j * rng.normal(size=a.shape)
         h = a + np.swapaxes(a, -1, -2).conj()
         h /= np.abs(h).sum(axis=-2).max(axis=-1)[:, None, None]
+        h *= np.resize([0.1, 1.0, 5.0, 40.0], len(h))[:, None, None]
         monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
         stack = qcore.step_propagator(h, 3.0)
-        for k in (0, 1022, 1023, 1024, 1025, 2047, 2048, 2999):
+        for k in (0, 1, 2, 1022, 1023, 1024, 1025, 2047, 2048, 2999):
             alone = qcore.step_propagator(h[k], 3.0)
-            assert qcore._squarings(*qcore._measure(h[k]), 3.0) == 2
+            assert qcore._squarings(h[k : k + 1], 3.0) == [0, 2, 4, 7][k % 4]
             np.testing.assert_array_equal(alone, stack[k])
 
     @pytest.mark.parametrize("cores", [1, 2])
@@ -354,22 +364,36 @@ class TestLargeStacks:
             qcore.step_propagator(h, 0.1)
 
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_squarings_set_by_the_whole_stack(self, stack, monkeypatch, cores):
-        # one large-norm matrix in the last piece sets the squaring count for
-        # every piece, as it does for an unsplit stack
+    def test_squarings_set_by_each_matrix(self, stack, monkeypatch, cores):
+        # one large-norm matrix in the last piece takes more squarings than
+        # the rest, which keep the bits they have without it
         h = stack.copy()
         h[-1, -1] *= 300.0
         monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
-        np.testing.assert_array_equal(qcore.step_propagator(h, 0.1), self.whole(h, monkeypatch))
+        got = qcore.step_propagator(h, 0.1)
+        np.testing.assert_array_equal(got, self.whole(h, monkeypatch))
+        np.testing.assert_array_equal(got[-1, -1], qcore.step_propagator(h[-1, -1], 0.1))
+        untouched = qcore.step_propagator(stack, 0.1)
+        np.testing.assert_array_equal(got[:-1], untouched[:-1])
+        np.testing.assert_array_equal(got[-1, :-1], untouched[-1, :-1])
 
-    def test_hermiticity_judged_against_the_whole_stack(self, stack, monkeypatch):
-        # the largest entry sits in the first piece and sets the tolerance for
-        # an asymmetry in the last piece, as it does for an unsplit stack
-        h = stack.copy()
-        h[0, 0, 5, 5] = 1e4
-        h[-1, -1, 0, 1] += 1e-9
-        monkeypatch.setattr(qcore, "_usable_cores", lambda: 2)
-        np.testing.assert_array_equal(qcore.step_propagator(h, 0.1), self.whole(h, monkeypatch))
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_hermiticity_judged_per_matrix(self, stack, monkeypatch, cores):
+        # an asymmetry of 1e-9 is within the tolerance of a matrix with an
+        # entry of 1e4, alone and in a stack, and outside that of a matrix of
+        # unit scale, alone and in a stack that holds the large one as well
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+        large = stack.copy()
+        large[0, 0, 5, 5] = 1e4
+        large[0, 0, 0, 1] += 1e-9
+        got = qcore.step_propagator(large, 0.1)
+        np.testing.assert_array_equal(got[0, 0], qcore.step_propagator(large[0, 0], 0.1))
+        np.testing.assert_array_equal(got, self.whole(large, monkeypatch))
+        small = large.copy()
+        small[-1, -1, 0, 1] += 1e-9
+        for h in (small, small[-1, -1]):
+            with pytest.raises(ValueError, match="Hermitian"):
+                qcore.step_propagator(h, 0.1)
 
     @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
     def test_child_forked_after_the_pool_started(self, stack, monkeypatch):
@@ -430,11 +454,11 @@ class TestStackContract:
         np.testing.assert_array_equal(qcore.propagate(stack, 0.1), whole)
         per_piece = max(1, piece // rows)
         assert max(hi - lo for lo, hi in stack.slices) <= per_piece
-        # every step is read twice: once measured, once evolved
+        # every step is read exactly once, checked and evolved together
         reads = np.zeros(len(h), dtype=int)
         for lo, hi in stack.slices:
             reads[lo:hi] += 1
-        np.testing.assert_array_equal(reads, 2)
+        np.testing.assert_array_equal(reads, 1)
 
     @pytest.mark.parametrize("rows, cumulative, dtype", [
         (31, False, float), (32, True, float), (32, False, complex),
@@ -456,6 +480,16 @@ class TestPairFold:
         u = qcore.propagate(h, 0.1)
         assert u.shape == (rows, 6, 6) and u.dtype == np.complex128
         assert np.abs(u - complex_fold(h, 0.1)).max() <= 1e-13
+
+    def test_rows_do_not_depend_on_their_neighbours(self, params):
+        # rows 40..63 take more squarings than rows 0..39, which keep the
+        # bits they have in a stack of their own
+        h = noisy_protocol(64, params, seed=7)
+        h[:, 40:] *= 40.0
+        assert qcore._squarings(h[:, 40:].reshape((-1, 6, 6)), 0.1).min() > (
+            qcore._squarings(h[:, :40].reshape((-1, 6, 6)), 0.1).max())
+        np.testing.assert_array_equal(qcore.propagate(h, 0.1)[:40],
+                                      qcore.propagate(h[:, :40], 0.1))
 
     def test_31_and_32_rows_agree(self, params):
         h = noisy_protocol(32, params, seed=3)

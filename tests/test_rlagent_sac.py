@@ -77,6 +77,16 @@ class LineEnv:
         return StepResult(self._obs(), reward, done, {"nlif": reward, "leakage": 0.0})
 
 
+class CountingLineEnv(LineEnv):
+    """LineEnv that counts its steps."""
+
+    steps = 0
+
+    def step(self, action):
+        self.steps += 1
+        return super().step(action)
+
+
 class TestSacConfig:
     def test_defaults_valid(self):
         cfg = SacConfig()
@@ -387,6 +397,19 @@ class TestTrainLoop:
         restored = SacAgent.load(diag)
         assert not np.isfinite(restored.policy.mean_head.w[0, 0])
 
+    @pytest.mark.parametrize("eval_every, n_eval_episodes, match", [
+        (3, 0, "n_eval_episodes >= 1"),
+        (-2, 4, "eval_every must be >= 0"),
+    ])
+    def test_bad_evaluation_settings_rejected_before_training(self, eval_every,
+                                                               n_eval_episodes, match):
+        env = CountingLineEnv()
+        agent = SacAgent(2, 1, SacConfig(**SMALL), seed=8)
+        with pytest.raises(ValueError, match=match):
+            train_loop(env, agent, 6, seed=8, eval_every=eval_every,
+                       n_eval_episodes=n_eval_episodes)
+        assert env.steps == 0
+
     def test_degenerate_anchor_episode_retried_and_excluded(self):
         class FlakyEnv(LineEnv):
             def __init__(self):
@@ -441,28 +464,38 @@ class RandomTableAgent:
 
 
 class TestEvaluatePolicy:
+    def test_no_episodes_rejected_before_playing(self):
+        env = CountingLineEnv()
+        agent = SacAgent(2, 1, SacConfig(**SMALL), seed=9)
+        with pytest.raises(ValueError, match="n_episodes must be at least 1"):
+            evaluate_policy(env, agent, 0)
+        assert env.steps == 0
+
     def test_degenerate_anchor_episode_retried(self):
-        # a one-qubit tomographic reward at 8 snapshots, too thin to invert
-        # now and then: on this stream the 7th table's record is rank
-        # deficient, which used to end the evaluation
+        # a one-qubit tomographic reward at 8 snapshots, the fewest that can
+        # invert, whose record is rank deficient for about one table in 40;
+        # which tables fail moves with the propagators' roundoff, so the test
+        # holds to the invariants over enough episodes to see a few
         cfg = EnvConfig(n_segments=8, oversample=2, reward_mode=RewardMode.TOMO_SNAPSHOT,
                         n_snapshots=8)
         env = GateSynthesisEnv(cfg, model=DeviceModel.single_qubit(cfg.device), seed=0)
         agent = RandomTableAgent(cfg.n_actions, seed=0)
-        scores = evaluate_policy(env, agent, 10)
-        assert scores["eval_anchor_retries"] == 1
-        assert len(agent.tables) == 11
+        scores = evaluate_policy(env, agent, 300)
+        retries = scores["eval_anchor_retries"]
+        assert retries >= 1
+        assert len(agent.tables) == 300 + retries
         assert all(np.isfinite(v) for v in scores.values())
 
-        # the same tables on a fresh env of the same seed: only the 7th raises
+        # the same tables on a fresh env of the same seed: exactly the
+        # dropped episodes raise
         probe = GateSynthesisEnv(cfg, model=DeviceModel.single_qubit(cfg.device), seed=0)
-        failed = []
-        for k, table in enumerate(agent.tables):
+        failed = 0
+        for table in agent.tables:
             try:
                 probe.rollout(table)
             except DegenerateAnchorError:
-                failed.append(k)
-        assert failed == [6]
+                failed += 1
+        assert failed == retries
 
     def test_persistent_anchor_failure_eventually_raises(self, monkeypatch):
         class BrokenEnv(LineEnv):

@@ -424,9 +424,10 @@ class TestHamiltonianStack:
                         reward_mode=RewardMode.ROBUST_AVG, n_realizations=1)
         env = GateSynthesisEnv(cfg, seed=0)
         env.rollout(random_actions(env, seed=0), seed=0)
+        chunks = env._noisy_final_blocks(512)
         tracemalloc.start()
         try:
-            blocks = env._noisy_final_blocks(512)
+            blocks = next(chunks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
