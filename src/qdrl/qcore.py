@@ -237,15 +237,17 @@ def _pair_indices(n: int) -> np.ndarray:
     return flat
 
 
-def _squarings(h: np.ndarray, dt: float) -> np.ndarray:
+def _squarings(h: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
     """Accept each matrix of a stack (N, n, n) on its own and return its s, the
-    fewest squarings that bring dt ||h||_1 / 2^s below 1, as (N,).
+    fewest squarings that bring dt ||h||_1 / 2^s below 1, as (N,), with the
+    largest s (0 for an empty stack), the number of doubling rounds.
 
     ||h||_1, the largest column sum of |h|, equals ||h||_inf for a Hermitian
     h. A matrix with a NaN or inf entry is rejected, and so is one whose
-    symmetry deviation exceeds HERMITICITY_TOL max(1, ||h||_1), its own
-    scale; the deviation is read from the pairs i <= j alone, the diagonal
-    included. So a matrix is accepted, and gets its s, as it would alone.
+    symmetry deviation exceeds HERMITICITY_TOL ||h||_1, relative to its own
+    scale as roundoff is; the deviation is read from the pairs i <= j alone,
+    the diagonal included. So a matrix is accepted, and gets its s, as it
+    would alone.
     """
     n = h.shape[-1]
     columns = np.einsum("...ij->...j", np.abs(h))
@@ -253,18 +255,20 @@ def _squarings(h: np.ndarray, dt: float) -> np.ndarray:
     norm = np.ascontiguousarray(columns.T).max(axis=0)
     theta = dt * norm
     # the largest theta is NaN or inf when any is
-    if not theta.max(initial=0.0) < math.inf:
+    top = theta.max(initial=0.0)
+    if not top < math.inf:
         raise ValueError("non-finite entries in the Hamiltonian, or in dt ||H||")
     pairs = h.reshape((-1, n * n))[:, _pair_indices(n)]
     half = pairs.shape[1] // 2
     dev = np.abs(pairs[:, :half] - pairs[:, half:].conj())
-    bad = dev > HERMITICITY_TOL * np.maximum(1.0, norm)[:, None]
+    bad = dev > HERMITICITY_TOL * norm[:, None]
     # count_nonzero tests a 10-matrix stack ~0.7 us faster than bad.any()
     if np.count_nonzero(bad):
         raise ValueError(f"non-Hermitian input, symmetry deviation {dev[bad].max():.3e}")
     # theta = m 2^e with 0.5 <= m < 1 (e = 0 at theta = 0), so theta / 2^e < 1
-    # and theta / 2^(e - 1) >= 1: s is e, read exactly and with no logarithm
-    return np.maximum(np.frexp(theta)[1], 0)
+    # and theta / 2^(e - 1) >= 1: s is e, read exactly and with no logarithm;
+    # e grows with theta, so the largest s is that of the largest theta
+    return np.maximum(np.frexp(theta)[1], 0), max(math.frexp(top)[1], 0)
 
 
 def _check_dt(dt: float) -> None:
@@ -312,9 +316,9 @@ def _cos_sin(h: np.ndarray, dt: float) -> np.ndarray:
     double each matrix's angle s times, 3 products each; with every s = 0
     nothing is halved or doubled. A real h keeps every product real.
     """
-    squarings = _squarings(h, dt)
+    squarings, rounds = _squarings(h, dt)
     # the matrices halved and doubled in round k, those with s > k
-    live = [np.flatnonzero(squarings > k) for k in range(squarings.max(initial=0))]
+    live = [np.flatnonzero(squarings > k) for k in range(rounds)]
     x = h * dt
     for rows in live:
         x[rows] *= 0.5  # exact, so x ends with the bits of h (dt / 2^s)
@@ -368,7 +372,7 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     The stack is checked and evolved in pieces of `_PIECE` (1024) matrices,
     one task each, spread across the usable cores on one thread pool when
     there is more than one piece. A matrix with a NaN or inf entry, or whose
-    symmetry deviation exceeds HERMITICITY_TOL times max(1, ||H||_1), raises
+    symmetry deviation exceeds HERMITICITY_TOL times its ||H||_1, raises
     ValueError; each matrix is judged, and gets its s, as it would be alone,
     so the result is bit-identical to evolving every matrix on its own.
     """
@@ -376,7 +380,7 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     _check_dt(dt)
     n = h.shape[-1]
     flat = h.reshape((-1, n, n))
-    out = np.empty(flat.shape, dtype=np.result_type(h.dtype, np.complex64))
+    out = np.empty(flat.shape, dtype=np.promote_types(h.dtype, np.complex64))
 
     def piece(lo: int) -> None:
         _taylor_propagator(flat[lo : lo + _PIECE], dt, out[lo : lo + _PIECE])

@@ -167,7 +167,8 @@ class TestStepPropagator:
         rng = np.random.default_rng(43)
         dets = rng.uniform(params.eps_min, params.eps_max, size=(8, 8, 3))
         h = DeviceModel.two_qubit(params).hamiltonians(dets, rng.normal(0.0, 0.5, size=(8, 3)))
-        assert qcore._squarings(h.reshape((-1, 6, 6)), dt).max() == squarings
+        each, rounds = qcore._squarings(h.reshape((-1, 6, 6)), dt)
+        assert each.max() == rounds == squarings
         if bound < 1e-13:
             assert 0.5 < dt * np.abs(h).sum(axis=-2).max() <= 1.0
         u = qcore.step_propagator(h, dt)
@@ -351,7 +352,7 @@ class TestLargeStacks:
         stack = qcore.step_propagator(h, 3.0)
         for k in (0, 1, 2, 1022, 1023, 1024, 1025, 2047, 2048, 2999):
             alone = qcore.step_propagator(h[k], 3.0)
-            assert qcore._squarings(h[k : k + 1], 3.0) == [0, 2, 4, 7][k % 4]
+            assert qcore._squarings(h[k : k + 1], 3.0)[0] == [0, 2, 4, 7][k % 4]
             np.testing.assert_array_equal(alone, stack[k])
 
     @pytest.mark.parametrize("cores", [1, 2])
@@ -486,8 +487,8 @@ class TestPairFold:
         # bits they have in a stack of their own
         h = noisy_protocol(64, params, seed=7)
         h[:, 40:] *= 40.0
-        assert qcore._squarings(h[:, 40:].reshape((-1, 6, 6)), 0.1).min() > (
-            qcore._squarings(h[:, :40].reshape((-1, 6, 6)), 0.1).max())
+        assert qcore._squarings(h[:, 40:].reshape((-1, 6, 6)), 0.1)[0].min() > (
+            qcore._squarings(h[:, :40].reshape((-1, 6, 6)), 0.1)[0].max())
         np.testing.assert_array_equal(qcore.propagate(h, 0.1)[:40],
                                       qcore.propagate(h[:, :40], 0.1))
 
