@@ -11,6 +11,7 @@ import dataclasses
 import json
 import shutil
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from ..pulse import ImpulseKernel
 from ..qcore import evolve_serially
 from ..rlagent import SacAgent, evaluate_policy, play_policy, train_loop
-from ..rlenv import TAIL_SEGMENTS
+from ..rlenv import TAIL_SEGMENTS, GateSynthesisEnv
 from ..seeding import named_stream
 from ..tomography import calibrate_sigma_to_shots
 from .config import ConfigError, ExperimentConfig, _noise_config, config_from_dict
@@ -128,12 +129,24 @@ def cmd_train(config: ExperimentConfig, out: Path | None = None) -> dict:
 # ------------------------------------------------------------------ evaluate
 
 
-def _load_agent(config: ExperimentConfig, checkpoint: Path) -> SacAgent:
-    """Load a checkpoint saved under this config's agent settings."""
+def _load_agent(config: ExperimentConfig, checkpoint: Path, env: GateSynthesisEnv) -> SacAgent:
+    """Load a checkpoint saved under this config's agent settings for `env`.
+
+    The agent hash does not cover the env, so the agent's observation and
+    action widths are checked against `env` here.
+    """
     try:
-        return SacAgent.load(checkpoint, expected_config=config.agent)
-    except (ValueError, FileNotFoundError) as err:
+        # opened here, since np.load leaks the handle of a truncated archive it opened
+        with open(checkpoint, "rb") as file:
+            agent = SacAgent.load(file, expected_config=config.agent)
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as err:
+        # an empty file raises EOFError and a truncated archive BadZipFile
         raise ConfigError(f"incompatible or unreadable checkpoint {checkpoint}: {err}") from err
+    widths, wanted = (agent.obs_dim, agent.act_dim), (env.observation_size, env.n_channels)
+    if widths != wanted:
+        raise ConfigError(f"checkpoint {checkpoint} holds an agent of (observation, action) "
+                          f"widths {widths}; the configured env needs {wanted}")
+    return agent
 
 
 def _percentiles(values: np.ndarray) -> dict:
@@ -156,13 +169,12 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path, episodes: int | Non
     episodes = episodes if episodes is not None else config.resolved["evaluate"]["episodes"]
     if episodes < 1:
         raise ConfigError(f"episodes must be at least 1, got {episodes}")
-    agent = _load_agent(config, checkpoint)
+    seed = config.seeds[0]
+    clean_env = config.make_env(seed, reward_mode="sparse", noise=None)
+    agent = _load_agent(config, checkpoint, clean_env)
     out = _ensure_dir(Path(out) if out is not None else config.output_dir)
 
-    seed = config.seeds[0]
-
     # Frozen table: one noise-free closed-loop rollout of the deterministic policy.
-    clean_env = config.make_env(seed, reward_mode="sparse", noise=None)
     play_policy(clean_env, agent, seed)
     frozen_actions = clean_env.actions_normalized
 
@@ -459,11 +471,11 @@ def cmd_tomo_calibrate(config: ExperimentConfig, out: Path | None = None) -> dic
 def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
                         noise_seed: int | None = None, out: Path | None = None) -> dict:
     """Roll out the deterministic policy and write its pulse table in mV."""
-    agent = _load_agent(config, checkpoint)
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     reset_seed = config.seeds[0] if noise_seed is None else noise_seed
     muted = {"noise": None} if noise_seed is None else {}
     env = config.make_env(reset_seed, reward_mode="sparse", **muted)
+    agent = _load_agent(config, checkpoint, env)
+    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
     _, info = play_policy(env, agent, reset_seed)
 
     shaped = env.shaped_detunings()

@@ -11,6 +11,12 @@ A backward pass with params=False returns the input gradient only and leaves
 the parameter gradients untouched, for callers that differentiate through a
 network they do not train (the policy step through the critics).
 
+Gradient buffers and Adam moments start as np.zeros arrays, which the OS
+backs with memory only where they are first written (the first backward pass
+or optimizer step, or a checkpoint load for the moments), so a network that
+only runs forward holds its parameters alone. The agent's target critics are
+such networks: they copy the critics' parameters and never their gradients.
+
 All math is float64. The networks are deliberately tiny (two hidden layers),
 so explicit loops over layers cost nothing next to the matmuls.
 """
@@ -72,8 +78,9 @@ class Dense:
         bound = 1.0 / np.sqrt(n_in)
         self.w = rng.uniform(-bound, bound, size=(n_in, n_out))
         self.b = rng.uniform(-bound, bound, size=n_out)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        # calloc-backed np.zeros maps each page on first write; np.zeros_like writes them all
+        self.dw = np.zeros(self.w.shape)
+        self.db = np.zeros(self.b.shape)
 
     def forward(self, x: np.ndarray):
         y = x @ self.w
@@ -102,8 +109,8 @@ class LayerNorm:
     def __init__(self, n: int):
         self.gamma = np.ones(n)
         self.beta = np.zeros(n)
-        self.dgamma = np.zeros_like(self.gamma)
-        self.dbeta = np.zeros_like(self.beta)
+        self.dgamma = np.zeros(n)  # paged on first write, as in Dense
+        self.dbeta = np.zeros(n)
 
     def forward(self, x: np.ndarray):
         xhat = x - x.mean(axis=-1, keepdims=True)
@@ -421,8 +428,9 @@ class Adam:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        # paged on first write (the first step or a checkpoint load), as in Dense
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
         self.t = 0
 
     def step(self, grads) -> None:

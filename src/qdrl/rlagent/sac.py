@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+# what SacAgent.load reads from a checkpoint's metadata besides its version
+_META_FIELDS = {"obs_dim", "act_dim", "config", "config_hash", "updates_done"}
 
 # consecutive episodes train_loop and evaluate_policy drop for a degenerate
 # tomography anchor before they re-raise
@@ -176,7 +178,10 @@ class SacAgent:
             QuantileCritic(init_rng, obs_dim, act_dim, cfg.hidden, cfg.n_quantiles, cfg.dropout)
             for _ in range(cfg.n_critics)
         ]
-        self.target_critics = copy.deepcopy(self.critics)
+        # targets run forward only: they copy the parameters and get fresh,
+        # never-written gradient buffers in place of copies of the critics'
+        fresh = {id(g): np.zeros(g.shape) for c in self.critics for g in c.grads()}
+        self.target_critics = copy.deepcopy(self.critics, fresh)
         self.policy_opt = Adam(self.policy.params(), cfg.learning_rate)
         self.critic_opts = [Adam(c.params(), cfg.learning_rate) for c in self.critics]
         self.auto_temperature = cfg.temperature is None
@@ -322,15 +327,22 @@ class SacAgent:
         """Rebuild an agent from a checkpoint.
 
         If `expected_config` is given, its hash must match the one stored in
-        the checkpoint.
+        the checkpoint. A checkpoint without its metadata or one of its
+        fields, or whose arrays are not exactly the agent's, raises
+        ValueError naming what is missing or unexpected.
         """
         with np.load(path, allow_pickle=False) as data:
+            if "meta_json" not in data.files:
+                raise ValueError("checkpoint has no meta_json record")
             meta = json.loads(str(data["meta_json"][()]))
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise ValueError(
                     f"unsupported checkpoint version {meta.get('version')!r}; "
                     f"this build reads version {CHECKPOINT_VERSION}"
                 )
+            absent = sorted(_META_FIELDS - meta.keys())
+            if absent:
+                raise ValueError(f"checkpoint metadata lacks {absent}")
             stored = SacConfig(**meta["config"])
             if expected_config is not None and config_hash(expected_config) != meta["config_hash"]:
                 raise ValueError(
@@ -341,6 +353,13 @@ class SacAgent:
             agent = cls(meta["obs_dim"], meta["act_dim"], stored, seed=seed)
             agent.updates_done = int(meta["updates_done"])
             arrays = agent._named_arrays()
+            missing = sorted(arrays.keys() - set(data.files))
+            unexpected = sorted(set(data.files) - arrays.keys() - {"meta_json"})
+            if missing or unexpected:
+                raise ValueError(
+                    "checkpoint arrays do not match the agent: "
+                    f"missing {missing or 'none'}, unexpected {unexpected or 'none'}"
+                )
             for name, dst in arrays.items():
                 src = data[name]
                 if src.shape != dst.shape:

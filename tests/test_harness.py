@@ -43,7 +43,7 @@ from qdrl.harness.cli import _build_parser
 from qdrl.harness.cli import main as cli_main
 from qdrl import qcore
 from qdrl.qcore import DeviceParams
-from qdrl.rlagent import SacConfig, train_loop
+from qdrl.rlagent import SacAgent, SacConfig, train_loop
 from qdrl.rlenv import EnvConfig
 
 
@@ -479,6 +479,30 @@ def trained(outdir):
     return cfg, outdir / "t" / "agent_seed0.npz"
 
 
+def _checkpoint_without(ckpt: Path, name: str, dest: Path) -> Path:
+    """A copy of a checkpoint with one of its arrays left out."""
+    with np.load(ckpt, allow_pickle=False) as data:
+        np.savez(dest, **{k: data[k] for k in data.files if k != name})
+    return dest
+
+
+def _mismatched_checkpoint(cfg, mismatch: str, dest: Path) -> Path:
+    """A checkpoint under cfg's agent settings whose widths do not fit cfg's env.
+
+    "observation": the agent of a u_plus_pulse env, whose observation is wider
+    than the configured u_exact one; "action": one action channel too many.
+    """
+    if mismatch == "observation":
+        other = config_from_dict(tiny_raw(env={"observation_mode": "u_plus_pulse"}))
+        env = other.make_env(0)
+        agent = other.make_agent(env, 0)
+    else:
+        env = cfg.make_env(0)
+        agent = SacAgent(env.observation_size, env.n_channels + 1, cfg.agent)
+    agent.save(dest)
+    return dest
+
+
 class TestEvaluateCommand:
     def test_noise_free_dynamic_equals_frozen(self, outdir, trained):
         cfg, ckpt = trained
@@ -605,6 +629,32 @@ class TestExportProtocol:
         with pytest.raises(ConfigError, match="checkpoint"):
             cmd_export_protocol(cfg, outdir / "nope.npz", out=outdir / "ex3")
         assert not (outdir / "ex3").exists()
+
+
+# the commands that read a checkpoint, each run with its output directory
+_CHECKPOINT_COMMANDS = {
+    "evaluate": lambda cfg, ckpt, out: cmd_evaluate(cfg, ckpt, episodes=1, out=out),
+    "export-protocol": lambda cfg, ckpt, out: cmd_export_protocol(cfg, ckpt, out=out),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CHECKPOINT_COMMANDS))
+class TestCheckpointChecks:
+    @pytest.mark.parametrize("name", ["policy.0", "critic1.0", "meta_json"])
+    def test_missing_record_rejected_before_writing(self, outdir, trained, command, name):
+        cfg, ckpt = trained
+        broken = _checkpoint_without(ckpt, name, outdir / "broken.npz")
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            _CHECKPOINT_COMMANDS[command](cfg, broken, outdir / "out")
+        assert not (outdir / "out").exists()
+
+    @pytest.mark.parametrize("mismatch", ["observation", "action"])
+    def test_width_mismatch_rejected_before_writing(self, outdir, command, mismatch):
+        cfg = config_from_dict(tiny_raw())
+        ckpt = _mismatched_checkpoint(cfg, mismatch, outdir / "other.npz")
+        with pytest.raises(ConfigError, match="widths"):
+            _CHECKPOINT_COMMANDS[command](cfg, ckpt, outdir / "out")
+        assert not (outdir / "out").exists()
 
 
 class TestAnalyzeCommand:
@@ -867,6 +917,22 @@ class TestCli:
         code = cli_main(["evaluate", "--config", str(path),
                          "--checkpoint", str(ckpt), "--episodes", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-protocol"])
+    def test_bad_checkpoint_exits_two_without_writing(self, outdir, trained, command):
+        cfg, ckpt = trained
+        path = self._config_file(outdir, tiny_raw())
+        broken = _checkpoint_without(ckpt, "policy.0", outdir / "broken.npz")
+        wide = _mismatched_checkpoint(cfg, "observation", outdir / "wide.npz")
+        empty = outdir / "empty.npz"
+        empty.write_bytes(b"")
+        truncated = outdir / "truncated.npz"
+        truncated.write_bytes(ckpt.read_bytes()[:2000])
+        for bad in (broken, wide, empty, truncated):
+            out = outdir / f"out_{bad.stem}"
+            assert cli_main([command, "--config", str(path), "--checkpoint", str(bad),
+                             "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_budget_and_seed_overrides(self, outdir):
         path = self._config_file(outdir, tiny_raw())

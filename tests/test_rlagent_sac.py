@@ -10,6 +10,12 @@ is uniform by a chi-square test.
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +313,59 @@ class TestUpdate:
         assert np.isfinite(metrics["critic_loss"])
 
 
+class TestTargetCritics:
+    def test_targets_equal_the_critics_and_share_no_array(self):
+        agent = small_agent(seed=13)
+        for critic, target in zip(agent.critics, agent.target_critics, strict=True):
+            for src, tgt in zip(critic.params(), target.params(), strict=True):
+                np.testing.assert_array_equal(tgt, src)
+        online = [a for c in agent.critics for a in c.params() + c.grads()]
+        for target in agent.target_critics:
+            for tgt in target.params() + target.grads():
+                assert not any(np.shares_memory(tgt, a) for a in online)
+
+    def test_updates_write_no_gradient_into_the_targets(self):
+        agent = small_agent(seed=14)
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            agent.update(random_batch(rng, SMALL["batch_size"]))
+        assert any(np.any(g) for c in agent.critics for g in c.grads())
+        for target in agent.target_critics:
+            for grad, param in zip(target.grads(), target.params(), strict=True):
+                assert grad.shape == param.shape
+                assert not np.any(grad)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from procfs")
+def test_fresh_agent_pages_only_the_arrays_it_writes():
+    # a default-size agent (36 observations, 3 actions, hidden (512, 512))
+    # writes its ~12 MB of parameters; its ~25 MB of gradients and Adam
+    # moments stay unpaged until an update or a checkpoint load writes them
+    script = textwrap.dedent("""
+        import numpy as np
+        from qdrl.rlagent import SacAgent
+
+        def rss_mb():
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1]) / 1024.0
+
+        obs = np.linspace(-1.0, 1.0, 36)
+        before = rss_mb()
+        agent = SacAgent(36, 3, seed=0)
+        for _ in range(10):
+            agent.act(obs, deterministic=True)
+        print(rss_mb() - before)
+    """)
+    src = str(Path(sac.__file__).parents[2])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    growth = float(result.stdout)
+    assert growth < 20.0, f"a fresh agent grew VmRSS by {growth:.1f} MB"
+
+
 class TestActing:
     def test_actions_bounded_and_deterministic_mode_repeats(self):
         agent = small_agent(seed=12)
@@ -580,13 +639,48 @@ class TestCheckpoints:
         loaded = SacAgent.load(path, expected_config=SacConfig(**SMALL))
         assert loaded.config == SacConfig(**SMALL)
 
-    def test_unsupported_version_rejected(self, tmp_path):
-        _, path = self._trained_agent(tmp_path)
+    @staticmethod
+    def _rewrite(path, change):
+        """Apply change to the checkpoint's {name: array} dict and save it back."""
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
-        meta = json.loads(str(arrays["meta_json"][()]))
-        meta["version"] = 99
-        arrays["meta_json"] = np.array(json.dumps(meta))
+        change(arrays)
         np.savez(path, **arrays)
+
+    def _rewrite_meta(self, path, change):
+        def on_meta(arrays):
+            meta = json.loads(str(arrays["meta_json"][()]))
+            change(meta)
+            arrays["meta_json"] = np.array(json.dumps(meta))
+
+        self._rewrite(path, on_meta)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        _, path = self._trained_agent(tmp_path)
+        self._rewrite_meta(path, lambda meta: meta.update(version=99))
         with pytest.raises(ValueError, match="version"):
+            SacAgent.load(path)
+
+    @pytest.mark.parametrize("name, match", [
+        *((name, rf"missing \['{re.escape(name)}'\]")
+          for name in ("policy.0", "critic1.0", "target0.3", "critic0_opt.0")),
+        ("meta_json", "no meta_json record"),
+    ])
+    def test_missing_array_named(self, tmp_path, name, match):
+        _, path = self._trained_agent(tmp_path)
+        self._rewrite(path, lambda arrays: arrays.pop(name))
+        with pytest.raises(ValueError, match=match):
+            SacAgent.load(path)
+
+    @pytest.mark.parametrize("field", ["updates_done", "config"])
+    def test_missing_metadata_field_named(self, tmp_path, field):
+        _, path = self._trained_agent(tmp_path)
+        self._rewrite_meta(path, lambda meta: meta.pop(field))
+        with pytest.raises(ValueError, match=rf"lacks \['{field}'\]"):
+            SacAgent.load(path)
+
+    def test_unexpected_array_named(self, tmp_path):
+        _, path = self._trained_agent(tmp_path)
+        self._rewrite(path, lambda arrays: arrays.update({"critic2.0": arrays["critic1.0"]}))
+        with pytest.raises(ValueError, match=r"unexpected \['critic2\.0'\]"):
             SacAgent.load(path)
