@@ -109,7 +109,7 @@ class LayerNorm:
     def __init__(self, n: int):
         self.gamma = np.ones(n)
         self.beta = np.zeros(n)
-        self.dgamma = np.zeros(n)  # paged on first write, as in Dense
+        self.dgamma = np.zeros(n)
         self.dbeta = np.zeros(n)
 
     def forward(self, x: np.ndarray):
@@ -428,7 +428,6 @@ class Adam:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        # paged on first write (the first step or a checkpoint load), as in Dense
         self.m = [np.zeros(p.shape) for p in self.params]
         self.v = [np.zeros(p.shape) for p in self.params]
         self.t = 0
