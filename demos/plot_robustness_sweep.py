@@ -38,17 +38,21 @@ write_protocol(protocol_path, table, device.eps0, t_total / n_segments,
                meta={"protocol_time_ns": t_total, "n_segments": n_segments})
 print(f"wrote demo protocol to {protocol_path}")
 
-config = config_from_dict({
-    "schema_version": 1,
-    "seeds": [0],
-    "budget_episodes": 1,
-    "output_dir": str(workdir / "sweep"),
-    "device": {"type": "two_qubit"},
-    "env": {"protocol_time": t_total, "n_segments": n_segments,
-            "observation_mode": "u_exact", "reward_mode": "sparse"},
-    "noise": {"enabled": True},  # device-level defaults for every contribution
-    "scale_sweep": {"scales": [1.0, 2.0, 4.0, 8.0], "realizations": 40},
-})
+
+def sweep_config(mode):
+    """The sweep's config in one mode; each mode writes its own directory."""
+    return config_from_dict({
+        "schema_version": 1,
+        "seeds": [0],
+        "budget_episodes": 1,
+        "output_dir": str(workdir / mode),
+        "device": {"type": "two_qubit"},
+        "env": {"protocol_time": t_total, "n_segments": n_segments,
+                "observation_mode": "u_exact", "reward_mode": "sparse"},
+        "noise": {"enabled": True},  # device-level defaults for every contribution
+        "scale_sweep": {"scales": [1.0, 2.0, 4.0, 8.0], "realizations": 40, "mode": mode},
+    })
+
 
 COLUMNS = ["hyperfine", "slow_charge", "fast_charge", "all"]
 
@@ -68,7 +72,7 @@ def show(result):
 # mean infidelity of the replayed protocol; the last column scales all three
 # contributions together.
 
-result = cmd_scale_sweep(config, protocol_path, mode="noise")
+result = cmd_scale_sweep(sweep_config("noise"), protocol_path)
 print(f"\nnoise mode (noise-free infidelity {result['noise_free_infidelity']:.4e}):")
 show(result)
 
@@ -78,7 +82,7 @@ show(result)
 # field spread) matters less when the gate is faster and exchange stronger;
 # charge noise on the detunings does not share that protection.
 
-result = cmd_scale_sweep(config, protocol_path, mode="time_energy")
+result = cmd_scale_sweep(sweep_config("time_energy"), protocol_path)
 print(f"\ntime-energy mode (noise-free infidelity "
       f"{result['noise_free_infidelity']:.4e} at every scale):")
 show(result)

@@ -45,6 +45,8 @@ config = config_from_dict({
     "agent": {"hidden": [64, 64], "batch_size": 128, "learning_rate": 1e-3,
               "replay_capacity": 20_000, "warmup_steps": 500,
               "kept_quantiles": 50},
+    "evaluate": {"episodes": 5},
+    "analyze": {"initial_state": "1"},
 })
 
 # ----------------------------------------------------------------------
@@ -64,7 +66,7 @@ for lo in range(0, 400, 100):
 # Evaluate the deterministic policy and export its protocol.
 
 checkpoint = workdir / "agent_seed3.npz"
-ev = cmd_evaluate(config, checkpoint, episodes=5)
+ev = cmd_evaluate(config, checkpoint)
 print(f"\ndeterministic policy: mean NLIF {ev['dynamic_nlif']['mean']:.3f}")
 
 ex = cmd_export_protocol(config, checkpoint)
@@ -76,7 +78,7 @@ print(f"exported pulse table: {table.shape[0]} segments x {table.shape[1]} chann
 # Replay through the analyzer: per-substep Bloch trajectory of |1> under the
 # exported protocol, plus the protocol's fluence relative to an idle pulse.
 
-an = cmd_analyze(config, workdir / "protocol.tsv", initial_state="1")
+an = cmd_analyze(config, workdir / "protocol.tsv")
 print(f"analyzer: fluence {an['fluence']:.3f}, "
       f"final Bloch vector {np.round(an['final_bloch'], 3)}")
 print(f"\nartifacts in {workdir}")

@@ -16,7 +16,7 @@ from .config import (
     ExperimentConfig,
     config_from_dict,
     experiment_hash,
-    load_config,
+    read_yaml,
 )
 from .protocol import read_protocol, write_protocol
 from .records import EpisodeRecord, read_records, records_equal, write_records
@@ -35,10 +35,10 @@ __all__ = [
     "cmd_train",
     "config_from_dict",
     "experiment_hash",
-    "load_config",
     "protocol_to_actions",
     "read_protocol",
     "read_records",
+    "read_yaml",
     "records_equal",
     "simulate_protocol",
     "write_protocol",

@@ -1,9 +1,16 @@
 """Command-line entry point.
 
 Subcommands: train, evaluate, sweep, scale-sweep, analyze, tomo-calibrate,
-export-protocol. Exit codes: 0 on success, 2 for configuration problems
-(bad file, schema violation, incompatible checkpoint), 3 when training
-diverges at runtime.
+export-protocol. A setting flag writes its config key into the YAML mapping
+before validation, so it passes the same checks as that key and the stamped
+config_hash covers it: --seed sets seeds, --out output_dir, --budget-override
+budget_episodes, --episodes evaluate.episodes, --mode scale_sweep.mode and
+--initial-state analyze.initial_state. The other flags (--checkpoint,
+--protocol, --noise-seed, --workers) are the command's inputs.
+
+Exit codes: 0 on success, 2 for configuration problems (bad config file,
+schema violation, incompatible or unreadable checkpoint, unreadable or
+malformed protocol table), 3 when training diverges at runtime.
 """
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ import sys
 
 from ..rlagent import DivergenceError
 from . import commands
-from .config import ConfigError, load_config
+from .config import ConfigError, config_from_dict, read_yaml
 
 __all__ = ["main"]
 
@@ -38,6 +45,18 @@ def _worker_count(text: str) -> int:
     return n
 
 
+# setting flag (its argparse dest) -> the config key it sets: (section, key),
+# section None for a top-level key
+_SETTINGS = {
+    "seed": (None, "seeds"),
+    "out": (None, "output_dir"),
+    "budget_override": (None, "budget_episodes"),
+    "episodes": ("evaluate", "episodes"),
+    "mode": ("scale_sweep", "mode"),
+    "initial_state": ("analyze", "initial_state"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdrl",
@@ -45,60 +64,71 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, **extra_flags) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, run, **extra_flags) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="experiment YAML file")
         p.add_argument("--seed", type=int, nargs="+", default=None,
-                       help="override the config seed list")
-        p.add_argument("--out", default=None, help="override the output directory")
+                       help="set the config seed list (seeds)")
+        p.add_argument("--out", default=None, help="set the output directory (output_dir)")
         p.add_argument("--budget-override", type=int, default=None,
-                       help="override budget_episodes")
+                       help="set budget_episodes")
         for flag, kwargs in extra_flags.items():
             p.add_argument(flag, **kwargs)
         return p
 
-    add("train", "train one agent per seed; write logs and checkpoints")
-    add("evaluate", "dynamic vs frozen deterministic-policy evaluation",
+    add("train", "train one agent per seed; write logs and checkpoints", commands.cmd_train)
+    add("evaluate", "dynamic vs frozen deterministic-policy evaluation", commands.cmd_evaluate,
         **{"--checkpoint": dict(required=True),
-           "--episodes": dict(type=_positive_int, default=None)})
-    add("sweep", "grid of training runs over protocol time x segment count",
+           "--episodes": dict(type=_positive_int, default=None,
+                              help="set evaluate.episodes")})
+    add("sweep", "grid of training runs over protocol time x segment count", commands.cmd_sweep,
         **{"--workers": dict(type=_worker_count, default=1,
                              help="worker processes for independent cells")})
     add("scale-sweep", "fixed-protocol infidelity vs scale per noise contribution",
-        **{"--protocol": dict(required=True),
-           "--mode": dict(choices=["time_energy", "noise"], default=None)})
-    add("analyze", "Bloch trajectories and fluence of a protocol table",
-        **{"--protocol": dict(required=True), "--initial-state": dict(default=None)})
-    add("tomo-calibrate", "fit the snapshot/surrogate-noise equivalence map")
+        commands.cmd_scale_sweep,
+        **{"--protocol": dict(required=True, dest="protocol_path", metavar="PATH"),
+           "--mode": dict(choices=["time_energy", "noise"], default=None,
+                          help="set scale_sweep.mode")})
+    add("analyze", "Bloch trajectories and fluence of a protocol table", commands.cmd_analyze,
+        **{"--protocol": dict(required=True, dest="protocol_path", metavar="PATH"),
+           "--initial-state": dict(default=None, help="set analyze.initial_state")})
+    add("tomo-calibrate", "fit the snapshot/surrogate-noise equivalence map",
+        commands.cmd_tomo_calibrate)
     add("export-protocol", "roll out a checkpoint and write its pulse table",
+        commands.cmd_export_protocol,
         **{"--checkpoint": dict(required=True),
            "--noise-seed": dict(type=int, default=None)})
     return parser
 
 
+def _with_settings(raw, settings: dict):
+    """raw with each given setting written under its config key.
+
+    A root or section that is not a mapping is left as it is, for
+    validation to report.
+    """
+    if not isinstance(raw, dict):
+        return raw
+    raw = dict(raw)
+    for (section, key), value in settings.items():
+        if value is None:
+            continue
+        if section is None:
+            raw[key] = value
+        elif isinstance(raw.get(section), (dict, type(None))):
+            raw[section] = {**(raw.get(section) or {}), key: value}
+    return raw
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    run, path = args.pop("run"), args.pop("config")
+    del args["command"]
+    # what is left after the settings are the command's inputs
+    settings = {key: args.pop(dest) for dest, key in _SETTINGS.items() if dest in args}
     try:
-        config = load_config(
-            args.config,
-            seed_override=args.seed,
-            out_override=args.out,
-            budget_override=args.budget_override,
-        )
-        if args.command == "train":
-            commands.cmd_train(config)
-        elif args.command == "evaluate":
-            commands.cmd_evaluate(config, args.checkpoint, episodes=args.episodes)
-        elif args.command == "sweep":
-            commands.cmd_sweep(config, workers=args.workers)
-        elif args.command == "scale-sweep":
-            commands.cmd_scale_sweep(config, args.protocol, mode=args.mode)
-        elif args.command == "analyze":
-            commands.cmd_analyze(config, args.protocol, initial_state=args.initial_state)
-        elif args.command == "tomo-calibrate":
-            commands.cmd_tomo_calibrate(config)
-        elif args.command == "export-protocol":
-            commands.cmd_export_protocol(config, args.checkpoint, noise_seed=args.noise_seed)
+        run(config_from_dict(_with_settings(read_yaml(path), settings)), **args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2

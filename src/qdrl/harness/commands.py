@@ -1,9 +1,12 @@
 """Experiment commands: training runs, evaluations, sweeps, and analysis.
 
-Every command is a pure function of (config, seed list, input files) and
-stamps its outputs with the config hash; reruns are bit-identical apart from
-recorded wall times. Commands return their summary dictionaries so they can
-be driven programmatically as well as from the command line.
+Every command is a pure function of its config and its inputs (a checkpoint,
+a protocol table, a noise seed) and stamps its outputs with the config hash.
+Every run setting, the output directory included, is read from the config
+alone, so the hash covers it; the worker count of a sweep changes where the
+cells run, not what they give. Reruns are bit-identical apart from recorded
+wall times. Commands return their summary dictionaries so they can be driven
+programmatically as well as from the command line.
 """
 from __future__ import annotations
 
@@ -11,7 +14,6 @@ import dataclasses
 import json
 import shutil
 import time
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -62,9 +64,9 @@ def _jsonable(value):
 # --------------------------------------------------------------------- train
 
 
-def cmd_train(config: ExperimentConfig, out: Path | None = None) -> dict:
+def cmd_train(config: ExperimentConfig) -> dict:
     """Train one agent per seed; write per-seed logs, checkpoints, and best."""
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
+    out = _ensure_dir(config.output_dir)
     cfg_hash = config.hash
     per_seed = []
     for seed in config.seeds:
@@ -136,11 +138,8 @@ def _load_agent(config: ExperimentConfig, checkpoint: Path, env: GateSynthesisEn
     action widths are checked against `env` here.
     """
     try:
-        # opened here, since np.load leaks the handle of a truncated archive it opened
-        with open(checkpoint, "rb") as file:
-            agent = SacAgent.load(file, expected_config=config.agent)
-    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as err:
-        # an empty file raises EOFError and a truncated archive BadZipFile
+        agent = SacAgent.load(checkpoint, expected_config=config.agent)
+    except (ValueError, OSError) as err:
         raise ConfigError(f"incompatible or unreadable checkpoint {checkpoint}: {err}") from err
     widths, wanted = (agent.obs_dim, agent.act_dim), (env.observation_size, env.n_channels)
     if widths != wanted:
@@ -159,20 +158,17 @@ def _percentiles(values: np.ndarray) -> dict:
     }
 
 
-def cmd_evaluate(config: ExperimentConfig, checkpoint: Path, episodes: int | None = None,
-                 out: Path | None = None) -> dict:
+def cmd_evaluate(config: ExperimentConfig, checkpoint: Path) -> dict:
     """Deterministic-policy evaluation in dynamic and frozen modes.
 
     Dynamic re-queries the policy every step under fresh noise; frozen replays
     one noise-free pulse table under the same fresh-noise episodes.
     """
-    episodes = episodes if episodes is not None else config.resolved["evaluate"]["episodes"]
-    if episodes < 1:
-        raise ConfigError(f"episodes must be at least 1, got {episodes}")
+    episodes = config.resolved["evaluate"]["episodes"]
     seed = config.seeds[0]
     clean_env = config.make_env(seed, reward_mode="sparse", noise=None)
     agent = _load_agent(config, checkpoint, clean_env)
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
+    out = _ensure_dir(config.output_dir)
 
     # Frozen table: one noise-free closed-loop rollout of the deterministic policy.
     play_policy(clean_env, agent, seed)
@@ -226,7 +222,7 @@ def _run_sweep_cell(resolved: dict, protocol_time: float, n_segments: int,
     return cell
 
 
-def cmd_sweep(config: ExperimentConfig, out: Path | None = None, workers: int = 1) -> dict:
+def cmd_sweep(config: ExperimentConfig, workers: int = 1) -> dict:
     """Grid of training runs over protocol time x action count.
 
     With workers > 1 the cells run in that many processes, each of which
@@ -236,7 +232,7 @@ def cmd_sweep(config: ExperimentConfig, out: Path | None = None, workers: int = 
     times, segments = spec["times"], spec["segments"]
     if not times or not segments:
         raise ConfigError("sweep requires non-empty 'times' and 'segments' lists")
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
+    out = _ensure_dir(config.output_dir)
     budget = spec["budget_episodes"]
     if budget is None:
         budget = config.budget_episodes
@@ -268,14 +264,16 @@ def protocol_to_actions(detunings: np.ndarray, config: ExperimentConfig) -> np.n
     """Table rows (device units) -> normalized agent actions, tails stripped.
 
     The table needs one row per env segment and one column per device
-    channel, its tail rows on the minimum rail and every other value inside
-    [eps_min, eps_max]; anything else raises ConfigError.
+    channel, finite values, its tail rows on the minimum rail and every other
+    value inside [eps_min, eps_max]; anything else raises ConfigError.
     """
     device = config.env.device
     shape = (config.env.n_segments, config.make_model().n_channels)
     if detunings.shape != shape:
         raise ConfigError(f"protocol table has shape {detunings.shape} (rows, channels), "
                           f"the configured env needs {shape}")
+    if not np.all(np.isfinite(detunings)):
+        raise ConfigError("protocol table holds a non-finite detuning")
     tail = detunings[-TAIL_SEGMENTS:]
     if not np.allclose(tail, device.eps_min, rtol=0.0, atol=1e-9):
         raise ConfigError("protocol tail rows must sit at the minimum detuning rail")
@@ -285,6 +283,19 @@ def protocol_to_actions(detunings: np.ndarray, config: ExperimentConfig) -> np.n
                           f"eps0, got [{body.min()}, {body.max()}]")
     span = device.eps_max - device.eps_min
     return 2.0 * (body - device.eps_min) / span - 1.0
+
+
+def _read_table(config: ExperimentConfig, protocol_path) -> tuple[np.ndarray, np.ndarray]:
+    """The protocol table at protocol_path (device units) and its actions.
+
+    A table that cannot be read or parsed, or that does not fit the
+    configured env, raises ConfigError.
+    """
+    try:
+        detunings, _ = read_protocol(protocol_path)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"unreadable protocol table {protocol_path}: {err}") from err
+    return detunings, protocol_to_actions(detunings, config)
 
 
 def simulate_protocol(config: ExperimentConfig, detunings: np.ndarray) -> float:
@@ -325,8 +336,7 @@ def _scale_curves(config: ExperimentConfig, mode: str, k: float) -> dict[str, di
     return {name: {"noise": curve, **rescaled} for name, curve in curves.items()}
 
 
-def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | None = None,
-                    out: Path | None = None) -> dict:
+def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path) -> dict:
     """Infidelity of a fixed protocol vs a scale factor, per noise contribution.
 
     The base amplitudes are the noise section's, whether or not it is enabled.
@@ -340,7 +350,7 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
     to zero.
     """
     spec = config.section("scale_sweep")
-    mode = mode or spec["mode"]
+    mode = spec["mode"]
     if mode not in ("time_energy", "noise"):
         raise ConfigError(f"scale-sweep mode must be time_energy or noise, got {mode!r}")
     scales = [float(k) for k in spec["scales"]]
@@ -351,14 +361,13 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
         raise ConfigError(f"scale_sweep.scales must be non-negative, and positive in "
                           f"time_energy mode; got {scales} in {mode} mode")
     realizations = spec["realizations"]
-    detunings, _ = read_protocol(protocol_path)
-    actions = protocol_to_actions(detunings, config)
+    detunings, actions = _read_table(config, protocol_path)
     try:
         variants = [(k, _scale_curves(config, mode, k)) for k in scales]
     except (ValueError, OverflowError) as err:
         raise ConfigError(f"scale_sweep.scales {scales} give no valid {mode}-mode "
                           f"model: {err}") from err
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
+    out = _ensure_dir(config.output_dir)
     seed = config.seeds[0]
 
     noise_free = float(10.0 ** -simulate_protocol(config, detunings))
@@ -389,17 +398,15 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path, mode: str | N
 # ------------------------------------------------------------------- analyze
 
 
-def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
-                initial_state: str | None = None, out: Path | None = None) -> dict:
+def cmd_analyze(config: ExperimentConfig, protocol_path: Path) -> dict:
     """Per-substep logical Bloch vectors and the protocol's relative fluence."""
-    label = initial_state or config.resolved["analyze"]["initial_state"]
+    label = config.resolved["analyze"]["initial_state"]
     model = config.make_model()
     if label not in model.labels:
         raise ConfigError(f"unknown initial state {label!r} for a {config.device_type} "
                           f"device; use one of {', '.join(model.labels)}")
-    detunings, _ = read_protocol(protocol_path)
-    actions = protocol_to_actions(detunings, config)
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
+    _, actions = _read_table(config, protocol_path)
+    out = _ensure_dir(config.output_dir)
 
     env = config.make_env(config.seeds[0], reward_mode="sparse", noise=None)
     nlif_final = float(env.rollout(actions, config.seeds[0]).info["nlif"])
@@ -443,9 +450,9 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path,
 # ------------------------------------------------------------ tomo calibrate
 
 
-def cmd_tomo_calibrate(config: ExperimentConfig, out: Path | None = None) -> dict:
+def cmd_tomo_calibrate(config: ExperimentConfig) -> dict:
     """Fit the snapshot-budget <-> surrogate-noise equivalence and persist it."""
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
+    out = _ensure_dir(config.output_dir)
     spec = config.section("tomo")
     rng = named_stream(config.seeds[0], "tomo-calibrate")
     mapping = calibrate_sigma_to_shots(
@@ -469,13 +476,13 @@ def cmd_tomo_calibrate(config: ExperimentConfig, out: Path | None = None) -> dic
 
 
 def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
-                        noise_seed: int | None = None, out: Path | None = None) -> dict:
+                        noise_seed: int | None = None) -> dict:
     """Roll out the deterministic policy and write its pulse table in mV."""
     reset_seed = config.seeds[0] if noise_seed is None else noise_seed
     muted = {"noise": None} if noise_seed is None else {}
     env = config.make_env(reset_seed, reward_mode="sparse", **muted)
     agent = _load_agent(config, checkpoint, env)
-    out = _ensure_dir(Path(out) if out is not None else config.output_dir)
+    out = _ensure_dir(config.output_dir)
     _, info = play_policy(env, agent, reset_seed)
 
     shaped = env.shaped_detunings()

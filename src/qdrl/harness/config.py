@@ -33,7 +33,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "ConfigError",
     "ExperimentConfig",
-    "load_config",
+    "read_yaml",
     "config_from_dict",
     "experiment_hash",
     "output_root",
@@ -259,18 +259,9 @@ _LEAST = {
 }
 
 
-def config_from_dict(raw: dict, *, seed_override: list[int] | None = None,
-                     out_override: str | None = None,
-                     budget_override: int | None = None) -> ExperimentConfig:
+def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping and construct the experiment objects."""
     resolved = _resolve(raw)
-    if seed_override is not None:
-        resolved["seeds"] = [int(s) for s in seed_override]
-    if out_override is not None:
-        resolved["output_dir"] = str(out_override)
-    if budget_override is not None:
-        resolved["budget_episodes"] = int(budget_override)
-
     seeds = resolved["seeds"]
     if not seeds:
         raise ConfigError("seeds must be a non-empty list of integers")
@@ -328,8 +319,8 @@ _Loader.add_implicit_resolver(
 )
 
 
-def load_config(path, **overrides) -> ExperimentConfig:
-    """Read and validate a YAML experiment file."""
+def read_yaml(path):
+    """The raw contents of a YAML experiment file, for config_from_dict."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -339,4 +330,4 @@ def load_config(path, **overrides) -> ExperimentConfig:
         raise ConfigError(f"malformed YAML in {path}: {err}") from err
     if raw is None:
         raise ConfigError(f"config file {path} is empty")
-    return config_from_dict(raw, **overrides)
+    return raw

@@ -7,6 +7,7 @@ written with full precision so a read/write cycle is lossless.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -62,13 +63,21 @@ def read_protocol(path) -> tuple[np.ndarray, dict]:
         if header is None:
             header = line.split("\t")
             continue
-        rows.append([float(v) for v in line.split("\t")])
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise ValueError(f"protocol file {path} has a row of {len(cells)} cells "
+                             f"under a header of {len(header)}")
+        rows.append([float(v) for v in cells])
     if header is None or not rows:
         raise ValueError(f"protocol file {path} has no table")
-    if "eps0_mv" not in meta:
+    eps0 = meta.get("eps0_mv")
+    if eps0 is None:
         raise ValueError(f"protocol file {path} is missing the eps0_mv header")
+    if not isinstance(eps0, float) or not 0.0 < eps0 < math.inf:
+        raise ValueError(f"protocol file {path} has eps0_mv={eps0!r}; "
+                         f"it must be a positive number")
     eps_cols = [k for k, name in enumerate(header) if name.startswith("eps_ch")]
     if not eps_cols:
         raise ValueError(f"protocol file {path} has no detuning columns")
-    table = np.array(rows)[:, eps_cols] / meta["eps0_mv"]
+    table = np.array(rows)[:, eps_cols] / eps0
     return table, meta

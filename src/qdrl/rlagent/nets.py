@@ -289,7 +289,7 @@ class GaussianPolicy:
         logp = np.sum(
             -0.5 * xi**2 - _HALF_LOG_2PI - 0.5 * lv - _log1m_tanh_sq(u), axis=1
         )
-        cache = (head_cache, sigma, xi, u, a, lv)
+        cache = (head_cache, sigma, xi, a, lv)
         return a, logp, cache
 
     def deterministic(self, obs: np.ndarray) -> np.ndarray:
@@ -307,11 +307,10 @@ class GaussianPolicy:
         fixed (reparameterization). Returns nothing; gradients land in the
         layer .d* buffers.
         """
-        head_cache, sigma, xi, u, a, lv = cache
+        head_cache, sigma, xi, a, lv = cache
         trunk_cache, c_mu, c_lv, lv_raw = head_cache
-        t = np.tanh(u)
         # d logp / du at fixed xi: the squash correction only
-        dlogp_du = 2.0 * t
+        dlogp_du = 2.0 * a
         du = d_action * (1.0 - a**2) + d_logp[:, None] * dlogp_du
         d_mu = du
         d_lv = du * (0.5 * sigma * xi) + d_logp[:, None] * (-0.5)

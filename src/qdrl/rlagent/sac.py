@@ -21,7 +21,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,12 +142,13 @@ class ReplayBuffer:
         if batch_size > self._size:
             raise ValueError(f"cannot sample {batch_size} from {self._size} transitions")
         idx = rng.choice(self._size, size=batch_size, replace=False)
+        # integer-array indexing returns copies
         return {
-            "obs": self._obs[idx].copy(),
-            "act": self._act[idx].copy(),
-            "reward": self._reward[idx].copy(),
-            "next_obs": self._next_obs[idx].copy(),
-            "done": self._done[idx].copy(),
+            "obs": self._obs[idx],
+            "act": self._act[idx],
+            "reward": self._reward[idx],
+            "next_obs": self._next_obs[idx],
+            "done": self._done[idx],
         }
 
 
@@ -326,12 +329,26 @@ class SacAgent:
     def load(cls, path, expected_config: SacConfig | None = None, seed: int = 0) -> "SacAgent":
         """Rebuild an agent from a checkpoint.
 
-        If `expected_config` is given, its hash must match the one stored in
-        the checkpoint. A checkpoint without its metadata or one of its
-        fields, or whose arrays are not exactly the agent's, raises
-        ValueError naming what is missing or unexpected.
+        `path` is a file name or an open binary file. If `expected_config`
+        is given, its hash must match the one stored in the checkpoint. An
+        empty or truncated archive, a checkpoint without its metadata or one
+        of its fields, or one whose arrays are not exactly the agent's,
+        raises ValueError naming what is missing or unexpected.
         """
-        with np.load(path, allow_pickle=False) as data:
+        if isinstance(path, (str, os.PathLike)):
+            # opened here: np.load leaves a file it opened to the garbage
+            # collector when the zip directory of a truncated archive fails
+            with open(path, "rb") as file:
+                return cls.load(file, expected_config, seed)
+        name = getattr(path, "name", path)
+        try:
+            data = np.load(path, allow_pickle=False)
+        except (EOFError, zipfile.BadZipFile) as err:
+            # EOFError: an empty file; BadZipFile: a truncated archive
+            raise ValueError(f"checkpoint {name} is not a complete .npz archive: {err}") from err
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"checkpoint {name} holds a single array, not an .npz archive")
+        with data:
             if "meta_json" not in data.files:
                 raise ValueError("checkpoint has no meta_json record")
             meta = json.loads(str(data["meta_json"][()]))

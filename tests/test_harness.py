@@ -30,10 +30,10 @@ from qdrl.harness import (
     cmd_tomo_calibrate,
     cmd_train,
     config_from_dict,
-    load_config,
     protocol_to_actions,
     read_protocol,
     read_records,
+    read_yaml,
     records_equal,
     simulate_protocol,
     write_protocol,
@@ -235,8 +235,8 @@ class TestConfigSchema:
 
     def test_overrides_apply_and_change_hash(self):
         base = config_from_dict(tiny_raw())
-        cfg = config_from_dict(tiny_raw(), seed_override=[7, 8], budget_override=1,
-                               out_override="elsewhere")
+        cfg = config_from_dict(tiny_raw(seeds=[7, 8], budget_episodes=1,
+                                        output_dir="elsewhere"))
         assert cfg.seeds == [7, 8]
         assert cfg.budget_episodes == 1
         assert cfg.output_dir.name == "elsewhere"
@@ -250,15 +250,15 @@ class TestConfigSchema:
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "missing.yaml")
+            read_yaml(tmp_path / "missing.yaml")
         empty = tmp_path / "empty.yaml"
         empty.write_text("")
         with pytest.raises(ConfigError, match="empty"):
-            load_config(empty)
+            read_yaml(empty)
         bad = tmp_path / "bad.yaml"
         bad.write_text("a: [unclosed")
         with pytest.raises(ConfigError, match="malformed"):
-            load_config(bad)
+            read_yaml(bad)
 
     @pytest.mark.parametrize("mode", ["u_tomo_plus_pulse", "u_noisy_plus_pulse"])
     def test_removed_observation_modes_rejected(self, tmp_path, mode):
@@ -266,12 +266,12 @@ class TestConfigSchema:
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(tiny_raw(env={"observation_mode": mode})))
         with pytest.raises(ConfigError, match=mode):
-            load_config(path)
+            config_from_dict(read_yaml(path))
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(tiny_raw()))
-        cfg = load_config(path)
+        cfg = config_from_dict(read_yaml(path))
         assert cfg.hash == config_from_dict(tiny_raw()).hash
 
     def test_exponent_floats_load_as_floats(self, tmp_path):
@@ -283,7 +283,7 @@ class TestConfigSchema:
             "output_dir: 1e",
             "analyze: {initial_state: e5}",
         ]) + "\n")
-        cfg = load_config(path)
+        cfg = config_from_dict(read_yaml(path))
         assert cfg.env.noise.sigma_b == 1e-2
         scales = cfg.resolved["scale_sweep"]["scales"]
         assert scales == [1e200, 1500.0, 500.0, 5.0, 1000.0, -1e-3]
@@ -387,6 +387,7 @@ class TestProtocolTables:
 
     @pytest.mark.parametrize("fault,match", [
         ("rows", "shape"), ("columns", "shape"), ("range", "must lie in"), ("tail", "tail"),
+        ("nan", "non-finite"),  # NaN fails both bound comparisons
     ])
     def test_protocol_to_actions_rejects_table_faults(self, fault, match):
         cfg = config_from_dict(tiny_raw())
@@ -399,6 +400,8 @@ class TestProtocolTables:
             table = np.hstack([table, table])
         elif fault == "range":
             table[2] = device.eps_max + 3.0
+        elif fault == "nan":
+            table[1] = np.nan
         else:
             table[-1] += 1e-6  # off the rail by more than 1e-9, within allclose's default rtol
         with pytest.raises(ConfigError, match=match):
@@ -431,31 +434,38 @@ class TestTrainCommand:
         assert "best" not in summary
 
     def test_rerun_reproduces_records_modulo_wall_time(self, outdir):
+        # the rerun writes over the first run's files, so those are read first
         cfg = config_from_dict(tiny_raw())
-        cmd_train(cfg, out=outdir / "a")
-        cmd_train(cfg, out=outdir / "b")
-        ra = read_records(outdir / "a" / "train_seed0.jsonl")
-        rb = read_records(outdir / "b" / "train_seed0.jsonl")
+        run = outdir / "run"
+        cmd_train(cfg)
+        ra = read_records(run / "train_seed0.jsonl")
+        with np.load(run / "agent_seed0.npz") as data:
+            da = {name: data[name] for name in data.files}
+        cmd_train(cfg)
+        rb = read_records(run / "train_seed0.jsonl")
         assert len(ra) == len(rb)
         assert all(records_equal(x, y) for x, y in zip(ra, rb))
         assert all(r.extras["update_ms"] >= 0.0 for r in ra)
-        with np.load(outdir / "a" / "agent_seed0.npz") as da, \
-                np.load(outdir / "b" / "agent_seed0.npz") as db:
-            assert set(da.files) == set(db.files)
-            for name in da.files:
+        with np.load(run / "agent_seed0.npz") as db:
+            assert set(da) == set(db.files)
+            for name in da:
                 if name != "meta_json":
                     np.testing.assert_array_equal(da[name], db[name])
 
 
     def test_periodic_evaluations_land_in_the_summary(self, outdir):
         cfg = config_from_dict(tiny_raw(train={"eval_every": 1, "n_eval_episodes": 2}))
-        summaries = [cmd_train(cfg, out=outdir / name) for name in ("a", "b")]
-        saved = json.loads((outdir / "a" / "train_summary.json").read_text())
+        run = outdir / "run"
+        summaries, logs = [], []
+        for _ in range(2):  # a rerun into the same directory
+            summaries.append(cmd_train(cfg))
+            logs.append(read_records(run / "train_seed0.jsonl"))
+        saved = json.loads((run / "train_summary.json").read_text())
         evals = saved["seeds"][0]["evals"]
         assert [e["episode"] for e in evals] == [1, 2, 3]
         assert all(np.isfinite(e["mean_nlif"]) for e in evals)
         assert evals == summaries[0]["seeds"][0]["evals"] == summaries[1]["seeds"][0]["evals"]
-        ra, rb = (read_records(outdir / name / "train_seed0.jsonl") for name in ("a", "b"))
+        ra, rb = logs
         assert len(ra) == 3 and all(records_equal(x, y) for x, y in zip(ra, rb))
 
     def test_periodic_evaluation_leaves_training_unchanged(self):
@@ -474,8 +484,8 @@ class TestTrainCommand:
 
 @pytest.fixture()
 def trained(outdir):
-    cfg = config_from_dict(tiny_raw())
-    cmd_train(cfg, out=outdir / "t")
+    cfg = config_from_dict(tiny_raw(output_dir="t"))
+    cmd_train(cfg)
     return cfg, outdir / "t" / "agent_seed0.npz"
 
 
@@ -505,8 +515,9 @@ def _mismatched_checkpoint(cfg, mismatch: str, dest: Path) -> Path:
 
 class TestEvaluateCommand:
     def test_noise_free_dynamic_equals_frozen(self, outdir, trained):
-        cfg, ckpt = trained
-        summary = cmd_evaluate(cfg, ckpt, episodes=5, out=outdir / "ev")
+        _, ckpt = trained
+        cfg = config_from_dict(tiny_raw(output_dir="ev", evaluate={"episodes": 5}))
+        summary = cmd_evaluate(cfg, ckpt)
         assert summary["episodes"] == 5
         assert summary["dynamic_nlif"]["mean"] == summary["frozen_nlif"]["mean"]
         records = read_records(outdir / "ev" / "evaluate.jsonl")
@@ -516,29 +527,32 @@ class TestEvaluateCommand:
 
     def test_incompatible_checkpoint_rejected(self, outdir, trained):
         _, ckpt = trained
-        other = config_from_dict(tiny_raw(agent={"hidden": [6, 6]}))
+        other = config_from_dict(tiny_raw(agent={"hidden": [6, 6]}, output_dir="ev2",
+                                          evaluate={"episodes": 2}))
         with pytest.raises(ConfigError, match="checkpoint"):
-            cmd_evaluate(other, ckpt, episodes=2, out=outdir / "ev2")
+            cmd_evaluate(other, ckpt)
 
     def test_zero_episodes_rejected_before_writing(self, outdir, trained):
-        cfg, ckpt = trained
+        _, ckpt = trained
         with pytest.raises(ConfigError, match="episodes must be at least 1"):
-            cmd_evaluate(cfg, ckpt, episodes=0, out=outdir / "ev0")
+            cmd_evaluate(config_from_dict(tiny_raw(output_dir="ev0", evaluate={"episodes": 0})),
+                         ckpt)
         assert not (outdir / "ev0").exists()
 
     def test_missing_checkpoint_rejected(self, outdir):
-        cfg = config_from_dict(tiny_raw())
+        cfg = config_from_dict(tiny_raw(output_dir="ev", evaluate={"episodes": 1}))
         with pytest.raises(ConfigError, match="checkpoint"):
-            cmd_evaluate(cfg, outdir / "nope.npz", episodes=1, out=outdir / "ev")
+            cmd_evaluate(cfg, outdir / "nope.npz")
         assert not (outdir / "ev").exists()
 
 
 class TestSweepCommand:
     def test_single_cell_grid(self, outdir):
         cfg = config_from_dict(
-            tiny_raw(sweep={"times": [8.0], "segments": [8], "budget_episodes": 2})
+            tiny_raw(sweep={"times": [8.0], "segments": [8], "budget_episodes": 2},
+                     output_dir="sw")
         )
-        summary = cmd_sweep(cfg, out=outdir / "sw")
+        summary = cmd_sweep(cfg)
         assert summary["n_rows"] == 1 and summary["n_cols"] == 1
         assert summary["cells"][0]["status"] == "ok"
         lines = (outdir / "sw" / "sweep.tsv").read_text().splitlines()
@@ -547,9 +561,10 @@ class TestSweepCommand:
 
     def test_grid_shape_and_failed_cell_marked(self, outdir):
         cfg = config_from_dict(
-            tiny_raw(sweep={"times": [8.0], "segments": [8, 3], "budget_episodes": 1})
+            tiny_raw(sweep={"times": [8.0], "segments": [8, 3], "budget_episodes": 1},
+                     output_dir="sw2")
         )
-        summary = cmd_sweep(cfg, out=outdir / "sw2")
+        summary = cmd_sweep(cfg)
         by_segments = {c["n_segments"]: c for c in summary["cells"]}
         assert by_segments[8]["status"] == "ok"
         assert by_segments[3]["status"] == "failed"  # too few segments for tails
@@ -567,22 +582,23 @@ class TestSweepCommand:
 
         monkeypatch.setattr("qdrl.harness.commands.train_loop", recording_train_loop)
         cfg = config_from_dict(
-            tiny_raw(sweep={"times": [8.0], "segments": [8], "budget_episodes": 0})
+            tiny_raw(sweep={"times": [8.0], "segments": [8], "budget_episodes": 0},
+                     output_dir="sw0")
         )
-        summary = cmd_sweep(cfg, out=outdir / "sw0")
+        summary = cmd_sweep(cfg)
         assert budgets == [0]
         assert summary["cells"][0]["status"] == "ok"
 
     def test_empty_grid_rejected(self, outdir):
-        cfg = config_from_dict(tiny_raw())
+        cfg = config_from_dict(tiny_raw(output_dir="sw_bad"))
         with pytest.raises(ConfigError, match="sweep"):
-            cmd_sweep(cfg, out=outdir / "sw_bad")
+            cmd_sweep(cfg)
         assert not (outdir / "sw_bad").exists()
 
     def test_worker_pool_matches_serial(self, outdir):
         raw = tiny_raw(sweep={"times": [8.0], "segments": [8, 9], "budget_episodes": 1})
-        serial = cmd_sweep(config_from_dict(raw), out=outdir / "s1", workers=1)
-        pooled = cmd_sweep(config_from_dict(raw), out=outdir / "s2", workers=2)
+        serial = cmd_sweep(config_from_dict({**raw, "output_dir": "s1"}), workers=1)
+        pooled = cmd_sweep(config_from_dict({**raw, "output_dir": "s2"}), workers=2)
         assert serial["cells"] == pooled["cells"]
 
     def test_worker_processes_evolve_serially(self, outdir, monkeypatch):
@@ -596,14 +612,15 @@ class TestSweepCommand:
 
         monkeypatch.setattr("qdrl.harness.commands.ProcessPoolExecutor", Recording)
         raw = tiny_raw(sweep={"times": [8.0], "segments": [8, 9], "budget_episodes": 0})
-        cmd_sweep(config_from_dict(raw), out=outdir / "s3", workers=2)
+        cmd_sweep(config_from_dict({**raw, "output_dir": "s3"}), workers=2)
         assert options["initializer"] is qcore.evolve_serially
 
 
 class TestExportProtocol:
     def test_export_and_round_trip_nlif(self, outdir, trained):
-        cfg, ckpt = trained
-        summary = cmd_export_protocol(cfg, ckpt, out=outdir / "ex")
+        _, ckpt = trained
+        cfg = config_from_dict(tiny_raw(output_dir="ex"))
+        summary = cmd_export_protocol(cfg, ckpt)
         table, meta = read_protocol(outdir / "ex" / "protocol.tsv")
         n, c = cfg.env.n_segments, cfg.make_env(0).n_channels
         assert table.shape == (n, c)
@@ -615,8 +632,9 @@ class TestExportProtocol:
         assert again == pytest.approx(meta["terminal_nlif"], abs=1e-9)
 
     def test_column_layout(self, outdir, trained):
-        cfg, ckpt = trained
-        cmd_export_protocol(cfg, ckpt, out=outdir / "ex2")
+        _, ckpt = trained
+        cfg = config_from_dict(tiny_raw(output_dir="ex2"))
+        cmd_export_protocol(cfg, ckpt)
         lines = (outdir / "ex2" / "protocol.tsv").read_text().splitlines()
         header = [l for l in lines if not l.startswith("#")][0].split("\t")
         assert header[:3] == ["segment_index", "time_ns", "eps_ch1_mV"]
@@ -625,16 +643,17 @@ class TestExportProtocol:
         assert len(body) == cfg.env.n_segments
 
     def test_missing_checkpoint_rejected_before_writing(self, outdir):
-        cfg = config_from_dict(tiny_raw())
+        cfg = config_from_dict(tiny_raw(output_dir="ex3"))
         with pytest.raises(ConfigError, match="checkpoint"):
-            cmd_export_protocol(cfg, outdir / "nope.npz", out=outdir / "ex3")
+            cmd_export_protocol(cfg, outdir / "nope.npz")
         assert not (outdir / "ex3").exists()
 
 
-# the commands that read a checkpoint, each run with its output directory
+# the commands that read a checkpoint, each run on a raw config
 _CHECKPOINT_COMMANDS = {
-    "evaluate": lambda cfg, ckpt, out: cmd_evaluate(cfg, ckpt, episodes=1, out=out),
-    "export-protocol": lambda cfg, ckpt, out: cmd_export_protocol(cfg, ckpt, out=out),
+    "evaluate": lambda raw, ckpt: cmd_evaluate(
+        config_from_dict({**raw, "evaluate": {"episodes": 1}}), ckpt),
+    "export-protocol": lambda raw, ckpt: cmd_export_protocol(config_from_dict(raw), ckpt),
 }
 
 
@@ -642,10 +661,10 @@ _CHECKPOINT_COMMANDS = {
 class TestCheckpointChecks:
     @pytest.mark.parametrize("name", ["policy.0", "critic1.0", "meta_json"])
     def test_missing_record_rejected_before_writing(self, outdir, trained, command, name):
-        cfg, ckpt = trained
+        _, ckpt = trained
         broken = _checkpoint_without(ckpt, name, outdir / "broken.npz")
         with pytest.raises(ConfigError, match=re.escape(name)):
-            _CHECKPOINT_COMMANDS[command](cfg, broken, outdir / "out")
+            _CHECKPOINT_COMMANDS[command](tiny_raw(output_dir="out"), broken)
         assert not (outdir / "out").exists()
 
     @pytest.mark.parametrize("mismatch", ["observation", "action"])
@@ -653,7 +672,7 @@ class TestCheckpointChecks:
         cfg = config_from_dict(tiny_raw())
         ckpt = _mismatched_checkpoint(cfg, mismatch, outdir / "other.npz")
         with pytest.raises(ConfigError, match="widths"):
-            _CHECKPOINT_COMMANDS[command](cfg, ckpt, outdir / "out")
+            _CHECKPOINT_COMMANDS[command](tiny_raw(output_dir="out"), ckpt)
         assert not (outdir / "out").exists()
 
 
@@ -669,16 +688,16 @@ class TestAnalyzeCommand:
         return path
 
     def test_all_minimum_pulse_has_minimum_fluence(self, outdir):
-        cfg = config_from_dict(tiny_raw())
+        cfg = config_from_dict(tiny_raw(output_dir="an", analyze={"initial_state": "0"}))
         path = self._protocol_file(outdir, cfg)
-        summary = cmd_analyze(cfg, path, initial_state="0", out=outdir / "an")
+        summary = cmd_analyze(cfg, path)
         assert summary["fluence"] == 0.0
         assert summary["fluence_relative"] == 0.0
 
     def test_expectations_bounded_and_files_written(self, outdir):
-        cfg = config_from_dict(tiny_raw())
+        cfg = config_from_dict(tiny_raw(output_dir="an2", analyze={"initial_state": "0"}))
         path = self._protocol_file(outdir, cfg, fill=1.0)
-        summary = cmd_analyze(cfg, path, initial_state="0", out=outdir / "an2")
+        summary = cmd_analyze(cfg, path)
         lines = (outdir / "an2" / "bloch.tsv").read_text().splitlines()
         header = [l for l in lines if not l.startswith("#")][0].split("\t")
         assert header == ["time_ns", "q1_x", "q1_y", "q1_z", "block_norm"]
@@ -690,10 +709,11 @@ class TestAnalyzeCommand:
     def test_two_qubit_bloch_columns(self, outdir):
         cfg = config_from_dict(
             tiny_raw(device={"type": "two_qubit"},
-                     env={"observation_mode": "u_exact"})
+                     env={"observation_mode": "u_exact"},
+                     output_dir="an3", analyze={"initial_state": "10"})
         )
         path = self._protocol_file(outdir, cfg, fill=0.5)
-        summary = cmd_analyze(cfg, path, initial_state="10", out=outdir / "an3")
+        summary = cmd_analyze(cfg, path)
         lines = (outdir / "an3" / "bloch.tsv").read_text().splitlines()
         header = [l for l in lines if not l.startswith("#")][0].split("\t")
         assert header == ["time_ns", "q1_x", "q1_y", "q1_z",
@@ -708,10 +728,11 @@ class TestAnalyzeCommand:
     ])
     def test_unknown_initial_state_rejected(self, outdir, device, label):
         valid = {"single_qubit": "0, 1", "two_qubit": "00, 01, 10, 11"}[device]
-        cfg = config_from_dict(tiny_raw(device={"type": device}))
+        cfg = config_from_dict(tiny_raw(device={"type": device}, output_dir="an_bad",
+                                        analyze={"initial_state": label}))
         path = self._protocol_file(outdir, cfg)
         with pytest.raises(ConfigError, match=f"initial state .*use one of {valid}$"):
-            cmd_analyze(cfg, path, initial_state=label, out=outdir / "an_bad")
+            cmd_analyze(cfg, path)
         assert not (outdir / "an_bad").exists()
 
 
@@ -737,9 +758,9 @@ class TestScaleSweepCommand:
         # for an arbitrary (not necessarily good) protocol the robust statement
         # is that scaling a noise amplitude pushes the mean infidelity further
         # from its noise-free value
-        cfg = self._noisy_cfg()
+        cfg = self._noisy_cfg(output_dir="ss")
         path = self._protocol_file(outdir, cfg)
-        summary = cmd_scale_sweep(cfg, path, out=outdir / "ss")
+        summary = cmd_scale_sweep(cfg, path)
         nf = summary["noise_free_infidelity"]
         rows = {row["scale"]: row for row in summary["rows"]}
         for curve in ("slow_charge", "all"):
@@ -757,9 +778,10 @@ class TestScaleSweepCommand:
             noise={"enabled": True},
             scale_sweep={"scales": [1.0, 4.0], "mode": "time_energy",
                          "realizations": 40},
+            output_dir="ss2",
         ))
         path = self._protocol_file(outdir, cfg)
-        summary = cmd_scale_sweep(cfg, path, out=outdir / "ss2")
+        summary = cmd_scale_sweep(cfg, path)
         nf = summary["noise_free_infidelity"]
         rows = {row["scale"]: row for row in summary["rows"]}
         assert abs(rows[1.0]["hyperfine"] - nf) > abs(rows[4.0]["hyperfine"] - nf)
@@ -785,9 +807,10 @@ class TestScaleSweepCommand:
                    "fast_amplitude": 0.0},
             scale_sweep={"scales": [1.0, 8.0], "mode": "time_energy",
                          "realizations": 2},
+            output_dir="ss3",
         ))
         path = self._protocol_file(outdir, cfg)
-        summary = cmd_scale_sweep(cfg, path, out=outdir / "ss3")
+        summary = cmd_scale_sweep(cfg, path)
         nf = summary["noise_free_infidelity"]
         for row in summary["rows"]:
             for name in ("hyperfine", "slow_charge", "fast_charge", "all"):
@@ -795,10 +818,14 @@ class TestScaleSweepCommand:
                     f"scale {row['scale']} column {name}")
 
     def test_bad_mode_rejected(self, outdir):
-        cfg = self._noisy_cfg()
+        cfg = config_from_dict(tiny_raw(
+            noise={"enabled": True},
+            scale_sweep={"scales": [1.0, 8.0], "mode": "sideways", "realizations": 40},
+            output_dir="ss_bad",
+        ))
         path = self._protocol_file(outdir, cfg)
         with pytest.raises(ConfigError, match="mode"):
-            cmd_scale_sweep(cfg, path, mode="sideways", out=outdir / "ss_bad")
+            cmd_scale_sweep(cfg, path)
         assert not (outdir / "ss_bad").exists()
 
     @pytest.mark.parametrize("scales, mode", [
@@ -810,10 +837,11 @@ class TestScaleSweepCommand:
     def test_bad_scales_rejected_before_writing(self, outdir, scales, mode):
         cfg = config_from_dict(tiny_raw(
             noise={"enabled": True}, scale_sweep={"scales": scales, "mode": mode},
+            output_dir="ss_bad",
         ))
         path = self._protocol_file(outdir, cfg)
         with pytest.raises(ConfigError, match="scales"):
-            cmd_scale_sweep(cfg, path, out=outdir / "ss_bad")
+            cmd_scale_sweep(cfg, path)
         assert not (outdir / "ss_bad").exists()
 
     def test_disabled_noise_section_sets_the_amplitudes(self, outdir):
@@ -824,41 +852,67 @@ class TestScaleSweepCommand:
             cfg = config_from_dict(tiny_raw(
                 noise={"enabled": enabled, "sigma_b": 0.05},
                 scale_sweep={"scales": [1.0, 2.0], "mode": "noise", "realizations": 3},
+                output_dir=f"ss_{enabled}",
             ))
             path = self._protocol_file(outdir, cfg)
-            rows.append(cmd_scale_sweep(cfg, path, out=outdir / f"ss_{enabled}")["rows"])
+            rows.append(cmd_scale_sweep(cfg, path)["rows"])
         assert rows[0] == rows[1]
 
     def test_zero_noise_scale_is_noise_free(self, outdir):
         cfg = config_from_dict(tiny_raw(
             noise={"enabled": True},
             scale_sweep={"scales": [0.0], "mode": "noise", "realizations": 2},
+            output_dir="ss0",
         ))
-        summary = cmd_scale_sweep(cfg, self._protocol_file(outdir, cfg), out=outdir / "ss0")
+        summary = cmd_scale_sweep(cfg, self._protocol_file(outdir, cfg))
         row = summary["rows"][0]
         for name in ("hyperfine", "slow_charge", "fast_charge", "all"):
             assert row[name] == pytest.approx(summary["noise_free_infidelity"], abs=1e-12)
 
 
 class TestTomoCalibrateCommand:
-    def _cfg(self):
+    def _cfg(self, out):
         return config_from_dict(tiny_raw(
             tomo={"dim": 2, "shots": [100, 1000, 10_000],
                   "sigmas": [0.001, 0.01, 0.1], "trials": 4},
+            output_dir=out,
         ))
 
     def test_map_persisted_and_loads_back(self, outdir):
-        summary = cmd_tomo_calibrate(self._cfg(), out=outdir / "tc")
+        summary = cmd_tomo_calibrate(self._cfg("tc"))
         mapping = json.loads((outdir / "tc" / "sigma_shots.json").read_text())
         assert mapping["dim"] == 2
         assert mapping["shots_slope"] == pytest.approx(summary["shots_slope"])
         assert summary["shots_slope"] < 0  # more shots, lower infidelity
 
     def test_rerun_reproduces_fit(self, outdir):
-        s1 = cmd_tomo_calibrate(self._cfg(), out=outdir / "t1")
-        s2 = cmd_tomo_calibrate(self._cfg(), out=outdir / "t2")
+        s1 = cmd_tomo_calibrate(self._cfg("t1"))
+        s2 = cmd_tomo_calibrate(self._cfg("t2"))
         assert s1["shots_slope"] == s2["shots_slope"]
         assert s1["sigma_for_1e5_shots"] == s2["sigma_for_1e5_shots"]
+
+
+# setting flag -> (command, flag value, the config key it sets, that key's YAML value)
+_SETTING_FLAGS = {
+    "--seed": ("train", "4", ("seeds",), [4]),
+    "--out": ("train", "flagged", ("output_dir",), "flagged"),
+    "--budget-override": ("train", "2", ("budget_episodes",), 2),
+    "--episodes": ("evaluate", "2", ("evaluate", "episodes"), 2),
+    "--mode": ("scale-sweep", "time_energy", ("scale_sweep", "mode"), "time_energy"),
+    "--initial-state": ("analyze", "0", ("analyze", "initial_state"), "0"),
+}
+
+# protocol-table fault -> the edit that makes it, on the lines of a good table
+_TABLE_FAULTS = {
+    "non_numeric": lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0] + "\tabc"],
+    "no_eps0": lambda lines: [l for l in lines if not l.startswith("# eps0_mv=")],
+    "zero_eps0": lambda lines: ["# eps0_mv=0" if l.startswith("# eps0_mv=") else l
+                                for l in lines],
+    # line 4 is the second body row, after two header lines and the column names
+    "nan": lambda lines: [l if i != 4 else l.rsplit("\t", 1)[0] + "\tnan"
+                          for i, l in enumerate(lines)],
+    "short_row": lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0]],
+}
 
 
 class TestCli:
@@ -964,3 +1018,53 @@ class TestCli:
                          "--out", str(out)]) == 0
         summary = json.loads((out / "analyze_summary.json").read_text())
         assert summary["initial_state"] == "1"
+
+    @pytest.mark.parametrize("flag", sorted(_SETTING_FLAGS))
+    def test_setting_flag_equals_its_config_key(self, outdir, trained, flag):
+        # the flag and the YAML key give the same run, stamped with the same hash
+        command, value, key, yaml_value = _SETTING_FLAGS[flag]
+        _, ckpt = trained
+        base = tiny_raw(budget_episodes=1, scale_sweep={"scales": [1.0, 2.0], "realizations": 2})
+        keyed = copy.deepcopy(base)
+        *section, name = key
+        (keyed.setdefault(section[0], {}) if section else keyed)[name] = yaml_value
+        cfg = config_from_dict(base)
+        proto = outdir / "proto.tsv"
+        table = np.full((8, 1), cfg.env.device.eps_min)
+        table[:4] = 1.0
+        write_protocol(proto, table, cfg.env.device.eps0, cfg.env.sample_period)
+        inputs = {"train": [], "evaluate": ["--checkpoint", str(ckpt)],
+                  "scale-sweep": ["--protocol", str(proto)],
+                  "analyze": ["--protocol", str(proto)]}[command]
+        summary = outdir / keyed["output_dir"] / f"{command.replace('-', '_')}_summary.json"
+        saved = []
+        for raw, flags in ((base, [flag, value]), (keyed, [])):
+            path = self._config_file(outdir, raw)
+            assert cli_main([command, "--config", str(path), *inputs, *flags]) == 0
+            saved.append(json.loads(summary.read_text()))
+        assert saved[0] == saved[1]
+        assert saved[0]["config_hash"] == config_from_dict(keyed).hash
+
+    @pytest.mark.parametrize("command", ["analyze", "scale-sweep"])
+    @pytest.mark.parametrize("fault", ["missing", *_TABLE_FAULTS])
+    def test_bad_protocol_table_exits_two_without_writing(self, outdir, command, fault):
+        path = self._config_file(outdir, tiny_raw())
+        cfg = config_from_dict(tiny_raw())
+        proto = outdir / "proto.tsv"
+        if fault != "missing":
+            table = np.full((8, 1), cfg.env.device.eps_min)
+            table[:4] = 1.0
+            write_protocol(proto, table, cfg.env.device.eps0, cfg.env.sample_period)
+            lines = proto.read_text().splitlines()
+            proto.write_text("\n".join(_TABLE_FAULTS[fault](lines)) + "\n")
+        out = outdir / "out_bad"
+        assert cli_main([command, "--config", str(path), "--protocol", str(proto),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [["not", "a", "mapping"], {**tiny_raw(), "evaluate": [2]}])
+    def test_non_mapping_config_under_a_flag_exits_two(self, outdir, trained, raw):
+        _, ckpt = trained
+        path = self._config_file(outdir, raw)
+        assert cli_main(["evaluate", "--config", str(path), "--checkpoint", str(ckpt),
+                         "--episodes", "1", "--seed", "1"]) == 2

@@ -684,3 +684,34 @@ class TestCheckpoints:
         self._rewrite(path, lambda arrays: arrays.update({"critic2.0": arrays["critic1.0"]}))
         with pytest.raises(ValueError, match=r"unexpected \['critic2\.0'\]"):
             SacAgent.load(path)
+
+    @pytest.mark.parametrize("kind", ["empty", "truncated", "single_array"])
+    def test_incomplete_archive_named_and_closed(self, tmp_path, kind):
+        # in a child under -X dev, where a file left open shows on stderr
+        _, path = self._trained_agent(tmp_path)
+        bad = tmp_path / f"{kind}.npz"
+        if kind == "single_array":
+            with open(bad, "wb") as file:
+                np.save(file, np.zeros(3))
+        else:
+            bad.write_bytes(path.read_bytes()[:2000 if kind == "truncated" else 0])
+        script = textwrap.dedent("""
+            import gc, sys
+            from qdrl.rlagent import SacAgent
+            for source in (sys.argv[1], open(sys.argv[1], "rb")):
+                try:
+                    SacAgent.load(source)
+                except ValueError as err:
+                    print(err)
+            source.close()
+            gc.collect()
+        """)
+        src = str(Path(sac.__file__).parents[2])
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script, str(bad)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 2 and all(f"{kind}.npz" in line for line in lines), lines
+
