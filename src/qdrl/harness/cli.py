@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         **{"--checkpoint": dict(required=True),
            "--episodes": dict(type=_positive_int, default=None,
                               help="set evaluate.episodes")})
-    add("sweep", "grid of training runs over protocol time x segment count", commands.cmd_sweep,
+    add("sweep", "one training run per cell of the sweep.axes product", commands.cmd_sweep,
         **{"--workers": dict(type=_worker_count, default=1,
                              help="worker processes for independent cells")})
     add("scale-sweep", "fixed-protocol infidelity vs scale per noise contribution",

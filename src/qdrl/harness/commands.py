@@ -10,7 +10,9 @@ programmatically as well as from the command line.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
+import itertools
 import json
 import shutil
 import time
@@ -205,54 +207,50 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path) -> dict:
 # --------------------------------------------------------------------- sweep
 
 
-def _run_sweep_cell(resolved: dict, protocol_time: float, n_segments: int,
-                    seed: int, budget: int, n_eval: int) -> dict:
-    """One (T, N) cell: train a fresh agent, report its evaluation NLIF."""
-    config = config_from_dict(resolved)
-    cell = {"protocol_time": protocol_time, "n_segments": n_segments, "seed": seed}
+def _train_cell(config: ExperimentConfig) -> dict:
+    """cmd_train of one sweep cell: its seeds' final NLIFs and their mean."""
     try:
-        env = config.make_env(seed, protocol_time=protocol_time, n_segments=n_segments)
-        agent = config.make_agent(env, seed)
-        train_loop(env, agent, budget, seed=seed)
-        final = evaluate_policy(env, agent, n_eval)
-        cell.update(status="ok", mean_nlif=final["mean_nlif"],
-                    mean_leakage=final["mean_leakage"])
+        nlifs = [entry.get("mean_nlif") for entry in cmd_train(config)["seeds"]]
     except Exception as err:  # per-cell failures are recorded, not fatal
-        cell.update(status="failed", mean_nlif=None, error=f"{type(err).__name__}: {err}")
-    return cell
+        return {"status": "failed", "mean_nlif": None, "error": f"{type(err).__name__}: {err}"}
+    mean = float(np.mean(nlifs)) if None not in nlifs else None
+    return {"status": "ok", "nlifs": nlifs, "mean_nlif": mean}
 
 
 def cmd_sweep(config: ExperimentConfig, workers: int = 1) -> dict:
-    """Grid of training runs over protocol time x action count.
+    """Training runs over the product of the sweep.axes values.
 
-    With workers > 1 the cells run in that many processes, each of which
-    evolves its stacks on one thread.
+    Cell k is the config with one value per axis, trained by cmd_train over
+    every seed into <output_dir>/cell<k>. Every cell is validated before any
+    runs. With workers > 1 the cells run in that many processes, each of
+    which evolves its stacks on one thread.
     """
-    spec = config.section("sweep")
-    times, segments = spec["times"], spec["segments"]
-    if not times or not segments:
-        raise ConfigError("sweep requires non-empty 'times' and 'segments' lists")
+    axes = config.section("sweep")["axes"]
+    if not axes:
+        raise ConfigError("sweep requires a non-empty sweep.axes mapping")
+    grid = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
+    configs = []
+    for k, values in enumerate(grid):
+        raw = copy.deepcopy(config.resolved)
+        for axis, value in values.items():
+            name, key = axis.split(".")
+            raw[name][key] = value
+        raw.update(sweep={"axes": {}}, output_dir=str(Path(raw["output_dir"]) / f"cell{k}"))
+        configs.append(config_from_dict(raw))
     out = _ensure_dir(config.output_dir)
-    budget = spec["budget_episodes"]
-    if budget is None:
-        budget = config.budget_episodes
-    seed = config.seeds[0]
-    cells = [(float(t), n) for t in times for n in segments]
-    args = [(config.resolved, t, n, seed, budget, config.n_eval_episodes) for t, n in cells]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=evolve_serially) as pool:
-            results = list(pool.map(_run_sweep_cell, *zip(*args)))
+            cells = list(pool.map(_train_cell, configs))
     else:
-        results = [_run_sweep_cell(*a) for a in args]
+        cells = [_train_cell(cell_config) for cell_config in configs]
 
-    lines = [f"# config_hash={config.hash}",
-             "protocol_time_ns\tn_segments\tmean_nlif\tstatus"]
-    for cell in results:
-        nlif = "nan" if cell["mean_nlif"] is None else repr(cell["mean_nlif"])
-        lines.append(f"{cell['protocol_time']}\t{cell['n_segments']}\t{nlif}\t{cell['status']}")
+    lines = [f"# config_hash={config.hash}", "\t".join(["cell", *axes, "mean_nlif", "status"])]
+    for k, (values, cell_config, cell) in enumerate(zip(grid, configs, cells)):
+        cell.update(cell=k, values=values, config_hash=cell_config.hash)
+        mean = "nan" if cell["mean_nlif"] is None else repr(cell["mean_nlif"])
+        lines.append("\t".join([str(k), *map(str, values.values()), mean, cell["status"]]))
     (out / "sweep.tsv").write_text("\n".join(lines) + "\n")
-    summary = {"config_hash": config.hash, "cells": results,
-               "n_rows": len(times), "n_cols": len(segments)}
+    summary = {"config_hash": config.hash, "cells": cells}
     _write_json(out / "sweep_summary.json", summary)
     return summary
 

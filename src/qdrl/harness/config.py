@@ -79,7 +79,7 @@ _DEFAULTS: dict[str, dict] = {
     "agent": _field_defaults(SacConfig),
     "train": {"eval_every": 0, "n_eval_episodes": 10},
     "evaluate": {"episodes": 100},
-    "sweep": {"times": [], "segments": [], "budget_episodes": None},
+    "sweep": {"axes": {}},
     "scale_sweep": {"scales": [1.0], "mode": "noise", "realizations": 100},
     "tomo": {
         "dim": 4,
@@ -118,10 +118,9 @@ def _check_type(key: str, value, default) -> None:
             _check_type(f"{key}[{i}]", item, default[0])
 
 
-# Types a default cannot show: the items of an empty list, a value behind a
-# None default (None itself stays accepted there).
-_TYPE_OF = {("sweep", "times"): [0.0], ("sweep", "segments"): [0],
-            ("sweep", "budget_episodes"): 0, ("analyze", "initial_state"): ""}
+# Types a default cannot show: a value behind a None default (None itself
+# stays accepted there).
+_TYPE_OF = {("analyze", "initial_state"): ""}
 
 
 def _merge_section(name: str, user: dict | None) -> dict:
@@ -155,6 +154,14 @@ def _resolve(raw: dict) -> dict:
         _check_type(key, resolved[key], default)
     for name in _DEFAULTS:
         resolved[name] = _merge_section(name, raw.get(name))
+    # a sweep axis: a key of a section other than sweep -> values that key accepts
+    for axis, values in resolved["sweep"]["axes"].items():
+        name, _, key = str(axis).partition(".")
+        if name not in _DEFAULTS or name == "sweep" or not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.axes maps section.key (outside sweep) to a non-empty "
+                              f"list, got {axis!r}: {values!r}")
+        for value in values:
+            _merge_section(name, {key: value})
     return resolved
 
 
@@ -200,16 +207,11 @@ class ExperimentConfig:
     def make_env(self, seed: int, **changes) -> GateSynthesisEnv:
         """Fresh environment for one run on the configured device.
 
-        changes replace EnvConfig fields (noise=None mutes noise); a substep
-        grid they move without bringing a kernel gets the kernel section
-        sampled on it. The model is built over the env's device, so a
-        rescaled j0 reaches the Hamiltonian.
+        changes replace EnvConfig fields (noise=None mutes noise); changes
+        that move the substep grid bring their kernel. The model is built
+        over the env's device, so a rescaled j0 reaches the Hamiltonian.
         """
-        env = self.env
-        if changes:
-            env = dataclasses.replace(env, **changes)
-            if "kernel" not in changes and env.dt != self.env.dt:
-                env = _on_grid(env, self.resolved["kernel"])
+        env = dataclasses.replace(self.env, **changes) if changes else self.env
         return GateSynthesisEnv(env, model=self.make_model(env.device), seed=seed)
 
     def make_agent(self, env: GateSynthesisEnv, seed: int) -> SacAgent:
@@ -255,7 +257,6 @@ _LEAST = {
     ("train", "n_eval_episodes"): 1,
     ("evaluate", "episodes"): 1,
     ("scale_sweep", "realizations"): 1,
-    ("sweep", "budget_episodes"): 0,
 }
 
 
@@ -284,7 +285,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         env = _on_grid(EnvConfig(noise=noise if resolved["noise"]["enabled"] else None,
                                  **_fields_of(resolved, "env")), resolved["kernel"])
         agent = SacConfig(**_fields_of(resolved, "agent"))
-    except (TypeError, ValueError) as err:  # ConfigError included: rewrapped unchanged
+    except (TypeError, ValueError, OSError) as err:  # ConfigError included: rewrapped unchanged
         raise ConfigError(str(err)) from err
 
     out_dir = Path(resolved["output_dir"])
@@ -326,6 +327,8 @@ def read_yaml(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.load(path.read_text(), Loader=_Loader)
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"unreadable config file {path}: {err}") from err
     except yaml.YAMLError as err:
         raise ConfigError(f"malformed YAML in {path}: {err}") from err
     if raw is None:

@@ -43,7 +43,7 @@ from qdrl.harness.cli import _build_parser
 from qdrl.harness.cli import main as cli_main
 from qdrl import qcore
 from qdrl.qcore import DeviceParams
-from qdrl.rlagent import SacAgent, SacConfig, train_loop
+from qdrl.rlagent import DivergenceError, SacAgent, SacConfig, train_loop
 from qdrl.rlenv import EnvConfig
 
 
@@ -138,11 +138,19 @@ class TestConfigSchema:
         pytest.param({"train": {"eval_every": -1}}, id="train.eval_every"),
         pytest.param({"evaluate": {"episodes": 0}}, id="evaluate.episodes"),
         pytest.param({"scale_sweep": {"realizations": 0}}, id="scale_sweep.realizations"),
-        # sweep items and budget, once truncated, a bare ValueError or one episode
-        pytest.param({"sweep": {"times": [8.0], "segments": [8.7]}}, id="sweep.segments"),
-        pytest.param({"sweep": {"times": ["x"], "segments": [8]}}, id="sweep.times"),
-        pytest.param({"sweep": {"budget_episodes": True}}, id="sweep.budget_episodes"),
-        pytest.param({"sweep": {"budget_episodes": -1}}, id="sweep.budget_episodes_negative"),
+        # sweep values, checked as their keys are, once truncated or a bare ValueError
+        pytest.param({"sweep": {"axes": {"env.n_segments": [8.7]}}}, id="sweep.axes.segments"),
+        pytest.param({"sweep": {"axes": {"env.protocol_time": ["x"]}}}, id="sweep.axes.time"),
+        # a sweep axis that is no key of a section, or that a cell cannot vary
+        pytest.param({"sweep": {"axes": {"env.protocol_tiem": [8.0]}}},
+                     id="sweep.axes.unknown_key"),
+        pytest.param({"sweep": {"axes": {"env.protocol_time": 8.0}}}, id="sweep.axes.non_list"),
+        pytest.param({"sweep": {"axes": {"env.protocol_time": []}}}, id="sweep.axes.empty_list"),
+        pytest.param({"sweep": {"axes": {"seeds": [[0], [1]]}}}, id="sweep.axes.seeds"),
+        pytest.param({"sweep": {"axes": {"output_dir": ["a", "b"]}}}, id="sweep.axes.output_dir"),
+        pytest.param({"sweep": {"axes": {"sweep.axes": [{}]}}}, id="sweep.axes.sweep_axes"),
+        pytest.param({"sweep": {"axes": [["env.protocol_time", [8.0]]]}},
+                     id="sweep.axes.non_mapping"),
         pytest.param({"analyze": {"initial_state": 10}}, id="analyze.initial_state"),
         # a non-finite float, once a silently dead noise channel or a late crash
         pytest.param({"noise": {"enabled": True, "sigma_b": float("nan")}},
@@ -150,8 +158,8 @@ class TestConfigSchema:
         pytest.param({"noise": {"enabled": True, "fast_amplitude": float("inf")}},
                      id="noise.fast_amplitude_inf"),
         pytest.param({"env": {"protocol_time": float("inf")}}, id="env.protocol_time_inf"),
-        pytest.param({"sweep": {"times": [8.0, float("nan")], "segments": [8]}},
-                     id="sweep.times_nan"),
+        pytest.param({"sweep": {"axes": {"env.protocol_time": [8.0, float("nan")]}}},
+                     id="sweep.axes.time_nan"),
         pytest.param({"scale_sweep": {"scales": [1.0, -float("inf")]}},
                      id="scale_sweep.scales_inf"),
     ])
@@ -174,11 +182,12 @@ class TestConfigSchema:
     def test_experiment_hashes_pinned(self):
         # any change here moves every artifact's hash and orphans past checkpoints;
         # the single-qubit one moved once, when analyze.initial_state began to
-        # default to the device's state 1 instead of the two-qubit label 10
+        # default to the device's state 1 instead of the two-qubit label 10;
+        # both moved once when the sweep section became sweep.axes
         assert config_from_dict({"schema_version": 1}).hash == (
-            "d37f785345a7ddfece020745782e6b7f8bf2ace38047a6eb9bf2a11adb48fb19")
+            "1e33577de1bb0b2903dd689f29c35ed0948be5c62e9e723ab582c381b030874c")
         assert config_from_dict(tiny_raw()).hash == (
-            "f97a567d5392d36c84640b4d2b1591faf09fa34ec15db8d64c7a682addddff89")
+            "b555131b6bc66396290355af7a02ef2b1219153d49c1189c9f0ed34407cff097")
 
     def test_channels_follow_device(self):
         one = config_from_dict(tiny_raw())
@@ -215,16 +224,28 @@ class TestConfigSchema:
         assert cfg.env.kernel is not None
         assert cfg.env.kernel.dt == pytest.approx(cfg.env.dt)
 
-    def test_make_env_resamples_the_kernel_on_a_moved_grid(self):
+    def test_make_env_changes_that_move_the_grid_bring_their_kernel(self):
         cfg = config_from_dict(
             tiny_raw(kernel={"type": "gaussian", "mean_delay": 1.0, "stddev": 0.3})
         )
         assert cfg.make_env(0, noise=None).config.kernel is cfg.env.kernel
-        moved = cfg.make_env(0, protocol_time=12.0, n_segments=10).config
-        assert moved.dt != cfg.env.dt
-        assert moved.kernel.dt == pytest.approx(moved.dt)
+        # the configured kernel is sampled on the configured grid alone
+        with pytest.raises(ValueError, match="kernel is sampled at dt"):
+            cfg.make_env(0, protocol_time=12.0)
         # a kernel among the changes is taken as given
         assert cfg.make_env(0, protocol_time=12.0, kernel=None).config.kernel is None
+
+    @pytest.mark.parametrize("path", ["missing", "directory"])
+    def test_unreadable_kernel_file_is_a_config_error(self, tmp_path, path):
+        (tmp_path / "directory").mkdir()
+        raw = tiny_raw(kernel={"type": "file", "path": str(tmp_path / path)})
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+        config = tmp_path / "exp.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_hash_stable_and_sensitive(self):
         a = config_from_dict(tiny_raw())
@@ -259,6 +280,15 @@ class TestConfigSchema:
         bad.write_text("a: [unclosed")
         with pytest.raises(ConfigError, match="malformed"):
             read_yaml(bad)
+        # a directory, and a file that is not UTF-8 text
+        not_utf8 = tmp_path / "utf16.yaml"
+        not_utf8.write_bytes(b"\xff\xfes\x00c\x00")
+        for unreadable in (tmp_path, not_utf8):
+            with pytest.raises(ConfigError, match="unreadable"):
+                read_yaml(unreadable)
+            out = tmp_path / "out"
+            assert cli_main(["train", "--config", str(unreadable), "--out", str(out)]) == 2
+            assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["u_tomo_plus_pulse", "u_noisy_plus_pulse"])
     def test_removed_observation_modes_rejected(self, tmp_path, mode):
@@ -546,60 +576,100 @@ class TestEvaluateCommand:
         assert not (outdir / "ev").exists()
 
 
+def _arrays(path: Path) -> dict:
+    """The arrays of a checkpoint, its metadata left out."""
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files if name != "meta_json"}
+
+
 class TestSweepCommand:
-    def test_single_cell_grid(self, outdir):
-        cfg = config_from_dict(
-            tiny_raw(sweep={"times": [8.0], "segments": [8], "budget_episodes": 2},
-                     output_dir="sw")
-        )
+    def test_cells_are_training_runs_of_their_configs(self, outdir, monkeypatch):
+        cfg = config_from_dict(tiny_raw(sweep={"axes": {"agent.gamma": [0.9, 0.95]}},
+                                        budget_episodes=2, output_dir="sw"))
         summary = cmd_sweep(cfg)
-        assert summary["n_rows"] == 1 and summary["n_cols"] == 1
-        assert summary["cells"][0]["status"] == "ok"
         lines = (outdir / "sw" / "sweep.tsv").read_text().splitlines()
-        assert lines[0] == f"# config_hash={cfg.hash}"
-        assert len(lines) == 3  # hash, header, one cell
+        assert lines[:2] == [f"# config_hash={cfg.hash}", "cell\tagent.gamma\tmean_nlif\tstatus"]
+        assert [line.split("\t")[:2] for line in lines[2:]] == [["0", "0.9"], ["1", "0.95"]]
+        # each cell equals a separate training run of its config elsewhere
+        monkeypatch.setenv("QDRL_OUTPUT_ROOT", str(outdir / "alone"))
+        for k, gamma in enumerate([0.9, 0.95]):
+            cell = outdir / "sw" / f"cell{k}"
+            alone = config_from_dict(tiny_raw(agent={"gamma": gamma}, budget_episodes=2,
+                                              output_dir=f"sw/cell{k}"))
+            cmd_train(alone)
+            assert summary["cells"][k]["config_hash"] == alone.hash
+            assert summary["cells"][k]["values"] == {"agent.gamma": gamma}
+            assert summary["cells"][k]["status"] == "ok"
+            ra = read_records(cell / "train_seed0.jsonl")
+            rb = read_records(alone.output_dir / "train_seed0.jsonl")
+            assert len(ra) == 2 and all(records_equal(x, y) for x, y in zip(ra, rb))
+            assert all(r.config_hash == alone.hash for r in ra)
+            a, b = _arrays(cell / "agent_seed0.npz"), _arrays(alone.output_dir / "agent_seed0.npz")
+            assert set(a) == set(b)
+            for name in a:
+                np.testing.assert_array_equal(a[name], b[name])
 
-    def test_grid_shape_and_failed_cell_marked(self, outdir):
-        cfg = config_from_dict(
-            tiny_raw(sweep={"times": [8.0], "segments": [8, 3], "budget_episodes": 1},
-                     output_dir="sw2")
-        )
-        summary = cmd_sweep(cfg)
-        by_segments = {c["n_segments"]: c for c in summary["cells"]}
-        assert by_segments[8]["status"] == "ok"
-        assert by_segments[3]["status"] == "failed"  # too few segments for tails
-        assert by_segments[3]["mean_nlif"] is None
-        lines = (outdir / "sw2" / "sweep.tsv").read_text().splitlines()
-        assert len(lines) == 4
+    def test_a_cell_trains_every_seed(self, outdir):
+        cfg = config_from_dict(tiny_raw(sweep={"axes": {"env.protocol_time": [8.0]}},
+                                        seeds=[0, 1], budget_episodes=1, output_dir="sw2"))
+        cell = cmd_sweep(cfg)["cells"][0]
+        trained = json.loads((outdir / "sw2" / "cell0" / "train_summary.json").read_text())
+        nlifs = [entry["mean_nlif"] for entry in trained["seeds"]]
+        assert [entry["seed"] for entry in trained["seeds"]] == [0, 1]
+        assert cell["nlifs"] == nlifs and nlifs[0] != nlifs[1]
+        assert cell["mean_nlif"] == float(np.mean(nlifs))
+        row = (outdir / "sw2" / "sweep.tsv").read_text().splitlines()[2].split("\t")
+        assert row == ["0", "8.0", repr(cell["mean_nlif"]), "ok"]
 
-    def test_zero_budget_trains_zero_episodes(self, outdir, monkeypatch):
-        # an explicit sweep budget of 0 must not fall back to the top-level budget
-        budgets = []
+    def test_zero_budget_cell_reports_nan(self, outdir):
+        cfg = config_from_dict(tiny_raw(sweep={"axes": {"env.protocol_time": [8.0]}},
+                                        budget_episodes=0, output_dir="sw0"))
+        cell = cmd_sweep(cfg)["cells"][0]
+        assert cell["status"] == "ok" and cell["nlifs"] == [None] and cell["mean_nlif"] is None
+        assert (outdir / "sw0" / "sweep.tsv").read_text().splitlines()[2].split("\t")[2] == "nan"
 
-        def recording_train_loop(env, agent, n_episodes, **kwargs):
-            budgets.append(n_episodes)
+    def test_runtime_failure_marks_the_cell_failed(self, outdir, monkeypatch):
+        def diverging_train_loop(env, agent, n_episodes, **kwargs):
+            if env.config.n_segments == 10:
+                raise DivergenceError("non-finite critic loss")
             return train_loop(env, agent, n_episodes, **kwargs)
 
-        monkeypatch.setattr("qdrl.harness.commands.train_loop", recording_train_loop)
-        cfg = config_from_dict(
-            tiny_raw(sweep={"times": [8.0], "segments": [8], "budget_episodes": 0},
-                     output_dir="sw0")
-        )
-        summary = cmd_sweep(cfg)
-        assert budgets == [0]
-        assert summary["cells"][0]["status"] == "ok"
+        monkeypatch.setattr("qdrl.harness.commands.train_loop", diverging_train_loop)
+        cfg = config_from_dict(tiny_raw(sweep={"axes": {"env.n_segments": [8, 10]}},
+                                        budget_episodes=1, output_dir="swf"))
+        ok, failed = cmd_sweep(cfg)["cells"]
+        assert ok["status"] == "ok" and failed["status"] == "failed"
+        assert failed["mean_nlif"] is None and "DivergenceError" in failed["error"]
+        lines = (outdir / "swf" / "sweep.tsv").read_text().splitlines()
+        assert lines[3].split("\t") == ["1", "10", "nan", "failed"]
 
-    def test_empty_grid_rejected(self, outdir):
-        cfg = config_from_dict(tiny_raw(output_dir="sw_bad"))
-        with pytest.raises(ConfigError, match="sweep"):
-            cmd_sweep(cfg)
+    def test_invalid_cell_exits_two_before_any_cell_runs(self, outdir):
+        # too few segments for the tails: the second cell is no valid config
+        raw = tiny_raw(sweep={"axes": {"env.n_segments": [8, 3]}}, output_dir="sw_bad")
+        with pytest.raises(ConfigError):
+            cmd_sweep(config_from_dict(raw))
+        path = outdir / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["sweep", "--config", str(path)]) == 2
         assert not (outdir / "sw_bad").exists()
 
+    def test_empty_axes_rejected(self, outdir):
+        cfg = config_from_dict(tiny_raw(output_dir="sw_empty"))
+        with pytest.raises(ConfigError, match="sweep.axes"):
+            cmd_sweep(cfg)
+        assert not (outdir / "sw_empty").exists()
+
     def test_worker_pool_matches_serial(self, outdir):
-        raw = tiny_raw(sweep={"times": [8.0], "segments": [8, 9], "budget_episodes": 1})
-        serial = cmd_sweep(config_from_dict({**raw, "output_dir": "s1"}), workers=1)
-        pooled = cmd_sweep(config_from_dict({**raw, "output_dir": "s2"}), workers=2)
-        assert serial["cells"] == pooled["cells"]
+        cfg = config_from_dict(tiny_raw(sweep={"axes": {"env.n_segments": [8, 9]}},
+                                        budget_episodes=1, output_dir="sw_pool"))
+        serial = cmd_sweep(cfg, workers=1)
+        logs = [read_records(outdir / "sw_pool" / f"cell{k}" / "train_seed0.jsonl")
+                for k in range(2)]
+        pooled = cmd_sweep(cfg, workers=2)
+        assert serial == pooled
+        for k, log in enumerate(logs):
+            again = read_records(outdir / "sw_pool" / f"cell{k}" / "train_seed0.jsonl")
+            assert len(log) == 1 and all(records_equal(x, y) for x, y in zip(log, again))
 
     def test_worker_processes_evolve_serially(self, outdir, monkeypatch):
         # each worker shares the cores with its siblings: qcore runs it on one
@@ -611,8 +681,9 @@ class TestSweepCommand:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr("qdrl.harness.commands.ProcessPoolExecutor", Recording)
-        raw = tiny_raw(sweep={"times": [8.0], "segments": [8, 9], "budget_episodes": 0})
-        cmd_sweep(config_from_dict({**raw, "output_dir": "s3"}), workers=2)
+        cfg = config_from_dict(tiny_raw(sweep={"axes": {"env.n_segments": [8, 9]}},
+                                        budget_episodes=0, output_dir="s3"))
+        cmd_sweep(cfg, workers=2)
         assert options["initializer"] is qcore.evolve_serially
 
 
