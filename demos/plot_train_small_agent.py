@@ -55,7 +55,7 @@ config = config_from_dict({
 
 summary = cmd_train(config)
 records = read_records(workdir / "train_seed3.jsonl")
-returns = np.array([r.episode_return for r in records])
+returns = np.array([r["return"] for r in records])
 print(f"trained {len(records)} episodes")
 for lo in range(0, 400, 100):
     print(f"  episodes {lo:3d}-{lo + 99:3d}: "

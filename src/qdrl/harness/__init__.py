@@ -19,13 +19,12 @@ from .config import (
     read_yaml,
 )
 from .protocol import read_protocol, write_protocol
-from .records import EpisodeRecord, read_records, records_equal, write_records
+from .records import read_records, records_equal, write_records
 
 __all__ = [
     "SCHEMA_VERSION",
     "ConfigError",
     "ExperimentConfig",
-    "EpisodeRecord",
     "cmd_analyze",
     "cmd_evaluate",
     "cmd_export_protocol",

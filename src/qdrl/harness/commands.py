@@ -24,12 +24,12 @@ import numpy as np
 from ..pulse import ImpulseKernel
 from ..qcore import evolve_serially
 from ..rlagent import SacAgent, evaluate_policy, play_policy, train_loop
-from ..rlenv import TAIL_SEGMENTS, GateSynthesisEnv
+from ..rlenv import TAIL_SEGMENTS, DeviceModel, GateSynthesisEnv
 from ..seeding import named_stream
 from ..tomography import calibrate_sigma_to_shots
 from .config import ConfigError, ExperimentConfig, _noise_config, config_from_dict
 from .protocol import read_protocol, write_protocol
-from .records import EpisodeRecord, write_records
+from .records import record_line, write_records
 
 __all__ = [
     "cmd_train",
@@ -79,24 +79,8 @@ def cmd_train(config: ExperimentConfig) -> dict:
         with open(log_path, "w") as log:
 
             def emit(rec: dict) -> None:
-                record = EpisodeRecord(
-                    episode=rec["episode"],
-                    seed=seed,
-                    episode_return=rec["return"],
-                    nlif=rec["nlif"],
-                    leakage=rec["leakage"],
-                    wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                    config_hash=cfg_hash,
-                    extras={
-                        "alpha": rec["alpha"],
-                        "entropy": rec["entropy"],
-                        "critic_loss": rec["critic_loss"],
-                        "policy_loss": rec["policy_loss"],
-                        "env_steps": rec["env_steps"],
-                        "update_ms": rec["update_ms"],
-                    },
-                )
-                log.write(record.to_json() + "\n")
+                log.write(record_line({**rec, "seed": seed, "config_hash": cfg_hash,
+                                       "wall_time_ms": (time.perf_counter() - t0) * 1e3}) + "\n")
 
             result = train_loop(
                 env,
@@ -184,11 +168,9 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path) -> dict:
         _, info = play_policy(env, agent)
         dynamic.append(info["nlif"])
         frozen.append(env.rollout(frozen_actions).info["nlif"])
-        records.append(EpisodeRecord(
-            episode=k, seed=seed, episode_return=dynamic[-1], nlif=dynamic[-1],
-            leakage=info["leakage"], wall_time_ms=0.0, config_hash=config.hash,
-            extras={"frozen_nlif": frozen[-1]},
-        ))
+        records.append({"episode": k, "seed": seed, "return": dynamic[-1], "nlif": dynamic[-1],
+                        "leakage": info["leakage"], "wall_time_ms": 0.0,
+                        "config_hash": config.hash, "frozen_nlif": frozen[-1]})
     write_records(out / "evaluate.jsonl", records)
 
     dynamic, frozen = np.array(dynamic), np.array(frozen)
@@ -396,10 +378,24 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path) -> dict:
 # ------------------------------------------------------------------- analyze
 
 
+def _moved_state(model: DeviceModel) -> str:
+    """Label of the first computational state the model's default gate
+    moves: 10 under CNOT, 1 under the phase gate."""
+    target = model.default_target
+    moved = np.any(target != np.eye(len(target)), axis=0)
+    return model.labels[int(np.argmax(moved))]
+
+
 def cmd_analyze(config: ExperimentConfig, protocol_path: Path) -> dict:
-    """Per-substep logical Bloch vectors and the protocol's relative fluence."""
-    label = config.resolved["analyze"]["initial_state"]
+    """Per-substep logical Bloch vectors and the protocol's relative fluence.
+
+    The initial state is analyze.initial_state, by default the first
+    computational state the device's default gate moves.
+    """
     model = config.make_model()
+    label = config.resolved["analyze"]["initial_state"]
+    if label is None:
+        label = _moved_state(model)
     if label not in model.labels:
         raise ConfigError(f"unknown initial state {label!r} for a {config.device_type} "
                           f"device; use one of {', '.join(model.labels)}")
@@ -450,12 +446,15 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path) -> dict:
 
 def cmd_tomo_calibrate(config: ExperimentConfig) -> dict:
     """Fit the snapshot-budget <-> surrogate-noise equivalence and persist it."""
-    out = _ensure_dir(config.output_dir)
     spec = config.section("tomo")
     rng = named_stream(config.seeds[0], "tomo-calibrate")
-    mapping = calibrate_sigma_to_shots(
-        spec["dim"], spec["shots"], spec["sigmas"], rng, n_trials=spec["trials"]
-    )
+    try:
+        mapping = calibrate_sigma_to_shots(
+            spec["dim"], spec["shots"], spec["sigmas"], rng, n_trials=spec["trials"]
+        )
+    except ValueError as err:
+        raise ConfigError(f"tomo section gives no calibration: {err}") from err
+    out = _ensure_dir(config.output_dir)
     map_path = out / "sigma_shots.json"
     mapping.save(map_path)
     summary = {

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from ..noise import NoiseConfig
@@ -230,14 +229,6 @@ def _on_grid(env: EnvConfig, spec: dict) -> EnvConfig:
     return dataclasses.replace(env, kernel=kernel)
 
 
-def _moved_state(model: DeviceModel) -> str:
-    """Label of the first computational state the model's default gate
-    moves: 10 under CNOT, 1 under the phase gate."""
-    target = model.default_target
-    moved = np.any(target != np.eye(len(target)), axis=0)
-    return model.labels[int(np.argmax(moved))]
-
-
 def _noise_config(resolved: dict) -> NoiseConfig:
     """The noise section's amplitudes, whatever its enabled flag says."""
     return NoiseConfig(**{key: value for key, value in _fields_of(resolved, "noise").items()
@@ -292,7 +283,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not out_dir.is_absolute():
         out_dir = output_root() / out_dir
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         resolved=resolved,
         seeds=list(seeds),
         budget_episodes=budget,
@@ -303,9 +294,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         eval_every=resolved["train"]["eval_every"],
         n_eval_episodes=resolved["train"]["n_eval_episodes"],
     )
-    if resolved["analyze"]["initial_state"] is None:
-        resolved["analyze"]["initial_state"] = _moved_state(config.make_model())
-    return config
 
 
 class _Loader(yaml.SafeLoader):

@@ -1,95 +1,49 @@
-"""Append-only episode logs: one self-describing JSON record per line.
+"""Append-only episode logs: one JSON object per line.
 
-Records carry the config hash so downstream analysis can refuse to mix
-artifacts from different configurations. Non-finite numbers are stored as
-null (episodes logged before the first gradient update have no losses yet),
-which keeps the files valid strict JSON. Timings (the `wall_time_ms` field and
-an `update_ms` extra) are recorded for budgeting but ignored by
-`records_equal`, since they are the values that legitimately differ between
-bit-identical reruns.
+A record is a plain dict whose keys are the ones on disk. A training record
+is the episode dict of `train_loop` (episode, env_steps, return, nlif,
+leakage, alpha, entropy, critic_loss, policy_loss, update_ms) plus seed,
+wall_time_ms and config_hash; an evaluation record holds episode, seed,
+return, nlif, leakage, wall_time_ms, config_hash and frozen_nlif. The config
+hash lets downstream analysis refuse to mix artifacts from different
+configurations. Non-finite numbers are stored as null (episodes logged before
+the first gradient update have no losses yet), which keeps the files valid
+strict JSON. The timings wall_time_ms and update_ms are recorded for
+budgeting but ignored by `records_equal`, since they are the values that
+legitimately differ between bit-identical reruns.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-__all__ = ["EpisodeRecord", "write_records", "read_records", "records_equal"]
+__all__ = ["record_line", "write_records", "read_records", "records_equal"]
 
-# timing fields, skipped by records_equal among the core fields and the extras
 VOLATILE_FIELDS = ("wall_time_ms", "update_ms")
 
 
-@dataclass
-class EpisodeRecord:
-    episode: int
-    seed: int
-    episode_return: float
-    nlif: float
-    leakage: float
-    wall_time_ms: float
-    config_hash: str
-    extras: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "episode": self.episode,
-            "seed": self.seed,
-            "return": _clean(self.episode_return),
-            "nlif": _clean(self.nlif),
-            "leakage": _clean(self.leakage),
-            "wall_time_ms": _clean(self.wall_time_ms),
-            "config_hash": self.config_hash,
-        }
-        for key, value in sorted(self.extras.items()):
-            if key in payload:
-                raise ValueError(f"extra field {key!r} collides with a core field")
-            payload[key] = _clean(value)
-        return json.dumps(payload, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, line: str) -> "EpisodeRecord":
-        data = json.loads(line)
-        core = {
-            "episode": data.pop("episode"),
-            "seed": data.pop("seed"),
-            "episode_return": data.pop("return"),
-            "nlif": data.pop("nlif"),
-            "leakage": data.pop("leakage"),
-            "wall_time_ms": data.pop("wall_time_ms"),
-            "config_hash": data.pop("config_hash"),
-        }
-        return cls(**core, extras=data)
+def record_line(record: dict) -> str:
+    """One record as a line of strict JSON, non-finite floats written as null."""
+    return json.dumps({key: None if isinstance(value, float) and not math.isfinite(value)
+                       else value for key, value in record.items()}, allow_nan=False)
 
 
-def _clean(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def write_records(path, records: Iterable[EpisodeRecord]) -> None:
+def write_records(path, records: Iterable[dict]) -> None:
     with open(path, "w") as fh:
         for record in records:
-            fh.write(record.to_json() + "\n")
+            fh.write(record_line(record) + "\n")
 
 
-def read_records(path) -> list[EpisodeRecord]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            out.append(EpisodeRecord.from_json(line))
-    return out
+def read_records(path) -> list[dict]:
+    return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
 
 
-def records_equal(a: EpisodeRecord, b: EpisodeRecord) -> bool:
-    """Field-wise equality, skipping the volatile (timing) fields."""
+def records_equal(a: dict, b: dict) -> bool:
+    """Key-wise equality, skipping the volatile (timing) fields."""
 
-    def stable(record: EpisodeRecord) -> dict:
-        fields = {k: v for k, v in record.__dict__.items() if k not in VOLATILE_FIELDS}
-        fields["extras"] = {k: v for k, v in record.extras.items() if k not in VOLATILE_FIELDS}
-        return fields
+    def stable(record: dict) -> dict:
+        return {key: value for key, value in record.items() if key not in VOLATILE_FIELDS}
 
     return stable(a) == stable(b)

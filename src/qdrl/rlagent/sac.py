@@ -332,7 +332,8 @@ class SacAgent:
         `path` is a file name or an open binary file. If `expected_config`
         is given, its hash must match the one stored in the checkpoint. An
         empty or truncated archive, a checkpoint without its metadata or one
-        of its fields, or one whose arrays are not exactly the agent's,
+        of its fields, one whose agent config is not a mapping or holds a key
+        SacConfig lacks, or one whose arrays are not exactly the agent's,
         raises ValueError naming what is missing or unexpected.
         """
         if isinstance(path, (str, os.PathLike)):
@@ -360,7 +361,14 @@ class SacAgent:
             absent = sorted(_META_FIELDS - meta.keys())
             if absent:
                 raise ValueError(f"checkpoint metadata lacks {absent}")
-            stored = SacConfig(**meta["config"])
+            stored = meta["config"]
+            if not isinstance(stored, dict):
+                raise ValueError(f"checkpoint agent config is a {type(stored).__name__}, "
+                                 "not a mapping")
+            unknown = sorted(stored.keys() - {f.name for f in dataclasses.fields(SacConfig)})
+            if unknown:
+                raise ValueError(f"checkpoint agent config has keys SacConfig lacks: {unknown}")
+            stored = SacConfig(**stored)
             if expected_config is not None and config_hash(expected_config) != meta["config_hash"]:
                 raise ValueError(
                     "checkpoint was written with a different configuration "

@@ -21,7 +21,6 @@ import yaml
 
 from qdrl.harness import (
     ConfigError,
-    EpisodeRecord,
     cmd_analyze,
     cmd_evaluate,
     cmd_export_protocol,
@@ -41,6 +40,7 @@ from qdrl.harness import (
 )
 from qdrl.harness.cli import _build_parser
 from qdrl.harness.cli import main as cli_main
+from qdrl.harness.records import record_line
 from qdrl import qcore
 from qdrl.qcore import DeviceParams
 from qdrl.rlagent import DivergenceError, SacAgent, SacConfig, train_loop
@@ -89,7 +89,7 @@ class TestConfigSchema:
     def test_defaults_fill_missing_sections(self):
         cfg = config_from_dict({"schema_version": 1})
         assert cfg.seeds == [0]
-        assert cfg.resolved["analyze"]["initial_state"] == "10"
+        assert cfg.resolved["analyze"]["initial_state"] is None  # cmd_analyze picks it
         assert cfg.env.n_segments == 50
         assert cfg.agent.hidden == (512, 512)
         assert cfg.device_type == "two_qubit"
@@ -183,11 +183,13 @@ class TestConfigSchema:
         # any change here moves every artifact's hash and orphans past checkpoints;
         # the single-qubit one moved once, when analyze.initial_state began to
         # default to the device's state 1 instead of the two-qubit label 10;
-        # both moved once when the sweep section became sweep.axes
+        # both moved once when the sweep section became sweep.axes, and once
+        # when an omitted analyze.initial_state stayed None in the resolved
+        # config instead of taking the device's default label there
         assert config_from_dict({"schema_version": 1}).hash == (
-            "1e33577de1bb0b2903dd689f29c35ed0948be5c62e9e723ab582c381b030874c")
+            "069387b40de4825a9b0d8cd42b8f06a32f4217dc7c6952e0c485252c55159458")
         assert config_from_dict(tiny_raw()).hash == (
-            "b555131b6bc66396290355af7a02ef2b1219153d49c1189c9f0ed34407cff097")
+            "103b893cfeb5f3e1af3bc115b4eb096fedf2aaa7e461530069e5a230961d5d10")
 
     def test_channels_follow_device(self):
         one = config_from_dict(tiny_raw())
@@ -323,38 +325,26 @@ class TestConfigSchema:
         assert cfg.resolved["analyze"]["initial_state"] == "e5"
 
 
-class TestEpisodeRecords:
-    def test_json_round_trip_with_extras(self):
-        rec = EpisodeRecord(3, 1, 1.5, 2.0, 0.01, 12.5, "abc", extras={"alpha": 0.2})
-        back = EpisodeRecord.from_json(rec.to_json())
-        assert back == rec
+class TestRecordLines:
+    def test_line_round_trip(self):
+        rec = {"episode": 3, "seed": 1, "return": 1.5, "config_hash": "abc", "alpha": 0.2}
+        assert json.loads(record_line(rec)) == rec
 
     def test_non_finite_values_become_null(self):
-        rec = EpisodeRecord(0, 0, float("nan"), 1.0, 0.0, 1.0, "h",
-                            extras={"critic_loss": float("inf")})
-        data = json.loads(rec.to_json())
-        assert data["return"] is None and data["critic_loss"] is None
+        line = record_line({"episode": 0, "return": float("nan"),
+                            "critic_loss": float("inf"), "policy_loss": -float("inf")})
+        assert json.loads(line) == {"episode": 0, "return": None, "critic_loss": None,
+                                    "policy_loss": None}
 
-    def test_extras_cannot_shadow_core_fields(self):
-        rec = EpisodeRecord(0, 0, 1.0, 1.0, 0.0, 1.0, "h", extras={"nlif": 9.0})
-        with pytest.raises(ValueError, match="collides"):
-            rec.to_json()
-
-    def test_records_equal_ignores_wall_time(self):
-        a = EpisodeRecord(0, 0, 1.0, 1.0, 0.0, 10.0, "h")
-        b = EpisodeRecord(0, 0, 1.0, 1.0, 0.0, 99.0, "h")
-        assert records_equal(a, b)
-        c = EpisodeRecord(0, 0, 1.0, 1.1, 0.0, 10.0, "h")
-        assert not records_equal(a, c)
-        # the update time among the extras is volatile too; other extras are not
-        d = EpisodeRecord(0, 0, 1.0, 1.0, 0.0, 10.0, "h", extras={"update_ms": 3.0, "alpha": 0.5})
-        e = EpisodeRecord(0, 0, 1.0, 1.0, 0.0, 10.0, "h", extras={"update_ms": 7.0, "alpha": 0.5})
-        assert records_equal(d, e)
-        f = EpisodeRecord(0, 0, 1.0, 1.0, 0.0, 10.0, "h", extras={"update_ms": 3.0, "alpha": 0.6})
-        assert not records_equal(d, f)
+    def test_records_equal_ignores_timings(self):
+        a = {"episode": 0, "nlif": 1.0, "alpha": 0.5, "wall_time_ms": 10.0, "update_ms": 3.0}
+        assert records_equal(a, {**a, "wall_time_ms": 99.0, "update_ms": 7.0})
+        assert not records_equal(a, {**a, "nlif": 1.1})
+        assert not records_equal(a, {**a, "alpha": 0.6})
+        assert not records_equal(a, {k: v for k, v in a.items() if k != "alpha"})
 
     def test_file_round_trip(self, tmp_path):
-        records = [EpisodeRecord(k, 0, float(k), 0.5, 0.0, 1.0, "h") for k in range(4)]
+        records = [{"episode": k, "return": float(k), "critic_loss": None} for k in range(4)]
         path = tmp_path / "log.jsonl"
         write_records(path, records)
         assert read_records(path) == records
@@ -448,7 +438,7 @@ class TestTrainCommand:
             assert log.exists()
             records = read_records(log)
             assert len(records) == 3
-            assert all(r.config_hash == cfg.hash for r in records)
+            assert all(r["config_hash"] == cfg.hash for r in records)
             assert (run / f"agent_seed{seed}.npz").exists()
         assert (run / "agent_best.npz").exists()
         assert summary["best"]["seed"] in (0, 1)
@@ -475,7 +465,7 @@ class TestTrainCommand:
         rb = read_records(run / "train_seed0.jsonl")
         assert len(ra) == len(rb)
         assert all(records_equal(x, y) for x, y in zip(ra, rb))
-        assert all(r.extras["update_ms"] >= 0.0 for r in ra)
+        assert all(r["update_ms"] >= 0.0 for r in ra)
         with np.load(run / "agent_seed0.npz") as db:
             assert set(da) == set(db.files)
             for name in da:
@@ -526,6 +516,16 @@ def _checkpoint_without(ckpt: Path, name: str, dest: Path) -> Path:
     return dest
 
 
+def _checkpoint_with_config_key(ckpt: Path, key: str, dest: Path) -> Path:
+    """A copy of a checkpoint whose stored agent config gains a key."""
+    with np.load(ckpt, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["meta_json"][()]))
+    meta["config"][key] = 1
+    np.savez(dest, **{**arrays, "meta_json": np.array(json.dumps(meta))})
+    return dest
+
+
 def _mismatched_checkpoint(cfg, mismatch: str, dest: Path) -> Path:
     """A checkpoint under cfg's agent settings whose widths do not fit cfg's env.
 
@@ -553,7 +553,7 @@ class TestEvaluateCommand:
         records = read_records(outdir / "ev" / "evaluate.jsonl")
         assert len(records) == 5
         for rec in records:
-            assert rec.extras["frozen_nlif"] == rec.nlif
+            assert rec["frozen_nlif"] == rec["nlif"]
 
     def test_incompatible_checkpoint_rejected(self, outdir, trained):
         _, ckpt = trained
@@ -574,6 +574,30 @@ class TestEvaluateCommand:
         with pytest.raises(ConfigError, match="checkpoint"):
             cmd_evaluate(cfg, outdir / "nope.npz")
         assert not (outdir / "ev").exists()
+
+
+# the keys of one line of each episode log
+_TRAIN_KEYS = {"episode", "seed", "return", "nlif", "leakage", "wall_time_ms", "config_hash",
+               "env_steps", "alpha", "entropy", "critic_loss", "policy_loss", "update_ms"}
+_EVALUATE_KEYS = {"episode", "seed", "return", "nlif", "leakage", "wall_time_ms",
+                  "config_hash", "frozen_nlif"}
+
+
+class TestRecordFormat:
+    def test_log_lines_hold_exactly_their_keys(self, outdir, trained):
+        _, ckpt = trained
+        cmd_evaluate(config_from_dict(tiny_raw(output_dir="ev", evaluate={"episodes": 2})), ckpt)
+        for path, keys, count in [(outdir / "t" / "train_seed0.jsonl", _TRAIN_KEYS, 3),
+                                  (outdir / "ev" / "evaluate.jsonl", _EVALUATE_KEYS, 2)]:
+            text = path.read_text()
+            lines = [json.loads(line) for line in text.splitlines()]
+            assert len(lines) == count and "NaN" not in text
+            assert all(line.keys() == keys for line in lines)
+            assert read_records(path) == lines
+        # the first episode ends within the warm-up, so it has no losses yet
+        first = read_records(outdir / "t" / "train_seed0.jsonl")[0]
+        assert first["critic_loss"] is None and first["policy_loss"] is None
+        assert first["entropy"] is None
 
 
 def _arrays(path: Path) -> dict:
@@ -603,7 +627,7 @@ class TestSweepCommand:
             ra = read_records(cell / "train_seed0.jsonl")
             rb = read_records(alone.output_dir / "train_seed0.jsonl")
             assert len(ra) == 2 and all(records_equal(x, y) for x, y in zip(ra, rb))
-            assert all(r.config_hash == alone.hash for r in ra)
+            assert all(r["config_hash"] == alone.hash for r in ra)
             a, b = _arrays(cell / "agent_seed0.npz"), _arrays(alone.output_dir / "agent_seed0.npz")
             assert set(a) == set(b)
             for name in a:
@@ -627,6 +651,14 @@ class TestSweepCommand:
         cell = cmd_sweep(cfg)["cells"][0]
         assert cell["status"] == "ok" and cell["nlifs"] == [None] and cell["mean_nlif"] is None
         assert (outdir / "sw0" / "sweep.tsv").read_text().splitlines()[2].split("\t")[2] == "nan"
+
+    def test_device_axis_cell_equals_a_fresh_config_of_that_device(self, outdir):
+        # the two-qubit base's default initial state does not ride into the cell
+        base = tiny_raw(device={"type": "two_qubit"}, budget_episodes=0, output_dir="sw_dev",
+                        sweep={"axes": {"device.type": ["single_qubit"]}})
+        cell = cmd_sweep(config_from_dict(base))["cells"][0]
+        fresh = config_from_dict(tiny_raw(budget_episodes=0, output_dir="sw_dev/cell0"))
+        assert cell["status"] == "ok" and cell["config_hash"] == fresh.hash
 
     def test_runtime_failure_marks_the_cell_failed(self, outdir, monkeypatch):
         def diverging_train_loop(env, agent, n_episodes, **kwargs):
@@ -735,6 +767,13 @@ class TestCheckpointChecks:
         _, ckpt = trained
         broken = _checkpoint_without(ckpt, name, outdir / "broken.npz")
         with pytest.raises(ConfigError, match=re.escape(name)):
+            _CHECKPOINT_COMMANDS[command](tiny_raw(output_dir="out"), broken)
+        assert not (outdir / "out").exists()
+
+    def test_unknown_agent_config_key_rejected_before_writing(self, outdir, trained, command):
+        _, ckpt = trained
+        broken = _checkpoint_with_config_key(ckpt, "extra_key", outdir / "extra.npz")
+        with pytest.raises(ConfigError, match="extra_key"):
             _CHECKPOINT_COMMANDS[command](tiny_raw(output_dir="out"), broken)
         assert not (outdir / "out").exists()
 
@@ -961,6 +1000,17 @@ class TestTomoCalibrateCommand:
         s2 = cmd_tomo_calibrate(self._cfg("t2"))
         assert s1["shots_slope"] == s2["shots_slope"]
         assert s1["sigma_for_1e5_shots"] == s2["sigma_for_1e5_shots"]
+
+    @pytest.mark.parametrize("tomo", [{"shots": [100, 200, 300]}, {"dim": 1}],
+                             ids=["one_decade_shots", "dim_1"])
+    def test_invalid_section_exits_two_before_writing(self, outdir, tomo):
+        raw = tiny_raw(tomo=tomo, output_dir="tc_bad")
+        with pytest.raises(ConfigError, match="tomo section"):
+            cmd_tomo_calibrate(config_from_dict(raw))
+        path = outdir / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["tomo-calibrate", "--config", str(path)]) == 2
+        assert not (outdir / "tc_bad").exists()
 
 
 # setting flag -> (command, flag value, the config key it sets, that key's YAML value)

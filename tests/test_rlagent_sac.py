@@ -679,6 +679,16 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=rf"lacks \['{field}'\]"):
             SacAgent.load(path)
 
+    @pytest.mark.parametrize("change, match", [
+        (lambda meta: meta["config"].update(extra_key=1), r"SacConfig lacks: \['extra_key'\]"),
+        (lambda meta: meta.update(config=[1, 2]), "list, not a mapping"),
+    ], ids=["unknown_key", "not_a_mapping"])
+    def test_unreadable_agent_config_named(self, tmp_path, change, match):
+        _, path = self._trained_agent(tmp_path)
+        self._rewrite_meta(path, change)
+        with pytest.raises(ValueError, match=match):
+            SacAgent.load(path)
+
     def test_unexpected_array_named(self, tmp_path):
         _, path = self._trained_agent(tmp_path)
         self._rewrite(path, lambda arrays: arrays.update({"critic2.0": arrays["critic1.0"]}))
