@@ -445,12 +445,14 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path) -> dict:
 
 
 def cmd_tomo_calibrate(config: ExperimentConfig) -> dict:
-    """Fit the snapshot-budget <-> surrogate-noise equivalence and persist it."""
+    """Fit the snapshot-budget <-> surrogate-noise equivalence and persist it,
+    at the dimension of the configured device's computational block."""
     spec = config.section("tomo")
+    dim = len(config.make_model().block_indices)
     rng = named_stream(config.seeds[0], "tomo-calibrate")
     try:
         mapping = calibrate_sigma_to_shots(
-            spec["dim"], spec["shots"], spec["sigmas"], rng, n_trials=spec["trials"]
+            dim, spec["shots"], spec["sigmas"], rng, n_trials=spec["trials"]
         )
     except ValueError as err:
         raise ConfigError(f"tomo section gives no calibration: {err}") from err

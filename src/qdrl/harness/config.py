@@ -81,7 +81,6 @@ _DEFAULTS: dict[str, dict] = {
     "sweep": {"axes": {}},
     "scale_sweep": {"scales": [1.0], "mode": "noise", "realizations": 100},
     "tomo": {
-        "dim": 4,
         "shots": [100, 1000, 10_000, 100_000],
         "sigmas": [0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05],
         "trials": 32,

@@ -95,6 +95,12 @@ class SacConfig:
             )
         if self.batch_size < 1 or self.batch_size > self.replay_capacity:
             raise ValueError("batch size must fit in the replay buffer")
+        if self.warmup_steps < 0 or self.updates_per_step < 1:
+            raise ValueError(
+                f"need warmup_steps >= 0 and updates_per_step >= 1, got "
+                f"{self.warmup_steps} and {self.updates_per_step}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.temperature is not None and not 0 < self.temperature < math.inf:
             raise ValueError("fixed temperature must be positive and finite")
         if self.target_entropy is not None and not math.isfinite(self.target_entropy):

@@ -313,7 +313,8 @@ class StepResult:
 
 
 class GateSynthesisEnv:
-    """Gate-synthesis episodes over a device model.
+    """Gate-synthesis episodes over a device model: the two-qubit device over
+    config.device, or a given model, which must be built over config.device.
 
     Deterministic: (config, reset seed, action sequence) fully determines
     observations and rewards, including all reward-side Monte Carlo. reset()
@@ -322,6 +323,9 @@ class GateSynthesisEnv:
     """
 
     def __init__(self, config: EnvConfig, model: DeviceModel | None = None, seed: int = 0):
+        if model is not None and model.params != config.device:
+            raise ValueError(
+                f"model is built over {model.params}, the config's device is {config.device}")
         self.config = config
         self.model = model if model is not None else DeviceModel.two_qubit(config.device)
         self.n_channels = self.model.n_channels
@@ -577,13 +581,11 @@ class GateSynthesisEnv:
             z = self._sample_noise(min(_REWARD_CHUNK, count - start))
             yield computational_block(self._evolve(shaped, z), self.model.block_indices)
 
-    def _sample_protocol_snapshots(self, n_shots: int) -> tomography.MeasurementRecord:
+    def _sample_protocol_snapshots(self, n_shots: int) -> np.ndarray:
+        """The (d, 2d + 1) count table of n_shots snapshots of the protocol."""
         if self._noise is None:
             block = computational_block(self._u[0], self.model.block_indices)
             return tomography.sample_snapshots(block, n_shots, self._povm, self._rng)
-        records = [tomography.sample_snapshots_batch(blocks, self._povm, self._rng)
-                   for blocks in self._noisy_final_blocks(n_shots)]
-        counts = sum(rec.counts for rec in records)
-        leaks = sum(rec.leak_counts for rec in records)
-        return tomography.MeasurementRecord(counts, leaks, n_shots)
+        return sum(tomography.sample_snapshots_batch(blocks, self._povm, self._rng)
+                   for blocks in self._noisy_final_blocks(n_shots))
 

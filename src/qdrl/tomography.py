@@ -12,9 +12,9 @@ each measured with one informationally complete POVM built around the anchor
     E~_j       = b (1 + i |j><0| - i |0><j|)      j = 1..d-1
     E_rest     = 1 - E_0 - sum_j (E_j + E~_j)
 
-with a, b > 0 small enough that E_rest stays positive semidefinite (checked at
-build time). Writing w = U|psi_n> with coefficients c_k, the outcome
-probabilities satisfy
+with a = ANCHOR_WEIGHT and b a fixed fraction of the largest value that keeps
+E_rest positive semidefinite (checked at build time). Writing w = U|psi_n>
+with coefficients c_k, the outcome probabilities satisfy
 
     p_{n,0}  = a |c_0|^2
     p_{n,j}  = b (||w||^2 + 2 Re(conj(c_0) c_j))
@@ -27,9 +27,15 @@ matrix is projected to the nearest unitary. The ||w||^2 term matters: for the
 computational block of a leaky evolution the probe output is sub-normalized,
 and POVM completeness estimates ||w||^2 as the non-leaked outcome fraction, so
 the same inversion applies. The scheme fails when a probe has no weight on the
-anchor (c_0 = 0), reported as DegenerateAnchorError. A counted record too thin
+anchor (c_0 = 0), reported as DegenerateAnchorError. A count table too thin
 to invert (a probe that drew no shot, or a rank-deficient linear estimate) is
 reported the same way, so a training loop can drop the episode and retry.
+
+Tables have one row per probe n and one column per POVM outcome k, in the
+order of PovmSet.elements. An exact probability table is (d, 2d) float. A
+measurement record is a (d, 2d + 1) int64 count table: counts[n, k] shots of
+probe n gave outcome k, and column 2d counts the shots of probe n that leaked
+out of the d-dimensional space (always zero for a unitary source).
 
 build_povm stores the probe vectors on the PovmSet (PovmSet.probes), so the
 probability, sampling and reconstruction functions take the POVM alone.
@@ -52,7 +58,6 @@ from .qcore import gate_fidelity, haar_unitary
 
 __all__ = [
     "PovmSet",
-    "MeasurementRecord",
     "SigmaShotsMap",
     "DegenerateAnchorError",
     "build_povm",
@@ -69,6 +74,10 @@ __all__ = [
 POVM_COMPLETENESS_TOL = 1e-10
 PSD_TOL = 1e-10
 DEFAULT_ANCHOR_THRESHOLD = 1e-6
+# POVM weights: a of the anchor element, and b as this fraction of the largest
+# b that keeps the remainder element positive semidefinite
+ANCHOR_WEIGHT = 0.1
+FRONTIER_FRACTION = 0.9
 # Gauss-Newton iterations of the likelihood refinement for counted records
 REFINE_ITERS = 12
 # smallest singular value, relative to the largest, that nearest_unitary accepts
@@ -94,8 +103,6 @@ def _rest_lowest_eig(dim: int, a: float, b: float) -> float:
 def _frontier_b(dim: int, a: float) -> float:
     """Largest b keeping the remainder element positive semidefinite."""
     lo, hi = 0.0, 0.5 / (dim - 1)
-    if _rest_lowest_eig(dim, a, hi * 1e-9) < 0:
-        raise ValueError(f"no positive b is feasible for a={a} at dim={dim}")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if _rest_lowest_eig(dim, a, mid) >= 0.0:
@@ -120,21 +127,19 @@ class PovmSet:
     probes: np.ndarray    # (dim, dim)
 
 
-def build_povm(dim: int, a: float = 0.1, b: float | None = None) -> PovmSet:
+def build_povm(dim: int) -> PovmSet:
     """Construct and validate the POVM for dimension dim.
 
-    Reconstruction variance scales like 1/b^2, so by default b is placed at
-    90% of the largest value keeping the remainder element positive
-    semidefinite (found by bisection for the given a). Raises ValueError when
-    the elements do not sum to the identity or the remainder fails positivity,
-    reporting the offending eigenvalue.
+    The anchor weight is a = ANCHOR_WEIGHT. Reconstruction variance scales
+    like 1/b^2, so b is placed at FRONTIER_FRACTION of the largest value
+    keeping the remainder element positive semidefinite (found by bisection).
+    Raises ValueError when the elements do not sum to the identity or the
+    remainder fails positivity, reporting the offending eigenvalue.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    if b is None:
-        b = 0.9 * _frontier_b(dim, a)
-    if a <= 0 or b <= 0:
-        raise ValueError(f"a and b must be positive, got a={a}, b={b}")
+    a = ANCHOR_WEIGHT
+    b = FRONTIER_FRACTION * _frontier_b(dim, a)
     eye = np.eye(dim, dtype=complex)
     elements = np.zeros((2 * dim, dim, dim), dtype=complex)
     elements[0, 0, 0] = a
@@ -153,7 +158,7 @@ def build_povm(dim: int, a: float = 0.1, b: float | None = None) -> PovmSet:
     if low < -PSD_TOL:
         raise ValueError(
             f"remainder element not positive semidefinite (lowest eigenvalue {low:.3e}); "
-            f"reduce a or b"
+            f"reduce ANCHOR_WEIGHT or FRONTIER_FRACTION"
         )
     dev = np.abs(elements.sum(axis=0) - eye).max()
     if dev > POVM_COMPLETENESS_TOL:
@@ -197,36 +202,14 @@ def outcome_probabilities(u: np.ndarray, povm: PovmSet) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Single-shot tally: counts[n, k] = shots of probe n with POVM outcome k.
-
-    leak_counts tracks shots whose outcome fell outside the d-dimensional
-    space (possible when the source is the computational block of a leaky
-    evolution); for unitary sources it is identically zero and
-    counts.sum() == n_shots.
-    """
-
-    counts: np.ndarray       # (d, 2d) int64
-    leak_counts: np.ndarray  # (d,) int64
-    n_shots: int
-
-    def __post_init__(self) -> None:
-        total = int(self.counts.sum() + self.leak_counts.sum())
-        if total != self.n_shots:
-            raise ValueError(f"counts sum to {total}, expected {self.n_shots}")
-        if (self.counts < 0).any() or (self.leak_counts < 0).any():
-            raise ValueError("negative counts")
-
-    @property
-    def probe_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1) + self.leak_counts
-
-
 def sample_snapshots_batch(
     mats: np.ndarray, povm: PovmSet, rng: np.random.Generator
-) -> MeasurementRecord:
-    """One snapshot per matrix in mats (S, d, d): uniform probe, one outcome."""
+) -> np.ndarray:
+    """One snapshot per matrix in mats (S, d, d): uniform probe, one outcome.
+
+    Returns the (d, 2d + 1) int64 count table of the S shots (module
+    docstring); a shot whose outcome falls past the 2d POVM outcomes leaked.
+    """
     mats = np.asarray(mats)
     d = povm.dim
     s = mats.shape[0]
@@ -237,20 +220,18 @@ def sample_snapshots_batch(
     leak = np.clip(1.0 - total, 0.0, None)
     r = rng.random(s) * (total + leak)
     outcome = (r[:, None] >= np.cumsum(p, axis=1)).sum(axis=1)  # 2d means leaked
-    counts = np.zeros((d, 2 * d), dtype=np.int64)
-    leak_counts = np.zeros(d, dtype=np.int64)
-    hit = outcome < 2 * d
-    np.add.at(counts, (probe_idx[hit], outcome[hit]), 1)
-    np.add.at(leak_counts, probe_idx[~hit], 1)
-    return MeasurementRecord(counts, leak_counts, s)
+    counts = np.zeros((d, 2 * d + 1), dtype=np.int64)
+    np.add.at(counts, (probe_idx, outcome), 1)
+    return counts
 
 
 def sample_snapshots(
     source, n_shots: int, povm: PovmSet, rng: np.random.Generator
-) -> MeasurementRecord:
+) -> np.ndarray:
     """Collect n_shots single-shot snapshots of one fixed (d, d) matrix.
 
-    The (probe, outcome) tally is a single multinomial and is drawn in one go;
+    Returns the (d, 2d + 1) int64 count table (module docstring). The
+    (probe, outcome) tally is a single multinomial and is drawn in one go;
     sample_snapshots_batch takes one matrix per shot instead.
     """
     if n_shots < 1:
@@ -266,10 +247,7 @@ def sample_snapshots(
     cells = np.concatenate([table, leak[:, None]], axis=1) / d
     flat = cells.ravel()
     flat = flat / flat.sum()  # guard float drift; exact sum is 1
-    draw = rng.multinomial(n_shots, flat).reshape(d, 2 * d + 1)
-    return MeasurementRecord(
-        draw[:, : 2 * d].astype(np.int64), draw[:, 2 * d].astype(np.int64), n_shots
-    )
+    return rng.multinomial(n_shots, flat).reshape(d, 2 * d + 1)
 
 
 def nearest_unitary(a: np.ndarray) -> np.ndarray:
@@ -396,29 +374,44 @@ def _refine_estimate(
     return u
 
 
-def reconstruct_unitary(record, povm: PovmSet) -> np.ndarray:
-    """Invert a measurement record (or probability table) to a unitary.
+def reconstruct_unitary(table, povm: PovmSet) -> np.ndarray:
+    """Invert a count table or an exact probability table to a unitary.
 
-    Accepts a MeasurementRecord or a raw (d, 2d) table of probabilities whose
+    The shape tells them apart (module docstring): a (d, 2d + 1) table of
+    non-negative integer counts, or a (d, 2d) table of probabilities whose
     rows may sum below one (sub-normalized probe outputs of a leaky block).
-    The POVM identities give the column estimate, the shared anchor fixes the
-    relative phases, the result is projected to the nearest unitary, and for
-    counted records a damped Gauss-Newton pass then maximizes the multinomial
-    likelihood starting from that estimate (exact tables are already consistent
-    and skip it).
+    Any other shape, or a count table with a negative or non-integer entry,
+    raises ValueError. The POVM identities give the column estimate, the
+    shared anchor fixes the relative phases, the result is projected to the
+    nearest unitary, and for count tables a damped Gauss-Newton pass then
+    maximizes the multinomial likelihood starting from that estimate (exact
+    tables are already consistent and skip it).
 
     Raises DegenerateAnchorError when a probe carries (nearly) no anchor
     weight, which makes the corresponding column phase unidentifiable, and,
-    for a counted record, when a probe received no shots or the linear
+    for a count table, when a probe received no shots or the linear
     estimate is rank-deficient; the message names the reason.
     """
     d = povm.dim
-    if isinstance(record, MeasurementRecord):
-        totals = record.probe_totals
+    table = np.asarray(table)
+    if table.shape not in ((d, 2 * d), (d, 2 * d + 1)):
+        raise ValueError(
+            f"expected a {(d, 2 * d + 1)} count table or a {(d, 2 * d)} probability "
+            f"table, got shape {table.shape}"
+        )
+    if table.shape[1] == 2 * d:
+        p = np.clip(table.astype(float), 0.0, None)
+        norm_sq = p.sum(axis=1)
+        est = nearest_unitary(_linear_inversion(p, norm_sq, povm, anchor_floor=0.0))
+    else:
+        if (table < 0).any() or (table != np.round(table)).any():
+            raise ValueError(
+                f"a {(d, 2 * d + 1)} count table holds non-negative integers, got {table!r}")
+        totals = table.sum(axis=1)
         if (totals == 0).any():
             raise DegenerateAnchorError(
                 f"probe(s) {np.flatnonzero(totals == 0)} received no shots")
-        p = record.counts / totals[:, None]
+        p = table[:, : 2 * d] / totals[:, None]
         norm_sq = p.sum(axis=1)
         linear = _linear_inversion(
             p, norm_sq, povm, anchor_floor=float(np.min(0.25 / totals)) / povm.a
@@ -432,12 +425,6 @@ def reconstruct_unitary(record, povm: PovmSet) -> np.ndarray:
         q0 = _outcome_table(povm.probes @ est.T, povm)
         weights = totals[:, None] / np.clip(q0, 1e-4, None)
         est = _refine_estimate(est, p, weights, norm_sq, povm)
-    else:
-        p = np.clip(np.asarray(record, dtype=float), 0.0, None)
-        if p.shape != (d, 2 * d):
-            raise ValueError(f"expected table of shape {(d, 2 * d)}, got {p.shape}")
-        norm_sq = p.sum(axis=1)
-        est = nearest_unitary(_linear_inversion(p, norm_sq, povm, anchor_floor=0.0))
     anchors = np.abs(povm.probes @ est[0, :]) ** 2
     if (anchors < DEFAULT_ANCHOR_THRESHOLD).any():
         bad = int(np.argmin(anchors))

@@ -132,6 +132,11 @@ class TestConfigSchema:
         pytest.param({"env": {"n_segments": 24.7}}, id="env.n_segments"),
         pytest.param({"agent": {"hidden": [64.7, 64]}}, id="agent.hidden"),
         pytest.param({"agent": {"batch_size": 256.9}}, id="agent.batch_size"),
+        # an agent setting out of range, once a late traceback or a run that never updates
+        pytest.param({"agent": {"dropout": 1.5}}, id="agent.dropout"),
+        pytest.param({"agent": {"dropout": -0.1}}, id="agent.dropout_negative"),
+        pytest.param({"agent": {"updates_per_step": 0}}, id="agent.updates_per_step"),
+        pytest.param({"agent": {"warmup_steps": -1}}, id="agent.warmup_steps"),
         pytest.param({"budget_episodes": True}, id="budget_episodes"),
         # a count below its least value, once a late crash or NaN output
         pytest.param({"train": {"n_eval_episodes": 0}}, id="train.n_eval_episodes"),
@@ -169,8 +174,8 @@ class TestConfigSchema:
             config_from_dict(raw)
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(raw))
-        assert cli_main(["train", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert not (tmp_path / "train_summary.json").exists()
+        assert cli_main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_ints_accepted_where_floats_expected(self):
         cfg = config_from_dict(tiny_raw(env={"protocol_time": 8},
@@ -185,11 +190,12 @@ class TestConfigSchema:
         # default to the device's state 1 instead of the two-qubit label 10;
         # both moved once when the sweep section became sweep.axes, and once
         # when an omitted analyze.initial_state stayed None in the resolved
-        # config instead of taking the device's default label there
+        # config instead of taking the device's default label there, and once
+        # when tomo.dim left the config for the device's block dimension
         assert config_from_dict({"schema_version": 1}).hash == (
-            "069387b40de4825a9b0d8cd42b8f06a32f4217dc7c6952e0c485252c55159458")
+            "ffcc1c0173dda83e149d684cccf82134191107ab372ff42ed0d2576c0188e25a")
         assert config_from_dict(tiny_raw()).hash == (
-            "103b893cfeb5f3e1af3bc115b4eb096fedf2aaa7e461530069e5a230961d5d10")
+            "b04a10d6097e37c12b6ada1300f7077b0d38091dff788a776e9c0025a12f6e99")
 
     def test_channels_follow_device(self):
         one = config_from_dict(tiny_raw())
@@ -983,7 +989,7 @@ class TestScaleSweepCommand:
 class TestTomoCalibrateCommand:
     def _cfg(self, out):
         return config_from_dict(tiny_raw(
-            tomo={"dim": 2, "shots": [100, 1000, 10_000],
+            tomo={"shots": [100, 1000, 10_000],
                   "sigmas": [0.001, 0.01, 0.1], "trials": 4},
             output_dir=out,
         ))
@@ -991,7 +997,7 @@ class TestTomoCalibrateCommand:
     def test_map_persisted_and_loads_back(self, outdir):
         summary = cmd_tomo_calibrate(self._cfg("tc"))
         mapping = json.loads((outdir / "tc" / "sigma_shots.json").read_text())
-        assert mapping["dim"] == 2
+        assert mapping["dim"] == summary["dim"] == 2  # the single-qubit block
         assert mapping["shots_slope"] == pytest.approx(summary["shots_slope"])
         assert summary["shots_slope"] < 0  # more shots, lower infidelity
 
@@ -1001,8 +1007,8 @@ class TestTomoCalibrateCommand:
         assert s1["shots_slope"] == s2["shots_slope"]
         assert s1["sigma_for_1e5_shots"] == s2["sigma_for_1e5_shots"]
 
-    @pytest.mark.parametrize("tomo", [{"shots": [100, 200, 300]}, {"dim": 1}],
-                             ids=["one_decade_shots", "dim_1"])
+    @pytest.mark.parametrize("tomo", [{"shots": [100, 200, 300]}, {"sigmas": [0.1, 0.2, 0.3]}],
+                             ids=["one_decade_shots", "one_decade_sigmas"])
     def test_invalid_section_exits_two_before_writing(self, outdir, tomo):
         raw = tiny_raw(tomo=tomo, output_dir="tc_bad")
         with pytest.raises(ConfigError, match="tomo section"):

@@ -103,6 +103,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="kernel"):
             GateSynthesisEnv(cfg)
 
+    @pytest.mark.parametrize("build", [DeviceModel.two_qubit, DeviceModel.single_qubit])
+    def test_model_over_other_device_params_rejected(self, build):
+        # the config's j0 would be reported while the model evolved at j0 = 1
+        cfg = EnvConfig(**QUIET, device=DeviceParams(j0=2.0))
+        with pytest.raises(ValueError, match="device"):
+            GateSynthesisEnv(cfg, model=build(DeviceParams()))
+
     def test_tomo_needs_enough_snapshots(self):
         cfg = EnvConfig(**QUIET, reward_mode=RewardMode.TOMO_SNAPSHOT, n_snapshots=31)
         with pytest.raises(ValueError, match="2 d"):

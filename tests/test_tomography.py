@@ -26,21 +26,27 @@ class TestPovmConstruction:
             np.testing.assert_allclose(element, element.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(element)[0] >= -1e-10
 
-    def test_default_b_is_near_the_positivity_frontier(self):
+    def test_default_b_is_near_the_positivity_frontier(self, monkeypatch):
         for dim in (2, 4, 6):
-            povm = tomo.build_povm(dim)
-            # 90% of the frontier by construction: 1.2x the default must fail
+            assert tomo.build_povm(dim).a == tomo.ANCHOR_WEIGHT
+        # 90% of the frontier by construction: 1.2x the default must fail
+        monkeypatch.setattr(tomo, "FRONTIER_FRACTION", 1.2 * tomo.FRONTIER_FRACTION)
+        for dim in (2, 4, 6):
             with pytest.raises(ValueError, match="positive semidefinite"):
-                tomo.build_povm(dim, povm.a, povm.b * 1.2)
+                tomo.build_povm(dim)
 
-    def test_overweight_elements_rejected(self):
+    def test_overweight_anchor_rejected(self, monkeypatch):
+        # no b > 0 keeps the remainder positive once a exceeds 1
+        monkeypatch.setattr(tomo, "ANCHOR_WEIGHT", 1.5)
         with pytest.raises(ValueError, match="positive semidefinite"):
-            tomo.build_povm(4, a=0.5, b=0.2)
+            tomo.build_povm(4)
 
-    @pytest.mark.parametrize("a,b", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.2)])
-    def test_nonpositive_weights_rejected(self, a, b):
-        with pytest.raises(ValueError, match="positive"):
-            tomo.build_povm(4, a=a, b=b)
+    def test_incomplete_povm_rejected(self, monkeypatch):
+        # the elements sum to the identity up to rounding; a negative
+        # tolerance makes any rounding, even none, a failed completeness check
+        monkeypatch.setattr(tomo, "POVM_COMPLETENESS_TOL", -1.0)
+        with pytest.raises(ValueError, match="sum to identity"):
+            tomo.build_povm(4)
 
     def test_dim_below_two_rejected(self):
         with pytest.raises(ValueError, match="dim"):
@@ -67,12 +73,13 @@ class TestOutcomeProbabilities:
 
     def test_identity_matches_hand_computation(self):
         # U = identity: probe n output is the probe itself
-        povm = tomo.build_povm(2, a=0.2, b=0.2)
+        povm = tomo.build_povm(2)
+        a, b = povm.a, povm.b
         table = tomo.outcome_probabilities(np.eye(2), povm)
         # probe |0>: p_0 = a, p_1 = b(1 + 0), p~_1 = b, rest = 1 - a - 2b
-        np.testing.assert_allclose(table[0], [0.2, 0.2, 0.2, 0.4], atol=1e-12)
+        np.testing.assert_allclose(table[0], [a, b, b, 1 - a - 2 * b], atol=1e-12)
         # probe (|0>+|1>)/sqrt2: |c_0|^2 = 1/2, Re(c0* c1) = 1/2, Im = 0
-        np.testing.assert_allclose(table[1], [0.1, 0.4, 0.2, 0.3], atol=1e-12)
+        np.testing.assert_allclose(table[1], [a / 2, 2 * b, b, 1 - a / 2 - 3 * b], atol=1e-12)
 
     def test_rejects_non_unitary(self):
         povm = tomo.build_povm(2)
@@ -126,44 +133,56 @@ class TestExactRoundTrip:
         with pytest.raises(tomo.DegenerateAnchorError):
             tomo.reconstruct_unitary(tomo.outcome_probabilities(h_like, povm), povm)
 
-    def test_wrong_table_shape_rejected(self):
+    @pytest.mark.parametrize("table", [
+        np.zeros((4, 7)),
+        np.zeros((2, 5), dtype=np.int64),  # a one-qubit record read against d = 4
+        np.full((4, 9), 10) - np.eye(4, 9, dtype=np.int64) * 20,
+        np.full((4, 9), 2.5),
+    ], ids=["wrong_width", "other_dim", "negative_count", "fractional_count"])
+    def test_malformed_table_rejected(self, table):
         povm = tomo.build_povm(4)
-        with pytest.raises(ValueError, match="shape"):
-            tomo.reconstruct_unitary(np.zeros((4, 7)), povm)
+        with pytest.raises(ValueError, match=r"\(4, 9\) count table"):
+            tomo.reconstruct_unitary(table, povm)
 
 
 class TestSampledRecords:
-    def test_record_invariants(self):
+    def test_record_is_a_count_table(self):
         rng = np.random.default_rng(3)
         povm = tomo.build_povm(4)
         u = haar_unitary(4, rng)
-        record = tomo.sample_snapshots(u, 5000, povm, rng)
-        assert record.counts.shape == (4, 8)
-        assert record.counts.dtype == np.int64
-        assert (record.counts >= 0).all()
-        assert record.counts.sum() + record.leak_counts.sum() == 5000
-        assert record.n_shots == 5000
-        np.testing.assert_array_equal(
-            record.probe_totals, record.counts.sum(axis=1) + record.leak_counts
-        )
-        # unitary source: nothing leaks
-        assert not record.leak_counts.any()
+        batch = np.stack([u] * 300)
+        for counts, n_shots in ((tomo.sample_snapshots(u, 5000, povm, rng), 5000),
+                                (tomo.sample_snapshots_batch(batch, povm, rng), 300)):
+            assert counts.shape == (4, 9)
+            assert counts.dtype == np.int64
+            assert (counts >= 0).all()
+            assert counts.sum() == n_shots
+            # unitary source: nothing leaks
+            assert not counts[:, 8].any()
 
-    def test_leaky_source_populates_leak_counts(self):
+    def test_leaky_source_populates_the_leak_column(self):
         rng = np.random.default_rng(4)
         povm = tomo.build_povm(4)
         block = 0.9 * haar_unitary(4, rng)
-        record = tomo.sample_snapshots(block, 20000, povm, rng)
-        assert record.leak_counts.sum() > 0
-        assert record.counts.sum() + record.leak_counts.sum() == 20000
+        counts = tomo.sample_snapshots(block, 20000, povm, rng)
+        assert counts[:, 8].sum() > 0
+        assert counts.sum() == 20000
+
+    def test_zero_matrices_leak_every_shot(self):
+        rng = np.random.default_rng(6)
+        povm = tomo.build_povm(2)
+        counts = tomo.sample_snapshots_batch(np.zeros((64, 2, 2)), povm, rng)
+        assert counts.shape == (2, 5)
+        assert counts[:, 4].sum() == 64
+        assert not counts[:, :4].any()
 
     def test_batch_source_one_matrix_per_shot(self):
         rng = np.random.default_rng(5)
         povm = tomo.build_povm(2)
         mats = np.stack([haar_unitary(2, rng) for _ in range(64)])
-        record = tomo.sample_snapshots_batch(mats, povm, rng)
-        assert record.n_shots == 64
-        assert record.counts.sum() + record.leak_counts.sum() == 64
+        counts = tomo.sample_snapshots_batch(mats, povm, rng)
+        assert counts.shape == (2, 5) and counts.dtype == np.int64
+        assert counts.sum() == 64
         with pytest.raises(ValueError, match="one matrix per shot"):
             tomo.sample_snapshots(mats, 63, povm, rng)
 
@@ -194,11 +213,7 @@ class TestSampledRecords:
 
     def test_empty_probe_raises(self):
         povm = tomo.build_povm(2)
-        record = tomo.MeasurementRecord(
-            counts=np.array([[5, 1, 1, 1], [0, 0, 0, 0]], dtype=np.int64),
-            leak_counts=np.zeros(2, dtype=np.int64),
-            n_shots=8,
-        )
+        record = np.array([[5, 1, 1, 1, 0], [0, 0, 0, 0, 0]], dtype=np.int64)
         with pytest.raises(tomo.DegenerateAnchorError, match="no shots"):
             tomo.reconstruct_unitary(record, povm)
 
@@ -206,11 +221,7 @@ class TestSampledRecords:
         # every shot on the rest outcome: the linear estimate has two
         # parallel columns and no nearest unitary
         povm = tomo.build_povm(2)
-        record = tomo.MeasurementRecord(
-            counts=np.array([[0, 0, 0, 4], [0, 0, 0, 4]], dtype=np.int64),
-            leak_counts=np.zeros(2, dtype=np.int64),
-            n_shots=8,
-        )
+        record = np.array([[0, 0, 0, 4, 0], [0, 0, 0, 4, 0]], dtype=np.int64)
         with pytest.raises(tomo.DegenerateAnchorError, match="rank-deficient"):
             tomo.reconstruct_unitary(record, povm)
 
