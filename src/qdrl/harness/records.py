@@ -2,7 +2,8 @@
 
 A record is a plain dict whose keys are the ones on disk. A training record
 is the episode dict of `train_loop` (episode, env_steps, return, nlif,
-leakage, alpha, entropy, critic_loss, policy_loss, update_ms) plus seed,
+leakage, alpha, entropy, critic_loss, policy_loss, update_ms,
+anchor_retries) plus seed,
 wall_time_ms and config_hash; an evaluation record holds episode, seed,
 return, nlif, leakage, wall_time_ms, config_hash and frozen_nlif. The config
 hash lets downstream analysis refuse to mix artifacts from different

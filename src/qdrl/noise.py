@@ -103,6 +103,11 @@ def sample_quasistatic(
     return delta_b, delta_eps
 
 
+def _check_dt(dt: float) -> None:
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
 def _target_psd(freqs: np.ndarray, config: NoiseConfig) -> np.ndarray:
     """One-sided target S(f) on the positive frequency grid, eps0^2 ns."""
     return config.fast_amplitude * (HZ_IN_INVERSE_NS / freqs) ** config.alpha
@@ -123,8 +128,7 @@ def sample_fast_trace(
     """
     if n_substeps < 2:
         raise ValueError(f"need at least 2 substeps, got {n_substeps}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if config.fast_amplitude == 0:
         return np.zeros((n_substeps, n_channels))
     m = n_substeps
@@ -132,7 +136,11 @@ def sample_fast_trace(
     std = np.sqrt(_target_psd(freqs[1:], config) * m / (2.0 * dt))
     spec = np.zeros((freqs.size, n_channels), dtype=complex)
     draws = rng.normal(size=(2, freqs.size - 1, n_channels))
-    spec[1:] = std[:, None] * (draws[0] + 1j * draws[1]) / np.sqrt(2.0)
+    # (std re + i std im) / sqrt(2), each part written in place; dividing a
+    # complex array by sqrt(2) multiplies each part by fl(1/sqrt(2))
+    for part, draw in zip((spec.real, spec.imag), draws):
+        np.multiply(std[:, None], draw, out=part[1:])
+        part[1:] *= 1.0 / np.sqrt(2.0)
     if m % 2 == 0:
         # Nyquist bin of an even-length real FFT must be real
         spec[-1] = std[-1] * rng.normal(size=n_channels)
@@ -177,8 +185,7 @@ def psd_estimate(samples: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
         raise ValueError(f"expected a 1-D trace, got shape {x.shape}")
     if x.size < 2:
         raise ValueError("trace too short for a periodogram")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     m = x.size
     spec = np.fft.rfft(x)
     power = (2.0 * dt / m) * np.abs(spec) ** 2

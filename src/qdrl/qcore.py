@@ -45,20 +45,26 @@ count is read from the process's affinity mask, and with one usable core the
 pieces run in turn.
 
 `propagate` multiplies the steps of a time-major stack (M, R, n, n), M steps
-of R rows, into the R final propagators. It reads the stack only through
-h.shape, h.dtype and time slices h[lo:hi], so the stack may be an ndarray or
-an object that assembles each slice when it is asked for (the env's
-Monte Carlo stacks are such objects, and the whole stack then never exists).
-The row rule: a real stack of R >= 32 rows never builds its complex step
-stack. Its steps split into 8 time blocks, one task each on the same pool,
-and a block reads each of its pieces once, evaluates their cos/sin series
-and folds each step into its product V = Vr + i Vi at once, in real pairs,
-(C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr); the block products are
-then multiplied in time order. That result is independent of the piece
-size, the core count and the other rows, and differs from the step-by-step
-complex product at roundoff. Fewer rows (every per-step call of the env),
-cumulative products and complex input take the whole stack h[0:M] and keep
-`step_propagator` and the complex product.
+of R rows, into the R final propagators U, or, given states (R, n, k),
+into U states. It reads the stack only through h.shape, h.dtype and slices:
+time slices h[lo:hi], and for states time and row slices h[lo:hi, r0:r1];
+so the stack may be an ndarray or an object that assembles each slice when
+it is asked for (the env's Monte Carlo stacks are such objects, and the
+whole stack then never exists). The row rule: a real stack of R >= 32 rows
+never builds its complex step stack, and each block reads each of its
+pieces once, evaluates their cos/sin series and folds each step at once in
+real pairs, (C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr), one task
+each on the same pool. For operators the steps split into 8 time blocks,
+each folding the n columns of its product V, and the block products are
+then multiplied in time order. For states the rows split into one
+contiguous block per usable core, each folding its rows' k columns through
+all M steps in time order, so a probe state costs one column per step and
+no block product. Either result is independent of the piece size, the core
+count and the other rows, and differs from the step-by-step complex product
+at roundoff. Fewer rows (every per-step call of the env), cumulative
+products and complex input take the whole stack h[0:M] and keep
+`step_propagator` and the complex product, then the product with the
+states.
 """
 from __future__ import annotations
 
@@ -161,23 +167,25 @@ def exchange_coupling(eps: np.ndarray | float, params: DeviceParams) -> np.ndarr
     return params.j0 * np.exp(eps)
 
 
-def sector_hamiltonian(j_couplings: np.ndarray, b_gradients: np.ndarray,
-                       coupler_rows: np.ndarray, gradient_rows: np.ndarray) -> np.ndarray:
+def sector_hamiltonian(j_couplings: np.ndarray, gradient_term: np.ndarray,
+                       coupler_rows: np.ndarray) -> np.ndarray:
     """Assemble H from physical couplings, broadcasting over leading axes.
 
     j_couplings   : (..., C) exchange per coupler in 1/ns
-    b_gradients   : (..., G) gradients in 1/ns
+    gradient_term : (..., n * n) the static part of H, flattened: gradients
+                    b (..., G) in 1/ns times the (G, n * n) gradient
+                    matrices, b @ gradient_rows, which a caller assembling
+                    many Hamiltonians over the same gradients takes once
     coupler_rows  : (C, n * n) coupler matrices, one flattened per row
-    gradient_rows : (G, n * n) gradient matrices, likewise
     returns (..., n, n), real symmetric for real symmetric tables.
     """
     j = np.asarray(j_couplings, dtype=float)
-    b = np.asarray(b_gradients, dtype=float)
-    if j.shape[-1] != len(coupler_rows) or b.shape[-1] != len(gradient_rows):
+    g = np.asarray(gradient_term, dtype=float)
+    if j.shape[-1] != len(coupler_rows) or g.shape[-1] != coupler_rows.shape[-1]:
         raise ValueError(f"expected {len(coupler_rows)} couplings and "
-                         f"{len(gradient_rows)} gradients on the last axis")
+                         f"{coupler_rows.shape[-1]} gradient term entries on the last axis")
     h = j @ coupler_rows
-    h += b @ gradient_rows
+    h += g
     n = math.isqrt(coupler_rows.shape[-1])
     return h.reshape(h.shape[:-1] + (n, n))
 
@@ -207,12 +215,18 @@ def evolve_serially() -> None:
     _serial = True
 
 
+def _workers(matrices: int) -> int:
+    """Threads for one stack of `matrices` matrices: 1 when it fits in one
+    piece, else the usable cores."""
+    return 1 if matrices <= _PIECE else _usable_cores()
+
+
 def _piece_map(fn, tasks, matrices: int) -> list:
     """[fn(task) for task in tasks] over the tasks of one stack of `matrices`
     matrices: on a thread pool across the usable cores, opened for the call
     and closed when it returns, or in turn on the calling thread when the
     stack fits in one piece or one core is usable."""
-    cores = 1 if matrices <= _PIECE else _usable_cores()
+    cores = _workers(matrices)
     if cores == 1:
         return list(map(fn, tasks))
     with ThreadPoolExecutor(max_workers=cores, thread_name_prefix="qdrl-qcore") as pool:
@@ -389,12 +403,13 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     return out.reshape(h.shape)
 
 
-# Stacks of at least _PAIR_ROWS rows fold in real (cos, sin) pairs, in
-# _BLOCKS time blocks. On one thread of a 2-core host (OpenBLAS 0.3.31), a
-# 10-step fold of 6x6 matrices took 39 us in complex products against 84 us
-# in real pairs at 1 row, 213 us either way at 32 rows, and 2.82 ms against
-# 2.14 ms at 512 rows. Eight blocks keep every core of a small host busy and
-# cost seven extra products per row.
+# Stacks of at least _PAIR_ROWS rows fold in real (cos, sin) pairs. On one
+# thread of a 2-core host (OpenBLAS 0.3.31), a 10-step fold of 6x6 matrices
+# took 39 us in complex products against 84 us in real pairs at 1 row, 213 us
+# either way at 32 rows, and 2.82 ms against 2.14 ms at 512 rows. An operator
+# fold splits the steps into _BLOCKS time blocks: eight keep every core of a
+# small host busy and cost seven extra products per row. A fold of states
+# splits the rows instead, and needs no block products.
 _PAIR_ROWS = 32
 _BLOCKS = 8
 
@@ -426,33 +441,68 @@ def _fold_block(h, dt: float, steps: range) -> np.ndarray:
     return v[0] + 1j * v[1]
 
 
-def propagate(h, dt: float, *, cumulative: bool = False) -> np.ndarray:
-    """Time-ordered product of the step propagators exp(-i dt H_m).
+def _fold_states(h, dt: float, rows: slice, states: np.ndarray) -> np.ndarray:
+    """U states over the rows h[:, rows] of a real stack (M, R..., n, n), for
+    their states (r..., n, k), as (r..., n, k).
 
-    h : (M, ..., n, n) Hamiltonians, time-major: step m acts after steps
+    The block reads the whole time range in pieces of whole steps, at most
+    `_PIECE` matrices and one step at least, as slices h[lo:hi, rows], each
+    once; each piece is checked, and its cos/sin pairs fold step by step, in
+    time order, into the columns X = Xr + i Xi, held side by side as
+    [Xr Xi]: (C - iS)(Xr + iXi) = (C Xr + S Xi) + i(C Xi - S Xr).
+    """
+    n, k = states.shape[-2:]
+    count = math.prod(states.shape[:-2])
+    x = np.concatenate([states.real, states.imag], axis=-1).reshape((count, n, 2 * k))
+    per_piece = max(1, _PIECE // count)
+    for lo in range(0, h.shape[0], per_piece):
+        hi = min(lo + per_piece, h.shape[0])
+        cs = _cos_sin(np.reshape(h[lo:hi, rows], (-1, n, n)), dt)
+        for pair in cs.reshape((2, hi - lo, count, n, n)).swapaxes(0, 1):
+            # p[a] = pair[a] @ [Xr Xi]: C Xr, C Xi and S Xr, S Xi
+            p = pair @ x
+            np.add(p[0, ..., :k], p[1, ..., k:], out=x[..., :k])
+            np.subtract(p[0, ..., k:], p[1, ..., :k], out=x[..., k:])
+    return (x[..., :k] + 1j * x[..., k:]).reshape(states.shape)
+
+
+def propagate(h, dt: float, *, cumulative: bool = False, states=None) -> np.ndarray:
+    """Time-ordered product of the step propagators exp(-i dt H_m), or that
+    product applied to states.
+
+    h : (M, R..., n, n) Hamiltonians, time-major: step m acts after steps
         0..m-1, M >= 1, and the axes after the first are rows (noise
         realizations, say), each evolved on its own. h is read only through
-        h.shape, h.dtype and time slices h[lo:hi], which must return the
-        (hi - lo, ..., n, n) array of those steps: an ndarray serves, and so
-        does an object that assembles each slice when it is asked for.
-    returns the final propagators exp(-i dt H_{M-1}) ... exp(-i dt H_0),
-    shape (..., n, n), or with cumulative=True the (M+1, ..., n, n) stack
-    whose index 0 is the identity and whose index m is the propagator through
-    the first m steps.
+        h.shape, h.dtype and slices: time slices h[lo:hi], which must return
+        the (hi - lo, R..., n, n) array of those steps, and, when states are
+        given, time and row slices h[lo:hi, r0:r1] over the first row axis.
+        An ndarray serves, and so does an object that assembles each slice
+        when it is asked for.
+    states : optional (R..., n, k) columns, k of them per row.
+    returns the final propagators U = exp(-i dt H_{M-1}) ... exp(-i dt H_0),
+    shape (R..., n, n); with states, U states, shape (R..., n, k); with
+    cumulative=True the (M+1, R..., n, n) stack whose index 0 is the
+    identity and whose index m is the propagator through the first m steps
+    (states and cumulative=True together raise ValueError).
 
     The row rule: a real stack of at least `_PAIR_ROWS` (32) rows, final
-    propagators only, never builds its complex step stack, nor asks for more
-    than a piece of steps (see `_fold_block`) at a time. Its steps split
-    into `_BLOCKS` (8) time blocks, spread across the usable cores, and each
-    block reads each of its pieces once: it checks each matrix as
-    `step_propagator` does, evaluates the same cos/sin series and folds
-    every step at once in real pairs; the block products are then
-    multiplied in time order. The blocks are fixed by M alone, so the result
-    does not depend on the piece size, the core count or the other rows; it
-    differs from the step-by-step complex fold at roundoff (a few 1e-15 on
-    protocols of hundreds of steps). Every other stack, among them every
-    per-step call of the env, is read whole, h[0:M], and is
-    `step_propagator` followed by the complex fold.
+    propagators or states, never builds its complex step stack, nor asks for
+    more than a piece of steps at a time, and reads each step of each row
+    once: it checks each matrix as `step_propagator` does, evaluates the same
+    cos/sin series and folds every step at once in real pairs. Operators
+    split the steps into `_BLOCKS` (8) time blocks (see `_fold_block`),
+    spread across the usable cores, whose products are then multiplied in
+    time order. States split the first row axis into one contiguous block
+    per usable core (one block when the stack fits in a piece), and each
+    block folds its rows' columns through all M steps in time order (see
+    `_fold_states`), which costs k columns per step instead of n and no
+    block products. Either result is fixed by M and the row's own matrices
+    alone, so it does not depend on the piece size, the core count or the
+    other rows; it differs from the step-by-step complex fold at roundoff
+    (a few 1e-15 on protocols of hundreds of steps). Every other stack,
+    among them every per-step call of the env, is read whole, h[0:M], and
+    is `step_propagator` followed by the complex fold, and then by the
+    product with the states when they are given.
     """
     if not hasattr(h, "dtype"):
         h = np.asarray(h)
@@ -462,18 +512,34 @@ def propagate(h, dt: float, *, cumulative: bool = False) -> np.ndarray:
         raise ValueError(f"need a (M, ..., n, n) stack with M >= 1, got shape {shape}")
     m, n = shape[0], shape[-1]
     rows = math.prod(shape[1:-2])
+    if states is not None:
+        if cumulative:
+            raise ValueError("states are evolved to the final step only; "
+                             "cumulative=True takes no states")
+        states = np.asarray(states)
+        if states.shape[:-1] != shape[1:-1]:
+            raise ValueError(f"states of shape {states.shape} do not fit a stack of shape "
+                             f"{shape}; need {shape[1:-1] + ('k',)}")
     if cumulative or rows < _PAIR_ROWS or np.iscomplexobj(h):
         steps = step_propagator(np.asarray(h[0:m]).reshape((m, rows, n, n)), dt)
         if not cumulative:
             u = steps[0]
             for step in steps[1:]:
                 u = step @ u
-            return u.reshape(shape[1:])
+            u = u.reshape(shape[1:])
+            return u if states is None else u @ states
         out = np.empty((m + 1,) + steps.shape[1:], dtype=steps.dtype)
         out[0] = np.eye(n)
         for k, step in enumerate(steps):
             out[k + 1] = step @ out[k]
         return out.reshape((m + 1,) + shape[1:])
+    if states is not None:
+        first = shape[1]
+        blocks = min(first, _workers(m * rows))
+        bounds = [first * b // blocks for b in range(blocks + 1)]
+        spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        folded = _piece_map(lambda r: _fold_states(h, dt, r, states[r]), spans, m * rows)
+        return np.concatenate(folded)
     bounds = sorted({m * b // _BLOCKS for b in range(_BLOCKS + 1)})
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     products = _piece_map(lambda steps: _fold_block(h, dt, steps), blocks, m * rows)

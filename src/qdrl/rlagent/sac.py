@@ -484,7 +484,9 @@ def train_loop(
     `on_episode` receives each episode record as it is produced. Periodic
     evaluations run on a copy of `env` with its own seed, so evaluating leaves
     the training episodes unchanged. Each record's `update_ms` is the wall time, in ms, spent in
-    `agent.update` during that episode (0 while warming up).
+    `agent.update` during that episode (0 while warming up), and its
+    `anchor_retries` the number of attempts dropped for a degenerate anchor
+    before that episode landed.
     eval_every = 0 turns periodic evaluation off; a positive period needs
     n_eval_episodes >= 1, and both are checked before anything runs.
     """
@@ -545,7 +547,6 @@ def train_loop(
                 raise
             obs = env.reset()
             continue
-        consecutive_retries = 0
         for obs_t, act_t, rew_t, next_t, done_t in transitions:
             replay.add(obs_t, act_t, rew_t, next_t, done_t)
 
@@ -560,7 +561,9 @@ def train_loop(
             "critic_loss": _mean_of(update_metrics, "critic_loss"),
             "policy_loss": _mean_of(update_metrics, "policy_loss"),
             "update_ms": update_ms,
+            "anchor_retries": consecutive_retries,
         }
+        consecutive_retries = 0
         result.episodes.append(record)
         if on_episode is not None:
             on_episode(record)

@@ -48,7 +48,10 @@ Reward modes, all computed at the terminal step:
                      of the same protocol
     TOMO_SNAPSHOT    NLIF of the unitary reconstructed from n_snapshots
                      single-shot measurements, each taken on a fresh noisy
-                     realization of the protocol
+                     realization of the protocol: a shot draws its probe
+                     and evolves that probe state alone, not the full
+                     propagator, and the sampler reads its computational
+                     components
     GAUSS_SURROGATE  like ROBUST_AVG with each block perturbed by the
                      additive-Gaussian measurement surrogate before scoring
 """
@@ -186,20 +189,33 @@ class DeviceModel:
         return cls(params, [sigma_z / 2.0], [sigma_x / 2.0], (b,),
                    (0, 1), ("0", "1"), phase_gate_target())
 
-    def hamiltonians(self, detunings: np.ndarray, delta_b: np.ndarray | None = None):
+    def hamiltonians(self, detunings: np.ndarray, delta_b: np.ndarray | None = None, *,
+                     gradient_term: np.ndarray | None = None):
         """H stack for detunings (..., C) with optional gradient offsets.
 
         Stacks are time-major, as `qcore.propagate` takes them: substeps on
         the first axis, rows after it. delta_b (..., G), units of j0,
         broadcasts against the leading axes of detunings as they are, so a
         (R, G) offset batch pairs with (M, R, C) detunings, one offset per row.
+        A caller that assembles many slices over the same rows passes their
+        `_gradient_term(delta_b)`, taken once, as gradient_term instead of
+        delta_b, with the same bits.
         """
+        if gradient_term is None:
+            gradient_term = self._gradient_term(delta_b)
+        elif delta_b is not None:
+            raise ValueError("pass delta_b or its gradient_term, not both")
         j = exchange_coupling(np.asarray(detunings, dtype=float), self.params)
+        return sector_hamiltonian(j, gradient_term, self._coupler_rows)
+
+    def _gradient_term(self, delta_b: np.ndarray | None) -> np.ndarray:
+        """j0 (gradients + delta_b) @ gradient_ops, flattened: the part of H
+        that holds still in time, (..., n * n) over the leading axes of
+        delta_b (..., G)."""
         grads = self.gradients
         if delta_b is not None:
             grads = grads + np.asarray(delta_b, dtype=float)
-        return sector_hamiltonian(
-            j, self.params.j0 * grads, self._coupler_rows, self._gradient_rows)
+        return (self.params.j0 * grads) @ self._gradient_rows
 
     def bloch(self, states: np.ndarray) -> np.ndarray:
         """Logical (x, y, z) per qubit of states (..., n) -> (..., qubits, 3).
@@ -214,27 +230,37 @@ class DeviceModel:
 class _HamiltonianStack:
     """The time-major stack (M, R..., n, n) of a model's Hamiltonians over
     detunings (M, R..., C) and gradient offsets (R..., G) or None, as
-    `qcore.propagate` reads it: shape, dtype and time slices stack[lo:hi],
-    each assembled by `DeviceModel.hamiltonians` when it is asked for.
-    propagate asks for every step once, so each Hamiltonian is built once.
+    `qcore.propagate` reads it: shape, dtype, time slices stack[lo:hi] and
+    time and row slices stack[lo:hi, r0:r1], each assembled when it is asked
+    for. The rows' gradient term is taken once, when the stack is made, and
+    each slice adds its rows of it to its coupler term. propagate asks for
+    every step of every row once, so each Hamiltonian is built once.
 
     A plain object with no reference cycles: its detunings go with the last
     reference to it, not at the next cyclic garbage collection.
     """
 
-    __slots__ = ("_model", "_detunings", "_delta_b", "shape", "dtype")
+    __slots__ = ("_model", "_detunings", "_gradient_term", "shape", "dtype")
 
     def __init__(self, model: DeviceModel, detunings: np.ndarray, delta_b: np.ndarray | None):
         self._model = model
         self._detunings = detunings
-        self._delta_b = delta_b
+        # (R..., n * n), or (n * n,) shared by every row
+        self._gradient_term = model._gradient_term(delta_b)
         self.shape = detunings.shape[:-1] + (model.sim_dim, model.sim_dim)
         self.dtype = np.result_type(float, model._coupler_rows, model._gradient_rows)
 
-    def __getitem__(self, steps: slice) -> np.ndarray:
-        if not isinstance(steps, slice):
-            raise TypeError(f"a Hamiltonian stack takes time slices only, got {steps!r}")
-        return self._model.hamiltonians(self._detunings[steps], self._delta_b)
+    def __getitem__(self, key) -> np.ndarray:
+        term = self._gradient_term
+        if isinstance(key, slice):
+            return self._model.hamiltonians(self._detunings[key], gradient_term=term)
+        if (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(part, slice) for part in key)):
+            rows = key[1]
+            return self._model.hamiltonians(self._detunings[key],
+                                            gradient_term=term[rows] if term.ndim > 1 else term)
+        raise TypeError(f"a Hamiltonian stack takes time slices, or time and row slices, "
+                        f"only, got {key!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,21 +514,23 @@ class GateSynthesisEnv:
 
     def _evolve(
         self, dets: np.ndarray, z: NoiseRealization | None = None, lo: int = 0,
-        cumulative: bool = False,
+        cumulative: bool = False, states: np.ndarray | None = None,
     ) -> np.ndarray:
         """Propagators through detuning substeps (M, C), one per realization row.
 
         Row r adds realization r's offsets to dets, its fast trace read from
         substep lo on; without a realization the one row is noise-free.
-        Returns (rows, dim, dim), or (M + 1, rows, dim, dim) if cumulative.
+        Returns (rows, dim, dim), or (M + 1, rows, dim, dim) if cumulative,
+        or, given states (rows, dim, k), each row's propagator applied to its
+        states, (rows, dim, k).
 
         `propagate` gets the time-major Hamiltonian stack (M, rows, dim, dim)
         as a `_HamiltonianStack`, which holds only the (M, rows, C)
-        detunings and the (rows, G) offsets and assembles the time slices
+        detunings and the rows' gradient term and assembles the slices
         propagate asks for: a Monte Carlo chunk of many rows is assembled one
-        piece of steps at a time, each piece once and the whole stack never,
-        while few rows and cumulative products take the whole stack in one
-        slice.
+        piece of steps (and, for states, of rows) at a time, each piece once
+        and the whole stack never, while few rows and cumulative products
+        take the whole stack in one slice.
         """
         dets = dets[:, None]
         if z is None:
@@ -511,7 +539,7 @@ class GateSynthesisEnv:
             dets = dets + z.delta_eps + z.fast[:, lo : lo + len(dets)].swapaxes(0, 1)
             delta_b = z.delta_b
         return propagate(_HamiltonianStack(self.model, dets, delta_b), self.config.dt,
-                         cumulative=cumulative)
+                         cumulative=cumulative, states=states)
 
     def _sample_noise(self, count: int) -> NoiseRealization:
         """`count` fresh realizations over the full substep grid."""
@@ -568,24 +596,40 @@ class GateSynthesisEnv:
         est = tomography.reconstruct_unitary(record, self._povm)
         return float(nlif(est, self.target, self.config.nlif_cap))
 
+    def _noise_chunks(self, count: int) -> Iterator[tuple[np.ndarray, NoiseRealization]]:
+        """The shaped protocol and `count` fresh noise realizations, in chunks
+        of at most `_REWARD_CHUNK`; the table is shaped once, and each chunk
+        draws its noise when it is asked for."""
+        shaped = self.shaped_detunings()
+        for start in range(0, count, _REWARD_CHUNK):
+            yield shaped, self._sample_noise(min(_REWARD_CHUNK, count - start))
+
     def _noisy_final_blocks(self, count: int) -> Iterator[np.ndarray]:
         """Computational blocks of `count` fresh-noise evolutions, yielded in
-        chunks of at most `_REWARD_CHUNK`, (chunk, d, d) each; the table is
-        shaped once, and each chunk draws its noise when it is asked for."""
+        chunks of at most `_REWARD_CHUNK`, (chunk, d, d) each."""
         if self._noise is None:
             block = computational_block(self._u[0], self.model.block_indices)
             yield np.broadcast_to(block, (count,) + block.shape)
             return
-        shaped = self.shaped_detunings()
-        for start in range(0, count, _REWARD_CHUNK):
-            z = self._sample_noise(min(_REWARD_CHUNK, count - start))
+        for shaped, z in self._noise_chunks(count):
             yield computational_block(self._evolve(shaped, z), self.model.block_indices)
 
     def _sample_protocol_snapshots(self, n_shots: int) -> np.ndarray:
-        """The (d, 2d + 1) count table of n_shots snapshots of the protocol."""
+        """The (d, 2d + 1) count table of n_shots snapshots of the protocol;
+        with noise, each shot takes a fresh realization and a uniform probe."""
         if self._noise is None:
             block = computational_block(self._u[0], self.model.block_indices)
             return tomography.sample_snapshots(block, n_shots, self._povm, self._rng)
-        return sum(tomography.sample_snapshots_batch(blocks, self._povm, self._rng)
-                   for blocks in self._noisy_final_blocks(n_shots))
+        return sum(self._snapshot_chunk(shaped, z) for shaped, z in self._noise_chunks(n_shots))
 
+    def _snapshot_chunk(self, shaped: np.ndarray, z: NoiseRealization) -> np.ndarray:
+        """The count table of one shot per realization row of z: the probe
+        indices are drawn after the noise, each shot's probe state (embedded
+        at the block indices) is evolved alone, and the sampler draws the
+        outcomes from the states' computational components."""
+        idx = self.model.block_indices
+        probe_idx = self._rng.integers(0, len(idx), size=len(z.delta_b))
+        probes = np.zeros((len(probe_idx), self.model.sim_dim, 1), dtype=complex)
+        probes[:, idx, 0] = self._povm.probes[probe_idx]
+        states = self._evolve(shaped, z, states=probes)[:, idx, 0]
+        return tomography.sample_snapshots_batch(states, probe_idx, self._povm, self._rng)

@@ -39,6 +39,10 @@ out of the d-dimensional space (always zero for a unitary source).
 
 build_povm stores the probe vectors on the PovmSet (PovmSet.probes), so the
 probability, sampling and reconstruction functions take the POVM alone.
+sample_snapshots draws a record of one fixed matrix. sample_snapshots_batch
+takes one shot per output state instead: the caller draws each shot's probe
+index and evolves that probe, and passes the (S, d) states w = U_s |psi_n>
+with the (S,) indices, so a noisy shot never needs its whole propagator.
 
 The surrogate model replaces the whole measurement pipeline by additive
 i.i.d. complex Gaussian noise on the matrix entries followed by the same
@@ -203,19 +207,26 @@ def outcome_probabilities(u: np.ndarray, povm: PovmSet) -> np.ndarray:
 
 
 def sample_snapshots_batch(
-    mats: np.ndarray, povm: PovmSet, rng: np.random.Generator
+    states: np.ndarray, probe_idx: np.ndarray, povm: PovmSet, rng: np.random.Generator
 ) -> np.ndarray:
-    """One snapshot per matrix in mats (S, d, d): uniform probe, one outcome.
+    """One snapshot per shot: shot s measured probe probe_idx[s], whose
+    output state w = U_s |psi_{probe_idx[s]}> has the computational
+    components states[s], (S, d); one outcome each.
 
     Returns the (d, 2d + 1) int64 count table of the S shots (module
     docstring); a shot whose outcome falls past the 2d POVM outcomes leaked.
+    The caller draws the probe indices (uniformly, for the protocol's
+    estimator) and evolves each probe; only the outcome uniforms are drawn
+    here.
     """
-    mats = np.asarray(mats)
+    states = np.asarray(states)
+    probe_idx = np.asarray(probe_idx)
     d = povm.dim
-    s = mats.shape[0]
-    probe_idx = rng.integers(0, d, size=s)
-    w = np.einsum("sij,sj->si", mats, povm.probes[probe_idx])
-    p = np.clip(_outcome_table(w, povm), 0.0, None)
+    s = len(states)
+    if states.shape != (s, d) or probe_idx.shape != (s,):
+        raise ValueError(f"need (S, {d}) states and (S,) probe indices, got shapes "
+                         f"{states.shape} and {probe_idx.shape}")
+    p = np.clip(_outcome_table(states, povm), 0.0, None)
     total = p.sum(axis=1)
     leak = np.clip(1.0 - total, 0.0, None)
     r = rng.random(s) * (total + leak)
@@ -232,7 +243,7 @@ def sample_snapshots(
 
     Returns the (d, 2d + 1) int64 count table (module docstring). The
     (probe, outcome) tally is a single multinomial and is drawn in one go;
-    sample_snapshots_batch takes one matrix per shot instead.
+    sample_snapshots_batch takes one evolved probe state per shot instead.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
@@ -240,8 +251,8 @@ def sample_snapshots(
     source = np.asarray(source)
     if source.shape != (d, d):
         raise ValueError(
-            f"expected one {(d, d)} matrix, got shape {source.shape}; "
-            "use sample_snapshots_batch for one matrix per shot"
+            f"expected one {(d, d)} matrix, got shape {source.shape}; for one matrix "
+            "per shot, evolve each shot's probe and use sample_snapshots_batch"
         )
     table, leak = _probability_table(source, povm)
     cells = np.concatenate([table, leak[:, None]], axis=1) / d

@@ -584,7 +584,8 @@ class TestEvaluateCommand:
 
 # the keys of one line of each episode log
 _TRAIN_KEYS = {"episode", "seed", "return", "nlif", "leakage", "wall_time_ms", "config_hash",
-               "env_steps", "alpha", "entropy", "critic_loss", "policy_loss", "update_ms"}
+               "env_steps", "alpha", "entropy", "critic_loss", "policy_loss", "update_ms",
+               "anchor_retries"}
 _EVALUATE_KEYS = {"episode", "seed", "return", "nlif", "leakage", "wall_time_ms",
                   "config_hash", "frozen_nlif"}
 

@@ -131,12 +131,37 @@ class TestFastTrace:
         trace = noise.sample_fast_trace(4096, 0.25, config, rng, n_channels=8)
         assert trace.std() < 0.05
 
+    @pytest.mark.parametrize("m", [127, 128])
+    def test_same_bits_as_the_complex_spectrum(self, m):
+        # the spectrum is written part by part in place; the complex
+        # expression it replaces, with its division by sqrt(2), gives the
+        # same bits on odd and even lengths (Nyquist bin included)
+        config = noise.NoiseConfig()
+        dt, channels = 0.25, 5
+        rng = np.random.default_rng(15)
+        freqs = np.fft.rfftfreq(m, dt)
+        std = np.sqrt(noise._target_psd(freqs[1:], config) * m / (2.0 * dt))
+        spec = np.zeros((freqs.size, channels), dtype=complex)
+        draws = rng.normal(size=(2, freqs.size - 1, channels))
+        spec[1:] = std[:, None] * (draws[0] + 1j * draws[1]) / np.sqrt(2.0)
+        if m % 2 == 0:
+            spec[-1] = std[-1] * rng.normal(size=channels)
+        want = np.fft.irfft(spec, n=m, axis=0)
+        got = noise.sample_fast_trace(m, dt, config, np.random.default_rng(15), channels)
+        np.testing.assert_array_equal(got, want)
+
     def test_validation(self):
         config = noise.NoiseConfig()
         with pytest.raises(ValueError):
             noise.sample_fast_trace(1, 0.5, config, np.random.default_rng(0))
         with pytest.raises(ValueError):
             noise.sample_fast_trace(64, -0.5, config, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0])
+    def test_non_finite_dt_rejected(self, dt):
+        # a NaN once passed the dt <= 0 check and came back as a NaN trace
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            noise.sample_fast_trace(64, dt, noise.NoiseConfig(), np.random.default_rng(0))
 
 
 class TestRealization:
@@ -196,6 +221,11 @@ class TestPsdEstimate:
             noise.psd_estimate(np.zeros((4, 4)), 0.1)
         with pytest.raises(ValueError):
             noise.psd_estimate(np.zeros(1), 0.1)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -0.1])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            noise.psd_estimate(np.zeros(16), dt)
 
 
 def test_named_streams_are_uncorrelated():

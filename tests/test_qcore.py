@@ -143,7 +143,7 @@ def test_hamiltonian_assembly_matches_the_einsum_form(params):
     couplers, gradients = qcore._coupler_matrices(), qcore._gradient_matrices()
     want = np.einsum("...i,ijk->...jk", j, couplers)
     want += np.einsum("...i,ijk->...jk", b, gradients)
-    got = qcore.sector_hamiltonian(j, b, couplers.reshape(3, 36), gradients.reshape(3, 36))
+    got = qcore.sector_hamiltonian(j, b @ gradients.reshape(3, 36), couplers.reshape(3, 36))
     np.testing.assert_array_equal(got, want)
 
 
@@ -428,16 +428,20 @@ class TestLargeStacks:
 
 
 class _RecordingStack:
-    """A stack that hands out time slices of an array and records each one."""
+    """A stack that hands out time slices, and time and row slices, of an
+    array and records each one: (lo, hi) for a time slice, (lo, hi, r0, r1)
+    for a time and row slice."""
 
     def __init__(self, h: np.ndarray):
         self._h = h
         self.shape, self.dtype = h.shape, h.dtype
-        self.slices: list[tuple[int, int]] = []
+        self.slices: list[tuple[int, ...]] = []
 
-    def __getitem__(self, steps: slice) -> np.ndarray:
-        self.slices.append((steps.start, steps.stop))
-        return self._h[steps]
+    def __getitem__(self, key) -> np.ndarray:
+        steps, rows = key if isinstance(key, tuple) else (key, None)
+        self.slices.append((steps.start, steps.stop) if rows is None
+                           else (steps.start, steps.stop, rows.start, rows.stop))
+        return self._h[key]
 
 
 class TestStackContract:
@@ -470,6 +474,102 @@ class TestStackContract:
         got = qcore.propagate(stack, 0.1, cumulative=cumulative)
         assert stack.slices == [(0, 20)]
         np.testing.assert_array_equal(got, qcore.propagate(h, 0.1, cumulative=cumulative))
+
+    @pytest.mark.parametrize("rows, piece", [(32, 1024), (100, 1000), (100, 64), (512, 1024)])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_states_read_each_step_of_each_row_once(self, params, monkeypatch,
+                                                    rows, piece, cores):
+        h = noisy_protocol(rows, params, seed=rows)
+        states = probe_columns(rows, 1, seed=rows)
+        whole = qcore.propagate(h, 0.1, states=states)
+        monkeypatch.setattr(qcore, "_PIECE", piece)
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+        stack = _RecordingStack(h)
+        np.testing.assert_array_equal(qcore.propagate(stack, 0.1, states=states), whole)
+        # only time and row slices, one contiguous row block per core when
+        # the stack spans more than a piece, each slice at most a piece
+        assert all(len(key) == 4 for key in stack.slices)
+        blocks = sorted({(r0, r1) for _, _, r0, r1 in stack.slices})
+        assert len(blocks) == (cores if len(h) * rows > piece else 1)
+        assert max((hi - lo) * (r1 - r0) for lo, hi, r0, r1 in stack.slices) <= max(piece, rows)
+        reads = np.zeros((len(h), rows), dtype=int)
+        for lo, hi, r0, r1 in stack.slices:
+            reads[lo:hi, r0:r1] += 1
+        np.testing.assert_array_equal(reads, 1)
+
+
+def probe_columns(rows: int, k: int, seed: int = 0) -> np.ndarray:
+    """(rows, 6, k) random complex columns, normalized."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(rows, 6, k)) + 1j * rng.normal(size=(rows, 6, k))
+    return v / np.linalg.norm(v, axis=-2, keepdims=True)
+
+
+class TestStates:
+    """propagate(h, dt, states=V) evolves the columns V alone: U V."""
+
+    @pytest.mark.parametrize("rows", [31, 32, 100, 512])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_equals_the_propagator_times_the_states(self, params, rows, k):
+        h = noisy_protocol(rows, params, seed=rows + k)
+        states = probe_columns(rows, k, seed=k)
+        got = qcore.propagate(h, 0.1, states=states)
+        assert got.shape == (rows, 6, k) and got.dtype == np.complex128
+        assert np.abs(got - qcore.propagate(h, 0.1) @ states).max() <= 1e-13
+
+    @pytest.mark.parametrize("rows", [32, 100, 512])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_the_same_on_any_pieces_and_cores(self, params, monkeypatch, rows, k):
+        # 100 rows on 2 cores: two 50-row blocks, 20 steps to a 1000-matrix
+        # piece, one step to a 64-matrix piece
+        h = noisy_protocol(rows, params, seed=rows)
+        states = probe_columns(rows, k, seed=rows)
+        results = []
+        for piece in (64, 1000, 1024):
+            for cores in (1, 2):
+                monkeypatch.setattr(qcore, "_PIECE", piece)
+                monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
+                results.append(qcore.propagate(h, 0.1, states=states))
+        for got in results[1:]:
+            np.testing.assert_array_equal(got, results[0])
+
+    def test_rows_do_not_depend_on_their_neighbours(self, params):
+        h = noisy_protocol(64, params, seed=7)
+        h[:, 40:] *= 40.0
+        states = probe_columns(64, 2, seed=7)
+        np.testing.assert_array_equal(qcore.propagate(h, 0.1, states=states)[:40],
+                                      qcore.propagate(h[:, :40], 0.1, states=states[:40]))
+
+    def test_rows_over_several_axes(self, params, monkeypatch):
+        monkeypatch.setattr(qcore, "_usable_cores", lambda: 2)
+        h = noisy_protocol(48, params, seed=4)
+        states = probe_columns(48, 3, seed=4)
+        got = qcore.propagate(h.reshape((240, 6, 8, 6, 6)), 0.1,
+                              states=states.reshape((6, 8, 6, 3)))
+        np.testing.assert_array_equal(
+            got, qcore.propagate(h, 0.1, states=states).reshape((6, 8, 6, 3)))
+
+    def test_real_states_and_other_paths(self, params):
+        # real columns fold as complex ones with a zero imaginary part;
+        # complex stacks and fewer rows multiply the propagator by them
+        h = noisy_protocol(32, params, seed=9)[:30]
+        real = probe_columns(32, 2, seed=9).real
+        np.testing.assert_array_equal(qcore.propagate(h, 0.1, states=real),
+                                      qcore.propagate(h, 0.1, states=real + 0j))
+        hc = h.astype(complex)
+        np.testing.assert_array_equal(qcore.propagate(hc, 0.1, states=real),
+                                      complex_fold(hc, 0.1) @ real)
+        np.testing.assert_array_equal(qcore.propagate(h[:, :31], 0.1, states=real[:31]),
+                                      complex_fold(h[:, :31], 0.1) @ real[:31])
+
+    def test_bad_states_rejected(self, params):
+        h = noisy_protocol(32, params, seed=10)[:10]
+        states = probe_columns(32, 1)
+        with pytest.raises(ValueError, match="cumulative"):
+            qcore.propagate(h, 0.1, cumulative=True, states=states)
+        for bad in (states[:31], states[:, :5], states[..., 0]):
+            with pytest.raises(ValueError, match="do not fit"):
+                qcore.propagate(h, 0.1, states=bad)
 
 
 class TestPairFold:

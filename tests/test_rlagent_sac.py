@@ -489,6 +489,8 @@ class TestTrainLoop:
         result = train_loop(env, agent, 10, seed=8)
         assert result.anchor_retries == 1
         assert len(result.episodes) == 10
+        # the dropped attempt is counted on the episode that landed after it
+        assert [r["anchor_retries"] for r in result.episodes] == [1] + [0] * 9
         # initial reset + one retry + a fresh reset after each finished episode
         assert env.episodes_started == 12
 

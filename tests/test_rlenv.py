@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qdrl import qcore
+from qdrl import qcore, rlenv, tomography
 from qdrl.noise import NoiseConfig, sample_realization
 from qdrl.pulse import convolve, delta_kernel, gaussian_kernel, oversample
 from qdrl.qcore import (
@@ -357,6 +357,32 @@ def noisy_detunings(rows: int, seed: int = 0):
     return dets[:, None] + z.delta_eps + z.fast.swapaxes(0, 1), z.delta_b
 
 
+def reference_record(env, n_shots, rng):
+    """A finished episode's noisy snapshot record, from full propagators:
+    per chunk of 512 shots the noise, then the probe indices, then each
+    shot's block applied to its probe and one outcome drawn from the exact
+    outcome table, all from rng."""
+    povm, idx, cfg = env._povm, env.model.block_indices, env.config
+    d = len(idx)
+    shaped = env.shaped_detunings()
+    counts = np.zeros((d, 2 * d + 1), dtype=np.int64)
+    for start in range(0, n_shots, 512):
+        z = sample_realization(cfg.noise, rng, cfg.n_substeps, cfg.dt,
+                               n_gradients=env.model.n_gradients, n_channels=env.n_channels,
+                               count=min(512, n_shots - start))
+        dets = shaped[:, None] + z.delta_eps + z.fast.swapaxes(0, 1)
+        blocks = computational_block(propagate(env.model.hamiltonians(dets, z.delta_b), cfg.dt),
+                                     idx)
+        probe_idx = rng.integers(0, d, size=len(blocks))
+        w = np.einsum("sij,sj->si", blocks, povm.probes[probe_idx])
+        p = np.clip(np.einsum("si,kij,sj->sk", w.conj(), povm.elements, w).real, 0.0, None)
+        total = p.sum(axis=1)
+        r = rng.random(len(w)) * (total + np.clip(1.0 - total, 0.0, None))
+        for probe, outcome in zip(probe_idx, (r[:, None] >= np.cumsum(p, axis=1)).sum(axis=1)):
+            counts[probe, outcome] += 1
+    return counts
+
+
 class TestHamiltonianStack:
     """The env's stacks assemble the time slices propagate asks for."""
 
@@ -382,18 +408,22 @@ class TestHamiltonianStack:
         np.testing.assert_array_equal(
             propagate(_HamiltonianStack(model, dets, delta_b), 0.1), built)
 
-    def test_concurrent_callers_get_the_built_stack_bits(self, monkeypatch):
+    @pytest.mark.parametrize("states", [False, True])
+    def test_concurrent_callers_get_the_built_stack_bits(self, monkeypatch, states):
         # more threads than cores, each assembling slices of its own stack
-        # while the shared model's tables are read by all
+        # while the shared model's tables are read by all; with states, each
+        # call folds four row blocks that read the same stack and columns
         model = DeviceModel.two_qubit(DeviceParams())
         dets, delta_b = noisy_detunings(100, seed=8)
-        built = propagate(model.hamiltonians(dets, delta_b), 0.1)
+        columns = np.eye(6)[None, :, 1:3].repeat(100, axis=0) if states else None
+        built = propagate(model.hamiltonians(dets, delta_b), 0.1, states=columns)
         monkeypatch.setattr(qcore, "_usable_cores", lambda: 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(6) as callers:
-                futures = [callers.submit(propagate, _HamiltonianStack(model, dets, delta_b), 0.1)
+                futures = [callers.submit(propagate, _HamiltonianStack(model, dets, delta_b), 0.1,
+                                          states=columns)
                            for _ in range(6)]
                 results = [f.result(timeout=120) for f in futures]
         finally:
@@ -420,8 +450,56 @@ class TestHamiltonianStack:
     def test_only_time_slices(self):
         model = DeviceModel.two_qubit(DeviceParams())
         stack = _HamiltonianStack(model, *noisy_detunings(2))
-        with pytest.raises(TypeError, match="time slices"):
-            stack[:, 0]
+        for key in ((slice(None), 0), 0, (slice(0, 2),), (slice(0, 2), slice(0, 1), slice(None))):
+            with pytest.raises(TypeError, match="time slices"):
+                stack[key]
+
+    def test_offsets_or_their_gradient_term(self):
+        model = DeviceModel.two_qubit(DeviceParams())
+        dets, delta_b = noisy_detunings(4, seed=11)
+        term = model._gradient_term(delta_b)
+        np.testing.assert_array_equal(model.hamiltonians(dets, gradient_term=term),
+                                      model.hamiltonians(dets, delta_b))
+        with pytest.raises(ValueError, match="not both"):
+            model.hamiltonians(dets, delta_b, gradient_term=term)
+
+    @pytest.mark.parametrize("offsets", [False, True])
+    def test_time_and_row_slices_are_those_of_the_built_stack(self, offsets):
+        model = DeviceModel.two_qubit(DeviceParams())
+        dets, delta_b = noisy_detunings(100, seed=9)
+        delta_b = delta_b if offsets else None
+        built = model.hamiltonians(dets, delta_b)
+        stack = _HamiltonianStack(model, dets, delta_b)
+        for steps, rows in [(slice(0, 240), slice(0, 100)), (slice(3, 7), slice(50, 100)),
+                            (slice(239, 240), slice(17, 18)), (slice(10, 40), slice(0, 33))]:
+            np.testing.assert_array_equal(stack[steps, rows], built[steps, rows])
+
+    @pytest.mark.parametrize("states", [False, True])
+    def test_gradient_term_taken_once_per_stack(self, monkeypatch, states):
+        # every slice adds the rows' static gradient term, taken when the
+        # stack is made, and assembles through rlenv's sector_hamiltonian
+        model = DeviceModel.two_qubit(DeviceParams())
+        dets, delta_b = noisy_detunings(100, seed=10)
+        columns = np.eye(6)[None, :, :1].repeat(100, axis=0) if states else None
+        built = propagate(model.hamiltonians(dets, delta_b), 0.1, states=columns)
+        terms, slices = [], []
+        gradient_term = model._gradient_term
+        assemble = rlenv.sector_hamiltonian
+
+        def counted_term(*args):
+            terms.append(args)
+            return gradient_term(*args)
+
+        def counted_assemble(*args):
+            slices.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(model, "_gradient_term", counted_term)
+        monkeypatch.setattr(rlenv, "sector_hamiltonian", counted_assemble)
+        monkeypatch.setattr(qcore, "_PIECE", 1000)
+        got = propagate(_HamiltonianStack(model, dets, delta_b), 0.1, states=columns)
+        np.testing.assert_array_equal(got, built)
+        assert len(terms) == 1 and len(slices) >= 24
 
     def test_a_reward_chunk_never_holds_its_hamiltonian_stack(self, monkeypatch):
         # one 512-row chunk on a 240-substep grid, on one core; its whole
@@ -670,6 +748,35 @@ class TestRewardModes:
             assert split.reward == whole.reward
             np.testing.assert_equal(split.info, whole.info)
             np.testing.assert_array_equal(split.observation, whole.observation)
+
+    @pytest.mark.parametrize("device, n_snapshots", [
+        ("two_qubit", 600), ("two_qubit", 530), ("single_qubit", 560),
+    ])
+    def test_noisy_record_equals_a_full_propagator_reference(self, device, n_snapshots):
+        # the env evolves each shot's probe state alone; a reference that
+        # evolves each realization's full propagator, takes its block and
+        # samples the old way from the same stream gives the same record.
+        # 600 shots: chunks of 512 and 88 rows; 530: 512 and 18 (the
+        # whole-stack path); the one-qubit device embeds d = 2 in n = 2
+        cfg = EnvConfig(**QUIET, noise=NoiseConfig(), reward_mode=RewardMode.TOMO_SNAPSHOT,
+                        n_snapshots=n_snapshots)
+        model = getattr(DeviceModel, device)(cfg.device)
+        env = GateSynthesisEnv(cfg, model=model, seed=27)
+        acts = random_actions(env, seed=27)
+        for seed in (27, 28):
+            env.reset(seed=seed)
+            for a in acts[:-1]:
+                env.step(a)
+            stream = env._rng.bit_generator.state
+            reward = env.step(acts[-1]).reward
+            env._rng.bit_generator.state = stream
+            record = env._sample_protocol_snapshots(n_snapshots)
+            rng = np.random.default_rng()
+            rng.bit_generator.state = stream
+            want = reference_record(env, n_snapshots, rng)
+            np.testing.assert_array_equal(record, want)
+            assert reward == float(nlif(tomography.reconstruct_unitary(want, env._povm),
+                                        env.target, cfg.nlif_cap))
 
     def test_leakage_diagnostic_in_range(self):
         env = small_env(seed=24)

@@ -15,6 +15,14 @@ def reconstruction_infidelity(u, est):
     return 1.0 - gate_fidelity(est, u)
 
 
+def snapshots_of(mats, povm, rng):
+    """One snapshot per matrix of mats (S, d, d), drawn as the env draws them:
+    uniform probe indices first, then each probe's output state."""
+    probe_idx = rng.integers(0, povm.dim, size=len(mats))
+    states = np.einsum("sij,sj->si", mats, povm.probes[probe_idx])
+    return tomo.sample_snapshots_batch(states, probe_idx, povm, rng)
+
+
 class TestPovmConstruction:
     @pytest.mark.parametrize("dim", [2, 3, 4, 6, 8])
     def test_default_weights_are_valid(self, dim):
@@ -152,7 +160,7 @@ class TestSampledRecords:
         u = haar_unitary(4, rng)
         batch = np.stack([u] * 300)
         for counts, n_shots in ((tomo.sample_snapshots(u, 5000, povm, rng), 5000),
-                                (tomo.sample_snapshots_batch(batch, povm, rng), 300)):
+                                (snapshots_of(batch, povm, rng), 300)):
             assert counts.shape == (4, 9)
             assert counts.dtype == np.int64
             assert (counts >= 0).all()
@@ -171,7 +179,7 @@ class TestSampledRecords:
     def test_zero_matrices_leak_every_shot(self):
         rng = np.random.default_rng(6)
         povm = tomo.build_povm(2)
-        counts = tomo.sample_snapshots_batch(np.zeros((64, 2, 2)), povm, rng)
+        counts = snapshots_of(np.zeros((64, 2, 2)), povm, rng)
         assert counts.shape == (2, 5)
         assert counts[:, 4].sum() == 64
         assert not counts[:, :4].any()
@@ -180,11 +188,21 @@ class TestSampledRecords:
         rng = np.random.default_rng(5)
         povm = tomo.build_povm(2)
         mats = np.stack([haar_unitary(2, rng) for _ in range(64)])
-        counts = tomo.sample_snapshots_batch(mats, povm, rng)
+        counts = snapshots_of(mats, povm, rng)
         assert counts.shape == (2, 5) and counts.dtype == np.int64
         assert counts.sum() == 64
         with pytest.raises(ValueError, match="one matrix per shot"):
             tomo.sample_snapshots(mats, 63, povm, rng)
+
+    def test_batch_states_must_match_their_probe_indices(self):
+        rng = np.random.default_rng(9)
+        povm = tomo.build_povm(2)
+        states = povm.probes[[0, 1, 1]]
+        for bad_states, bad_idx in ((states, np.array([0, 1])),
+                                    (states[:, :1], np.array([0, 1, 1])),
+                                    (np.stack([np.eye(2)] * 3), np.array([0, 1, 1]))):
+            with pytest.raises(ValueError, match="probe indices"):
+                tomo.sample_snapshots_batch(bad_states, bad_idx, povm, rng)
 
     def test_sampled_reconstruction_accuracy_d2(self):
         rng = np.random.default_rng(8)
