@@ -26,7 +26,7 @@ from ..qcore import evolve_serially
 from ..rlagent import SacAgent, evaluate_policy, play_policy, train_loop
 from ..rlenv import TAIL_SEGMENTS, DeviceModel, GateSynthesisEnv
 from ..seeding import named_stream
-from ..tomography import calibrate_sigma_to_shots
+from ..tomography import calibrate_sigma_to_shots, sigma_for_shots
 from .config import ConfigError, ExperimentConfig, _noise_config, config_from_dict
 from .protocol import read_protocol, write_protocol
 from .records import record_line, write_records
@@ -93,8 +93,8 @@ def cmd_train(config: ExperimentConfig) -> dict:
                 on_episode=emit,
             )
         entry = {"seed": seed, "episodes": len(result.episodes),
-                 "anchor_retries": result.anchor_retries, "log": str(log_path),
-                 "evals": result.evals}
+                 "anchor_retries": sum(rec["anchor_retries"] for rec in result.episodes),
+                 "log": str(log_path), "evals": result.evals}
         if config.budget_episodes > 0:
             ckpt = out / f"agent_seed{seed}.npz"
             agent.save(ckpt)
@@ -247,8 +247,8 @@ def protocol_to_actions(detunings: np.ndarray, config: ExperimentConfig) -> np.n
     channel, finite values, its tail rows on the minimum rail and every other
     value inside [eps_min, eps_max]; anything else raises ConfigError.
     """
-    device = config.env.device
-    shape = (config.env.n_segments, config.make_model().n_channels)
+    device = config.env.model.params
+    shape = (config.env.n_segments, config.env.model.n_channels)
     if detunings.shape != shape:
         raise ConfigError(f"protocol table has shape {detunings.shape} (rows, channels), "
                           f"the configured env needs {shape}")
@@ -303,12 +303,12 @@ def _scale_curves(config: ExperimentConfig, mode: str, k: float) -> dict[str, di
         # Gradients are stored in units of j0 and the Hamiltonian multiplies
         # them by j0, so scaling j0 alone scales every energy in the device
         # uniformly.
-        device, kernel = config.env.device, config.env.kernel
+        device, kernel = config.env.model.params, config.env.kernel
         if kernel is not None:
             # the same response compressed in time: same weights on a dt/k grid
-            kernel = ImpulseKernel(kernel.samples * k, kernel.dt / k, kernel.delay / k)
-        rescaled = {"device": dataclasses.replace(device, j0=k * device.j0), "kernel": kernel,
-                    "protocol_time": config.env.protocol_time / k}
+            kernel = ImpulseKernel(kernel.samples * k, kernel.dt / k)
+        rescaled = {"model": config.make_model(dataclasses.replace(device, j0=k * device.j0)),
+                    "kernel": kernel, "protocol_time": config.env.protocol_time / k}
     curves = {name: dataclasses.replace(
         noise, **{field: 0.0 for other, field in _AMPLITUDE.items() if other != name})
         for name in _AMPLITUDE}
@@ -392,7 +392,7 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path) -> dict:
     The initial state is analyze.initial_state, by default the first
     computational state the device's default gate moves.
     """
-    model = config.make_model()
+    model = config.env.model
     label = config.resolved["analyze"]["initial_state"]
     if label is None:
         label = _moved_state(model)
@@ -424,7 +424,7 @@ def cmd_analyze(config: ExperimentConfig, protocol_path: Path) -> dict:
         lines.append("\t".join(row))
     (out / "bloch.tsv").write_text("\n".join(lines) + "\n")
 
-    device = config.env.device
+    device = config.env.model.params
     span = device.eps_max - device.eps_min
     fluence = float(np.sum((shaped - device.eps_min) ** 2) * dt)
     fluence_max = span**2 * env.config.protocol_time * env.n_channels
@@ -448,7 +448,7 @@ def cmd_tomo_calibrate(config: ExperimentConfig) -> dict:
     """Fit the snapshot-budget <-> surrogate-noise equivalence and persist it,
     at the dimension of the configured device's computational block."""
     spec = config.section("tomo")
-    dim = len(config.make_model().block_indices)
+    dim = len(config.env.model.block_indices)
     rng = named_stream(config.seeds[0], "tomo-calibrate")
     try:
         mapping = calibrate_sigma_to_shots(
@@ -458,14 +458,14 @@ def cmd_tomo_calibrate(config: ExperimentConfig) -> dict:
         raise ConfigError(f"tomo section gives no calibration: {err}") from err
     out = _ensure_dir(config.output_dir)
     map_path = out / "sigma_shots.json"
-    mapping.save(map_path)
+    map_path.write_text(json.dumps(mapping, indent=2) + "\n")
     summary = {
         "config_hash": config.hash,
         "map_file": str(map_path),
-        "dim": mapping.dim,
-        "shots_slope": mapping.shots_slope,
-        "sigma_slope": mapping.sigma_slope,
-        "sigma_for_1e5_shots": mapping.sigma_for_shots(1e5),
+        "dim": mapping["dim"],
+        "shots_slope": mapping["shots_slope"],
+        "sigma_slope": mapping["sigma_slope"],
+        "sigma_for_1e5_shots": sigma_for_shots(mapping, 1e5),
     }
     _write_json(out / "tomo_calibrate_summary.json", summary)
     return summary
@@ -494,7 +494,7 @@ def cmd_export_protocol(config: ExperimentConfig, checkpoint: Path,
         "noise_seed": "none" if noise_seed is None else noise_seed,
     }
     path = out / "protocol.tsv"
-    write_protocol(path, env.pulse_sequence(), config.env.device.eps0,
+    write_protocol(path, env.pulse_sequence(), config.env.model.params.eps0,
                    env.config.sample_period, meta, shaped_preview=preview)
     summary = {"protocol": str(path), **meta}
     _write_json(out / "export_summary.json", summary)

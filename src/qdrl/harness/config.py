@@ -5,7 +5,8 @@ environment, agent, and budgets. Parsing merges user values over defaults
 (for env, noise and agent: the fields of EnvConfig, NoiseConfig, SacConfig),
 rejects unknown keys, values unlike their default's type (an int may stand
 for a float) and counts below their least value, and produces both
-constructed objects (env factory, agent config) and a canonical resolved
+constructed objects (the env config, which holds the device model the
+device section names; the agent config) and a canonical resolved
 dictionary whose SHA-256 digest is embedded in every output artifact.
 """
 from __future__ import annotations
@@ -51,7 +52,7 @@ class ConfigError(ValueError):
 # values, tuples as lists), so a field added to EnvConfig, NoiseConfig or
 # SacConfig becomes a YAML key and moves every experiment hash. The fields
 # below are built from other sections or never configured.
-_NOT_YAML = {"device", "kernel", "target", "noise"}
+_NOT_YAML = {"model", "kernel", "target", "noise"}
 
 
 # device.type -> its model over (device params, device.b): the one place that
@@ -197,20 +198,18 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------ factories
 
-    def make_model(self, device: DeviceParams | None = None):
-        """The configured device model over `device`, by default the env's."""
-        device = device if device is not None else self.env.device
+    def make_model(self, device: DeviceParams) -> DeviceModel:
+        """The configured device type over other device params."""
         return _MODELS[self.device_type](device, self.resolved["device"]["b"])
 
     def make_env(self, seed: int, **changes) -> GateSynthesisEnv:
         """Fresh environment for one run on the configured device.
 
         changes replace EnvConfig fields (noise=None mutes noise); changes
-        that move the substep grid bring their kernel. The model is built
-        over the env's device, so a rescaled j0 reaches the Hamiltonian.
+        that move the substep grid bring their kernel.
         """
         env = dataclasses.replace(self.env, **changes) if changes else self.env
-        return GateSynthesisEnv(env, model=self.make_model(env.device), seed=seed)
+        return GateSynthesisEnv(env, seed=seed)
 
     def make_agent(self, env: GateSynthesisEnv, seed: int) -> SacAgent:
         return SacAgent(env.observation_size, env.n_channels, self.agent, seed=seed)
@@ -272,8 +271,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     try:
         # the amplitudes are checked even while disabled: scale-sweep reads them
         noise = _noise_config(resolved)
-        env = _on_grid(EnvConfig(noise=noise if resolved["noise"]["enabled"] else None,
-                                 **_fields_of(resolved, "env")), resolved["kernel"])
+        env = EnvConfig(model=_MODELS[device_type](DeviceParams(), resolved["device"]["b"]),
+                        noise=noise if resolved["noise"]["enabled"] else None,
+                        **_fields_of(resolved, "env"))
+        env = _on_grid(env, resolved["kernel"])
         agent = SacConfig(**_fields_of(resolved, "agent"))
     except (TypeError, ValueError, OSError) as err:  # ConfigError included: rewrapped unchanged
         raise ConfigError(str(err)) from err

@@ -5,10 +5,13 @@ sample period T_s; the transmission line smears it with a causal impulse
 response of unit DC gain, so constants pass through unchanged but edges
 acquire a finite rise time and an overall delay. Discretely, the table is
 oversampled to substeps of dt = T_s / n and convolved with the kernel sampled
-on the same grid. The convolution output at index m is read as the field at
-the midpoint of substep m (integer-grid kernel samples approximate
-bin-integrated weights to second order in dt), which is what keeps
-piecewise-constant propagation of the shaped trace second-order accurate.
+on the same grid. A kernel is its samples and their spacing alone: sample j
+sits at t = j dt from t = 0, so the delay it applies is the samples' first
+moment, and nothing else records it. The convolution output at index m is
+read as the field at the midpoint of substep m (integer-grid kernel samples
+approximate bin-integrated weights to second order in dt), which is what
+keeps piecewise-constant propagation of the shaped trace second-order
+accurate.
 The tables themselves, their rails and their pinned tail belong to the
 episode (`qdrl.rlenv`); this module only shapes plain arrays.
 
@@ -68,12 +71,12 @@ class ImpulseKernel:
     """Causal response sampled at t = j dt, j = 0..K-1, as a density in 1/ns.
 
     sum(samples) * dt = 1 (unit DC gain) within DC_GAIN_TOL; construction
-    renormalizes, so violation means someone edited samples by hand.
+    renormalizes, so violation means someone edited samples by hand. The
+    delay the response applies is sum(j dt samples[j]) dt.
     """
 
     samples: np.ndarray
     dt: float
-    delay: float  # first moment of the response, ns; diagnostic only
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=float)
@@ -126,9 +129,10 @@ def convolve(trace: ShapedTrace, kernel: ImpulseKernel, baseline: float = 0.0) -
 def gaussian_kernel(mean_delay: float, stddev: float, dt: float) -> ImpulseKernel:
     """Gaussian response of given delay and width, truncated and causal.
 
-    Sampled on the integer grid j dt over [mean_delay - 5 sigma,
-    mean_delay + 5 sigma] intersected with t >= 0, then renormalized. A tiny
-    stddev leaves a single surviving sample, i.e. a discrete delta.
+    Sampled on the integer grid j dt from j = 0 up to mean_delay + 5 sigma,
+    zero below mean_delay - 5 sigma, then renormalized, so the response
+    starts at t = 0 and its delay is mean_delay. A tiny stddev leaves a
+    single nonzero sample, a discrete delta in the bin nearest mean_delay.
     """
     if stddev < 0:
         raise ValueError(f"stddev must be non-negative, got {stddev}")
@@ -138,22 +142,20 @@ def gaussian_kernel(mean_delay: float, stddev: float, dt: float) -> ImpulseKerne
     hi = mean_delay + 5.0 * stddev
     j0 = int(np.floor(lo / dt))
     j1 = max(int(np.ceil(hi / dt)), j0)
-    t = np.arange(j0, j1 + 1) * dt
+    t = np.arange(j1 + 1) * dt
+    samples = np.zeros(t.size)
     if stddev == 0.0 or hi - lo < dt:
         # degenerate width: all mass in the bin nearest the requested delay
-        samples = np.zeros(t.size)
         samples[np.argmin(np.abs(t - mean_delay))] = 1.0 / dt
-        delay = float(t[np.argmax(samples)])
-        return ImpulseKernel(samples, dt, delay)
-    samples = np.exp(-0.5 * ((t - mean_delay) / stddev) ** 2)
+        return ImpulseKernel(samples, dt)
+    samples[j0:] = np.exp(-0.5 * ((t[j0:] - mean_delay) / stddev) ** 2)
     samples /= samples.sum() * dt
-    delay = float(np.sum(t * samples) * dt)
-    return ImpulseKernel(samples, dt, delay)
+    return ImpulseKernel(samples, dt)
 
 
 def delta_kernel(dt: float) -> ImpulseKernel:
     """Identity response: output equals input exactly."""
-    return ImpulseKernel(np.array([1.0 / dt]), dt, 0.0)
+    return ImpulseKernel(np.array([1.0 / dt]), dt)
 
 
 def load_kernel(path: str | Path, dt: float) -> ImpulseKernel:
@@ -194,6 +196,4 @@ def load_kernel(path: str | Path, dt: float) -> ImpulseKernel:
     gain = samples.sum() * dt
     if gain <= 0:
         raise ValueError(f"{path}: kernel does not normalize (sum {gain:.3e})")
-    samples = samples / gain
-    delay = float(np.sum(grid * samples) * dt)
-    return ImpulseKernel(samples, dt, delay)
+    return ImpulseKernel(samples / gain, dt)

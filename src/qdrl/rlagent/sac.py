@@ -12,7 +12,7 @@ environment step, with a uniform-random warmup, periodic deterministic
 evaluation, per-episode metric records (including the wall time spent in
 updates), a divergence guard that snapshots the agent before aborting, and a
 bounded retry of episodes whose tomography reward fails reconstruction
-(counted in TrainResult.anchor_retries).
+(counted in the anchor_retries of the episode that lands after them).
 """
 from __future__ import annotations
 
@@ -412,7 +412,6 @@ class SacAgent:
 class TrainResult:
     episodes: list[dict] = field(default_factory=list)
     evals: list[dict] = field(default_factory=list)
-    anchor_retries: int = 0
 
 
 def play_policy(env, agent: SacAgent, seed: int | None = None) -> tuple[float, dict]:
@@ -541,7 +540,6 @@ def train_loop(
                             ) from err
                         update_ms += (time.perf_counter() - t_update) * 1e3
         except DegenerateAnchorError:
-            result.anchor_retries += 1
             consecutive_retries += 1
             if consecutive_retries > MAX_ANCHOR_RETRIES:
                 raise

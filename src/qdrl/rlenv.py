@@ -33,13 +33,15 @@ payloads are the flattened real and imaginary parts of the computational block
 (the full sector matrix behind `sector_payload`, for ablations); the per-step
 info NLIF and leakage always score the computational block.
 
-The device model owns the device facts. A `DeviceModel` is its operator
-tables (one coupler matrix per detuning channel, one operator per field
-gradient, and the static gradients), its computational block, basis labels
-and default target; one builder makes the Hamiltonians and one the Bloch
-vectors of every model. `DeviceModel.two_qubit` is the four-dot device (three
-channels, CNOT), `DeviceModel.single_qubit` its one-qubit reduction (one
-channel, phase gate).
+The device model owns the device facts, and the env config owns the model:
+`EnvConfig.model` is the one place an episode's device is stored, and the
+config checks everything that needs it (target, kernel grid, snapshot
+count) when it is built. A `DeviceModel` is its operator tables (one coupler
+matrix per detuning channel, one operator per field gradient, and the static
+gradients), its computational block, basis labels and default target; one
+builder makes the Hamiltonians and one the Bloch vectors of every model.
+`DeviceModel.two_qubit` is the four-dot device (three channels, CNOT),
+`DeviceModel.single_qubit` its one-qubit reduction (one channel, phase gate).
 
 Reward modes, all computed at the terminal step:
 
@@ -265,16 +267,20 @@ class _HamiltonianStack:
 
 @dataclass(frozen=True, eq=False)
 class EnvConfig:
-    """Everything that defines an episode distribution.
+    """Everything that defines an episode distribution, checked when built.
 
-    protocol_time T is in ns; n_segments N includes the four pinned tail
-    segments, so the agent takes N - 4 actions; oversample n sets the substep
-    resolution dt = (T/N)/n. kernel = None means an ideal (delta) response.
-    noise = None disables every noise channel. target = None selects the
-    model's default gate (CNOT for the two-qubit device).
+    model is the device the episode runs on (by default the two-qubit device
+    over default params). protocol_time T is in ns; n_segments N includes the
+    four pinned tail segments, so the agent takes N - 4 actions; oversample n
+    sets the substep resolution dt = (T/N)/n, and a kernel must be sampled on
+    that grid. kernel = None means an ideal (delta) response. noise = None
+    disables every noise channel. target = None selects the model's default
+    gate (CNOT for the two-qubit device, the phase gate for one qubit); a
+    given target must be a unitary on the model's computational block. A
+    tomographic reward needs n_snapshots >= 2 d^2 for a d-dimensional block.
     """
 
-    device: DeviceParams = field(default_factory=DeviceParams)
+    model: DeviceModel = field(default_factory=lambda: DeviceModel.two_qubit(DeviceParams()))
     kernel: ImpulseKernel | None = None
     protocol_time: float = 50.0
     n_segments: int = 50
@@ -312,6 +318,21 @@ class EnvConfig:
             object.__setattr__(self, "observation_mode", ObservationMode(self.observation_mode))
         if not isinstance(self.reward_mode, RewardMode):
             object.__setattr__(self, "reward_mode", RewardMode(self.reward_mode))
+        block_dim = len(self.model.block_indices)
+        if self.target is not None:
+            shape = np.shape(self.target)
+            if shape != (block_dim, block_dim):
+                raise ValueError(f"target shape {shape} does not match the "
+                                 f"computational block ({block_dim}, {block_dim})")
+            if not is_unitary(np.asarray(self.target, dtype=complex)):
+                raise ValueError("target gate must be unitary")
+        if self.kernel is not None and abs(self.kernel.dt - self.dt) > 1e-9 * self.dt:
+            raise ValueError(
+                f"kernel is sampled at dt = {self.kernel.dt}, the substep grid is {self.dt}")
+        if (self.reward_mode is RewardMode.TOMO_SNAPSHOT
+                and self.n_snapshots < 2 * block_dim**2):
+            raise ValueError(f"tomographic reward needs n_snapshots >= {2 * block_dim**2} "
+                             f"(2 d^2) to invert, got {self.n_snapshots}")
 
     @property
     def sample_period(self) -> float:
@@ -339,8 +360,7 @@ class StepResult:
 
 
 class GateSynthesisEnv:
-    """Gate-synthesis episodes over a device model: the two-qubit device over
-    config.device, or a given model, which must be built over config.device.
+    """Gate-synthesis episodes over config.model.
 
     Deterministic: (config, reset seed, action sequence) fully determines
     observations and rewards, including all reward-side Monte Carlo. reset()
@@ -348,30 +368,13 @@ class GateSynthesisEnv:
     rewinds the stream, so two same-seed resets replay identically.
     """
 
-    def __init__(self, config: EnvConfig, model: DeviceModel | None = None, seed: int = 0):
-        if model is not None and model.params != config.device:
-            raise ValueError(
-                f"model is built over {model.params}, the config's device is {config.device}")
+    def __init__(self, config: EnvConfig, seed: int = 0):
         self.config = config
-        self.model = model if model is not None else DeviceModel.two_qubit(config.device)
+        self.model = config.model
         self.n_channels = self.model.n_channels
-        block_dim = len(self.model.block_indices)
         target = config.target if config.target is not None else self.model.default_target
-        target = np.asarray(target, dtype=complex)
-        if target.shape != (block_dim, block_dim):
-            raise ValueError(
-                f"target shape {target.shape} does not match the "
-                f"computational block ({block_dim}, {block_dim})"
-            )
-        if not is_unitary(target):
-            raise ValueError("target gate must be unitary")
-        self.target = target
-        kernel = config.kernel if config.kernel is not None else delta_kernel(config.dt)
-        if abs(kernel.dt - config.dt) > 1e-9 * config.dt:
-            raise ValueError(
-                f"kernel is sampled at dt = {kernel.dt}, the substep grid is {config.dt}"
-            )
-        self.kernel = kernel
+        self.target = np.asarray(target, dtype=complex)
+        self.kernel = config.kernel if config.kernel is not None else delta_kernel(config.dt)
         self._noise = config.noise if config.noise is not None and not config.noise.quiet else None
         # the episode draws its own realization only when something reads the
         # noisy evolution: the observation or the sparse reward
@@ -379,15 +382,8 @@ class GateSynthesisEnv:
             config.observation_mode in (ObservationMode.U_EXACT, ObservationMode.U_PLUS_PULSE)
             or config.reward_mode is RewardMode.SPARSE
         )
-        if config.reward_mode is RewardMode.TOMO_SNAPSHOT:
-            if config.n_snapshots < 2 * block_dim**2:
-                raise ValueError(
-                    f"tomographic reward needs n_snapshots >= {2 * block_dim ** 2} "
-                    f"(2 d^2) to invert, got {config.n_snapshots}"
-                )
-            self._povm = tomography.build_povm(block_dim)
-        else:
-            self._povm = None
+        self._povm = (tomography.build_povm(len(self.model.block_indices))
+                      if config.reward_mode is RewardMode.TOMO_SNAPSHOT else None)
         self.observation_size = len(self.reset(seed))
 
     # ------------------------------------------------------------------ API

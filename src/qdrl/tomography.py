@@ -47,14 +47,14 @@ with the (S,) indices, so a noisy shot never needs its whole propagator.
 The surrogate model replaces the whole measurement pipeline by additive
 i.i.d. complex Gaussian noise on the matrix entries followed by the same
 nearest-unitary projection; calibrate_sigma_to_shots fits the noise level
-sigma that reproduces the reconstruction error of a given snapshot budget.
+sigma that reproduces the reconstruction error of a given snapshot budget,
+and returns the fit as the plain mapping that is written to JSON, which
+sigma_for_shots reads.
 """
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .qcore import gate_fidelity, haar_unitary
 
 __all__ = [
     "PovmSet",
-    "SigmaShotsMap",
     "DegenerateAnchorError",
     "build_povm",
     "probe_states",
@@ -73,6 +72,7 @@ __all__ = [
     "nearest_unitary",
     "gaussian_surrogate",
     "calibrate_sigma_to_shots",
+    "sigma_for_shots",
 ]
 
 POVM_COMPLETENESS_TOL = 1e-10
@@ -463,47 +463,11 @@ def gaussian_surrogate(u: np.ndarray, sigma: float, rng: np.random.Generator) ->
     return nearest_unitary(u + noise)
 
 
-@dataclass(frozen=True)
-class SigmaShotsMap:
-    """Fitted equivalence between snapshot budgets and surrogate noise levels.
-
-    Both arms are power-law fits of mean reconstruction infidelity:
-    log10(infid) = shots_intercept + shots_slope * log10(N) for tomography,
-    log10(infid) = sigma_intercept + sigma_slope * log10(sigma) for the
-    surrogate. Matching infidelities gives the monotone decreasing map
-    sigma_for_shots.
-    """
-
-    dim: int
-    shots_grid: np.ndarray
-    shots_infidelity: np.ndarray
-    sigma_grid: np.ndarray
-    sigma_infidelity: np.ndarray
-    shots_slope: float
-    shots_intercept: float
-    sigma_slope: float
-    sigma_intercept: float
-    n_trials: int
-
-    def sigma_for_shots(self, n_shots: float) -> float:
-        log_inf = self.shots_intercept + self.shots_slope * np.log10(n_shots)
-        return float(10.0 ** ((log_inf - self.sigma_intercept) / self.sigma_slope))
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "format_version": 1,
-            "dim": self.dim,
-            "shots_grid": [float(x) for x in self.shots_grid],
-            "shots_infidelity": [float(x) for x in self.shots_infidelity],
-            "sigma_grid": [float(x) for x in self.sigma_grid],
-            "sigma_infidelity": [float(x) for x in self.sigma_infidelity],
-            "shots_slope": self.shots_slope,
-            "shots_intercept": self.shots_intercept,
-            "sigma_slope": self.sigma_slope,
-            "sigma_intercept": self.sigma_intercept,
-            "n_trials": self.n_trials,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+def sigma_for_shots(mapping: dict, n_shots: float) -> float:
+    """The surrogate noise level whose fitted infidelity matches n_shots
+    snapshots, from a calibrate_sigma_to_shots mapping."""
+    log_inf = mapping["shots_intercept"] + mapping["shots_slope"] * np.log10(n_shots)
+    return float(10.0 ** ((log_inf - mapping["sigma_intercept"]) / mapping["sigma_slope"]))
 
 
 def calibrate_sigma_to_shots(
@@ -512,13 +476,20 @@ def calibrate_sigma_to_shots(
     sigma_grid,
     rng: np.random.Generator,
     n_trials: int = 32,
-) -> SigmaShotsMap:
+) -> dict:
     """Monte Carlo calibration of the surrogate noise level against shot budgets.
 
     Random unitaries are measured with each snapshot budget and perturbed with
     each sigma; mean infidelities are fit as power laws on log-log axes. Both
     grids must span at least two decades, and the measured means must be
     monotone (otherwise the fit is meaningless and a ValueError is raised).
+
+    Returns the JSON-ready mapping: format_version 1, dim, the sorted grids
+    with their mean infidelities, n_trials, and both fits,
+    log10(infid) = shots_intercept + shots_slope * log10(N) for tomography and
+    log10(infid) = sigma_intercept + sigma_slope * log10(sigma) for the
+    surrogate; matching infidelities gives the monotone decreasing map
+    sigma_for_shots.
     """
     shots_grid = np.asarray(sorted(float(x) for x in shots_grid))
     sigma_grid = np.asarray(sorted(float(x) for x in sigma_grid))
@@ -561,15 +532,16 @@ def calibrate_sigma_to_shots(
 
     s_slope, s_int = np.polyfit(np.log10(shots_grid), np.log10(shots_inf), 1)
     g_slope, g_int = np.polyfit(np.log10(sigma_grid), np.log10(sigma_inf), 1)
-    return SigmaShotsMap(
-        dim=dim,
-        shots_grid=shots_grid,
-        shots_infidelity=shots_inf,
-        sigma_grid=sigma_grid,
-        sigma_infidelity=sigma_inf,
-        shots_slope=float(s_slope),
-        shots_intercept=float(s_int),
-        sigma_slope=float(g_slope),
-        sigma_intercept=float(g_int),
-        n_trials=n_trials,
-    )
+    return {
+        "format_version": 1,
+        "dim": dim,
+        "shots_grid": shots_grid.tolist(),
+        "shots_infidelity": shots_inf.tolist(),
+        "sigma_grid": sigma_grid.tolist(),
+        "sigma_infidelity": sigma_inf.tolist(),
+        "shots_slope": float(s_slope),
+        "shots_intercept": float(s_int),
+        "sigma_slope": float(g_slope),
+        "sigma_intercept": float(g_int),
+        "n_trials": n_trials,
+    }

@@ -143,6 +143,10 @@ class TestConfigSchema:
         pytest.param({"train": {"eval_every": -1}}, id="train.eval_every"),
         pytest.param({"evaluate": {"episodes": 0}}, id="evaluate.episodes"),
         pytest.param({"scale_sweep": {"realizations": 0}}, id="scale_sweep.realizations"),
+        # fewer snapshots than the one-qubit tomographic inversion needs (2 d^2 = 8),
+        # once a traceback after the output directory was made
+        pytest.param({"env": {"reward_mode": "tomo_snapshot", "n_snapshots": 4}},
+                     id="env.n_snapshots_below_2d2"),
         # sweep values, checked as their keys are, once truncated or a bare ValueError
         pytest.param({"sweep": {"axes": {"env.n_segments": [8.7]}}}, id="sweep.axes.segments"),
         pytest.param({"sweep": {"axes": {"env.protocol_time": ["x"]}}}, id="sweep.axes.time"),
@@ -199,9 +203,18 @@ class TestConfigSchema:
 
     def test_channels_follow_device(self):
         one = config_from_dict(tiny_raw())
-        assert one.make_model().n_channels == one.make_env(0).n_channels == 1
+        assert one.env.model.n_channels == one.make_env(0).n_channels == 1
         two = config_from_dict({"schema_version": 1})
-        assert two.make_model().n_channels == two.make_env(0).n_channels == 3
+        assert two.env.model.n_channels == two.make_env(0).n_channels == 3
+
+    def test_device_section_builds_the_env_model(self):
+        cfg = config_from_dict({"schema_version": 1, "device": {"type": "single_qubit", "b": 0.5}})
+        assert cfg.env.model.gradients.tolist() == [0.5]
+        assert cfg.env.target is None  # the model's default gate, resolved where it is read
+        np.testing.assert_array_equal(cfg.make_env(0).target, qcore.phase_gate_target())
+        # the model is no YAML key: the resolved config, and so this hash, did
+        # not move when the model entered the env config
+        assert cfg.hash == "7241953f32ecbb681b46e96598f46678afa8d3bd380a7d58b01bd851b2e802a2"
 
     def test_noise_section_builds_noise_config(self):
         cfg = config_from_dict(tiny_raw(noise={"enabled": True, "alpha": 0.5}))
@@ -682,9 +695,14 @@ class TestSweepCommand:
         lines = (outdir / "swf" / "sweep.tsv").read_text().splitlines()
         assert lines[3].split("\t") == ["1", "10", "nan", "failed"]
 
-    def test_invalid_cell_exits_two_before_any_cell_runs(self, outdir):
+    @pytest.mark.parametrize("overrides", [
         # too few segments for the tails: the second cell is no valid config
-        raw = tiny_raw(sweep={"axes": {"env.n_segments": [8, 3]}}, output_dir="sw_bad")
+        {"sweep": {"axes": {"env.n_segments": [8, 3]}}},
+        # too few snapshots to invert the one-qubit block: the first cell
+        {"env": {"reward_mode": "tomo_snapshot"}, "sweep": {"axes": {"env.n_snapshots": [4, 64]}}},
+    ], ids=["segments", "snapshots"])
+    def test_invalid_cell_exits_two_before_any_cell_runs(self, outdir, overrides):
+        raw = tiny_raw(**overrides, output_dir="sw_bad")
         with pytest.raises(ConfigError):
             cmd_sweep(config_from_dict(raw))
         path = outdir / "exp.yaml"
@@ -1139,8 +1157,8 @@ class TestCli:
         path = self._config_file(outdir, tiny_raw())
         proto = outdir / "proto.tsv"
         cfg = config_from_dict(tiny_raw())
-        write_protocol(proto, np.full((8, 1), cfg.env.device.eps_min),
-                       cfg.env.device.eps0, cfg.env.sample_period)
+        write_protocol(proto, np.full((8, 1), cfg.env.model.params.eps_min),
+                       cfg.env.model.params.eps0, cfg.env.sample_period)
         out = outdir / "default_state"
         assert cli_main(["analyze", "--config", str(path), "--protocol", str(proto),
                          "--out", str(out)]) == 0
@@ -1158,9 +1176,9 @@ class TestCli:
         (keyed.setdefault(section[0], {}) if section else keyed)[name] = yaml_value
         cfg = config_from_dict(base)
         proto = outdir / "proto.tsv"
-        table = np.full((8, 1), cfg.env.device.eps_min)
+        table = np.full((8, 1), cfg.env.model.params.eps_min)
         table[:4] = 1.0
-        write_protocol(proto, table, cfg.env.device.eps0, cfg.env.sample_period)
+        write_protocol(proto, table, cfg.env.model.params.eps0, cfg.env.sample_period)
         inputs = {"train": [], "evaluate": ["--checkpoint", str(ckpt)],
                   "scale-sweep": ["--protocol", str(proto)],
                   "analyze": ["--protocol", str(proto)]}[command]
@@ -1180,9 +1198,9 @@ class TestCli:
         cfg = config_from_dict(tiny_raw())
         proto = outdir / "proto.tsv"
         if fault != "missing":
-            table = np.full((8, 1), cfg.env.device.eps_min)
+            table = np.full((8, 1), cfg.env.model.params.eps_min)
             table[:4] = 1.0
-            write_protocol(proto, table, cfg.env.device.eps0, cfg.env.sample_period)
+            write_protocol(proto, table, cfg.env.model.params.eps0, cfg.env.sample_period)
             lines = proto.read_text().splitlines()
             proto.write_text("\n".join(_TABLE_FAULTS[fault](lines)) + "\n")
         out = outdir / "out_bad"

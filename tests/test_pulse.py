@@ -11,6 +11,11 @@ from qdrl.qcore import DeviceParams
 PARAMS = DeviceParams()
 
 
+def applied_delay(k: pulse.ImpulseKernel) -> float:
+    """The first moment of the response as convolve applies it, sum_j j dt s_j dt."""
+    return float(np.sum(np.arange(k.samples.size) * k.dt * k.samples) * k.dt)
+
+
 def test_oversample_repeats_segments():
     table = np.array([[1.0, 2.0], [3.0, 4.0]])
     trace = pulse.oversample(table, 1.0, 4)
@@ -33,9 +38,14 @@ class TestKernels:
             assert abs(k.samples.sum() * dt - 1.0) < pulse.DC_GAIN_TOL
             assert np.all(k.samples >= 0)
 
-    def test_gaussian_delay_diagnostic(self):
-        k = pulse.gaussian_kernel(2.0, 0.3, 0.05)
-        assert k.delay == pytest.approx(2.0, abs=0.05)
+    @pytest.mark.parametrize("delay, width, dt", [
+        (2.0, 0.3, 0.05), (2.15, 0.5, 0.1), (5.0, 0.5, 0.1), (3.0, 0.2, 0.1), (3.0, 0.0, 0.1),
+    ])
+    def test_gaussian_applies_its_delay(self, delay, width, dt):
+        # sample 0 is t = 0, so a kernel whose window starts after t = 0
+        # keeps the zeros below it
+        k = pulse.gaussian_kernel(delay, width, dt)
+        assert applied_delay(k) == pytest.approx(delay, abs=dt)
 
     def test_tiny_sigma_approximates_delta(self):
         k = pulse.gaussian_kernel(0.0, 1e-9, 0.1)
@@ -51,14 +61,14 @@ class TestKernels:
 
     def test_hand_edited_gain_rejected(self):
         with pytest.raises(ValueError, match="gain"):
-            pulse.ImpulseKernel(np.array([1.0, 1.0]), 1.0, 0.0)
+            pulse.ImpulseKernel(np.array([1.0, 1.0]), 1.0)
 
     def test_non_finite_gain_rejected(self):
         # abs(nan - 1) > tol is False, so a NaN gain must fail the check as written
         with pytest.raises(ValueError, match="gain"):
-            pulse.ImpulseKernel(np.array([np.nan]), 1.0, 0.0)
+            pulse.ImpulseKernel(np.array([np.nan]), 1.0)
         with pytest.raises(ValueError, match="gain"):
-            pulse.ImpulseKernel(np.array([1.0, np.inf]), 1.0, 0.0)
+            pulse.ImpulseKernel(np.array([1.0, np.inf]), 1.0)
         with pytest.raises(ValueError, match="dt"):
             pulse.delta_kernel(np.inf)
 
@@ -128,13 +138,15 @@ class TestConvolve:
                                         baseline=PARAMS.eps_min)
                 np.testing.assert_array_equal(window.values[reach:], whole[start + reach : stop])
 
-    def test_step_response_half_amplitude_at_delay(self):
-        dt = 0.05
-        k = pulse.gaussian_kernel(2.0, 0.4, dt)
+    @pytest.mark.parametrize("delay, width, dt", [
+        (2.0, 0.4, 0.05), (5.0, 0.5, 0.1), (3.0, 0.2, 0.1), (3.0, 0.0, 0.1),
+    ])
+    def test_step_response_half_amplitude_at_delay(self, delay, width, dt):
+        k = pulse.gaussian_kernel(delay, width, dt)
         vals = np.ones((200, 1))
         out = pulse.convolve(pulse.ShapedTrace(vals, dt), k)
         crossing = np.argmax(out.values[:, 0] >= 0.5) * dt
-        assert crossing == pytest.approx(2.0, abs=2 * dt)
+        assert crossing == pytest.approx(delay, abs=2 * dt)
 
     def test_grid_mismatch_rejected(self):
         k = pulse.gaussian_kernel(1.0, 0.3, 0.1)
@@ -153,7 +165,7 @@ class TestLoadKernel:
         path.write_text("\n".join(lines) + "\n")
         k = pulse.load_kernel(path, dt=0.02)
         assert abs(k.samples.sum() * k.dt - 1.0) < pulse.DC_GAIN_TOL
-        assert k.delay == pytest.approx(ref.delay, abs=0.02)
+        assert applied_delay(k) == pytest.approx(applied_delay(ref), abs=0.02)
         trace = pulse.ShapedTrace(np.random.default_rng(3).normal(size=(80, 1)), 0.02)
         np.testing.assert_allclose(
             pulse.convolve(trace, k).values, pulse.convolve(trace, ref).values, atol=1e-6
@@ -164,7 +176,7 @@ class TestLoadKernel:
         path.write_text("0.0 0.0\n0.5 1.0\n1.0 0.0\n")
         k = pulse.load_kernel(path, dt=0.25)
         assert abs(k.samples.sum() * 0.25 - 1.0) < pulse.DC_GAIN_TOL
-        assert k.delay == pytest.approx(0.5, abs=0.05)
+        assert applied_delay(k) == pytest.approx(0.5, abs=0.05)
 
     @pytest.mark.parametrize(
         "content, msg",

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qdrl.qcore import DeviceParams
 from qdrl.rlenv import DeviceModel, EnvConfig, GateSynthesisEnv, RewardMode, StepResult
 from qdrl.rlagent import (
     DivergenceError,
@@ -487,7 +488,6 @@ class TestTrainLoop:
         env = FlakyEnv()
         agent = SacAgent(2, 1, SacConfig(**SMALL), seed=8)
         result = train_loop(env, agent, 10, seed=8)
-        assert result.anchor_retries == 1
         assert len(result.episodes) == 10
         # the dropped attempt is counted on the episode that landed after it
         assert [r["anchor_retries"] for r in result.episodes] == [1] + [0] * 9
@@ -539,9 +539,9 @@ class TestEvaluatePolicy:
         # 0 and 1). Which tables fail moves with the propagators' roundoff, so
         # the test holds to the invariants over 600 episodes, where about 12
         # retries are expected (12 at seed 0) and none has odds near e^-12
-        cfg = EnvConfig(n_segments=5, oversample=2, reward_mode=RewardMode.TOMO_SNAPSHOT,
-                        n_snapshots=8)
-        env = GateSynthesisEnv(cfg, model=DeviceModel.single_qubit(cfg.device), seed=0)
+        cfg = EnvConfig(model=DeviceModel.single_qubit(DeviceParams()), n_segments=5,
+                        oversample=2, reward_mode=RewardMode.TOMO_SNAPSHOT, n_snapshots=8)
+        env = GateSynthesisEnv(cfg, seed=0)
         agent = RandomTableAgent(cfg.n_actions, seed=0)
         scores = evaluate_policy(env, agent, 600)
         retries = scores["eval_anchor_retries"]
@@ -551,7 +551,7 @@ class TestEvaluatePolicy:
 
         # the same tables on a fresh env of the same seed: exactly the
         # dropped episodes raise
-        probe = GateSynthesisEnv(cfg, model=DeviceModel.single_qubit(cfg.device), seed=0)
+        probe = GateSynthesisEnv(cfg, seed=0)
         failed = 0
         for table in agent.tables:
             try:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import sys
 import tracemalloc
@@ -36,10 +37,11 @@ def small_env(seed=0, **overrides):
     return GateSynthesisEnv(EnvConfig(**{**QUIET, **overrides}), seed=seed)
 
 
-def one_qubit_env(config=None, b=1.0, seed=0):
+def one_qubit_env(b=1.0, seed=0, **overrides):
     """The one-qubit benchmark: 10 ns, 24 segments (20 actions), phase-gate target."""
-    config = config if config is not None else EnvConfig(protocol_time=10.0, n_segments=24)
-    return GateSynthesisEnv(config, model=DeviceModel.single_qubit(config.device, b), seed=seed)
+    config = EnvConfig(**{"model": DeviceModel.single_qubit(DeviceParams(), b),
+                          "protocol_time": 10.0, "n_segments": 24, **overrides})
+    return GateSynthesisEnv(config, seed=seed)
 
 
 def random_actions(env, seed=0):
@@ -54,7 +56,7 @@ def final_propagator(shaped, params):
 
 def standalone_nlif(actions_norm, config, kernel=None):
     """The reference qcore+pulse pipeline, assembled by hand."""
-    params = config.device
+    params = config.model.params
     eps = params.eps_min + (actions_norm + 1.0) / 2.0 * (params.eps_max - params.eps_min)
     table = np.full((config.n_segments, eps.shape[1]), params.eps_min)
     table[: config.n_actions] = np.clip(eps, params.eps_min, params.eps_max)
@@ -92,28 +94,33 @@ class TestConfigValidation:
 
     def test_non_unitary_target_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
-            GateSynthesisEnv(EnvConfig(**QUIET, target=np.eye(4) * 0.5))
+            EnvConfig(**QUIET, target=np.eye(4) * 0.5)
 
     def test_wrong_target_shape_rejected(self):
         with pytest.raises(ValueError, match="target shape"):
-            GateSynthesisEnv(EnvConfig(**QUIET, target=np.eye(3)))
+            EnvConfig(**QUIET, target=np.eye(3))
+        # the shape is the model's block, not the two-qubit one
+        with pytest.raises(ValueError, match="target shape"):
+            EnvConfig(**QUIET, model=DeviceModel.single_qubit(DeviceParams()), target=np.eye(4))
 
     def test_kernel_grid_mismatch_rejected(self):
-        cfg = EnvConfig(**QUIET, kernel=delta_kernel(0.123))
         with pytest.raises(ValueError, match="kernel"):
-            GateSynthesisEnv(cfg)
-
-    @pytest.mark.parametrize("build", [DeviceModel.two_qubit, DeviceModel.single_qubit])
-    def test_model_over_other_device_params_rejected(self, build):
-        # the config's j0 would be reported while the model evolved at j0 = 1
-        cfg = EnvConfig(**QUIET, device=DeviceParams(j0=2.0))
-        with pytest.raises(ValueError, match="device"):
-            GateSynthesisEnv(cfg, model=build(DeviceParams()))
+            EnvConfig(**QUIET, kernel=delta_kernel(0.123))
 
     def test_tomo_needs_enough_snapshots(self):
-        cfg = EnvConfig(**QUIET, reward_mode=RewardMode.TOMO_SNAPSHOT, n_snapshots=31)
-        with pytest.raises(ValueError, match="2 d"):
-            GateSynthesisEnv(cfg)
+        # 2 d^2 of the model's block: 32 for two qubits, 8 for one
+        for build, least in [(DeviceModel.two_qubit, 32), (DeviceModel.single_qubit, 8)]:
+            tomo = dict(QUIET, model=build(DeviceParams()), reward_mode=RewardMode.TOMO_SNAPSHOT)
+            with pytest.raises(ValueError, match="2 d"):
+                EnvConfig(**tomo, n_snapshots=least - 1)
+            EnvConfig(**tomo, n_snapshots=least)
+
+    def test_target_none_resolves_to_the_models_default_gate(self):
+        # a replaced model with no target gets its own default, not CNOT
+        cfg = dataclasses.replace(EnvConfig(**QUIET),
+                                  model=DeviceModel.single_qubit(DeviceParams()))
+        assert cfg.target is None
+        np.testing.assert_array_equal(GateSynthesisEnv(cfg).target, phase_gate_target())
 
     def test_derived_quantities(self):
         cfg = EnvConfig(n_segments=20, protocol_time=10.0, oversample=5)
@@ -217,7 +224,7 @@ class TestEpisodeLifecycle:
         env.rollout(acts, seed=6)
         table = env.pulse_sequence()
         assert table.shape == (env.config.n_segments, 3)
-        p = env.config.device
+        p = env.config.model.params
         np.testing.assert_array_equal(table[-TAIL_SEGMENTS:], p.eps_min)
         expected = p.eps_min + (acts + 1) / 2 * (p.eps_max - p.eps_min)
         np.testing.assert_allclose(table[: -TAIL_SEGMENTS], expected)
@@ -231,7 +238,7 @@ class TestEpisodeLifecycle:
         with pytest.raises(RuntimeError, match="incomplete"):
             env.shaped_detunings()
         env.rollout(acts, seed=6)
-        params = env.config.device
+        params = env.config.model.params
         trace = oversample(env.pulse_sequence(), env.config.sample_period, env.config.oversample)
         shaped = convolve(trace, kernel, baseline=params.eps_min)
         np.testing.assert_array_equal(env.shaped_detunings(), shaped.values)
@@ -242,7 +249,7 @@ class TestEpisodeLifecycle:
         env = small_env(seed=6)
         acts = np.tile([[1.0, -1.0, 0.0]], (env.config.n_actions, 1))
         env.rollout(acts, seed=6)
-        p = env.config.device
+        p = env.config.model.params
         table = env.pulse_sequence()
         np.testing.assert_array_equal(table[: -TAIL_SEGMENTS, 0], p.eps_max)
         np.testing.assert_array_equal(table[: -TAIL_SEGMENTS, 1], p.eps_min)
@@ -287,7 +294,7 @@ class TestPipelineEquivalence:
         env = GateSynthesisEnv(EnvConfig(**QUIET, kernel=kernel), seed=10)
         acts = random_actions(env, seed=10)
         env.reset(seed=10)
-        params = env.config.device
+        params = env.config.model.params
         for k in range(5):
             obs = env.step(acts[k]).observation
             payload = obs[4:20].reshape(4, 4) + 1j * obs[20:].reshape(4, 4)
@@ -687,18 +694,10 @@ class TestRewardModes:
     def test_tomo_reward_approaches_sparse_when_clean(self):
         # needs a leak-free block, so use the single-qubit device
         acts = np.linspace(-1, 0.5, 20)[:, None]
-        base = EnvConfig(
-            protocol_time=10.0, n_segments=24, target=phase_gate_target()
-        )
-        sparse = one_qubit_env(base, seed=21).rollout(acts, seed=21).reward
-        tomo_cfg = EnvConfig(
-            protocol_time=10.0,
-            n_segments=24,
-            target=phase_gate_target(),
-            reward_mode=RewardMode.TOMO_SNAPSHOT,
-            n_snapshots=1_000_000,
-        )
-        tomo = one_qubit_env(tomo_cfg, seed=21).rollout(acts, seed=21).reward
+        sparse = one_qubit_env(seed=21, target=phase_gate_target()).rollout(acts, seed=21).reward
+        tomo_env = one_qubit_env(seed=21, target=phase_gate_target(),
+                                 reward_mode=RewardMode.TOMO_SNAPSHOT, n_snapshots=1_000_000)
+        tomo = tomo_env.rollout(acts, seed=21).reward
         assert tomo == pytest.approx(sparse, abs=0.05)
 
     def test_tomo_reward_noisy_path_runs(self):
@@ -758,10 +757,10 @@ class TestRewardModes:
         # samples the old way from the same stream gives the same record.
         # 600 shots: chunks of 512 and 88 rows; 530: 512 and 18 (the
         # whole-stack path); the one-qubit device embeds d = 2 in n = 2
-        cfg = EnvConfig(**QUIET, noise=NoiseConfig(), reward_mode=RewardMode.TOMO_SNAPSHOT,
-                        n_snapshots=n_snapshots)
-        model = getattr(DeviceModel, device)(cfg.device)
-        env = GateSynthesisEnv(cfg, model=model, seed=27)
+        model = getattr(DeviceModel, device)(DeviceParams())
+        cfg = EnvConfig(**QUIET, model=model, noise=NoiseConfig(),
+                        reward_mode=RewardMode.TOMO_SNAPSHOT, n_snapshots=n_snapshots)
+        env = GateSynthesisEnv(cfg, seed=27)
         acts = random_actions(env, seed=27)
         for seed in (27, 28):
             env.reset(seed=seed)
@@ -883,14 +882,12 @@ class TestSingleQubit:
 
     def test_pure_z_rotation_closed_form(self):
         # b = 0 and a constant drive leave H diagonal: U = exp(-i J T sigma_z / 2)
-        cfg = EnvConfig(
-            protocol_time=10.0, n_segments=24, target=phase_gate_target()
-        )
-        env = one_qubit_env(cfg, b=0.0, seed=27)
+        env = one_qubit_env(b=0.0, seed=27, target=phase_gate_target())
+        cfg = env.config
         result = env.rollout(-np.ones((20, 1)), seed=27)
         obs = result.observation
         payload = obs[2:6].reshape(2, 2) + 1j * obs[6:].reshape(2, 2)
-        params = cfg.device
+        params = cfg.model.params
         j = params.j0 * np.exp(params.eps_min)
         phase = j * cfg.protocol_time / 2.0
         analytic = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
@@ -903,15 +900,11 @@ class TestSingleQubit:
 
     def test_drift_noise_on_b_changes_reward(self):
         noise = NoiseConfig(sigma_eps=0.0, fast_amplitude=0.0)
-        cfg = EnvConfig(
-            protocol_time=10.0,
-            n_segments=24,
-            target=phase_gate_target(),
-            noise=noise,
-        )
         acts = np.zeros((20, 1))
-        r1 = one_qubit_env(cfg, seed=1).rollout(acts, seed=1).reward
-        r2 = one_qubit_env(cfg, seed=2).rollout(acts, seed=2).reward
+        r1 = one_qubit_env(seed=1, target=phase_gate_target(), noise=noise).rollout(
+            acts, seed=1).reward
+        r2 = one_qubit_env(seed=2, target=phase_gate_target(), noise=noise).rollout(
+            acts, seed=2).reward
         clean = one_qubit_env(seed=3).rollout(acts, seed=3).reward
         assert r1 != r2
         assert r1 != clean

@@ -315,26 +315,26 @@ class TestGaussianSurrogate:
 
 
 class TestCalibration:
-    def test_fit_and_round_trip(self, tmp_path):
+    def test_fit_and_round_trip(self):
         rng = np.random.default_rng(0)
         fitted = tomo.calibrate_sigma_to_shots(
-            2, [100, 1000, 10_000], [3e-3, 3e-2, 3e-1], rng, n_trials=12
+            2, [1000, 100, 10_000], [3e-3, 3e-2, 3e-1], rng, n_trials=12
         )
-        assert fitted.shots_slope < -0.5
-        assert fitted.sigma_slope > 1.0
+        assert fitted["shots_slope"] < -0.5
+        assert fitted["sigma_slope"] > 1.0
         # the map must be monotone decreasing in the shot budget
-        sigmas = [fitted.sigma_for_shots(n) for n in (100, 1000, 10_000)]
+        sigmas = [tomo.sigma_for_shots(fitted, n) for n in (100, 1000, 10_000)]
         assert sigmas[0] > sigmas[1] > sigmas[2] > 0
 
-        path = tmp_path / "map.json"
-        fitted.save(path)
-        saved = json.loads(path.read_text())
-        assert saved["format_version"] == 1
-        assert saved["dim"] == fitted.dim and saved["n_trials"] == 12
-        for key in ("shots_slope", "shots_intercept", "sigma_slope", "sigma_intercept"):
-            assert saved[key] == getattr(fitted, key)
-        for key in ("shots_grid", "shots_infidelity", "sigma_grid", "sigma_infidelity"):
-            np.testing.assert_array_equal(saved[key], getattr(fitted, key))
+        # the mapping is its JSON file: plain values in the file's key order
+        assert list(fitted) == [
+            "format_version", "dim", "shots_grid", "shots_infidelity", "sigma_grid",
+            "sigma_infidelity", "shots_slope", "shots_intercept", "sigma_slope",
+            "sigma_intercept", "n_trials"]
+        assert json.loads(json.dumps(fitted)) == fitted
+        assert fitted["format_version"] == 1
+        assert fitted["dim"] == 2 and fitted["n_trials"] == 12
+        assert fitted["shots_grid"] == [100.0, 1000.0, 10_000.0]
 
     def test_rejects_narrow_grids(self):
         rng = np.random.default_rng(1)
