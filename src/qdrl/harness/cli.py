@@ -15,6 +15,7 @@ malformed protocol table), 3 when training diverges at runtime.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -43,6 +44,28 @@ def _worker_count(text: str) -> int:
     if n > cores:
         raise argparse.ArgumentTypeError(f"must be between 1 and {cores} (usable cores), got {n}")
     return n
+
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_blocks() -> None:
+    """Serve the agent update's MB-sized temporaries from a heap glibc keeps.
+
+    glibc maps each block above its mmap threshold afresh and unmaps it on
+    free, and trims the heap top once more than its trim threshold lies free
+    there; at the thresholds a fresh process starts with, a default-size
+    update faults its pages in anew each time (~13k minor faults). The values
+    set here are the ceilings of glibc's own threshold heuristic. Fork-started
+    sweep workers inherit them. A libc without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 # setting flag (its argparse dest) -> the config key it sets: (section, key),
@@ -122,6 +145,7 @@ def _with_settings(raw, settings: dict):
 
 
 def main(argv=None) -> int:
+    _keep_freed_blocks()
     args = vars(_build_parser().parse_args(argv))
     run, path = args.pop("run"), args.pop("config")
     del args["command"]

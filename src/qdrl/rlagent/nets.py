@@ -5,17 +5,17 @@ a smooth-rectifier (softplus) activation, layer normalization and inverted
 dropout for the critic trunks, a tanh-squashed Gaussian policy head with the
 exact log-density of the squashed sample, quantile Huber regression for the
 distributional critics, and an Adam optimizer. Forward passes return caches;
-backward passes consume them and accumulate parameter gradients in place, so
-a caller zeroes gradients, runs forward/backward, and steps the optimizer.
-A backward pass with params=False returns the input gradient only and leaves
-the parameter gradients untouched, for callers that differentiate through a
-network they do not train (the policy step through the critics).
+backward passes consume them and return the input gradient together with the
+parameter gradients, a list in params() order that a caller hands to
+Adam.step. A layer holds its parameters, never their gradients, so a network
+that only runs forward (the agent's target critics) is its parameters alone. A
+backward pass with params=False returns None in place of that list, for
+callers that differentiate through a network they do not train (the policy
+step through the critics).
 
-Gradient buffers and Adam moments start as np.zeros arrays, which the OS
-backs with memory only where they are first written (the first backward pass
-or optimizer step, or a checkpoint load for the moments), so a network that
-only runs forward holds its parameters alone. The agent's target critics are
-such networks: they copy the critics' parameters and never their gradients.
+Adam moments start as np.zeros arrays, which the OS backs with memory only
+where they are first written (the first optimizer step, or a checkpoint
+load), so an agent that only acts never pages them.
 
 All math is float64. The networks are deliberately tiny (two hidden layers),
 so explicit loops over layers cost nothing next to the matmuls.
@@ -78,27 +78,19 @@ class Dense:
         bound = 1.0 / np.sqrt(n_in)
         self.w = rng.uniform(-bound, bound, size=(n_in, n_out))
         self.b = rng.uniform(-bound, bound, size=n_out)
-        # calloc-backed np.zeros maps each page on first write; np.zeros_like writes them all
-        self.dw = np.zeros(self.w.shape)
-        self.db = np.zeros(self.b.shape)
 
     def forward(self, x: np.ndarray):
         y = x @ self.w
         y += self.b
         return y, x
 
-    def backward(self, dy: np.ndarray, cache, params: bool = True) -> np.ndarray:
-        """Input gradient; with params=True also accumulates into dw and db."""
-        if params:
-            self.dw += cache.T @ dy
-            self.db += dy.sum(axis=0)
-        return dy @ self.w.T
+    def backward(self, dy: np.ndarray, cache, params: bool = True):
+        """(input gradient, [dw, db]); None for the list with params=False."""
+        grads = [cache.T @ dy, dy.sum(axis=0)] if params else None
+        return dy @ self.w.T, grads
 
     def params(self):
         return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
 
 
 class LayerNorm:
@@ -109,8 +101,6 @@ class LayerNorm:
     def __init__(self, n: int):
         self.gamma = np.ones(n)
         self.beta = np.zeros(n)
-        self.dgamma = np.zeros(n)
-        self.dbeta = np.zeros(n)
 
     def forward(self, x: np.ndarray):
         xhat = x - x.mean(axis=-1, keepdims=True)
@@ -121,17 +111,17 @@ class LayerNorm:
         y += self.beta
         return y, (xhat, inv)
 
-    def backward(self, dy: np.ndarray, cache, params: bool = True) -> np.ndarray:
-        """Input gradient; with params=True also accumulates dgamma and dbeta."""
+    def backward(self, dy: np.ndarray, cache, params: bool = True):
+        """(input gradient, [dgamma, dbeta]); None for the list with params=False."""
         xhat, inv = cache
         n = xhat.shape[-1]
         dx = dy * self.gamma  # d xhat
         tmp = dx * xhat
         proj = tmp.sum(axis=-1, keepdims=True)
+        grads = None
         if params:
             np.multiply(dy, xhat, out=tmp)
-            self.dgamma += tmp.sum(axis=0)
-            self.dbeta += dy.sum(axis=0)
+            grads = [tmp.sum(axis=0), dy.sum(axis=0)]
         # dx = (inv / n) (n dxhat - sum(dxhat) - xhat sum(dxhat xhat)), in place
         total = dx.sum(axis=-1, keepdims=True)
         dx *= n
@@ -139,13 +129,10 @@ class LayerNorm:
         np.multiply(xhat, proj, out=tmp)
         dx -= tmp
         dx *= inv / n
-        return dx
+        return dx, grads
 
     def params(self):
         return [self.gamma, self.beta]
-
-    def grads(self):
-        return [self.dgamma, self.dbeta]
 
 
 class Dropout:
@@ -207,8 +194,9 @@ class MlpTrunk:
             x = softplus(x)
         return x, caches
 
-    def backward(self, dy: np.ndarray, caches, params: bool = True) -> np.ndarray:
-        """Input gradient; params=False skips every parameter gradient."""
+    def backward(self, dy: np.ndarray, caches, params: bool = True):
+        """(input gradient, parameter gradients); params=False skips the latter."""
+        grads = []
         for dense, drop, norm, cache in zip(
             reversed(self.dense), reversed(self.drops), reversed(self.norms), reversed(caches)
         ):
@@ -216,12 +204,15 @@ class MlpTrunk:
             gate = sigmoid(pre_act)
             gate *= dy
             dy = gate
+            g_norm = []
             if norm is not None:
-                dy = norm.backward(dy, c_norm, params)
+                dy, g_norm = norm.backward(dy, c_norm, params)
             if drop is not None:
                 dy = drop.backward(dy, c_drop)
-            dy = dense.backward(dy, c_dense, params)
-        return dy
+            dy, g_dense = dense.backward(dy, c_dense, params)
+            if params:
+                grads[:0] = g_dense + g_norm  # layers run last to first
+        return dy, grads if params else None
 
     def params(self):
         out = []
@@ -230,19 +221,6 @@ class MlpTrunk:
             if norm is not None:
                 out.extend(norm.params())
         return out
-
-    def grads(self):
-        out = []
-        for dense, norm in zip(self.dense, self.norms):
-            out.extend(dense.grads())
-            if norm is not None:
-                out.extend(norm.grads())
-        return out
-
-
-def _zero_all(arrays) -> None:
-    for a in arrays:
-        a[...] = 0.0
 
 
 def _log1m_tanh_sq(u: np.ndarray) -> np.ndarray:
@@ -300,12 +278,11 @@ class GaussianPolicy:
 
     # ---------------------------------------------------------- backward
 
-    def backward(self, d_action: np.ndarray, d_logp: np.ndarray, cache) -> None:
-        """Accumulate parameter gradients of sum(d_action * a + d_logp * logp).
+    def backward(self, d_action: np.ndarray, d_logp: np.ndarray, cache) -> list:
+        """Parameter gradients of sum(d_action * a + d_logp * logp), in params() order.
 
         d_action is (B, act_dim), d_logp is (B,); the noise draw xi is held
-        fixed (reparameterization). Returns nothing; gradients land in the
-        layer .d* buffers.
+        fixed (reparameterization).
         """
         head_cache, sigma, xi, a, lv = cache
         trunk_cache, c_mu, c_lv, lv_raw = head_cache
@@ -316,20 +293,16 @@ class GaussianPolicy:
         d_lv = du * (0.5 * sigma * xi) + d_logp[:, None] * (-0.5)
         # clamp: no gradient beyond the bounds
         d_lv = d_lv * ((lv_raw > LOGVAR_MIN) & (lv_raw < LOGVAR_MAX))
-        dh = self.mean_head.backward(d_mu, c_mu)
-        dh += self.logvar_head.backward(d_lv, c_lv)
-        self.trunk.backward(dh, trunk_cache)
+        dh, g_mu = self.mean_head.backward(d_mu, c_mu)
+        dh_lv, g_lv = self.logvar_head.backward(d_lv, c_lv)
+        dh += dh_lv
+        _, g_trunk = self.trunk.backward(dh, trunk_cache)
+        return g_trunk + g_mu + g_lv
 
     # ------------------------------------------------------------- state
 
     def params(self):
         return self.trunk.params() + self.mean_head.params() + self.logvar_head.params()
-
-    def grads(self):
-        return self.trunk.grads() + self.mean_head.grads() + self.logvar_head.grads()
-
-    def zero_grads(self):
-        _zero_all(self.grads())
 
 
 class QuantileCritic:
@@ -364,24 +337,19 @@ class QuantileCritic:
         return z, (trunk_cache, c_head)
 
     def backward(self, dz: np.ndarray, cache, params: bool = True):
-        """(d_obs, d_act) of the input batch.
+        """(d_obs, d_act, parameter gradients) of the input batch.
 
-        params=True also accumulates the parameter gradients; params=False
-        leaves them untouched, for a caller that only needs d_act.
+        params=False returns None for the parameter gradients and skips
+        computing them, for a caller that only needs d_act.
         """
         trunk_cache, c_head = cache
-        dh = self.head.backward(dz, c_head, params)
-        dx = self.trunk.backward(dh, trunk_cache, params)
-        return dx[:, : self.obs_dim], dx[:, self.obs_dim :]
+        dh, g_head = self.head.backward(dz, c_head, params)
+        dx, g_trunk = self.trunk.backward(dh, trunk_cache, params)
+        grads = g_trunk + g_head if params else None
+        return dx[:, : self.obs_dim], dx[:, self.obs_dim :], grads
 
     def params(self):
         return self.trunk.params() + self.head.params()
-
-    def grads(self):
-        return self.trunk.grads() + self.head.grads()
-
-    def zero_grads(self):
-        _zero_all(self.grads())
 
 
 def quantile_huber_loss(z: np.ndarray, targets: np.ndarray):

@@ -187,10 +187,7 @@ class SacAgent:
             QuantileCritic(init_rng, obs_dim, act_dim, cfg.hidden, cfg.n_quantiles, cfg.dropout)
             for _ in range(cfg.n_critics)
         ]
-        # targets run forward only: they copy the parameters and get fresh,
-        # never-written gradient buffers in place of copies of the critics'
-        fresh = {id(g): np.zeros(g.shape) for c in self.critics for g in c.grads()}
-        self.target_critics = copy.deepcopy(self.critics, fresh)
+        self.target_critics = copy.deepcopy(self.critics)
         self.policy_opt = Adam(self.policy.params(), cfg.learning_rate)
         self.critic_opts = [Adam(c.params(), cfg.learning_rate) for c in self.critics]
         self.auto_temperature = cfg.temperature is None
@@ -242,16 +239,14 @@ class SacAgent:
         targets = self.critic_targets(batch)
         critic_loss = 0.0
         for critic, opt in zip(self.critics, self.critic_opts):
-            critic.zero_grads()
             z, cache = critic.forward(obs, act, train=True, rng=self._rng)
             loss, dz = quantile_huber_loss(z, targets)
-            critic.backward(dz, cache)
-            opt.step(critic.grads())
+            *_, grads = critic.backward(dz, cache)
+            opt.step(grads)
             critic_loss += loss / cfg.n_critics
 
         # Policy: maximize pooled critic mean plus entropy bonus. Dropout stays
         # off here; the stochastic regularizer belongs to critic fitting only.
-        self.policy.zero_grads()
         xi = self._rng.normal(size=(n, self.act_dim))
         new_act, logp, cache = self.policy.sample_cached(obs, xi)
         total_atoms = cfg.n_critics * cfg.n_quantiles
@@ -260,14 +255,13 @@ class SacAgent:
         for critic in self.critics:
             z, z_cache = critic.forward(obs, new_act)
             q_sum += z.sum(axis=1)
-            _, da = critic.backward(
+            _, da, _ = critic.backward(
                 np.full_like(z, -1.0 / (n * total_atoms)), z_cache, params=False
             )
             d_act += da
         q_mean = q_sum / total_atoms
         policy_loss = float(np.mean(self.alpha * logp - q_mean))
-        self.policy.backward(d_act, np.full(n, self.alpha / n), cache)
-        self.policy_opt.step(self.policy.grads())
+        self.policy_opt.step(self.policy.backward(d_act, np.full(n, self.alpha / n), cache))
 
         entropy = -float(np.mean(logp))
         if self.auto_temperature:

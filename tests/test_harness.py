@@ -10,8 +10,12 @@ from __future__ import annotations
 import copy
 import json
 import os
+import platform
 import re
 import shlex
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -1214,3 +1218,35 @@ class TestCli:
         path = self._config_file(outdir, raw)
         assert cli_main(["evaluate", "--config", str(path), "--checkpoint", str(ckpt),
                          "--episodes", "1", "--seed", "1"]) == 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+    def test_malloc_settings_stop_updates_faulting_in_their_temporaries(self):
+        # a fresh process, as a qdrl command runs in: at glibc's starting
+        # thresholds each default-size update (batch 256, hidden (512, 512))
+        # takes ~13k minor faults; with main()'s settings it reuses its heap
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from qdrl.harness.cli import _keep_freed_blocks
+            from qdrl.rlagent import SacAgent, SacConfig
+
+            _keep_freed_blocks()
+            rng = np.random.default_rng(0)
+            n = SacConfig().batch_size
+            batch = {"obs": rng.normal(size=(n, 36)), "act": rng.uniform(-1, 1, size=(n, 3)),
+                     "reward": rng.normal(size=n), "next_obs": rng.normal(size=(n, 36)),
+                     "done": np.zeros(n)}
+            agent = SacAgent(36, 3, seed=0)
+            for _ in range(2):
+                agent.update(batch)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(4):
+                agent.update(batch)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+        """)
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": path}, check=True)
+        faults = float(result.stdout)
+        assert faults < 2000, f"{faults:.0f} minor faults per update"

@@ -41,8 +41,9 @@ def set_flat_params(net, vec: np.ndarray) -> None:
     assert offset == vec.size
 
 
-def flat_grads(net) -> np.ndarray:
-    return np.concatenate([g.ravel() for g in net.grads()])
+def flat_grads(grads) -> np.ndarray:
+    """A backward pass's parameter gradients as one vector, in params() order."""
+    return np.concatenate([g.ravel() for g in grads])
 
 
 def fd_gradient(loss_fn, net, eps: float = 1e-6) -> np.ndarray:
@@ -116,10 +117,8 @@ class TestDenseAndTrunk:
             return float(np.sum(w_out * y))
 
         y, cache = trunk.forward(x)
-        for g in trunk.grads():
-            g[...] = 0.0
-        trunk.backward(w_out, cache)
-        np.testing.assert_allclose(flat_grads(trunk), fd_gradient(loss, trunk), rtol=1e-4, atol=1e-8)
+        _, grads = trunk.backward(w_out, cache)
+        np.testing.assert_allclose(flat_grads(grads), fd_gradient(loss, trunk), rtol=1e-4, atol=1e-8)
 
     def test_trunk_input_gradient_matches_fd(self):
         rng = np.random.default_rng(3)
@@ -127,7 +126,7 @@ class TestDenseAndTrunk:
         x = rng.normal(size=(2, 3))
         w_out = rng.normal(size=(2, 4))
         y, cache = trunk.forward(x)
-        dx = trunk.backward(w_out, cache)
+        dx, _ = trunk.backward(w_out, cache)
         eps = 1e-6
         fd = np.empty_like(x)
         for idx in np.ndindex(x.shape):
@@ -137,17 +136,6 @@ class TestDenseAndTrunk:
             down[idx] -= eps
             fd[idx] = (np.sum(w_out * trunk.forward(up)[0]) - np.sum(w_out * trunk.forward(down)[0])) / (2 * eps)
         np.testing.assert_allclose(dx, fd, rtol=1e-4, atol=1e-8)
-
-    def test_gradients_accumulate_until_zeroed(self):
-        rng = np.random.default_rng(4)
-        trunk = MlpTrunk(rng, 2, (3,))
-        x = rng.normal(size=(2, 2))
-        dy = rng.normal(size=(2, 3))
-        y, cache = trunk.forward(x)
-        trunk.backward(dy, cache)
-        once = flat_grads(trunk).copy()
-        trunk.backward(dy, cache)
-        np.testing.assert_allclose(flat_grads(trunk), 2.0 * once, rtol=1e-12)
 
 
 class TestLayerNorm:
@@ -171,10 +159,8 @@ class TestLayerNorm:
             return float(np.sum(w * norm.forward(x)[0]))
 
         y, cache = norm.forward(x)
-        norm.dgamma[...] = 0.0
-        norm.dbeta[...] = 0.0
-        dx = norm.backward(w, cache)
-        np.testing.assert_allclose(flat_grads(norm), fd_gradient(loss, norm), rtol=1e-4, atol=1e-8)
+        dx, grads = norm.backward(w, cache)
+        np.testing.assert_allclose(flat_grads(grads), fd_gradient(loss, norm), rtol=1e-4, atol=1e-8)
         eps = 1e-6
         fd = np.empty_like(x)
         for idx in np.ndindex(x.shape):
@@ -299,10 +285,9 @@ class TestGaussianPolicy:
             return float(np.sum(w_a * a) + np.sum(w_p * logp))
 
         a, logp, cache = policy.sample_cached(obs, xi)
-        policy.zero_grads()
-        policy.backward(w_a, w_p, cache)
+        grads = policy.backward(w_a, w_p, cache)
         np.testing.assert_allclose(
-            flat_grads(policy), fd_gradient(loss, policy), rtol=1e-4, atol=1e-8
+            flat_grads(grads), fd_gradient(loss, policy), rtol=1e-4, atol=1e-8
         )
 
     def test_clamped_logvar_blocks_gradient(self):
@@ -312,12 +297,12 @@ class TestGaussianPolicy:
         obs = rng.normal(size=(3, 3))
         xi = rng.normal(size=(3, 2))
         a, logp, cache = policy.sample_cached(obs, xi)
-        policy.zero_grads()
-        policy.backward(np.zeros_like(a), np.ones(3), cache)
-        np.testing.assert_array_equal(policy.logvar_head.dw, 0.0)
-        np.testing.assert_array_equal(policy.logvar_head.db, 0.0)
+        grads = policy.backward(np.zeros_like(a), np.ones(3), cache)
+        grad_of = {id(p): g for p, g in zip(policy.params(), grads, strict=True)}
+        np.testing.assert_array_equal(grad_of[id(policy.logvar_head.w)], 0.0)
+        np.testing.assert_array_equal(grad_of[id(policy.logvar_head.b)], 0.0)
         # but the mean head still learns
-        assert np.any(policy.mean_head.dw != 0.0)
+        assert np.any(grad_of[id(policy.mean_head.w)] != 0.0)
 
     def test_deterministic_is_tanh_of_mean(self, monkeypatch):
         policy, rng = self._small_policy(17)
@@ -349,10 +334,9 @@ class TestQuantileCritic:
 
         z, cache = critic.forward(obs, act)
         value, dz = quantile_huber_loss(z, targets)
-        critic.zero_grads()
-        critic.backward(dz, cache)
+        *_, grads = critic.backward(dz, cache)
         np.testing.assert_allclose(
-            flat_grads(critic), fd_gradient(loss, critic), rtol=1e-4, atol=1e-8
+            flat_grads(grads), fd_gradient(loss, critic), rtol=1e-4, atol=1e-8
         )
 
     def test_critic_gradient_with_dropout_matches_fd(self):
@@ -371,10 +355,9 @@ class TestQuantileCritic:
 
         z, cache = critic.forward(obs, act, train=True, rng=np.random.default_rng(99))
         value, dz = quantile_huber_loss(z, targets)
-        critic.zero_grads()
-        critic.backward(dz, cache)
+        *_, grads = critic.backward(dz, cache)
         np.testing.assert_allclose(
-            flat_grads(critic), fd_gradient(loss, critic), rtol=1e-4, atol=1e-8
+            flat_grads(grads), fd_gradient(loss, critic), rtol=1e-4, atol=1e-8
         )
 
     def test_action_gradient_matches_fd(self):
@@ -385,7 +368,7 @@ class TestQuantileCritic:
         act = rng.uniform(-0.5, 0.5, size=(2, 2))
         w = rng.normal(size=(2, 4))
         z, cache = critic.forward(obs, act)
-        _, d_act = critic.backward(w, cache)
+        _, d_act, _ = critic.backward(w, cache)
         eps = 1e-6
         fd = np.empty_like(act)
         for idx in np.ndindex(act.shape):
@@ -399,7 +382,7 @@ class TestQuantileCritic:
             ) / (2 * eps)
         np.testing.assert_allclose(d_act, fd, rtol=1e-4, atol=1e-8)
 
-    def test_input_only_backward_matches_and_leaves_grads_zero(self):
+    def test_input_only_backward_matches_and_returns_no_grads(self):
         rng = np.random.default_rng(25)
         critic = QuantileCritic(
             rng, obs_dim=3, act_dim=2, hidden=(6, 5), n_quantiles=4, dropout=0.2
@@ -408,11 +391,10 @@ class TestQuantileCritic:
         act = rng.uniform(-1, 1, size=(5, 2))
         z, cache = critic.forward(obs, act, train=True, rng=np.random.default_rng(7))
         dz = rng.normal(size=z.shape)
-        critic.zero_grads()
-        d_obs, d_act = critic.backward(dz, cache, params=False)
-        assert all(not np.any(g) for g in critic.grads())
-        ref_obs, ref_act = critic.backward(dz, cache)
-        assert np.any(flat_grads(critic))
+        d_obs, d_act, grads = critic.backward(dz, cache, params=False)
+        assert grads is None
+        ref_obs, ref_act, grads = critic.backward(dz, cache)
+        assert np.any(flat_grads(grads))
         np.testing.assert_array_equal(d_obs, ref_obs)
         np.testing.assert_array_equal(d_act, ref_act)
 

@@ -320,28 +320,18 @@ class TestTargetCritics:
         for critic, target in zip(agent.critics, agent.target_critics, strict=True):
             for src, tgt in zip(critic.params(), target.params(), strict=True):
                 np.testing.assert_array_equal(tgt, src)
-        online = [a for c in agent.critics for a in c.params() + c.grads()]
+        online = [a for c in agent.critics for a in c.params()]
         for target in agent.target_critics:
-            for tgt in target.params() + target.grads():
+            for tgt in target.params():
                 assert not any(np.shares_memory(tgt, a) for a in online)
-
-    def test_updates_write_no_gradient_into_the_targets(self):
-        agent = small_agent(seed=14)
-        rng = np.random.default_rng(13)
-        for _ in range(3):
-            agent.update(random_batch(rng, SMALL["batch_size"]))
-        assert any(np.any(g) for c in agent.critics for g in c.grads())
-        for target in agent.target_critics:
-            for grad, param in zip(target.grads(), target.params(), strict=True):
-                assert grad.shape == param.shape
-                assert not np.any(grad)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from procfs")
 def test_fresh_agent_pages_only_the_arrays_it_writes():
     # a default-size agent (36 observations, 3 actions, hidden (512, 512))
-    # writes its ~12 MB of parameters; its ~25 MB of gradients and Adam
-    # moments stay unpaged until an update or a checkpoint load writes them
+    # writes its ~12 MB of parameters and holds no gradient arrays; its
+    # ~14 MB of Adam moments stay unpaged until an update or a checkpoint
+    # load writes them
     script = textwrap.dedent("""
         import numpy as np
         from qdrl.rlagent import SacAgent

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdrl import tomography as tomo
-from qdrl.qcore import gate_fidelity, haar_unitary
+from qdrl.qcore import gate_fidelity, haar_unitary, nlif, phase_gate_target
+from qdrl.seeding import named_stream
 
 
 def reconstruction_infidelity(u, est):
@@ -228,6 +229,21 @@ class TestSampledRecords:
                 vals.append(reconstruction_infidelity(u, est))
             means.append(np.mean(vals))
         assert means[1] < 0.2 * means[0]
+
+    def test_estimated_nlif_rises_a_decade_per_decade_of_shots(self):
+        # the tomographic NLIF of an exact gate is capped by the shot budget,
+        # near log10(shots) - 0.4 (this stream reads 2.62 / 3.59 / 4.64 at
+        # 1e3 / 1e4 / 1e5 shots), so a reward read from records of a fixed
+        # size cannot rank gates past that ceiling
+        u = phase_gate_target()
+        povm = tomo.build_povm(2)
+        rng = named_stream(0, "tomography-ceiling")
+        decades = [3, 4, 5]
+        means = [np.mean([nlif(tomo.reconstruct_unitary(
+                     tomo.sample_snapshots(u, 10**k, povm, rng), povm), u) for _ in range(200)])
+                 for k in decades]
+        slope = np.polyfit(decades, means, 1)[0]
+        assert 0.8 <= slope <= 1.2, f"mean NLIF {means} rises {slope:.2f} per decade"
 
     def test_empty_probe_raises(self):
         povm = tomo.build_povm(2)
