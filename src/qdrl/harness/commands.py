@@ -148,7 +148,11 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path) -> dict:
     """Deterministic-policy evaluation in dynamic and frozen modes.
 
     Dynamic re-queries the policy every step under fresh noise; frozen replays
-    one noise-free pulse table under the same fresh-noise episodes.
+    one pulse table, taken from a noise-free rollout of the policy, under
+    fresh noise too. Both play on one env stream, and every episode, played
+    or replayed, resets onto the stream's next draw: dynamic episode k and
+    frozen replay k see different noise realizations, so the two columns are
+    independent samples, not pairs.
     """
     episodes = config.resolved["evaluate"]["episodes"]
     seed = config.seeds[0]

@@ -241,16 +241,6 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-@functools.cache
-def _pair_indices(n: int) -> np.ndarray:
-    """Flat indices of the entries (i, j) and then (j, i) for all i <= j of an
-    (n, n) matrix, n (n + 1) / 2 of each."""
-    i, j = np.triu_indices(n)
-    flat = np.concatenate([i * n + j, j * n + i])
-    flat.setflags(write=False)
-    return flat
-
-
 def _squarings(h: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
     """Accept each matrix of a stack (N, n, n) on its own and return its s, the
     fewest squarings that bring dt ||h||_1 / 2^s below 1, as (N,), with the
@@ -258,12 +248,12 @@ def _squarings(h: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
 
     ||h||_1, the largest column sum of |h|, equals ||h||_inf for a Hermitian
     h. A matrix with a NaN or inf entry is rejected, and so is one whose
-    symmetry deviation exceeds HERMITICITY_TOL ||h||_1, relative to its own
-    scale as roundoff is; the deviation is read from the pairs i <= j alone,
-    the diagonal included. So a matrix is accepted, and gets its s, as it
-    would alone.
+    symmetry deviation |h_ij - conj(h_ji)| exceeds HERMITICITY_TOL ||h||_1,
+    relative to its own scale as roundoff is; entries (i, j) and (j, i)
+    deviate by the same amount, so the whole matrix gives the verdict and
+    the maximum that the pairs i <= j, the diagonal included, would. So a
+    matrix is accepted, and gets its s, as it would alone.
     """
-    n = h.shape[-1]
     columns = np.einsum("...ij->...j", np.abs(h))
     # the maximum over a short trailing axis is fastest across a leading one
     norm = np.ascontiguousarray(columns.T).max(axis=0)
@@ -272,10 +262,13 @@ def _squarings(h: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
     top = theta.max(initial=0.0)
     if not top < math.inf:
         raise ValueError("non-finite entries in the Hamiltonian, or in dt ||H||")
-    pairs = h.reshape((-1, n * n))[:, _pair_indices(n)]
-    half = pairs.shape[1] // 2
-    dev = np.abs(pairs[:, :half] - pairs[:, half:].conj())
-    bad = dev > HERMITICITY_TOL * norm[:, None]
+    mirror = h.swapaxes(-1, -2)
+    if np.iscomplexobj(h):
+        dev = np.abs(h - mirror.conj())
+    else:
+        dev = h - mirror
+        np.abs(dev, out=dev)
+    bad = dev > HERMITICITY_TOL * norm[:, None, None]
     # count_nonzero tests a 10-matrix stack ~0.7 us faster than bad.any()
     if np.count_nonzero(bad):
         raise ValueError(f"non-Hermitian input, symmetry deviation {dev[bad].max():.3e}")
@@ -392,9 +385,18 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     """
     h = np.asarray(h)
     _check_dt(dt)
+    return _step_propagators(h, dt)
+
+
+def _step_propagators(h: np.ndarray, dt: float) -> np.ndarray:
+    """`step_propagator` of an ndarray stack h, for a dt already checked; a
+    stack that fits in one piece is evolved on the calling thread as it is."""
     n = h.shape[-1]
     flat = h.reshape((-1, n, n))
     out = np.empty(flat.shape, dtype=np.promote_types(h.dtype, np.complex64))
+    if len(flat) <= _PIECE:
+        _taylor_propagator(flat, dt, out)
+        return out.reshape(h.shape)
 
     def piece(lo: int) -> None:
         _taylor_propagator(flat[lo : lo + _PIECE], dt, out[lo : lo + _PIECE])
@@ -521,11 +523,19 @@ def propagate(h, dt: float, *, cumulative: bool = False, states=None) -> np.ndar
             raise ValueError(f"states of shape {states.shape} do not fit a stack of shape "
                              f"{shape}; need {shape[1:-1] + ('k',)}")
     if cumulative or rows < _PAIR_ROWS or np.iscomplexobj(h):
-        steps = step_propagator(np.asarray(h[0:m]).reshape((m, rows, n, n)), dt)
+        steps = _step_propagators(np.asarray(h[0:m]).reshape((m, rows, n, n)), dt)
         if not cumulative:
-            u = steps[0]
-            for step in steps[1:]:
-                u = step @ u
+            if rows == 1:
+                # one row folds in (n, n) products: ndarray.dot makes the
+                # BLAS call that matmul makes on (1, n, n) stacks, with the
+                # same bits and less dispatch
+                u = steps[0, 0]
+                for step in steps[1:, 0]:
+                    u = step.dot(u)
+            else:
+                u = steps[0]
+                for step in steps[1:]:
+                    u = step @ u
             u = u.reshape(shape[1:])
             return u if states is None else u @ states
         out = np.empty((m + 1,) + steps.shape[1:], dtype=steps.dtype)
@@ -549,10 +559,21 @@ def propagate(h, dt: float, *, cumulative: bool = False, states=None) -> np.ndar
     return u.reshape(shape[1:])
 
 
+@functools.lru_cache(maxsize=16)
+def _block_index(indices: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The (d, 1) row and (1, d) column index arrays of a block, read-only and
+    built once per index tuple (a model has one)."""
+    idx = np.asarray(indices)
+    rows, cols = idx[:, None], idx[None, :]
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def computational_block(u: np.ndarray, indices=COMP_INDICES) -> np.ndarray:
     """The block of u over the computational states (leading axes preserved)."""
-    idx = np.asarray(indices)
-    return u[..., idx[:, None], idx[None, :]]
+    rows, cols = _block_index(tuple(indices))
+    return u[..., rows, cols]
 
 
 def gate_fidelity(u: np.ndarray, target: np.ndarray) -> np.ndarray | float:
@@ -563,16 +584,20 @@ def gate_fidelity(u: np.ndarray, target: np.ndarray) -> np.ndarray | float:
     if u.shape[-2:] != (d, d):
         raise ValueError(f"shape mismatch: u block {u.shape[-2:]}, target {target.shape}")
     tr = np.einsum("...ij,ij->...", u, np.conj(target)) / d
-    f = np.clip(np.abs(tr) ** 2, 0.0, 1.0)
+    # |tr|^2 is never below +0, so only the cap at 1 can act: np.minimum
+    # gives np.clip's bits (NaN stays NaN) for a third of its call cost
+    f = np.minimum(np.abs(tr) ** 2, 1.0)
     return float(f) if f.ndim == 0 else f
 
 
 def nlif_from_infidelity(infid, cap: float = DEFAULT_NLIF_CAP):
-    """-log10 of the infidelity, capped at `cap` (and at 0 from below)."""
+    """-log10 of the infidelity, capped at `cap` (and at +0 from below)."""
     infid = np.asarray(infid, dtype=float)
     floor = 10.0 ** (-cap)
     out = -np.log10(np.maximum(infid, floor))
-    out = np.clip(out, 0.0, cap)
+    # np.maximum returns its second argument on a tie, so an infidelity of 1,
+    # whose -log10 is -0.0, scores +0.0 (np.clip would keep the -0.0)
+    out = np.minimum(np.maximum(out, 0.0), cap)
     return float(out) if out.ndim == 0 else out
 
 
@@ -585,8 +610,9 @@ def block_leakage(block: np.ndarray) -> np.ndarray | float:
     """Mean leaked population over computational inputs, 1 - ||block||_F^2 / d."""
     b = np.asarray(block)
     d = b.shape[-1]
-    leak = 1.0 - np.sum(np.abs(b) ** 2, axis=(-2, -1)) / d
-    leak = np.clip(leak, 0.0, 1.0)
+    leak = 1.0 - (np.abs(b) ** 2).sum(axis=(-2, -1)) / d
+    # 1 - x is never -0.0, so this has np.clip's bits at a third of its cost
+    leak = np.minimum(np.maximum(leak, 0.0), 1.0)
     return float(leak) if leak.ndim == 0 else leak
 
 

@@ -359,6 +359,12 @@ class StepResult:
     info: dict
 
 
+def _require_real(values) -> None:
+    """Reject complex input before a float cast would drop its imaginary part."""
+    if np.iscomplexobj(values):
+        raise ValueError("actions must be real, got complex input")
+
+
 class GateSynthesisEnv:
     """Gate-synthesis episodes over config.model.
 
@@ -414,6 +420,7 @@ class GateSynthesisEnv:
     def step(self, action) -> StepResult:
         if self.done:
             raise RuntimeError("episode is done; call reset() before stepping again")
+        _require_real(action)
         action = np.asarray(action, dtype=float).reshape(-1)
         if action.shape != (self.n_channels,):
             raise ValueError(
@@ -421,12 +428,13 @@ class GateSynthesisEnv:
             )
         if not np.isfinite(action).all():
             raise ValueError(f"action must be finite, got {action}")
-        action = np.clip(action, -1.0, 1.0)
+        # the ndarray method is np.clip without its dispatch wrapper
+        action = action.clip(-1.0, 1.0)
         k = self._k
         p = self.model.params
         n = self.config.oversample
         self._normalized[k] = action
-        self._table[k] = np.clip(self._to_detunings(action), p.eps_min, p.eps_max)
+        self._table[k] = self._to_detunings(action).clip(p.eps_min, p.eps_max)
         self._k = k + 1
         terminal = self.done
         # the kernel is causal, so the substeps before row k are unchanged
@@ -437,6 +445,8 @@ class GateSynthesisEnv:
         first = max(0, lo - (self.kernel.samples.size - 1)) // n
         shaped = self._shaped(self._table[first:] if terminal else self._table[first : k + 1])
         self._u = self._evolve(shaped[lo - first * n :], self._realization, lo) @ self._u
+        # row 0's block, taken once: the info scores it, the observation
+        # reads it, and a sparse terminal reward is its NLIF
         block = computational_block(self._u[0], self.model.block_indices)
         info = {
             "nlif": nlif(block, self.target, self.config.nlif_cap),
@@ -444,12 +454,13 @@ class GateSynthesisEnv:
         }
         reward = 0.0
         if terminal:
-            reward = self._terminal_reward()
+            reward = self._terminal_reward(info["nlif"])
             info["terminal_reward"] = reward
-        return StepResult(self._observe(), reward, terminal, info)
+        return StepResult(self._observe(block), reward, terminal, info)
 
     def rollout(self, actions: Sequence, seed: int | None = None) -> StepResult:
         """Reset and play a full action table; returns the terminal result."""
+        _require_real(actions)
         actions = np.asarray(actions, dtype=float)
         if actions.ndim == 1:
             actions = actions[:, None]
@@ -551,37 +562,49 @@ class GateSynthesisEnv:
 
     # ---------------------------------------------------------- observation
 
-    def _observe(self) -> np.ndarray:
+    def _observe(self, block: np.ndarray | None = None) -> np.ndarray:
+        """The observation vector, written in place: time to go, the current
+        pulse, then the payload. block, when given, is the computational
+        block of row 0, which the step has already taken."""
         cfg = self.config
+        mode = cfg.observation_mode
         n_ch = self.n_channels
         k = self._k
-        parts = [np.array([(cfg.n_actions - k) / cfg.n_actions])]
-        if cfg.observation_mode is not ObservationMode.U_EXACT:
-            # the device parks at the low rail before the first action
-            current = self._normalized[k - 1] if k else -np.ones(n_ch)
-            parts.append(current)
-        if cfg.observation_mode is ObservationMode.PULSE_HISTORY:
-            history = np.zeros((cfg.n_actions, n_ch + 1))
+        head = 1 if mode is ObservationMode.U_EXACT else 1 + n_ch
+        if mode is ObservationMode.PULSE_HISTORY:
+            obs = np.zeros(head + cfg.n_actions * (n_ch + 1))
+            history = obs[head:].reshape((cfg.n_actions, n_ch + 1))
             history[:k, :n_ch] = self.actions_normalized
             history[:k, n_ch] = 1.0
-            parts.append(history.ravel())
         else:
             # the last row is noise-free: the zero realization's row, or row 0
             # itself when no realization is tracked
-            noise_free = cfg.observation_mode is ObservationMode.U_NOISEFREE_PLUS_PULSE
-            u = self._u[-1] if noise_free else self._u[0]
-            payload = u if cfg.sector_payload else computational_block(u, self.model.block_indices)
-            parts.append(payload.real.ravel())
-            parts.append(payload.imag.ravel())
-        return np.concatenate(parts)
+            noise_free = mode is ObservationMode.U_NOISEFREE_PLUS_PULSE
+            row = len(self._u) - 1 if noise_free else 0
+            if cfg.sector_payload:
+                payload = self._u[row]
+            elif row == 0 and block is not None:
+                payload = block
+            else:
+                payload = computational_block(self._u[row], self.model.block_indices)
+            obs = np.empty(head + 2 * payload.size)
+            parts = obs[head:].reshape((2,) + payload.shape)
+            parts[0] = payload.real
+            parts[1] = payload.imag
+        obs[0] = (cfg.n_actions - k) / cfg.n_actions
+        if head > 1:
+            # the device parks at the low rail before the first action
+            obs[1:head] = self._normalized[k - 1] if k else -1.0
+        return obs
 
     # --------------------------------------------------------------- reward
 
-    def _terminal_reward(self) -> float:
+    def _terminal_reward(self, final_nlif: float) -> float:
+        """The reward of the finished episode, whose actual final evolution
+        scores final_nlif."""
         mode = self.config.reward_mode
         if mode is RewardMode.SPARSE:
-            block = computational_block(self._u[0], self.model.block_indices)
-            return float(nlif(block, self.target, self.config.nlif_cap))
+            return final_nlif
         if mode in (RewardMode.ROBUST_AVG, RewardMode.GAUSS_SURROGATE):
             blocks = np.concatenate(list(self._noisy_final_blocks(self.config.n_realizations)))
             if mode is RewardMode.GAUSS_SURROGATE:

@@ -731,6 +731,45 @@ class TestFidelity:
         with pytest.raises(ValueError):
             qcore.gate_fidelity(np.eye(6), qcore.cnot_target())
 
+    def test_an_orthogonal_block_scores_positive_zero(self):
+        # Tr(X^dag I) = 0: fidelity 0, infidelity 1, and -log10(1) is -0.0,
+        # which a JSON record would write as -0.0
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        score = qcore.nlif(x, np.eye(2))
+        assert score == 0.0 and not np.signbit(score)
+        assert not np.signbit(qcore.nlif(np.stack([x, x, x]), np.eye(2))).any()
+        assert not np.signbit(qcore.nlif_from_infidelity(1.0))
+        assert not np.signbit(qcore.nlif_from_infidelity(np.ones(40))).any()
+
+    def test_scores_keep_the_bits_of_clipping(self):
+        # the bookkeeping clamps give np.clip's results, scalar and batched,
+        # at the rails, beyond them and for NaN; the one exception is the
+        # -0.0 that np.clip keeps at an infidelity of 1
+        cap = 6.0
+        infid = np.array([-1.0, 0.0, 1e-7, 1e-6, 1e-6 * (1 + 1e-15), 0.3, 1.0, 2.0,
+                          np.inf, np.nan])
+        raw = -np.log10(np.maximum(infid, 10.0 ** (-cap)))
+        want = np.clip(raw, 0.0, cap) + 0.0  # + 0.0 turns -0.0 into +0.0 only
+        got = qcore.nlif_from_infidelity(infid, cap)
+        assert got.tobytes() == want.tobytes()
+        for x, w in zip(infid, want):
+            assert np.float64(qcore.nlif_from_infidelity(x, cap)).tobytes() == w.tobytes()
+
+        rng = np.random.default_rng(3)
+        blocks = qcore.haar_unitary(4, rng) * np.array(
+            [0.0, 0.5, 1.0, 1.0 + 1e-15, 1.0 + 1e-9, np.nan])[:, None, None]
+        blocks[2] = qcore.cnot_target()
+        target = qcore.cnot_target()
+        tr = np.einsum("...ij,ij->...", blocks, np.conj(target)) / 4
+        want = np.clip(np.abs(tr) ** 2, 0.0, 1.0)
+        assert qcore.gate_fidelity(blocks, target).tobytes() == want.tobytes()
+        for b, w in zip(blocks, want):
+            assert np.float64(qcore.gate_fidelity(b, target)).tobytes() == w.tobytes()
+        want = np.clip(1.0 - np.sum(np.abs(blocks) ** 2, axis=(-2, -1)) / 4, 0.0, 1.0)
+        assert qcore.block_leakage(blocks).tobytes() == want.tobytes()
+        for b, w in zip(blocks, want):
+            assert np.float64(qcore.block_leakage(b)).tobytes() == w.tobytes()
+
 
 def test_computational_block_and_leakage():
     rng = np.random.default_rng(10)

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -210,6 +211,33 @@ class TestEpisodeLifecycle:
         assert got.info == want.info
         np.testing.assert_array_equal(env.actions_normalized, fresh.actions_normalized)
 
+    def test_complex_action_rejected_before_the_step(self):
+        # a float cast would keep 0.5 and drop the 0.7j with only a warning
+        first, second = [0.5, -0.5, 0.0], [0.2, 0.3, -0.4]
+        env, fresh = small_env(seed=7), small_env(seed=7)
+        for e in (env, fresh):
+            e.reset(seed=7)
+            e.step(first)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="real"):
+                env.step(np.array([0.5 + 0.7j, 0, 0]))
+            with pytest.raises(ValueError, match="real"):
+                env.step([0.5 + 0.0j, 0.0, 0.0])
+        got, want = env.step(second), fresh.step(second)
+        np.testing.assert_array_equal(got.observation, want.observation)
+        assert got.info == want.info
+        np.testing.assert_array_equal(env.actions_normalized, fresh.actions_normalized)
+
+    def test_complex_action_table_rejected_by_rollout(self):
+        env = small_env()
+        table = random_actions(env).astype(complex)
+        table[3, 1] += 0.7j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="real"):
+                env.rollout(table, seed=0)
+
     def test_rollout_shape_validation(self):
         env = small_env()
         with pytest.raises(ValueError, match="shape"):
@@ -351,6 +379,72 @@ class TestPipelineEquivalence:
             ref._u, ref._k, ref._normalized = u, env._k, env._normalized
             np.testing.assert_array_equal(obs, ref._observe())
         np.testing.assert_array_equal(env._u, u)
+
+
+def reference_observation(env, u, k):
+    """The observation after k steps of product u, written out as the
+    concatenation of its parts."""
+    cfg = env.config
+    mode = cfg.observation_mode
+    parts = [np.array([(cfg.n_actions - k) / cfg.n_actions])]
+    if mode is not ObservationMode.U_EXACT:
+        parts.append(env._normalized[k - 1] if k else -np.ones(env.n_channels))
+    if mode is ObservationMode.PULSE_HISTORY:
+        history = np.zeros((cfg.n_actions, env.n_channels + 1))
+        history[:k, :-1] = env._normalized[:k]
+        history[:k, -1] = 1.0
+        parts.append(history.ravel())
+    else:
+        row = u[-1] if mode is ObservationMode.U_NOISEFREE_PLUS_PULSE else u[0]
+        payload = row if cfg.sector_payload else computational_block(row, env.model.block_indices)
+        parts += [payload.real.ravel(), payload.imag.ravel()]
+    return np.concatenate(parts)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("sector_payload", [False, True])
+@pytest.mark.parametrize("mode", list(ObservationMode))
+@pytest.mark.parametrize("device", ["two_qubit", "single_qubit"])
+def test_each_step_reports_its_evolution_bit_for_bit(device, mode, sector_payload, noisy):
+    # a twin env replays every step through _evolve; the env's product is the
+    # twin's, and each step's observation, info and reward are the reference
+    # formulas applied to it, bit for bit
+    model = getattr(DeviceModel, device)(DeviceParams())
+    grid = dict(protocol_time=12.0, n_segments=12, oversample=4)
+    cfg = EnvConfig(model=model, **grid, kernel=gaussian_kernel(0.5, 0.3, EnvConfig(**grid).dt),
+                    observation_mode=mode, sector_payload=sector_payload,
+                    noise=NoiseConfig() if noisy else None)
+    env, ref = GateSynthesisEnv(cfg, seed=0), GateSynthesisEnv(cfg, seed=0)
+    # some rows beyond the rails, one at each rail
+    acts = 1.2 * random_actions(env, seed=21)
+    acts[:2] = [[1.0], [-1.0]]
+    for seed in (3, 4):
+        obs = env.reset(seed=seed)
+        ref.reset(seed=seed)
+        u = ref._u
+        assert same_bits(obs, reference_observation(env, u, 0))
+        for k, action in enumerate(acts):
+            result = env.step(action)
+            rows = env._table if env.done else env._table[: k + 1]
+            lo = k * cfg.oversample
+            u = ref._evolve(ref._shaped(rows)[lo:], ref._realization, lo) @ u
+            assert same_bits(env._u, u)
+            block = computational_block(u[0], model.block_indices)
+            score = nlif(block, env.target, cfg.nlif_cap)
+            info = {"nlif": score, "leakage": qcore.block_leakage(block)}
+            if result.done:
+                info["terminal_reward"] = score
+            assert result.info.keys() == info.keys()
+            assert all(type(v) is float and same_bits(v, info[key])
+                       for key, v in result.info.items())
+            assert same_bits(result.reward, score if result.done else 0.0)
+            assert same_bits(result.observation, reference_observation(env, u, k + 1))
+        assert result.done
 
 
 def noisy_detunings(rows: int, seed: int = 0):
