@@ -26,15 +26,25 @@ from .config import ConfigError, config_from_dict, read_yaml
 __all__ = ["main"]
 
 
-def _positive_int(text: str) -> int:
-    """An integer flag value of at least 1."""
+def _int_at_least(text: str, least: int) -> int:
+    """An integer flag value of at least `least`."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
     return n
+
+
+def _positive_int(text: str) -> int:
+    """An integer flag value of at least 1."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """An integer flag value of at least 0, such as a seed."""
+    return _int_at_least(text, 0)
 
 
 def _worker_count(text: str) -> int:
@@ -121,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("export-protocol", "roll out a checkpoint and write its pulse table",
         commands.cmd_export_protocol,
         **{"--checkpoint": dict(required=True),
-           "--noise-seed": dict(type=int, default=None)})
+           "--noise-seed": dict(type=_non_negative_int, default=None)})
     return parser
 
 

@@ -26,7 +26,8 @@ one-qubit reduction alike.
 
 Step propagators exp(-i dt H) come from a Taylor series of cos(dt H) and
 sin(dt H) with scaling and squaring: every device model builds a real
-symmetric H, so the whole evaluation runs in real matrix products. The
+symmetric H, and qcore evolves no other (a complex stack raises
+ValueError), so the whole evaluation runs in real matrix products. The
 series stops at X^17 for ||X|| <= 1, where the first term left out is below
 the float64 machine epsilon. Both series are evaluated at once in
 Paterson-Stockmeyer form: 7 matrix products per matrix before the squarings
@@ -46,14 +47,15 @@ pieces run in turn.
 
 `propagate` multiplies the steps of a time-major stack (M, R, n, n), M steps
 of R rows, into the R final propagators U, or, given states (R, n, k),
-into U states. It reads the stack only through h.shape, h.dtype and slices:
-time slices h[lo:hi], and for states time and row slices h[lo:hi, r0:r1];
+into U states. It reads the stack only through h.shape and slices: time
+slices h[lo:hi], and for states time and row slices h[lo:hi, r0:r1];
 so the stack may be an ndarray or an object that assembles each slice when
 it is asked for (the env's Monte Carlo stacks are such objects, and the
-whole stack then never exists). The row rule: a real stack of R >= 32 rows
-never builds its complex step stack, and each block reads each of its
-pieces once, evaluates their cos/sin series and folds each step at once in
-real pairs, (C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr), one task
+whole stack then never exists). The row rule reads R and cumulative only:
+a stack of R >= 32 rows never builds its complex step stack, and each block
+reads each of its pieces once, evaluates their cos/sin series and folds
+each step at once in real pairs,
+(C - iS)(Vr + iVi) = (C Vr + S Vi) + i(C Vi - S Vr), one task
 each on the same pool. For operators the steps split into 8 time blocks,
 each folding the n columns of its product V, and the block products are
 then multiplied in time order. For states the rows split into one
@@ -61,10 +63,9 @@ contiguous block per usable core, each folding its rows' k columns through
 all M steps in time order, so a probe state costs one column per step and
 no block product. Either result is independent of the piece size, the core
 count and the other rows, and differs from the step-by-step complex product
-at roundoff. Fewer rows (every per-step call of the env), cumulative
-products and complex input take the whole stack h[0:M] and keep
-`step_propagator` and the complex product, then the product with the
-states.
+at roundoff. Fewer rows (every per-step call of the env) and cumulative
+products take the whole stack h[0:M] and keep `step_propagator` and the
+complex product, then the product with the states.
 """
 from __future__ import annotations
 
@@ -246,14 +247,18 @@ def _squarings(h: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
     fewest squarings that bring dt ||h||_1 / 2^s below 1, as (N,), with the
     largest s (0 for an empty stack), the number of doubling rounds.
 
-    ||h||_1, the largest column sum of |h|, equals ||h||_inf for a Hermitian
-    h. A matrix with a NaN or inf entry is rejected, and so is one whose
-    symmetry deviation |h_ij - conj(h_ji)| exceeds HERMITICITY_TOL ||h||_1,
-    relative to its own scale as roundoff is; entries (i, j) and (j, i)
-    deviate by the same amount, so the whole matrix gives the verdict and
-    the maximum that the pairs i <= j, the diagonal included, would. So a
-    matrix is accepted, and gets its s, as it would alone.
+    A complex stack is rejected whole: qcore evolves real symmetric h only,
+    and every evolved matrix passes through here. ||h||_1, the largest
+    column sum of |h|, equals ||h||_inf for a symmetric h. A matrix with a
+    NaN or inf entry is rejected, and so is one whose symmetry deviation
+    |h_ij - h_ji| exceeds HERMITICITY_TOL ||h||_1, relative to its own scale
+    as roundoff is; entries (i, j) and (j, i) deviate by the same amount, so
+    the whole matrix gives the verdict and the maximum that the pairs i < j
+    would. So a matrix is accepted, and gets its s, as it would alone.
     """
+    if np.iscomplexobj(h):
+        raise ValueError(f"complex input of dtype {h.dtype}: qcore evolves real "
+                         "symmetric Hamiltonians only")
     columns = np.einsum("...ij->...j", np.abs(h))
     # the maximum over a short trailing axis is fastest across a leading one
     norm = np.ascontiguousarray(columns.T).max(axis=0)
@@ -262,12 +267,8 @@ def _squarings(h: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
     top = theta.max(initial=0.0)
     if not top < math.inf:
         raise ValueError("non-finite entries in the Hamiltonian, or in dt ||H||")
-    mirror = h.swapaxes(-1, -2)
-    if np.iscomplexobj(h):
-        dev = np.abs(h - mirror.conj())
-    else:
-        dev = h - mirror
-        np.abs(dev, out=dev)
+    dev = h - h.swapaxes(-1, -2)
+    np.abs(dev, out=dev)
     bad = dev > HERMITICITY_TOL * norm[:, None, None]
     # count_nonzero tests a 10-matrix stack ~0.7 us faster than bad.any()
     if np.count_nonzero(bad):
@@ -309,7 +310,7 @@ _BLOCKS_OF_POWERS.setflags(write=False)
 
 
 def _cos_sin(h: np.ndarray, dt: float) -> np.ndarray:
-    """cos(dt h) and sin(dt h) of a Hermitian stack (N, n, n), as one
+    """cos(dt h) and sin(dt h) of a real symmetric stack (N, n, n), as one
     (2, N, n, n) array; exp(-i dt h) = cos(dt h) - i sin(dt h).
 
     With X = dt h / 2^s, s each matrix's own count (`_squarings`, which also
@@ -321,7 +322,7 @@ def _cos_sin(h: np.ndarray, dt: float) -> np.ndarray:
     wherever it sits in a stack; p = B0 + Y^4 B1 (2 products) and
     sin X = (sin X / X) X (1). Then cos 2x = C^2 - S^2 and sin 2x = 2 S C
     double each matrix's angle s times, 3 products each; with every s = 0
-    nothing is halved or doubled. A real h keeps every product real.
+    nothing is halved or doubled. Every product is real.
     """
     squarings, rounds = _squarings(h, dt)
     # the matrices halved and doubled in round k, those with s > k
@@ -350,17 +351,14 @@ def _cos_sin(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _taylor_propagator(h: np.ndarray, dt: float, out: np.ndarray) -> None:
-    """exp(-i dt h) for a Hermitian stack (N, n, n), written into out."""
-    cs = _cos_sin(h, dt)
-    if np.iscomplexobj(cs):
-        np.subtract(cs[0], 1j * cs[1], out=out)
-    else:
-        out.real = cs[0]
-        np.negative(cs[1], out=out.imag)
+    """exp(-i dt h) for a real symmetric stack (N, n, n), written into out."""
+    cos, sin = _cos_sin(h, dt)
+    out.real = cos
+    np.negative(sin, out=out.imag)
 
 
 def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H) for a Hermitian H; h may be a stack (..., n, n).
+    """exp(-i dt H) for a real symmetric H; h may be a stack (..., n, n).
 
     Evaluated as cos(dt H) - i sin(dt H) by a Taylor series with scaling and
     squaring (Moler & Van Loan, SIAM Rev. 45, 2003; Higham, SIAM J. Matrix
@@ -368,20 +366,20 @@ def step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     bring dt ||H||_1 / 2^s below 1, taken for each matrix from its own norm,
     so ||X|| < 1; cos X to X^16 and sin X to X^17, whose truncation error
     theta^18 / 18! stays below the float64 machine epsilon for theta <= 1;
-    then s angle doublings of that matrix alone. Both series are Paterson-Stockmeyer polynomials in Y = X^2
-    with Y^4 as the block step (Paterson & Stockmeyer, SIAM J. Comput. 2,
-    1973): Y to Y^4, the blocks as one weighted sum of those powers, the two
-    blocks' Y^4 products and sin X = (sin X / X) X, 7 matrix products per
-    matrix before its s doublings of 3 products each. The real symmetric H
-    of every device model keeps all products real; a complex Hermitian H
-    runs the same steps in complex arithmetic.
+    then s angle doublings of that matrix alone. Both series are
+    Paterson-Stockmeyer polynomials in Y = X^2 with Y^4 as the block step
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973): Y to Y^4, the blocks
+    as one weighted sum of those powers, the two blocks' Y^4 products and
+    sin X = (sin X / X) X, 7 matrix products per matrix before its s
+    doublings of 3 products each, all of them real.
 
     The stack is checked and evolved in pieces of `_PIECE` (1024) matrices,
     one task each, spread across the usable cores on one thread pool when
-    there is more than one piece. A matrix with a NaN or inf entry, or whose
-    symmetry deviation exceeds HERMITICITY_TOL times its ||H||_1, raises
-    ValueError; each matrix is judged, and gets its s, as it would be alone,
-    so the result is bit-identical to evolving every matrix on its own.
+    there is more than one piece. A complex stack, a matrix with a NaN or
+    inf entry, and one whose symmetry deviation exceeds HERMITICITY_TOL
+    times its ||H||_1 raise ValueError; each matrix is judged, and gets its
+    s, as it would be alone, so the result is bit-identical to evolving
+    every matrix on its own.
     """
     h = np.asarray(h)
     _check_dt(dt)
@@ -393,7 +391,7 @@ def _step_propagators(h: np.ndarray, dt: float) -> np.ndarray:
     stack that fits in one piece is evolved on the calling thread as it is."""
     n = h.shape[-1]
     flat = h.reshape((-1, n, n))
-    out = np.empty(flat.shape, dtype=np.promote_types(h.dtype, np.complex64))
+    out = np.empty(flat.shape, dtype=complex)
     if len(flat) <= _PIECE:
         _taylor_propagator(flat, dt, out)
         return out.reshape(h.shape)
@@ -472,14 +470,14 @@ def propagate(h, dt: float, *, cumulative: bool = False, states=None) -> np.ndar
     """Time-ordered product of the step propagators exp(-i dt H_m), or that
     product applied to states.
 
-    h : (M, R..., n, n) Hamiltonians, time-major: step m acts after steps
-        0..m-1, M >= 1, and the axes after the first are rows (noise
-        realizations, say), each evolved on its own. h is read only through
-        h.shape, h.dtype and slices: time slices h[lo:hi], which must return
-        the (hi - lo, R..., n, n) array of those steps, and, when states are
-        given, time and row slices h[lo:hi, r0:r1] over the first row axis.
-        An ndarray serves, and so does an object that assembles each slice
-        when it is asked for.
+    h : (M, R..., n, n) real symmetric Hamiltonians, time-major: step m acts
+        after steps 0..m-1, M >= 1, and the axes after the first are rows
+        (noise realizations, say), each evolved on its own. h is read only
+        through h.shape and slices: time slices h[lo:hi], which must return
+        the real (hi - lo, R..., n, n) array of those steps, and, when states
+        are given, time and row slices h[lo:hi, r0:r1] over the first row
+        axis. An ndarray serves, and so does an object that assembles each
+        slice when it is asked for; a complex slice raises ValueError.
     states : optional (R..., n, k) columns, k of them per row.
     returns the final propagators U = exp(-i dt H_{M-1}) ... exp(-i dt H_0),
     shape (R..., n, n); with states, U states, shape (R..., n, k); with
@@ -487,26 +485,26 @@ def propagate(h, dt: float, *, cumulative: bool = False, states=None) -> np.ndar
     identity and whose index m is the propagator through the first m steps
     (states and cumulative=True together raise ValueError).
 
-    The row rule: a real stack of at least `_PAIR_ROWS` (32) rows, final
-    propagators or states, never builds its complex step stack, nor asks for
-    more than a piece of steps at a time, and reads each step of each row
-    once: it checks each matrix as `step_propagator` does, evaluates the same
-    cos/sin series and folds every step at once in real pairs. Operators
-    split the steps into `_BLOCKS` (8) time blocks (see `_fold_block`),
-    spread across the usable cores, whose products are then multiplied in
-    time order. States split the first row axis into one contiguous block
-    per usable core (one block when the stack fits in a piece), and each
-    block folds its rows' columns through all M steps in time order (see
-    `_fold_states`), which costs k columns per step instead of n and no
-    block products. Either result is fixed by M and the row's own matrices
-    alone, so it does not depend on the piece size, the core count or the
-    other rows; it differs from the step-by-step complex fold at roundoff
-    (a few 1e-15 on protocols of hundreds of steps). Every other stack,
-    among them every per-step call of the env, is read whole, h[0:M], and
-    is `step_propagator` followed by the complex fold, and then by the
-    product with the states when they are given.
+    The row rule reads the row count and cumulative only: a stack of at least
+    `_PAIR_ROWS` (32) rows, final propagators or states, never builds its
+    complex step stack, nor asks for more than a piece of steps at a time,
+    and reads each step of each row once: it checks each matrix as
+    `step_propagator` does, evaluates the same cos/sin series and folds every
+    step at once in real pairs. Operators split the steps into `_BLOCKS` (8)
+    time blocks (see `_fold_block`), spread across the usable cores, whose
+    products are then multiplied in time order. States split the first row
+    axis into one contiguous block per usable core (one block when the stack
+    fits in a piece), and each block folds its rows' columns through all M
+    steps in time order (see `_fold_states`), which costs k columns per step
+    instead of n and no block products. Either result is fixed by M and the
+    row's own matrices alone, so it does not depend on the piece size, the
+    core count or the other rows; it differs from the step-by-step complex
+    fold at roundoff (a few 1e-15 on protocols of hundreds of steps). Every
+    other stack, among them every per-step call of the env, is read whole,
+    h[0:M], and is `step_propagator` followed by the complex fold, and then
+    by the product with the states when they are given.
     """
-    if not hasattr(h, "dtype"):
+    if not hasattr(h, "shape"):
         h = np.asarray(h)
     _check_dt(dt)
     shape = h.shape
@@ -522,7 +520,7 @@ def propagate(h, dt: float, *, cumulative: bool = False, states=None) -> np.ndar
         if states.shape[:-1] != shape[1:-1]:
             raise ValueError(f"states of shape {states.shape} do not fit a stack of shape "
                              f"{shape}; need {shape[1:-1] + ('k',)}")
-    if cumulative or rows < _PAIR_ROWS or np.iscomplexobj(h):
+    if cumulative or rows < _PAIR_ROWS:
         steps = _step_propagators(np.asarray(h[0:m]).reshape((m, rows, n, n)), dt)
         if not cumulative:
             if rows == 1:

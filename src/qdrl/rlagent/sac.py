@@ -332,9 +332,12 @@ class SacAgent:
         `path` is a file name or an open binary file. If `expected_config`
         is given, its hash must match the one stored in the checkpoint. An
         empty or truncated archive, a checkpoint without its metadata or one
-        of its fields, one whose agent config is not a mapping or holds a key
-        SacConfig lacks, or one whose arrays are not exactly the agent's,
-        raises ValueError naming what is missing or unexpected.
+        of its fields, one whose metadata or agent config is not a mapping,
+        whose agent config holds a key SacConfig lacks, whose dims are not
+        positive ints, updates_done not a non-negative int (bools rejected
+        in both) or config_hash not a string, or one whose arrays are not
+        exactly the agent's, raises ValueError naming what is missing or
+        unexpected.
         """
         if isinstance(path, (str, os.PathLike)):
             # opened here: np.load leaves a file it opened to the garbage
@@ -353,6 +356,9 @@ class SacAgent:
             if "meta_json" not in data.files:
                 raise ValueError("checkpoint has no meta_json record")
             meta = json.loads(str(data["meta_json"][()]))
+            if not isinstance(meta, dict):
+                raise ValueError(f"checkpoint metadata is a {type(meta).__name__}, "
+                                 "not a mapping")
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise ValueError(
                     f"unsupported checkpoint version {meta.get('version')!r}; "
@@ -361,6 +367,14 @@ class SacAgent:
             absent = sorted(_META_FIELDS - meta.keys())
             if absent:
                 raise ValueError(f"checkpoint metadata lacks {absent}")
+            for field_name, least in (("obs_dim", 1), ("act_dim", 1), ("updates_done", 0)):
+                value = meta[field_name]
+                if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                    raise ValueError(f"checkpoint {field_name} must be an int of at least "
+                                     f"{least}, got {value!r}")
+            if not isinstance(meta["config_hash"], str):
+                raise ValueError(f"checkpoint config_hash must be a string, "
+                                 f"got {meta['config_hash']!r}")
             stored = meta["config"]
             if not isinstance(stored, dict):
                 raise ValueError(f"checkpoint agent config is a {type(stored).__name__}, "
@@ -376,7 +390,7 @@ class SacAgent:
                     f"{config_hash(expected_config)[:12]}...)"
                 )
             agent = cls(meta["obs_dim"], meta["act_dim"], stored, seed=seed)
-            agent.updates_done = int(meta["updates_done"])
+            agent.updates_done = meta["updates_done"]
             arrays = agent._named_arrays()
             missing = sorted(arrays.keys() - set(data.files))
             unexpected = sorted(set(data.files) - arrays.keys() - {"meta_json"})

@@ -232,8 +232,8 @@ class DeviceModel:
 class _HamiltonianStack:
     """The time-major stack (M, R..., n, n) of a model's Hamiltonians over
     detunings (M, R..., C) and gradient offsets (R..., G) or None, as
-    `qcore.propagate` reads it: shape, dtype, time slices stack[lo:hi] and
-    time and row slices stack[lo:hi, r0:r1], each assembled when it is asked
+    `qcore.propagate` reads it: shape, time slices stack[lo:hi] and time and
+    row slices stack[lo:hi, r0:r1], each a real array built when it is asked
     for. The rows' gradient term is taken once, when the stack is made, and
     each slice adds its rows of it to its coupler term. propagate asks for
     every step of every row once, so each Hamiltonian is built once.
@@ -242,7 +242,7 @@ class _HamiltonianStack:
     reference to it, not at the next cyclic garbage collection.
     """
 
-    __slots__ = ("_model", "_detunings", "_gradient_term", "shape", "dtype")
+    __slots__ = ("_model", "_detunings", "_gradient_term", "shape")
 
     def __init__(self, model: DeviceModel, detunings: np.ndarray, delta_b: np.ndarray | None):
         self._model = model
@@ -250,7 +250,6 @@ class _HamiltonianStack:
         # (R..., n * n), or (n * n,) shared by every row
         self._gradient_term = model._gradient_term(delta_b)
         self.shape = detunings.shape[:-1] + (model.sim_dim, model.sim_dim)
-        self.dtype = np.result_type(float, model._coupler_rows, model._gradient_rows)
 
     def __getitem__(self, key) -> np.ndarray:
         term = self._gradient_term

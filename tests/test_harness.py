@@ -124,6 +124,8 @@ class TestConfigSchema:
             config_from_dict(tiny_raw(seeds=[]))
         with pytest.raises(ConfigError):
             config_from_dict(tiny_raw(seeds=["a"]))
+        with pytest.raises(ConfigError, match="non-negative"):
+            config_from_dict(tiny_raw(seeds=[0, -1]))
         with pytest.raises(ConfigError):
             config_from_dict(tiny_raw(budget_episodes=-1))
         with pytest.raises(ConfigError):
@@ -1137,6 +1139,25 @@ class TestCli:
             assert cli_main([command, "--config", str(path), "--checkpoint", str(bad),
                              "--out", str(out)]) == 2
             assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exits_two_without_writing(self, outdir, where):
+        raw = tiny_raw(seeds=[-1]) if where == "config" else tiny_raw()
+        path = self._config_file(outdir, raw)
+        flags = ["--seed", "-1"] if where == "flag" else []
+        out = outdir / "negative"
+        assert cli_main(["train", "--config", str(path), "--out", str(out), *flags]) == 2
+        assert not out.exists()
+
+    def test_negative_noise_seed_exits_two_without_writing(self, outdir, trained):
+        _, ckpt = trained
+        path = self._config_file(outdir, tiny_raw())
+        out = outdir / "negative"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["export-protocol", "--config", str(path), "--checkpoint", str(ckpt),
+                      "--noise-seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_budget_and_seed_overrides(self, outdir):
         path = self._config_file(outdir, tiny_raw())

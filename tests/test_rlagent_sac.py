@@ -681,6 +681,26 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=match):
             SacAgent.load(path)
 
+    @pytest.mark.parametrize("change, match", [
+        (lambda meta: [meta], "metadata is a list, not a mapping"),
+        (lambda meta: {**meta, "obs_dim": 1.5}, "obs_dim must be an int"),
+        (lambda meta: {**meta, "obs_dim": "4"}, "obs_dim must be an int"),
+        (lambda meta: {**meta, "act_dim": True}, "act_dim must be an int"),
+        (lambda meta: {**meta, "updates_done": None}, "updates_done must be an int"),
+        (lambda meta: {**meta, "config_hash": 5}, "config_hash must be a string"),
+    ], ids=["list", "float_obs_dim", "string_obs_dim", "bool_act_dim", "null_updates_done",
+            "int_config_hash"])
+    def test_malformed_metadata_named(self, tmp_path, change, match):
+        _, path = self._trained_agent(tmp_path)
+
+        def on_meta(arrays):
+            meta = json.loads(str(arrays["meta_json"][()]))
+            arrays["meta_json"] = np.array(json.dumps(change(meta)))
+
+        self._rewrite(path, on_meta)
+        with pytest.raises(ValueError, match=match):
+            SacAgent.load(path, expected_config=SacConfig(**SMALL))
+
     def test_unexpected_array_named(self, tmp_path):
         _, path = self._trained_agent(tmp_path)
         self._rewrite(path, lambda arrays: arrays.update({"critic2.0": arrays["critic1.0"]}))

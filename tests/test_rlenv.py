@@ -495,7 +495,7 @@ class TestHamiltonianStack:
         delta_b = delta_b if offsets else None
         stack = _HamiltonianStack(model, dets, delta_b)
         built = model.hamiltonians(dets, delta_b)
-        assert stack.shape == built.shape and stack.dtype == built.dtype
+        assert stack.shape == built.shape
         np.testing.assert_array_equal(propagate(stack, 0.1, cumulative=cumulative),
                                       propagate(built, 0.1, cumulative=cumulative))
 
