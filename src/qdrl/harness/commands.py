@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from ..pulse import ImpulseKernel
-from ..qcore import evolve_serially
 from ..rlagent import SacAgent, evaluate_policy, play_policy, train_loop
 from ..rlenv import TAIL_SEGMENTS, DeviceModel, GateSynthesisEnv
 from ..seeding import named_stream
@@ -208,8 +207,8 @@ def cmd_sweep(config: ExperimentConfig, workers: int = 1) -> dict:
 
     Cell k is the config with one value per axis, trained by cmd_train over
     every seed into <output_dir>/cell<k>. Every cell is validated before any
-    runs. With workers > 1 the cells run in that many processes, each of
-    which evolves its stacks on one thread.
+    runs. With workers > 1 the cells run in that many pool processes, and
+    qcore evolves the stacks of each on one thread.
     """
     axes = config.section("sweep")["axes"]
     if not axes:
@@ -225,7 +224,7 @@ def cmd_sweep(config: ExperimentConfig, workers: int = 1) -> dict:
         configs.append(config_from_dict(raw))
     out = _ensure_dir(config.output_dir)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=evolve_serially) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_train_cell, configs))
     else:
         cells = [_train_cell(cell_config) for cell_config in configs]

@@ -253,9 +253,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping and construct the experiment objects."""
     resolved = _resolve(raw)
     seeds = resolved["seeds"]
-    if not seeds or min(seeds) < 0:
-        raise ConfigError(f"seeds must be a non-empty list of non-negative integers, "
-                          f"got {seeds!r}")
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must be a non-empty list of distinct non-negative "
+                          f"integers, got {seeds!r}")
     budget = resolved["budget_episodes"]
     if budget < 0:
         raise ConfigError(f"budget_episodes must be a non-negative integer, got {budget!r}")

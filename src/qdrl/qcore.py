@@ -41,9 +41,10 @@ Large stacks (the Monte Carlo rewards evolve tens of thousands of step
 matrices at once) are split into pieces of 1024 matrices, and the pieces run
 across the cores this process may use, on a thread pool opened for the call
 and closed when it returns; a piece is checked and evolved in one task, and
-is read once. There is nothing to set: the piece size is fixed, the core
-count is read from the process's affinity mask, and with one usable core the
-pieces run in turn.
+is read once. There is nothing to set: the piece size is fixed, and the
+usable cores are those of the process's affinity mask, or one in a process
+that `multiprocessing` started, whose siblings share the cores; with one
+usable core the pieces run in turn.
 
 `propagate` multiplies the steps of a time-major stack (M, R, n, n), M steps
 of R rows, into the R final propagators U, or, given states (R, n, k),
@@ -72,6 +73,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -85,7 +87,6 @@ __all__ = [
     "exchange_coupling",
     "sector_hamiltonian",
     "step_propagator",
-    "evolve_serially",
     "propagate",
     "computational_block",
     "gate_fidelity",
@@ -197,23 +198,14 @@ def sector_hamiltonian(j_couplings: np.ndarray, gradient_term: np.ndarray,
 # to this size, which covers every per-step call, are evolved whole.
 _PIECE = 1024
 
-_serial = False
-
 
 def _usable_cores() -> int:
-    """Threads to spread the pieces of one stack over; 1 runs them in turn."""
-    return 1 if _serial else len(os.sched_getaffinity(0))
-
-
-def evolve_serially() -> None:
-    """Run every piece of every stack on the calling thread in this process.
-
-    For worker processes that already share the cores with their siblings,
-    such as the `qdrl sweep --workers N` pool, where more threads per process
-    would only oversubscribe them.
-    """
-    global _serial
-    _serial = True
+    """Threads to spread the pieces of one stack over, 1 to run them in turn:
+    1 in a process that `multiprocessing` started (a `qdrl sweep` worker,
+    say), whose siblings share the cores, else the affinity mask's size. The
+    module is looked up, not imported: a process without it was not so started."""
+    mp = sys.modules.get("multiprocessing")
+    return 1 if mp and mp.parent_process() else len(os.sched_getaffinity(0))
 
 
 def _workers(matrices: int) -> int:

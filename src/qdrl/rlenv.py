@@ -73,6 +73,7 @@ from .pulse import ImpulseKernel, convolve, delta_kernel, oversample
 from .qcore import (
     DEFAULT_NLIF_CAP,
     COMP_INDICES,
+    HERMITICITY_TOL,
     DeviceParams,
     _coupler_matrices,
     _gradient_matrices,
@@ -125,15 +126,23 @@ class RewardMode(enum.Enum):
 _SIGMAS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _frozen(table, dtype=None) -> np.ndarray:
-    table = np.array(table, dtype=dtype)
+def _table(name: str, table, shape: tuple) -> np.ndarray:
+    """A read-only float copy of a device table, checked: real, of the given
+    shape, finite, and each (n, n) matrix in it symmetric within the
+    tolerance qcore holds each Hamiltonian to; else ValueError naming it."""
+    if np.iscomplexobj(table):
+        raise ValueError(f"{name} must be real, got complex entries")
+    table = np.array(table, dtype=float)
+    if table.shape != shape:
+        raise ValueError(f"{name} has shape {table.shape}, need {shape}")
+    if not np.isfinite(table).all():
+        raise ValueError(f"{name} holds a non-finite entry")
+    if table.ndim == 3:  # qcore's test of each H: |h_ij - h_ji| <= tol ||h||_1
+        dev = np.abs(table - table.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+        if np.any(dev > HERMITICITY_TOL * np.abs(table).sum(axis=1).max(axis=1, initial=0.0)):
+            raise ValueError(f"{name} must be symmetric, deviation {dev.max():.3e}")
     table.setflags(write=False)
     return table
-
-
-# the four-dot device's coupler and gradient matrices, built once for every
-# two-qubit model
-_FOUR_DOT_TABLES = (_frozen(_coupler_matrices()), _frozen(_gradient_matrices()))
 
 
 def _logical_pauli_table(dim: int, block_indices: tuple) -> np.ndarray:
@@ -158,26 +167,28 @@ class DeviceModel:
     one field gradient each, and gradients (G,) are the static gradients in
     units of j0; the exchange map and detuning bounds come from params. The
     computational states sit at block_indices, labelled by their bits, and
-    the logical Paulis acting there give the Bloch vectors.
+    the logical Paulis acting there give the Bloch vectors. The tables are
+    checked when the model is built, not at its first step.
     """
 
     def __init__(self, params: DeviceParams, couplers, gradient_ops, gradients,
                  block_indices: tuple, labels: tuple, default_target: np.ndarray):
         self.params = params
-        self.n_channels, self.sim_dim, _ = np.shape(couplers)
-        self.n_gradients = len(gradient_ops)
-        self.gradients = _frozen(gradients, dtype=float)
+        shape = np.shape(couplers)
+        self.n_channels, self.sim_dim = c, n = (shape[0], shape[-1]) if shape else (0, 0)
+        self.n_gradients = g = len(gradient_ops) if np.ndim(gradient_ops) else 0
+        self.gradients = _table("gradients", gradients, (g,))
         self.block_indices = block_indices
         self.labels = labels
         self.default_target = default_target
         # one flattened matrix per row: j @ rows is H reshaped to (..., n * n)
-        self._coupler_rows = _frozen(np.reshape(couplers, (self.n_channels, -1)))
-        self._gradient_rows = _frozen(np.reshape(gradient_ops, (self.n_gradients, -1)))
+        self._coupler_rows = _table("couplers", couplers, (c, n, n)).reshape((c, -1))
+        self._gradient_rows = _table("gradient_ops", gradient_ops, (g, n, n)).reshape((g, -1))
 
     @classmethod
     def two_qubit(cls, params: DeviceParams) -> "DeviceModel":
         """The four-dot device: 6-dim sector, 4-dim computational block, 3 channels."""
-        return cls(params, *_FOUR_DOT_TABLES, params.gradients,
+        return cls(params, _coupler_matrices(), _gradient_matrices(), params.gradients,
                    COMP_INDICES, ("00", "01", "10", "11"), cnot_target())
 
     @classmethod
@@ -231,12 +242,11 @@ class DeviceModel:
 
 class _HamiltonianStack:
     """The time-major stack (M, R..., n, n) of a model's Hamiltonians over
-    detunings (M, R..., C) and gradient offsets (R..., G) or None, as
-    `qcore.propagate` reads it: shape, time slices stack[lo:hi] and time and
-    row slices stack[lo:hi, r0:r1], each a real array built when it is asked
-    for. The rows' gradient term is taken once, when the stack is made, and
-    each slice adds its rows of it to its coupler term. propagate asks for
-    every step of every row once, so each Hamiltonian is built once.
+    detunings (M, R..., C) and the rows' `DeviceModel._gradient_term`
+    (R..., n * n), or (n * n,) for every row, as `qcore.propagate` reads it:
+    shape, time slices stack[lo:hi] and time and row slices stack[lo:hi,
+    r0:r1], each a real array built when it is asked for. propagate asks
+    for every step of every row once, so each Hamiltonian is built once.
 
     A plain object with no reference cycles: its detunings go with the last
     reference to it, not at the next cyclic garbage collection.
@@ -244,11 +254,8 @@ class _HamiltonianStack:
 
     __slots__ = ("_model", "_detunings", "_gradient_term", "shape")
 
-    def __init__(self, model: DeviceModel, detunings: np.ndarray, delta_b: np.ndarray | None):
-        self._model = model
-        self._detunings = detunings
-        # (R..., n * n), or (n * n,) shared by every row
-        self._gradient_term = model._gradient_term(delta_b)
+    def __init__(self, model: DeviceModel, detunings: np.ndarray, gradient_term: np.ndarray):
+        self._model, self._detunings, self._gradient_term = model, detunings, gradient_term
         self.shape = detunings.shape[:-1] + (model.sim_dim, model.sim_dim)
 
     def __getitem__(self, key) -> np.ndarray:
@@ -402,7 +409,7 @@ class GateSynthesisEnv:
         self._table = np.full((cfg.n_segments, self.n_channels), self.model.params.eps_min)
         self._normalized = np.zeros((cfg.n_actions, self.n_channels))
         self._k = 0
-        self._realization = None
+        self._realization = z = None
         if self._track_noisy:
             z = self._sample_noise(1)
             if self.config.observation_mode is ObservationMode.U_NOISEFREE_PLUS_PULSE:
@@ -411,8 +418,10 @@ class GateSynthesisEnv:
                     np.concatenate([x, np.zeros_like(x)]) for x in (z.delta_b, z.delta_eps, z.fast)
                 ))
             self._realization = z
+        # the tracked rows' gradient term, for every step's stack
+        self._term = self.model._gradient_term(None if z is None else z.delta_b)
         # one evolution per realization row; row 0 is the episode's actual one
-        rows = 1 if self._realization is None else len(self._realization.delta_b)
+        rows = 1 if z is None else len(z.delta_b)
         self._u = np.tile(np.eye(self.model.sim_dim, dtype=complex), (rows, 1, 1))
         return self._observe()
 
@@ -443,7 +452,8 @@ class GateSynthesisEnv:
         lo = k * n
         first = max(0, lo - (self.kernel.samples.size - 1)) // n
         shaped = self._shaped(self._table[first:] if terminal else self._table[first : k + 1])
-        self._u = self._evolve(shaped[lo - first * n :], self._realization, lo) @ self._u
+        self._u = self._evolve(shaped[lo - first * n :], self._realization, lo,
+                               term=self._term) @ self._u
         # row 0's block, taken once: the info scores it, the observation
         # reads it, and a sparse terminal reward is its NLIF
         block = computational_block(self._u[0], self.model.block_indices)
@@ -521,30 +531,28 @@ class GateSynthesisEnv:
     def _evolve(
         self, dets: np.ndarray, z: NoiseRealization | None = None, lo: int = 0,
         cumulative: bool = False, states: np.ndarray | None = None,
+        term: np.ndarray | None = None,
     ) -> np.ndarray:
         """Propagators through detuning substeps (M, C), one per realization row.
 
         Row r adds realization r's offsets to dets, its fast trace read from
-        substep lo on; without a realization the one row is noise-free.
+        substep lo on; without a realization the one row is noise-free. The
+        rows' gradient term is taken here unless a step passes reset's term.
         Returns (rows, dim, dim), or (M + 1, rows, dim, dim) if cumulative,
         or, given states (rows, dim, k), each row's propagator applied to its
         states, (rows, dim, k).
 
-        `propagate` gets the time-major Hamiltonian stack (M, rows, dim, dim)
-        as a `_HamiltonianStack`, which holds only the (M, rows, C)
-        detunings and the rows' gradient term and assembles the slices
-        propagate asks for: a Monte Carlo chunk of many rows is assembled one
-        piece of steps (and, for states, of rows) at a time, each piece once
-        and the whole stack never, while few rows and cumulative products
-        take the whole stack in one slice.
+        `propagate` gets the time-major Hamiltonian stack as a
+        `_HamiltonianStack` over the (M, rows, C) detunings and the rows'
+        gradient term, so a Monte Carlo chunk is assembled one piece at a
+        time, each piece once, and never whole.
         """
         dets = dets[:, None]
-        if z is None:
-            delta_b = None
-        else:
+        if z is not None:
             dets = dets + z.delta_eps + z.fast[:, lo : lo + len(dets)].swapaxes(0, 1)
-            delta_b = z.delta_b
-        return propagate(_HamiltonianStack(self.model, dets, delta_b), self.config.dt,
+        if term is None:
+            term = self.model._gradient_term(None if z is None else z.delta_b)
+        return propagate(_HamiltonianStack(self.model, dets, term), self.config.dt,
                          cumulative=cumulative, states=states)
 
     def _sample_noise(self, count: int) -> NoiseRealization:

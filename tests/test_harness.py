@@ -124,8 +124,9 @@ class TestConfigSchema:
             config_from_dict(tiny_raw(seeds=[]))
         with pytest.raises(ConfigError):
             config_from_dict(tiny_raw(seeds=["a"]))
-        with pytest.raises(ConfigError, match="non-negative"):
-            config_from_dict(tiny_raw(seeds=[0, -1]))
+        for seeds in ([0, -1], [0, 0]):
+            with pytest.raises(ConfigError, match="distinct non-negative"):
+                config_from_dict(tiny_raw(seeds=seeds))
         with pytest.raises(ConfigError):
             config_from_dict(tiny_raw(budget_episodes=-1))
         with pytest.raises(ConfigError):
@@ -735,19 +736,24 @@ class TestSweepCommand:
             assert len(log) == 1 and all(records_equal(x, y) for x, y in zip(log, again))
 
     def test_worker_processes_evolve_serially(self, outdir, monkeypatch):
-        # each worker shares the cores with its siblings: qcore runs it on one
-        options = {}
+        # each worker shares the cores with its siblings: qcore runs it on
+        # one, with nothing set in the worker
+        options, cores = {}, []
 
         class Recording(ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 options.update(kwargs)
                 super().__init__(*args, **kwargs)
 
+            def map(self, *args, **kwargs):
+                cores.extend(self.submit(qcore._usable_cores).result() for _ in range(2))
+                return super().map(*args, **kwargs)
+
         monkeypatch.setattr("qdrl.harness.commands.ProcessPoolExecutor", Recording)
         cfg = config_from_dict(tiny_raw(sweep={"axes": {"env.n_segments": [8, 9]}},
                                         budget_episodes=0, output_dir="s3"))
         cmd_sweep(cfg, workers=2)
-        assert options["initializer"] is qcore.evolve_serially
+        assert options == {"max_workers": 2} and cores == [1, 1]
 
 
 class TestExportProtocol:
@@ -1146,6 +1152,16 @@ class TestCli:
         path = self._config_file(outdir, raw)
         flags = ["--seed", "-1"] if where == "flag" else []
         out = outdir / "negative"
+        assert cli_main(["train", "--config", str(path), "--out", str(out), *flags]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_duplicate_seeds_exit_two_without_writing(self, outdir, where):
+        # seed 0 twice would train into one log and checkpoint twice over
+        raw = tiny_raw(seeds=[0, 0]) if where == "config" else tiny_raw()
+        path = self._config_file(outdir, raw)
+        flags = ["--seed", "0", "0"] if where == "flag" else []
+        out = outdir / "duplicate"
         assert cli_main(["train", "--config", str(path), "--out", str(out), *flags]) == 2
         assert not out.exists()
 

@@ -493,7 +493,7 @@ class TestHamiltonianStack:
         model = DeviceModel.two_qubit(DeviceParams())
         dets, delta_b = noisy_detunings(rows, seed=rows)
         delta_b = delta_b if offsets else None
-        stack = _HamiltonianStack(model, dets, delta_b)
+        stack = _HamiltonianStack(model, dets, model._gradient_term(delta_b))
         built = model.hamiltonians(dets, delta_b)
         assert stack.shape == built.shape
         np.testing.assert_array_equal(propagate(stack, 0.1, cumulative=cumulative),
@@ -507,7 +507,7 @@ class TestHamiltonianStack:
         monkeypatch.setattr(qcore, "_PIECE", piece)
         monkeypatch.setattr(qcore, "_usable_cores", lambda: cores)
         np.testing.assert_array_equal(
-            propagate(_HamiltonianStack(model, dets, delta_b), 0.1), built)
+            propagate(_HamiltonianStack(model, dets, model._gradient_term(delta_b)), 0.1), built)
 
     @pytest.mark.parametrize("states", [False, True])
     def test_concurrent_callers_get_the_built_stack_bits(self, monkeypatch, states):
@@ -523,7 +523,8 @@ class TestHamiltonianStack:
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(6) as callers:
-                futures = [callers.submit(propagate, _HamiltonianStack(model, dets, delta_b), 0.1,
+                term = model._gradient_term(delta_b)
+                futures = [callers.submit(propagate, _HamiltonianStack(model, dets, term), 0.1,
                                           states=columns)
                            for _ in range(6)]
                 results = [f.result(timeout=120) for f in futures]
@@ -550,7 +551,8 @@ class TestHamiltonianStack:
 
     def test_only_time_slices(self):
         model = DeviceModel.two_qubit(DeviceParams())
-        stack = _HamiltonianStack(model, *noisy_detunings(2))
+        dets, delta_b = noisy_detunings(2)
+        stack = _HamiltonianStack(model, dets, model._gradient_term(delta_b))
         for key in ((slice(None), 0), 0, (slice(0, 2),), (slice(0, 2), slice(0, 1), slice(None))):
             with pytest.raises(TypeError, match="time slices"):
                 stack[key]
@@ -570,19 +572,21 @@ class TestHamiltonianStack:
         dets, delta_b = noisy_detunings(100, seed=9)
         delta_b = delta_b if offsets else None
         built = model.hamiltonians(dets, delta_b)
-        stack = _HamiltonianStack(model, dets, delta_b)
+        stack = _HamiltonianStack(model, dets, model._gradient_term(delta_b))
         for steps, rows in [(slice(0, 240), slice(0, 100)), (slice(3, 7), slice(50, 100)),
                             (slice(239, 240), slice(17, 18)), (slice(10, 40), slice(0, 33))]:
             np.testing.assert_array_equal(stack[steps, rows], built[steps, rows])
 
     @pytest.mark.parametrize("states", [False, True])
     def test_gradient_term_taken_once_per_stack(self, monkeypatch, states):
-        # every slice adds the rows' static gradient term, taken when the
-        # stack is made, and assembles through rlenv's sector_hamiltonian
+        # every slice adds its rows of the static gradient term the stack
+        # was given, which the stack never takes again, and assembles
+        # through rlenv's sector_hamiltonian
         model = DeviceModel.two_qubit(DeviceParams())
         dets, delta_b = noisy_detunings(100, seed=10)
         columns = np.eye(6)[None, :, :1].repeat(100, axis=0) if states else None
         built = propagate(model.hamiltonians(dets, delta_b), 0.1, states=columns)
+        term = model._gradient_term(delta_b)
         terms, slices = [], []
         gradient_term = model._gradient_term
         assemble = rlenv.sector_hamiltonian
@@ -598,9 +602,29 @@ class TestHamiltonianStack:
         monkeypatch.setattr(model, "_gradient_term", counted_term)
         monkeypatch.setattr(rlenv, "sector_hamiltonian", counted_assemble)
         monkeypatch.setattr(qcore, "_PIECE", 1000)
-        got = propagate(_HamiltonianStack(model, dets, delta_b), 0.1, states=columns)
+        got = propagate(_HamiltonianStack(model, dets, term), 0.1, states=columns)
         np.testing.assert_array_equal(got, built)
-        assert len(terms) == 1 and len(slices) >= 24
+        assert terms == [] and len(slices) >= 24
+        assert all(np.shares_memory(args[1], term) for args in slices)
+
+    @pytest.mark.parametrize("reward, chunks", [(RewardMode.SPARSE, 0),
+                                                (RewardMode.ROBUST_AVG, 2)])
+    def test_an_episode_takes_each_gradient_term_once(self, monkeypatch, reward, chunks):
+        # reset takes the tracked row's term, which every step's stack reads;
+        # a Monte Carlo reward takes one per chunk of at most 512 rows
+        cfg = EnvConfig(**QUIET, noise=NoiseConfig(), reward_mode=reward, n_realizations=600)
+        env = GateSynthesisEnv(cfg, seed=29)
+        acts = random_actions(env, seed=29)
+        calls = []
+        gradient_term = env.model._gradient_term
+
+        def counted_term(delta_b):
+            calls.append(None if delta_b is None else len(delta_b))
+            return gradient_term(delta_b)
+
+        monkeypatch.setattr(env.model, "_gradient_term", counted_term)
+        env.rollout(acts, seed=29)
+        assert calls == [1] + [512, 88][:chunks]
 
     def test_a_reward_chunk_never_holds_its_hamiltonian_stack(self, monkeypatch):
         # one 512-row chunk on a 240-substep grid, on one core; its whole
@@ -1002,3 +1026,49 @@ class TestSingleQubit:
         clean = one_qubit_env(seed=3).rollout(acts, seed=3).reward
         assert r1 != r2
         assert r1 != clean
+
+
+_SX, _SY, _SZ = (np.array(s) / 2.0 for s in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                                                [[1, 0], [0, -1]]))
+
+
+def one_qubit_model(couplers=(_SZ,), gradient_ops=(_SX,), gradients=(1.0,)) -> DeviceModel:
+    """A one-qubit model built from the given tables."""
+    return DeviceModel(DeviceParams(), couplers, gradient_ops, gradients,
+                       (0, 1), ("0", "1"), phase_gate_target())
+
+
+class TestDeviceTables:
+    """A model checks its tables when it is built, not at its first step."""
+
+    @pytest.mark.parametrize("table, value, message", [
+        ("couplers", [_SY], "couplers must be real"),
+        ("gradient_ops", [1j * _SX], "gradient_ops must be real"),
+        ("gradients", [1.0 + 0.5j], "gradients must be real"),
+        ("couplers", [[[np.nan, 0.0], [0.0, 1.0]]], "couplers holds a non-finite"),
+        ("gradient_ops", [[[0.0, np.inf], [np.inf, 0.0]]], "gradient_ops holds a non-finite"),
+        ("gradients", [np.nan], "gradients holds a non-finite"),
+        ("couplers", _SZ, r"couplers has shape \(2, 2\), need \(2, 2, 2\)"),
+        ("couplers", [np.zeros((2, 3))], r"couplers has shape \(1, 2, 3\)"),
+        ("gradient_ops", [np.eye(3)], r"gradient_ops has shape \(1, 3, 3\), need \(1, 2, 2\)"),
+        ("gradients", [1.0, 2.0], r"gradients has shape \(2,\), need \(1,\)"),
+        ("couplers", [[[0.0, 1.0], [0.67, 0.0]]], "couplers must be symmetric"),
+        ("gradient_ops", [[[1.0, 1e-9], [0.0, -1.0]]], "gradient_ops must be symmetric"),
+    ])
+    def test_bad_tables_raise_naming_the_table(self, table, value, message):
+        with pytest.raises(ValueError, match=message):
+            one_qubit_model(**{table: value})
+
+    def test_symmetric_within_qcores_tolerance_builds_and_steps(self):
+        coupler = _SZ.copy()
+        coupler[0, 1] = 1e-13  # 2e-13 of ||coupler||_1 = 0.5, qcore's bound is 1e-12
+        env = GateSynthesisEnv(EnvConfig(**QUIET, model=one_qubit_model([coupler])), seed=0)
+        assert np.isfinite(env.step([0.3]).info["nlif"])
+
+    def test_tables_are_read_only_copies(self):
+        coupler = _SZ.copy()
+        model = one_qubit_model([coupler])
+        coupler[0, 0] = 5.0
+        np.testing.assert_array_equal(model.hamiltonians(np.zeros(1)),
+                                      one_qubit_model().hamiltonians(np.zeros(1)))
+        assert not model.gradients.flags.writeable
