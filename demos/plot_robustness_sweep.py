@@ -69,8 +69,8 @@ def show(result):
 
 # ----------------------------------------------------------------------
 # Noise mode: multiply one contribution at a time. The table below is the
-# mean infidelity of the replayed protocol; the last column scales all three
-# contributions together.
+# mean infidelity of the protocol under fresh realizations; the last column
+# scales all three contributions together.
 
 result = cmd_scale_sweep(sweep_config("noise"), protocol_path)
 print(f"\nnoise mode (noise-free infidelity {result['noise_free_infidelity']:.4e}):")

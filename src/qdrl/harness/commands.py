@@ -146,12 +146,12 @@ def _percentiles(values: np.ndarray) -> dict:
 def cmd_evaluate(config: ExperimentConfig, checkpoint: Path) -> dict:
     """Deterministic-policy evaluation in dynamic and frozen modes.
 
-    Dynamic re-queries the policy every step under fresh noise; frozen replays
-    one pulse table, taken from a noise-free rollout of the policy, under
-    fresh noise too. Both play on one env stream, and every episode, played
-    or replayed, resets onto the stream's next draw: dynamic episode k and
-    frozen replay k see different noise realizations, so the two columns are
-    independent samples, not pairs.
+    Dynamic re-queries the policy every step under fresh noise; frozen scores
+    one pulse table, from a noise-free rollout of the policy, under fresh
+    noise too. Both draw on one env stream: first the dynamic episodes, each
+    reset onto its next draw, then one rollout of the frozen table and
+    `episodes` realizations of it in one stack. Record k holds dynamic
+    episode k and frozen realization k: independent samples, not pairs.
     """
     episodes = config.resolved["evaluate"]["episodes"]
     seed = config.seeds[0]
@@ -161,30 +161,22 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: Path) -> dict:
 
     # Frozen table: one noise-free closed-loop rollout of the deterministic policy.
     play_policy(clean_env, agent, seed)
-    frozen_actions = clean_env.actions_normalized
 
     env = config.make_env(seed, reward_mode="sparse")
     env.reset(seed)
-    dynamic, frozen = [], []
-    records = []
-    for k in range(episodes):
-        _, info = play_policy(env, agent)
-        dynamic.append(info["nlif"])
-        frozen.append(env.rollout(frozen_actions).info["nlif"])
-        records.append({"episode": k, "seed": seed, "return": dynamic[-1], "nlif": dynamic[-1],
-                        "leakage": info["leakage"], "wall_time_ms": 0.0,
-                        "config_hash": config.hash, "frozen_nlif": frozen[-1]})
-    write_records(out / "evaluate.jsonl", records)
+    infos = [play_policy(env, agent)[1] for _ in range(episodes)]
+    env.rollout(clean_env.actions_normalized)
+    frozen = env.realization_nlifs(episodes)
+    write_records(out / "evaluate.jsonl", [
+        {"episode": k, "seed": seed, "return": info["nlif"], "nlif": info["nlif"],
+         "leakage": info["leakage"], "wall_time_ms": 0.0, "config_hash": config.hash,
+         "frozen_nlif": float(frozen[k])} for k, info in enumerate(infos)])
 
-    dynamic, frozen = np.array(dynamic), np.array(frozen)
-    summary = {
-        "config_hash": config.hash,
-        "episodes": episodes,
-        "dynamic_nlif": _percentiles(dynamic),
-        "frozen_nlif": _percentiles(frozen),
-        "dynamic_infidelity_mean": float(np.mean(10.0 ** -dynamic)),
-        "frozen_infidelity_mean": float(np.mean(10.0 ** -frozen)),
-    }
+    dynamic = np.array([info["nlif"] for info in infos])
+    summary = {"config_hash": config.hash, "episodes": episodes}
+    for mode, nlifs in (("dynamic", dynamic), ("frozen", frozen)):
+        summary.update({f"{mode}_nlif": _percentiles(nlifs),
+                        f"{mode}_infidelity_mean": float(np.mean(10.0 ** -nlifs))})
     _write_json(out / "evaluate_summary.json", summary)
     return summary
 
@@ -271,13 +263,19 @@ def protocol_to_actions(detunings: np.ndarray, config: ExperimentConfig) -> np.n
 def _read_table(config: ExperimentConfig, protocol_path) -> tuple[np.ndarray, np.ndarray]:
     """The protocol table at protocol_path (device units) and its actions.
 
-    A table that cannot be read or parsed, or that does not fit the
-    configured env, raises ConfigError.
+    A table that cannot be read or parsed, that does not fit the configured
+    env, or whose sample_period_ns header, when it has one, is not the env's
+    segment length (within 1e-9 relative) raises ConfigError.
     """
     try:
-        detunings, _ = read_protocol(protocol_path)
+        detunings, meta = read_protocol(protocol_path)
     except (OSError, ValueError) as err:
         raise ConfigError(f"unreadable protocol table {protocol_path}: {err}") from err
+    wanted = config.env.sample_period
+    period = meta.get("sample_period_ns", wanted)
+    if not (isinstance(period, float) and abs(period - wanted) <= 1e-9 * wanted):
+        raise ConfigError(f"protocol table {protocol_path} holds segments of {period} ns, "
+                          f"the configured env needs {wanted} ns")
     return detunings, protocol_to_actions(detunings, config)
 
 
@@ -360,9 +358,8 @@ def cmd_scale_sweep(config: ExperimentConfig, protocol_path: Path) -> dict:
         row = {"scale": k}
         for name, changes in changes_of.items():
             env = config.make_env(seed, reward_mode="sparse", **changes)
-            env.reset(seed)
-            nlifs = np.array([env.rollout(actions).info["nlif"] for _ in range(realizations)])
-            row[name] = float(np.mean(10.0 ** -nlifs))
+            env.rollout(actions, seed)
+            row[name] = float(np.mean(10.0 ** -env.realization_nlifs(realizations)))
         rows.append(row)
 
     curves = list(_AMPLITUDE) + ["all"]

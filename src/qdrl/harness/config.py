@@ -246,6 +246,7 @@ _LEAST = {
     ("train", "n_eval_episodes"): 1,
     ("evaluate", "episodes"): 1,
     ("scale_sweep", "realizations"): 1,
+    ("tomo", "trials"): 1,
 }
 
 

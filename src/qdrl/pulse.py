@@ -134,8 +134,9 @@ def gaussian_kernel(mean_delay: float, stddev: float, dt: float) -> ImpulseKerne
     starts at t = 0 and its delay is mean_delay. A tiny stddev leaves a
     single nonzero sample, a discrete delta in the bin nearest mean_delay.
     """
-    if stddev < 0:
-        raise ValueError(f"stddev must be non-negative, got {stddev}")
+    for name, value in (("mean_delay", mean_delay), ("stddev", stddev)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     lo = max(0.0, mean_delay - 5.0 * stddev)

@@ -513,6 +513,15 @@ class GateSynthesisEnv:
         of the full protocol, (n_substeps + 1, dim, dim); only once done."""
         return self._evolve(self.shaped_detunings(), cumulative=True)[:, 0]
 
+    def realization_nlifs(self, count: int) -> np.ndarray:
+        """NLIFs (count,) of the finished table under `count` fresh noise
+        realizations, drawn alike whatever the table; without noise, `count`
+        copies of the episode's own NLIF."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        self._require_done()
+        return nlif(self._noisy_final_blocks(count), self.target, self.config.nlif_cap)
+
     def _require_done(self) -> None:
         if not self.done:
             raise RuntimeError("episode still running; the pulse table is incomplete")
@@ -613,7 +622,7 @@ class GateSynthesisEnv:
         if mode is RewardMode.SPARSE:
             return final_nlif
         if mode in (RewardMode.ROBUST_AVG, RewardMode.GAUSS_SURROGATE):
-            blocks = np.concatenate(list(self._noisy_final_blocks(self.config.n_realizations)))
+            blocks = self._noisy_final_blocks(self.config.n_realizations)
             if mode is RewardMode.GAUSS_SURROGATE:
                 blocks = tomography.gaussian_surrogate(blocks, self.config.sigma, self._rng)
             return float(np.mean(nlif(blocks, self.target, self.config.nlif_cap)))
@@ -630,15 +639,14 @@ class GateSynthesisEnv:
         for start in range(0, count, _REWARD_CHUNK):
             yield shaped, self._sample_noise(min(_REWARD_CHUNK, count - start))
 
-    def _noisy_final_blocks(self, count: int) -> Iterator[np.ndarray]:
-        """Computational blocks of `count` fresh-noise evolutions, yielded in
-        chunks of at most `_REWARD_CHUNK`, (chunk, d, d) each."""
+    def _noisy_final_blocks(self, count: int) -> np.ndarray:
+        """Computational blocks (count, d, d) of `count` fresh-noise evolutions,
+        in chunks of `_REWARD_CHUNK`; without noise, the episode's own, repeated."""
+        idx = self.model.block_indices
         if self._noise is None:
-            block = computational_block(self._u[0], self.model.block_indices)
-            yield np.broadcast_to(block, (count,) + block.shape)
-            return
-        for shaped, z in self._noise_chunks(count):
-            yield computational_block(self._evolve(shaped, z), self.model.block_indices)
+            return np.repeat(computational_block(self._u[0], idx)[None], count, axis=0)
+        return np.concatenate([computational_block(self._evolve(shaped, z), idx)
+                               for shaped, z in self._noise_chunks(count)])
 
     def _sample_protocol_snapshots(self, n_shots: int) -> np.ndarray:
         """The (d, 2d + 1) count table of n_shots snapshots of the protocol;

@@ -310,6 +310,21 @@ class TestTomographicRewardConsistency:
         assert res.info["leakage"] < 1e-6
         assert res.info["nlif"] == pytest.approx(meta["terminal_nlif"], abs=1e-9)
 
+    def test_stacked_and_replayed_noisy_means_agree(self):
+        # 300 realizations in one stack on seed 45 against 300 sequential
+        # noisy rollouts on seed 46: the mean infidelities lie within 4
+        # standard errors (~0.003 each), and the noise-free one (0.049) does not
+        actions, _ = self._actions()
+        env = self._env("sparse", 45, noise=NoiseConfig())
+        env.rollout(actions, 45)
+        stacked = 10.0 ** -env.realization_nlifs(300)
+        env.reset(46)
+        replayed = 10.0 ** -np.array([env.rollout(actions).info["nlif"] for _ in range(300)])
+        error = np.sqrt((np.var(stacked) + np.var(replayed)) / 300)
+        assert abs(np.mean(stacked) - np.mean(replayed)) < 4.0 * error
+        clean = self._rollout(self._env("sparse", 0), actions, 0).info["nlif"]
+        assert abs(np.mean(stacked) - 10.0 ** -clean) > 4.0 * error
+
     def test_exact_and_tomographic_rewards_agree_at_1e6_shots(self):
         actions, _ = self._actions()
         sparse = self._rollout(self._env("sparse", 0), actions, 0).info["nlif"]

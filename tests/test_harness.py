@@ -150,6 +150,10 @@ class TestConfigSchema:
         pytest.param({"train": {"eval_every": -1}}, id="train.eval_every"),
         pytest.param({"evaluate": {"episodes": 0}}, id="evaluate.episodes"),
         pytest.param({"scale_sweep": {"realizations": 0}}, id="scale_sweep.realizations"),
+        pytest.param({"tomo": {"trials": 0}}, id="tomo.trials"),
+        # a kernel delay the Gaussian cannot apply, once applied as a positive one
+        pytest.param({"kernel": {"type": "gaussian", "mean_delay": -1.0}},
+                     id="kernel.mean_delay_negative"),
         # fewer snapshots than the one-qubit tomographic inversion needs (2 d^2 = 8),
         # once a traceback after the output directory was made
         pytest.param({"env": {"reward_mode": "tomo_snapshot", "n_snapshots": 4}},
@@ -1070,6 +1074,9 @@ _TABLE_FAULTS = {
     "nan": lambda lines: [l if i != 4 else l.rsplit("\t", 1)[0] + "\tnan"
                           for i, l in enumerate(lines)],
     "short_row": lambda lines: lines[:-1] + [lines[-1].rsplit("\t", 1)[0]],
+    # segments twice as long as the env's, once replayed at the env's period
+    "period": lambda lines: ["# sample_period_ns=2.0" if l.startswith("# sample_period_ns=")
+                             else l for l in lines],
 }
 
 
@@ -1248,6 +1255,19 @@ class TestCli:
         assert cli_main([command, "--config", str(path), "--protocol", str(proto),
                          "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "scale-sweep"])
+    def test_table_without_a_period_header_is_read(self, outdir, command):
+        path = self._config_file(outdir, tiny_raw())
+        cfg = config_from_dict(tiny_raw())
+        proto = outdir / "proto.tsv"
+        table = np.full((8, 1), cfg.env.model.params.eps_min)
+        table[:4] = 1.0
+        write_protocol(proto, table, cfg.env.model.params.eps0, cfg.env.sample_period)
+        lines = proto.read_text().splitlines()
+        proto.write_text("\n".join(l for l in lines if not l.startswith("# sample_period_ns=")))
+        assert cli_main([command, "--config", str(path), "--protocol", str(proto),
+                         "--out", str(outdir / "out")]) == 0
 
     @pytest.mark.parametrize("raw", [["not", "a", "mapping"], {**tiny_raw(), "evaluate": [2]}])
     def test_non_mapping_config_under_a_flag_exits_two(self, outdir, trained, raw):

@@ -47,6 +47,15 @@ class TestKernels:
         k = pulse.gaussian_kernel(delay, width, dt)
         assert applied_delay(k) == pytest.approx(delay, abs=dt)
 
+    @pytest.mark.parametrize("delay, width", [
+        (-1.0, 0.3), (-10.0, 0.3), (float("nan"), 0.3), (float("inf"), 0.3),
+        (1.0, -0.1), (1.0, float("nan")), (1.0, float("inf")),
+    ])
+    def test_gaussian_rejects_a_delay_or_width_it_cannot_apply(self, delay, width):
+        # a negative delay was once applied as +0.04 ns, or as a delta kernel
+        with pytest.raises(ValueError, match="mean_delay|stddev"):
+            pulse.gaussian_kernel(delay, width, 0.1)
+
     def test_tiny_sigma_approximates_delta(self):
         k = pulse.gaussian_kernel(0.0, 1e-9, 0.1)
         trace = pulse.ShapedTrace(np.random.default_rng(1).normal(size=(30, 2)), 0.1)

@@ -634,10 +634,9 @@ class TestHamiltonianStack:
                         reward_mode=RewardMode.ROBUST_AVG, n_realizations=1)
         env = GateSynthesisEnv(cfg, seed=0)
         env.rollout(random_actions(env, seed=0), seed=0)
-        chunks = env._noisy_final_blocks(512)
         tracemalloc.start()
         try:
-            blocks = next(chunks)
+            blocks = env._noisy_final_blocks(512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -900,6 +899,75 @@ class TestRewardModes:
         result = env.rollout(random_actions(env, seed=24), seed=24)
         assert 0.0 <= result.info["leakage"] <= 1.0
         assert result.info["nlif"] == pytest.approx(result.reward)
+
+
+def finished_env(seed, acts, **overrides):
+    """A noisy sparse env after rollout(acts, seed), ready to score its table."""
+    env = small_env(seed=seed, noise=NoiseConfig(), **overrides)
+    env.rollout(acts, seed=seed)
+    return env
+
+
+class TestRealizationNlifs:
+    """A finished table scored under R fresh realizations in one stack."""
+
+    @pytest.mark.parametrize("count", [7, 40, 600])
+    def test_rows_equal_one_realization_at_a_time(self, count):
+        # 7 rows fold as complex stacks, 40 as pairs (>= 32 rows); 600 take
+        # chunks of 512 and 88. The reference draws the same chunks from a
+        # copy of the env's generator and evolves each realization alone.
+        env = finished_env(41, random_actions(small_env(), seed=41))
+        rng = np.random.default_rng()
+        rng.bit_generator.state = env._rng.bit_generator.state
+        got = env.realization_nlifs(count)
+        cfg, shaped = env.config, env.shaped_detunings()
+        want = []
+        for start in range(0, count, rlenv._REWARD_CHUNK):
+            z = sample_realization(cfg.noise, rng, cfg.n_substeps, cfg.dt,
+                                   n_gradients=env.model.n_gradients, n_channels=env.n_channels,
+                                   count=min(rlenv._REWARD_CHUNK, count - start))
+            for delta_b, delta_eps, fast in zip(z.delta_b, z.delta_eps, z.fast):
+                u = propagate(env.model.hamiltonians(shaped + delta_eps + fast, delta_b), cfg.dt)
+                want.append(nlif(computational_block(u), env.target, cfg.nlif_cap))
+        assert got.shape == (count,)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_tables_scored_under_one_seed_see_the_same_realizations(self, monkeypatch):
+        drawn, nlifs = [], []
+
+        def recorded(*args, **kwargs):
+            drawn[-1].append(sample_realization(*args, **kwargs))
+            return drawn[-1][-1]
+
+        monkeypatch.setattr(rlenv, "sample_realization", recorded)
+        for table_seed in (42, 43):
+            drawn.append([])
+            env = finished_env(44, random_actions(small_env(), seed=table_seed))
+            nlifs.append(env.realization_nlifs(20))
+        # the realizations of the constructor's reset and the rollout's, then
+        # the 20 scored ones
+        assert [len(z.delta_b) for z in drawn[0]] == [1, 1, 20]
+        for a, b in zip(drawn[0], drawn[1]):
+            for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
+                np.testing.assert_array_equal(x, y)
+        assert not np.any(nlifs[0] == nlifs[1])
+
+    def test_without_noise_every_row_is_the_episode_nlif(self):
+        env = small_env(seed=47)
+        result = env.rollout(random_actions(env, seed=47), seed=47)
+        np.testing.assert_array_equal(env.realization_nlifs(5), [result.info["nlif"]] * 5)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        env = finished_env(48, random_actions(small_env(), seed=48))
+        with pytest.raises(ValueError, match="count"):
+            env.realization_nlifs(count)
+
+    def test_unfinished_episode_rejected(self):
+        env = small_env(seed=49, noise=NoiseConfig())
+        env.reset(49)
+        with pytest.raises(RuntimeError, match="still running"):
+            env.realization_nlifs(3)
 
 
 class TestPulseHistoryMode:
